@@ -64,7 +64,6 @@ from .cohomology import (
     cochain_to_map,
     coboundary,
     coboundary_T,
-    coboundary_yamaguti,
     cohomology_data,
     cohomology_group,
     complex_audit,

@@ -22,6 +22,10 @@ module implements both ("definition" and "complex"), audits d(d(f)) = 0
 on a generating basis, and surfaces which convention closes the
 complex instead of silently picking one; see
 :func:`complex_audit` and :func:`resolve_sign_convention`.
+
+The operator complex reads its coefficients theta_T off the projected
+semidirect bracket of graph vectors, and a degree-1 cochain f is closed
+exactly when the t-coefficient of that defect for T + t f vanishes.
 """
 
 from __future__ import annotations
@@ -44,10 +48,17 @@ from .linalg import (
     vec_is_zero,
     zero_vector,
 )
-from .lts import LieTripleSystem
 from .representations import RepresentationData
 from .reporting import Report, Violation
-from .rota_baxter import RelativeRBO, check_rbo, check_rbo_homomorphism, descendent_lts
+from .rota_baxter import (
+    RelativeRBO,
+    _defect_coefficients,
+    _graph_vector,
+    _projected_bracket,
+    check_rbo,
+    check_rbo_homomorphism,
+    descendent_lts,
+)
 
 SIGN_CONVENTIONS = ("definition", "complex")
 
@@ -305,15 +316,6 @@ def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "defi
     return Cochain(f.degree + 2, d, m, tuple(out))
 
 
-def coboundary_yamaguti(
-    L: LieTripleSystem, rep: RepresentationData, f: Cochain, sign_convention: str = "definition"
-) -> Cochain:
-    """Coboundary of a cochain on L with coefficients in rep."""
-    if rep.algebra != L:
-        raise StructureError("representation is not over the given system")
-    return coboundary(rep, f, sign_convention)
-
-
 def complex_audit(rep: RepresentationData) -> dict[str, bool]:
     """For each sign convention, does d(d(f)) = 0 on a basis of C^1?
 
@@ -356,47 +358,34 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     """Coefficients for the operator complex: the descendent system
     acting on the ambient space by
 
-      theta_T(u,v)x = [x,Tu,Tv] - T( D(x,Tu)v - theta(x,Tv)u ).
+      theta_T(u,v)x = [x,Tu,Tv] - T( D(x,Tu)v - theta(x,Tv)u ),
 
-    The derived D_T is checked against its own closed formula
-      D_T(u,v)x = [Tu,Tv,x] - T( theta(Tv,x)u - theta(Tu,x)v )
+    the projected bracket of (x,0), (Tu,u), (Tv,v).  The derived D_T is
+    checked against the projected bracket of (Tu,u), (Tv,v), (x,0)
     on all basis pairs before returning.
     """
     desc = descendent_lts(rbo)
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
-    d, dp = L.dim, Lp.dim
-    theta_t = []
-    for u in range(dp):
-        row = []
-        for v in range(dp):
-            Tu, Tv = T.column(u), T.column(v)
-            eu, ev = basis_vector(dp, u), basis_vector(dp, v)
-            cols = []
-            for x in range(d):
-                ex = basis_vector(d, x)
-                a = L.bracket_eval(ex, Tu, Tv)
-                t1 = rep.d_vec(ex, Tu).apply(ev)
-                t2 = rep.theta_vec(ex, Tv).apply(eu)
-                tin = T.apply(tuple(t1[l] - t2[l] for l in range(dp)))
-                cols.append(tuple(a[l] - tin[l] for l in range(d)))
-            row.append(Matrix.from_columns(cols, d))
-        theta_t.append(tuple(row))
-    out = RepresentationData(desc, d, tuple(theta_t))
-    for u in range(dp):
-        for v in range(dp):
-            Tu, Tv = T.column(u), T.column(v)
-            eu, ev = basis_vector(dp, u), basis_vector(dp, v)
-            for x in range(d):
-                ex = basis_vector(d, x)
-                a = L.bracket_eval(Tu, Tv, ex)
-                t1 = rep.theta_vec(Tv, ex).apply(eu)
-                t2 = rep.theta_vec(Tu, ex).apply(ev)
-                tin = T.apply(tuple(t1[l] - t2[l] for l in range(dp)))
-                direct = tuple(a[l] - tin[l] for l in range(d))
-                if direct != tuple(out.d_basis(u, v).column(x)):
-                    raise VerificationError(
-                        "derived D_T disagrees with its closed formula; input is not a valid operator"
-                    )
+    d, dp = rbo.ambient.dim, rbo.source.dim
+    graph = [_graph_vector(rbo.T, u) for u in range(dp)]
+    plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
+
+    def projected(a, b, c):
+        return _projected_bracket(rbo.action, rbo.weight, rbo.T, a, b, c)
+
+    theta_t = tuple(
+        tuple(
+            Matrix.from_columns([projected(ex, graph[u], graph[v]) for ex in plain], d)
+            for v in range(dp)
+        )
+        for u in range(dp)
+    )
+    out = RepresentationData(desc, d, theta_t)
+    for u, v in product(range(dp), repeat=2):
+        direct = Matrix.from_columns([projected(graph[u], graph[v], ex) for ex in plain], d)
+        if direct != out.d_basis(u, v):
+            raise VerificationError(
+                "derived D_T disagrees with its closed formula; input is not a valid operator"
+            )
     return out
 
 
@@ -434,55 +423,24 @@ def coboundary_T(rbo: RelativeRBO, f: Cochain, sign_convention: str = "definitio
 
 
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
-    """Closedness of a degree-1 cochain by direct expansion.
+    """Closedness of a degree-1 cochain, read off the operator identity.
 
-    This expands the four groups of terms of the closedness identity
-    in the ambient system rather than going through the assembled
-    theta_T coefficients; the weight multiplies the source bracket
-    inside the final group, matching the descendent bracket.  Agrees
-    with ``coboundary_T(rbo, f).is_zero()`` identically.
+    The t-coefficient of the Rota-Baxter defect of T + t f is exactly
+    the closedness identity of f, weight term included, so f is a
+    cocycle when that coefficient vanishes on every basis triple.
+    Agrees with ``coboundary_T(rbo, f).is_zero()`` identically.
     """
     if f.degree != 1:
         raise StructureError("cocycle check expects a degree-1 cochain")
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
-    if f.source_dim != Lp.dim or f.target_dim != L.dim:
+    if f.source_dim != rbo.source.dim or f.target_dim != rbo.ambient.dim:
         raise StructureError("cochain dimensions differ from the operator's spaces")
-    out = []
-    dp = Lp.dim
-    for a, b, c in product(range(dp), repeat=3):
-        e1, e2, e3 = (basis_vector(dp, t) for t in (a, b, c))
-        T1, T2, T3 = T.column(a), T.column(b), T.column(c)
-        f1, f2, f3 = f.value((a,)), f.value((b,)), f.value((c,))
-        acc = list(L.bracket_eval(f1, T2, T3))
-        for term in (L.bracket_eval(T1, f2, T3), L.bracket_eval(T1, T2, f3)):
-            for l in range(L.dim):
-                acc[l] += term[l]
-        g2a = rep.d_vec(f1, T2).apply(e3)
-        g2b = rep.theta_vec(f1, T3).apply(e2)
-        g2c = rep.theta_vec(f2, T3).apply(e1)
-        g3a = rep.theta_vec(T2, f3).apply(e1)
-        g3b = rep.theta_vec(T1, f3).apply(e2)
-        g3c = rep.d_vec(f2, T1).apply(e3)
-        t = T.apply(tuple(
-            g2a[l] - g2b[l] + g2c[l] + g3a[l] - g3b[l] - g3c[l] for l in range(dp)
-        ))
-        for l in range(L.dim):
-            acc[l] -= t[l]
-        ia = rep.theta_vec(T2, T3).apply(e1)
-        ib = rep.theta_vec(T1, T3).apply(e2)
-        ic = rep.d_vec(T1, T2).apply(e3)
-        lam = Lp.bracket[a][b][c]
-        inner = tuple(
-            ia[l] - ib[l] + ic[l] + rbo.weight * lam[l] for l in range(dp)
+    return tuple(
+        Violation("one-cocycle", (u + 1, v + 1, w + 1))
+        for (u, v, w), (c1, _, _) in _defect_coefficients(
+            rbo.action, rbo.weight, rbo.T, cochain_to_map(f)
         )
-        for lsrc in range(dp):
-            if inner[lsrc]:
-                fv = f.value((lsrc,))
-                for l in range(L.dim):
-                    acc[l] -= inner[lsrc] * fv[l]
-        if not vec_is_zero(tuple(acc)):
-            out.append(Violation("one-cocycle", (a + 1, b + 1, c + 1)))
-    return tuple(out)
+        if not vec_is_zero(c1)
+    )
 
 
 # ---------------------------------------------------------------------------

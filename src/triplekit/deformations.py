@@ -1,11 +1,13 @@
 """Infinitesimal deformations T + t*S of a relative Rota-Baxter operator.
 
-The defining identity is cubic in the operator, so T + t*S satisfies
-it for every t exactly when the coefficient equations at t, t^2 and
-t^3 all hold; each is checked on basis triples of the source.  The
-order-t equation is precisely the closedness of S as a degree-1
-cochain, so verified deformation directions carry a class in the
-degree-1 cohomology of the operator complex, and equivalent
+The defining identity, the projected semidirect bracket of graph
+vectors, is cubic in the operator, so T + t*S satisfies it for every t
+exactly when the coefficient equations at t, t^2 and t^3 all hold.
+Those coefficients are recovered exactly by interpolating the one
+defect at t = 0, 1, -1, 2, and each is checked on basis triples of the
+source.  The order-t equation is precisely the closedness of S as a
+degree-1 cochain, so verified deformation directions carry a class in
+the degree-1 cohomology of the operator complex, and equivalent
 deformations share that class.
 
 Equivalence of two directions S1, S2 is witnessed by a wedge element X
@@ -32,7 +34,6 @@ from .cohomology import (
     cochain_to_map,
     cohomology_data,
     flatten_cochain,
-    one_cocycle_check,
     wedge_pairs,
     zero_cochain,
 )
@@ -40,15 +41,15 @@ from .linalg import (
     Matrix,
     StructureError,
     SubspaceBasis,
-    Vector,
     VerificationError,
     ZERO,
     basis_vector,
     solve,
+    vec_is_zero,
     vec_sub,
 )
 from .reporting import Report, Violation
-from .rota_baxter import RelativeRBO
+from .rota_baxter import RelativeRBO, _defect_coefficients
 
 __all__ = [
     "InfinitesimalDeformation",
@@ -120,80 +121,14 @@ def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
 def check_deformation(d: InfinitesimalDeformation) -> Report:
     """Coefficient equations at t, t^2, t^3 on all basis triples."""
     rbo = d.base
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
-    S = d.direction_map()
-    dp = Lp.dim
     out = []
-
-    def combo(mu, mv, mw, u, v, w, with_weight):
-        """D(mu_u, mv_v)w - theta(mu_u, mw_w)v + theta(mv_v, mw_w)u
-        (+ weight bracket), a vector in the source space."""
-        uu, vv, ww = mu.column(u), mv.column(v), mw.column(w)
-        eu, ev, ew = basis_vector(dp, u), basis_vector(dp, v), basis_vector(dp, w)
-        t1 = rep.d_vec(uu, vv).apply(ew)
-        t2 = rep.theta_vec(uu, ww).apply(ev)
-        t3 = rep.theta_vec(vv, ww).apply(eu)
-        if with_weight:
-            lam = Lp.bracket[u][v][w]
-            return tuple(
-                t1[l] - t2[l] + t3[l] + rbo.weight * lam[l] for l in range(dp)
-            )
-        return tuple(t1[l] - t2[l] + t3[l] for l in range(dp))
-
-    for u, v, w in product(range(dp), repeat=3):
-        Tu, Tv, Tw = T.column(u), T.column(v), T.column(w)
-        Su, Sv, Sw = S.column(u), S.column(v), S.column(w)
-        eu, ev, ew = basis_vector(dp, u), basis_vector(dp, v), basis_vector(dp, w)
-
-        lhs1 = L.bracket_eval(Su, Tv, Tw)
-        for term in (L.bracket_eval(Tu, Sv, Tw), L.bracket_eval(Tu, Tv, Sw)):
-            lhs1 = tuple(a + b for a, b in zip(lhs1, term))
-        m1a = rep.theta_vec(Tv, Sw).apply(eu)
-        m1b = rep.theta_vec(Tu, Sw).apply(ev)
-        m1c = rep.d_vec(Su, Tv).apply(ew)
-        m1d = rep.theta_vec(Sv, Tw).apply(eu)
-        m1e = rep.theta_vec(Su, Tw).apply(ev)
-        m1f = rep.d_vec(Tu, Sv).apply(ew)
-        mixed = tuple(
-            m1a[l] - m1b[l] + m1c[l] + m1d[l] - m1e[l] + m1f[l] for l in range(dp)
-        )
-        rhs1 = T.apply(mixed)
-        rhs1 = tuple(
-            a + b for a, b in zip(rhs1, S.apply(combo(T, T, T, u, v, w, True)))
-        )
-        if lhs1 != rhs1:
-            out.append(Violation("order-t", (u + 1, v + 1, w + 1)))
-
-        lhs2 = L.bracket_eval(Su, Sv, Tw)
-        for term in (L.bracket_eval(Tu, Sv, Sw), L.bracket_eval(Su, Tv, Sw)):
-            lhs2 = tuple(a + b for a, b in zip(lhs2, term))
-        rhs2 = S.apply(mixed_without_weight(rep, T, S, u, v, w, dp))
-        rhs2 = tuple(
-            a + b for a, b in zip(rhs2, T.apply(combo(S, S, S, u, v, w, False)))
-        )
-        if lhs2 != rhs2:
-            out.append(Violation("order-t2", (u + 1, v + 1, w + 1)))
-
-        lhs3 = L.bracket_eval(Su, Sv, Sw)
-        rhs3 = S.apply(combo(S, S, S, u, v, w, False))
-        if lhs3 != rhs3:
-            out.append(Violation("order-t3", (u + 1, v + 1, w + 1)))
+    for (u, v, w), coeffs in _defect_coefficients(
+        rbo.action, rbo.weight, rbo.T, d.direction_map()
+    ):
+        for rule, c in zip(("order-t", "order-t2", "order-t3"), coeffs):
+            if not vec_is_zero(c):
+                out.append(Violation(rule, (u + 1, v + 1, w + 1)))
     return tuple(out)
-
-
-def mixed_without_weight(rep, T, S, u, v, w, dp) -> Vector:
-    """theta(Sv,Tw)u - theta(Su,Tw)v + D(Tu,Sv)w + theta(Tv,Sw)u
-    - theta(Tu,Sw)v + D(Su,Tv)w."""
-    Tu, Tv, Tw = T.column(u), T.column(v), T.column(w)
-    Su, Sv, Sw = S.column(u), S.column(v), S.column(w)
-    eu, ev, ew = basis_vector(dp, u), basis_vector(dp, v), basis_vector(dp, w)
-    t1 = rep.theta_vec(Sv, Tw).apply(eu)
-    t2 = rep.theta_vec(Su, Tw).apply(ev)
-    t3 = rep.d_vec(Tu, Sv).apply(ew)
-    t4 = rep.theta_vec(Tv, Sw).apply(eu)
-    t5 = rep.theta_vec(Tu, Sw).apply(ev)
-    t6 = rep.d_vec(Su, Tv).apply(ew)
-    return tuple(t1[l] - t2[l] + t3[l] + t4[l] - t5[l] + t6[l] for l in range(dp))
 
 
 def deformation_cocycle_class(d: InfinitesimalDeformation):
@@ -203,11 +138,11 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     cocycle space by greedy pivoting over the cocycle basis vectors,
     so the coordinates are deterministic for a given operator.
     """
-    rbo = d.base
-    if one_cocycle_check(rbo, d.direction):
-        raise VerificationError("direction is not a 1-cocycle; no cohomology class")
-    data = cohomology_data(rbo, 1)
+    data = cohomology_data(d.base, 1)
     zb, bb = data.cocycles, data.coboundaries
+    target = flatten_cochain(d.direction)
+    if not zb.contains(target):
+        raise VerificationError("direction is not a 1-cocycle; no cohomology class")
     complement = []
     current = list(bb.vectors)
     span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
@@ -217,7 +152,6 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
             current.append(vec)
             span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
     cols = list(bb.vectors) + complement
-    target = flatten_cochain(d.direction)
     if not cols:
         return True, ()
     m = Matrix.from_columns(cols, zb.ambient_dim)

@@ -52,6 +52,18 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _require_list(value, context):
+    if not isinstance(value, list):
+        raise StructureError(f"{context}: expected a list, found {type(value).__name__}")
+    return value
+
+
+def _matrix_rows(rows, context):
+    for row in _require_list(rows, context):
+        _require_list(row, context)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # algebras
 
@@ -61,16 +73,21 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
     if not isinstance(dim, int) or dim < 0:
         raise StructureError("algebra: dim must be a non-negative integer")
     names = data.get("basis") or [f"e{i+1}" for i in range(dim)]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise StructureError("algebra: basis must be a list of names")
     if len(names) != dim:
         raise StructureError("algebra: basis name count differs from dim")
     entries: dict[tuple[int, int, int], list[Fraction]] = {}
-    for item in data.get("brackets", []):
-        args = _require(item, "args", "algebra bracket entry")
+    for item in _require_list(data.get("brackets", []), "algebra brackets"):
+        args = _require_list(_require(item, "args", "algebra bracket entry"), "algebra bracket args")
         if len(args) != 3 or not all(isinstance(a, int) and 1 <= a <= dim for a in args):
             raise StructureError(f"algebra: bad bracket args {args!r}")
         i, j, k = (a - 1 for a in args)
+        value = _require(item, "value", "algebra bracket entry")
+        if not isinstance(value, dict):
+            raise StructureError(f"algebra: bracket value at {args} must map indices to scalars")
         vec = list(zero_vector(dim))
-        for key, val in _require(item, "value", "algebra bracket entry").items():
+        for key, val in value.items():
             try:
                 l = int(key) - 1
             except ValueError as exc:
@@ -116,14 +133,16 @@ def load_algebra(path) -> LieTripleSystem:
 def representation_from_json(data: dict, base_dir: Path | None = None) -> RepresentationData:
     algebra = algebra_from_json(_resolve(_require(data, "algebra", "representation"), base_dir, _read_json))
     space_dim = _require(data, "space_dim", "representation")
+    if not isinstance(space_dim, int) or space_dim < 0:
+        raise StructureError("representation: space_dim must be a non-negative integer")
     zero = Matrix.zeros(space_dim, space_dim)
     table = [[zero for _ in range(algebra.dim)] for _ in range(algebra.dim)]
-    for item in data.get("theta", []):
-        args = _require(item, "args", "theta entry")
+    for item in _require_list(data.get("theta", []), "representation theta"):
+        args = _require_list(_require(item, "args", "theta entry"), "representation theta args")
         if len(args) != 2 or not all(isinstance(a, int) and 1 <= a <= algebra.dim for a in args):
             raise StructureError(f"representation: bad theta args {args!r}")
         rows = _require(item, "matrix", "theta entry")
-        mat = Matrix.from_rows(rows)
+        mat = Matrix.from_rows(_matrix_rows(rows, "representation theta matrix"))
         if mat.rows != space_dim or mat.cols != space_dim:
             raise StructureError(f"representation: theta matrix at {args} has wrong shape")
         table[args[0] - 1][args[1] - 1] = mat
@@ -178,7 +197,7 @@ def load_action(path) -> ActionData:
 
 
 def matrix_from_json(rows, rows_expected=None, cols_expected=None, context="matrix") -> Matrix:
-    mat = Matrix.from_rows(rows)
+    mat = Matrix.from_rows(_matrix_rows(rows, context))
     if rows_expected is not None and mat.rows != rows_expected:
         raise StructureError(f"{context}: expected {rows_expected} rows, found {mat.rows}")
     if cols_expected is not None and mat.cols != cols_expected:

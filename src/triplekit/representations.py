@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix, StructureError, Vector, ZERO, vec_is_zero, zero_vector
+from .linalg import Matrix, StructureError, Vector, ZERO, basis_vector, vec_is_zero
 from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
@@ -52,19 +52,22 @@ class RepresentationData:
         return self.theta[j][i] - self.theta[i][j]
 
     def theta_vec(self, x: Vector, y: Vector) -> Matrix:
-        """Bilinear extension of theta to arbitrary arguments."""
-        d = self.algebra.dim
+        """Bilinear extension of theta to arbitrary arguments, summed in one pass."""
+        d, n = self.algebra.dim, self.space_dim
         if len(x) != d or len(y) != d:
             raise StructureError("theta argument length differs from algebra dimension")
-        acc = Matrix.zeros(self.space_dim, self.space_dim)
+        acc = [[ZERO] * n for _ in range(n)]
         for i in range(d):
             if not x[i]:
                 continue
             for j in range(d):
                 c = x[i] * y[j]
                 if c:
-                    acc = acc + self.theta[i][j].scale(c)
-        return acc
+                    for out, row in zip(acc, self.theta[i][j].entries):
+                        for col, a in enumerate(row):
+                            if a:
+                                out[col] += c * a
+        return Matrix(n, n, tuple(map(tuple, acc)))
 
     def d_vec(self, x: Vector, y: Vector) -> Matrix:
         return self.theta_vec(y, x) - self.theta_vec(x, y)
@@ -92,28 +95,13 @@ def verify_representation(r: RepresentationData) -> Report:
     """Check (R1) and (R2) on all basis 4-tuples of the acting algebra."""
     d = r.algebra.dim
     out = []
-    th = r.theta
+    th, br, E = r.theta, r.algebra.bracket, r.algebra.basis()
     dm = [[r.d_basis(i, j) for j in range(d)] for i in range(d)]
-
-    def theta_against(a: int, vec: Vector) -> Matrix:
-        acc = Matrix.zeros(r.space_dim, r.space_dim)
-        for l in range(d):
-            if vec[l]:
-                acc = acc + th[a][l].scale(vec[l])
-        return acc
-
-    def theta_from(vec: Vector, b: int) -> Matrix:
-        acc = Matrix.zeros(r.space_dim, r.space_dim)
-        for l in range(d):
-            if vec[l]:
-                acc = acc + th[l][b].scale(vec[l])
-        return acc
-
     for a, b, c, dd in product(range(d), repeat=4):
         lhs = (
             th[c][dd] @ th[a][b]
             - th[b][dd] @ th[a][c]
-            - theta_against(a, r.algebra.bracket[b][c][dd])
+            - r.theta_vec(E[a], br[b][c][dd])
             + dm[b][c] @ th[a][dd]
         )
         if not lhs.is_zero():
@@ -122,8 +110,8 @@ def verify_representation(r: RepresentationData) -> Report:
         lhs = (
             th[c][dd] @ dm[a][b]
             - dm[a][b] @ th[c][dd]
-            + theta_from(r.algebra.bracket[a][b][c], dd)
-            + theta_against(c, r.algebra.bracket[a][b][dd])
+            + r.theta_vec(br[a][b][c], E[dd])
+            + r.theta_vec(E[c], br[a][b][dd])
         )
         if not lhs.is_zero():
             out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))
@@ -173,7 +161,11 @@ def verify_action(a: ActionData) -> Report:
 def semidirect_bracket(
     a: ActionData, weight: Fraction, x1: Vector, u1: Vector, x2: Vector, u2: Vector, x3: Vector, u3: Vector
 ) -> tuple[Vector, Vector]:
-    """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight."""
+    """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight.
+
+    The only place the mixed term is written out; every operator
+    identity in the package is read off this bracket.
+    """
     L, Lp, rep = a.algebra, a.target, a.rep
     part_l = L.bracket_eval(x1, x2, x3)
     t1 = rep.d_vec(x1, x2).apply(u3)
@@ -198,20 +190,12 @@ def semidirect_product(a: ActionData, weight: Fraction) -> LieTripleSystem:
     n = d + dp
 
     def split(idx):
-        x = zero_vector(d)
-        u = zero_vector(dp)
-        if idx < d:
-            x = tuple(Fraction(1) if t == idx else ZERO for t in range(d))
-        else:
-            u = tuple(Fraction(1) if t == idx - d else ZERO for t in range(dp))
-        return x, u
+        e = basis_vector(n, idx)
+        return e[:d], e[d:]
 
     entries = {}
     for i, j, k in product(range(n), repeat=3):
-        x1, u1 = split(i)
-        x2, u2 = split(j)
-        x3, u3 = split(k)
-        pl, pp = semidirect_bracket(a, weight, x1, u1, x2, u2, x3, u3)
+        pl, pp = semidirect_bracket(a, weight, *split(i), *split(j), *split(k))
         vec = pl + pp
         if not vec_is_zero(vec):
             entries[(i, j, k)] = vec

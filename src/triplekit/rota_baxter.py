@@ -6,11 +6,14 @@ relative Rota-Baxter operator of weight lambda when
   [Tu,Tv,Tw] = T( D(Tu,Tv)w - theta(Tu,Tw)v + theta(Tv,Tw)u
                   + lambda [u,v,w]' )                       (RB)
 
-for all u, v, w in L'.  Equivalent characterizations implemented here:
-the graph {Tu + u} is a subsystem of the semidirect product, and the
-block lift (x,u) -> (x + Tu, 0) is a Nijenhuis operator on it.  The
-identity (RB) is affine in lambda, so "operator of every weight" is
-decided exactly by checking the constant and linear parts separately.
+for all u, v, w in L'.  Both sides are read off the semidirect bracket
+of the graph vectors (Tu,u), (Tv,v), (Tw,w): the defect of (RB) is that
+bracket projected by (x, u) -> x - Tu, so (RB) says the graph {Tu + u}
+is a subsystem of the semidirect product.  The block lift
+(x,u) -> (x + Tu, 0) being a Nijenhuis operator is an equivalent
+characterization.  The identity (RB) is affine in lambda, so "operator
+of every weight" is decided exactly by checking the constant and linear
+parts separately.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .linalg import (
     zero_vector,
 )
 from .lts import HomomorphismCandidate, LieTripleSystem, derived_algebra, is_abelian_subsystem, is_homomorphism, is_subsystem
-from .representations import ActionData, self_action, semidirect_product, verify_action
+from .representations import ActionData, self_action, semidirect_bracket, semidirect_product, verify_action
 from .reporting import Report, Violation
 
 # A linear map between based spaces is just its matrix, target rows by
@@ -48,8 +51,7 @@ class RelativeRBO:
     T: LinearMap
 
     def __post_init__(self):
-        if self.T.cols != self.action.target.dim or self.T.rows != self.action.algebra.dim:
-            raise StructureError("operator matrix shape differs from action dimensions")
+        _check_dims(self.action, self.T)
 
     @property
     def source(self) -> LieTripleSystem:
@@ -60,39 +62,60 @@ class RelativeRBO:
         return self.action.algebra
 
 
+def _graph_vector(T: LinearMap, u: int) -> tuple[Vector, Vector]:
+    """(Tu, u) in L (+) L' for the basis vector u of L'."""
+    return T.column(u), basis_vector(T.cols, u)
+
+
+def _projected_bracket(action: ActionData, weight: Fraction, T: LinearMap, a, b, c) -> Vector:
+    """x - Tp for (x, p) = [a, b, c], the semidirect bracket of three
+    (x, u) pairs; zero exactly when the bracket lies on the graph of T."""
+    x, p = semidirect_bracket(action, weight, *a, *b, *c)
+    return vec_sub(x, T.apply(p))
+
+
 def _rbo_defect(action: ActionData, weight: Fraction, T: LinearMap, u: int, v: int, w: int):
-    """LHS - RHS of (RB) at basis triple (u, v, w); zero vector iff it holds."""
-    L, Lp, rep = action.algebra, action.target, action.rep
-    Tu, Tv, Tw = T.column(u), T.column(v), T.column(w)
-    eu, ev, ew = (basis_vector(Lp.dim, t) for t in (u, v, w))
-    lhs = L.bracket_eval(Tu, Tv, Tw)
-    inner = rep.d_vec(Tu, Tv).apply(ew)
-    inner = vec_sub(inner, rep.theta_vec(Tu, Tw).apply(ev))
-    t = rep.theta_vec(Tv, Tw).apply(eu)
-    lam = Lp.bracket[u][v][w]
-    inner = tuple(inner[l] + t[l] + weight * lam[l] for l in range(Lp.dim))
-    return vec_sub(lhs, T.apply(inner))
+    """LHS - RHS of (RB) at basis triple (u, v, w): the projected bracket
+    of the graph vectors of u, v and w; zero vector iff (RB) holds there."""
+    return _projected_bracket(
+        action, weight, T, _graph_vector(T, u), _graph_vector(T, v), _graph_vector(T, w)
+    )
+
+
+def _rbo_violations(action: ActionData, weight: Fraction, T: LinearMap):
+    """Basis triples where (RB) fails, generated in lexicographic order."""
+    _check_dims(action, T)
+    for u, v, w in product(range(action.target.dim), repeat=3):
+        if not vec_is_zero(_rbo_defect(action, weight, T, u, v, w)):
+            yield Violation("rota-baxter-identity", (u + 1, v + 1, w + 1))
 
 
 def check_rbo(action: ActionData, weight: Fraction, T: LinearMap) -> Report:
     """All basis triples where (RB) fails, in lexicographic order."""
-    _check_dims(action, T)
-    dp = action.target.dim
-    out = []
-    for u, v, w in product(range(dp), repeat=3):
-        if not vec_is_zero(_rbo_defect(action, weight, T, u, v, w)):
-            out.append(Violation("rota-baxter-identity", (u + 1, v + 1, w + 1)))
-    return tuple(out)
+    return tuple(_rbo_violations(action, weight, T))
 
 
 def is_rbo(action: ActionData, weight: Fraction, T: LinearMap) -> bool:
     """Early-exit variant of :func:`check_rbo` for property sweeps."""
-    _check_dims(action, T)
-    dp = action.target.dim
-    for u, v, w in product(range(dp), repeat=3):
-        if not vec_is_zero(_rbo_defect(action, weight, T, u, v, w)):
-            return False
-    return True
+    return next(_rbo_violations(action, weight, T), None) is None
+
+
+def _defect_coefficients(action: ActionData, weight: Fraction, T: LinearMap, S: LinearMap):
+    """((u, v, w), (c1, c2, c3)) for every basis triple, where c_k is the
+    t^k coefficient of the (RB) defect of T + tS at (u, v, w).
+
+    The defect is cubic in t, so its values at t = 0, 1, -1, 2 determine
+    all four coefficients, recovered here by exact interpolation.
+    """
+    points = (T, T + S, T - S, T + S.scale(Fraction(2)))
+    for u, v, w in product(range(action.target.dim), repeat=3):
+        d0, d1, dm, d2 = (_rbo_defect(action, weight, M, u, v, w) for M in points)
+        c2 = tuple((a + b) / 2 - z for a, b, z in zip(d1, dm, d0))
+        odd = tuple((a - b) / 2 for a, b in zip(d1, dm))  # c1 + c3
+        # (d2 - d0 - 4 c2) / 2 = c1 + 4 c3
+        c3 = tuple(((e - z - 4 * q) / 2 - o) / 3 for e, z, q, o in zip(d2, d0, c2, odd))
+        c1 = tuple(o - k for o, k in zip(odd, c3))
+        yield (u, v, w), (c1, c2, c3)
 
 
 def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
@@ -167,9 +190,9 @@ def sum_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
 
 def graph_subsystem(rbo: RelativeRBO) -> SubspaceBasis:
     """Span of {Tu + u : u basis of L'} inside the semidirect product."""
-    d, dp = rbo.ambient.dim, rbo.source.dim
-    vectors = [rbo.T.column(u) + basis_vector(dp, u) for u in range(dp)]
-    return SubspaceBasis.from_spanning(vectors, d + dp)
+    dp = rbo.source.dim
+    vectors = [Tu + eu for Tu, eu in (_graph_vector(rbo.T, u) for u in range(dp))]
+    return SubspaceBasis.from_spanning(vectors, rbo.ambient.dim + dp)
 
 
 def graph_is_subsystem(rbo: RelativeRBO, semidirect: LieTripleSystem | None = None) -> bool:
@@ -179,7 +202,8 @@ def graph_is_subsystem(rbo: RelativeRBO, semidirect: LieTripleSystem | None = No
 
 
 def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
-    """The induced system on L' with bracket
+    """The induced system on L' whose bracket is the L' part of the
+    semidirect bracket of graph vectors:
 
         [u,v,w]_T = D(Tu,Tv)w + theta(Tv,Tw)u - theta(Tu,Tw)v
                     + lambda [u,v,w]'
@@ -192,22 +216,14 @@ def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
         raise VerificationError(
             f"descendent system requires the Rota-Baxter identity; {len(report)} basis triples fail"
         )
-    Lp, rep, T = rbo.source, rbo.action.rep, rbo.T
-    dp = Lp.dim
+    dp = rbo.source.dim
+    graph = [_graph_vector(rbo.T, u) for u in range(dp)]
     entries = {}
     for u, v, w in product(range(dp), repeat=3):
-        Tu, Tv, Tw = T.column(u), T.column(v), T.column(w)
-        ew, eu, ev = basis_vector(dp, w), basis_vector(dp, u), basis_vector(dp, v)
-        t1 = rep.d_vec(Tu, Tv).apply(ew)
-        t2 = rep.theta_vec(Tv, Tw).apply(eu)
-        t3 = rep.theta_vec(Tu, Tw).apply(ev)
-        lam = Lp.bracket[u][v][w]
-        vec = tuple(
-            t1[l] + t2[l] - t3[l] + rbo.weight * lam[l] for l in range(dp)
-        )
+        _, vec = semidirect_bracket(rbo.action, rbo.weight, *graph[u], *graph[v], *graph[w])
         if not vec_is_zero(vec):
             entries[(u, v, w)] = vec
-    return LieTripleSystem.from_entries(dp, entries, Lp.basis_names)
+    return LieTripleSystem.from_entries(dp, entries, rbo.source.basis_names)
 
 
 def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> Vector:

@@ -169,6 +169,23 @@ def test_exit_codes(tmp_path):
     assert data["first"]["witness"]
 
 
+def test_malformed_input_is_reported_not_raised(tmp_path):
+    cases = (
+        ("lts", {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
+        ("lts", {"dim": 3, "basis": 5}),
+        ("lts", {"dim": 3, "brackets": 5}),
+        ("lts", {"dim": 3, "brackets": [{"args": 5, "value": {}}]}),
+        ("rep", {"algebra": {"dim": 1}, "space_dim": "x", "theta": []}),
+        ("rep", {"algebra": {"dim": 1}, "space_dim": 1, "theta": [{"args": [1, 1], "matrix": 5}]}),
+    )
+    for n, (group, doc) in enumerate(cases):
+        path = tmp_path / f"malformed{n}.json"
+        path.write_text(dump_json(doc))
+        out = run_cli(group, "verify", str(path))
+        assert out.returncode == 2, out.stderr
+        assert json.loads(out.stdout)["kind"] == "input"
+
+
 def test_byte_identical_reruns():
     for args in (
         ("lts", "verify", str(fixture_path("lts4"))),

@@ -112,23 +112,11 @@ def test_coboundary_of_zero_is_zero(lts3):
 
 
 def test_coboundary_over_zero_structures_is_zero():
-    from triplekit.cohomology import coboundary_yamaguti
-
-    L = zero_system(3)
-    rep = zero_representation(L, 3)
+    rep = zero_representation(zero_system(3), 3)
     rng = random.Random(SEEDS["fuzz"])
     for _ in range(5):
         f = random_cochain(rng, 1, 3, 3)
         assert coboundary(rep, f).is_zero()
-        assert coboundary_yamaguti(L, rep, f).is_zero()
-
-
-def test_coboundary_yamaguti_checks_algebra(lts3, sl2_lts):
-    from triplekit.cohomology import coboundary_yamaguti
-
-    adj = adjoint_representation(sl2_lts)
-    with pytest.raises(StructureError):
-        coboundary_yamaguti(lts3, adj, zero_cochain(1, 3, 3))
 
 
 def test_degree_1_formula_explicit(sl2_lts):

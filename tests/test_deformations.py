@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from triplekit.cohomology import (
     Cochain,
     cochain_from_map,
+    cochain_to_map,
     cohomology_data,
     delta_wedge,
     one_cocycle_check,
@@ -24,6 +26,7 @@ from triplekit.deformations import (
 )
 from triplekit.linalg import Matrix, StructureError, VerificationError
 from triplekit.properties import random_integer_matrix
+from triplekit.reporting import Violation
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
 from conftest import SEEDS
@@ -292,3 +295,69 @@ def test_base_mismatch_rejected(rbo3, rbo4):
     d2 = InfinitesimalDeformation(rbo4, zero_cochain(1, 4, 4))
     with pytest.raises(StructureError):
         check_equivalence(d1, d2, EquivalenceWitness(wedge(rbo3, 0, 0, 0)))
+
+
+def test_coefficient_rules_match_sympy_expansion(rbo3, rbo4):
+    # independent oracle: expand the defect of T + tS as a polynomial in
+    # t straight from (RB), with sympy arithmetic on the raw tensors, and
+    # compare the t, t^2, t^3 coefficients triple by triple with the
+    # interpolated rules and with the cocycle check
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(SEEDS["deformation"])
+    rules = ("order-t", "order-t2", "order-t3")
+    held = {rule: 0 for rule in rules}
+    failed = {rule: 0 for rule in rules}
+
+    def rat(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def sym(m):
+        return sympy.Matrix(m.rows, m.cols, lambda r, c: rat(m.entries[r][c]))
+
+    def br(system, x, y, z):
+        out = sympy.zeros(system.dim, 1)
+        for i, j, k, vec in system.nonzero:
+            out += x[i] * y[j] * z[k] * sympy.Matrix([rat(a) for a in vec])
+        return out
+
+    for rbo in (rbo3, rbo4):
+        L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
+        d, dp = L.dim, Lp.dim
+        theta = [[sym(rep.theta[i][j]) for j in range(d)] for i in range(d)]
+        E = sympy.eye(dp)
+        unit = Cochain(-1, dp, d, tuple(F(k == 0) for k in range(d * (d - 1) // 2)))
+        directions = [rbo.T, cochain_to_map(delta_wedge(rbo, unit))]
+        directions += [random_integer_matrix(rng, d, dp) for _ in range(2)]
+        for S in directions:
+            Tt = sym(rbo.T) + t * sym(S)
+            cols = [Tt[:, u] for u in range(dp)]
+            th = {
+                (a, b): sum(
+                    (cols[a][i] * cols[b][j] * theta[i][j] for i in range(d) for j in range(d)),
+                    sympy.zeros(dp, dp),
+                )
+                for a in range(dp) for b in range(dp)
+            }
+            want, want_cocycle = [], []
+            for u, v, w in product(range(dp), repeat=3):
+                inner = (
+                    (th[v, u] - th[u, v]) * E[:, w]
+                    - th[u, w] * E[:, v]
+                    + th[v, w] * E[:, u]
+                    + rat(rbo.weight) * br(Lp, E[:, u], E[:, v], E[:, w])
+                )
+                defect = (br(L, cols[u], cols[v], cols[w]) - Tt * inner).expand()
+                for k, rule in enumerate(rules, start=1):
+                    if any(defect[l].coeff(t, k) != 0 for l in range(d)):
+                        want.append(Violation(rule, (u + 1, v + 1, w + 1)))
+                        failed[rule] += 1
+                        if k == 1:
+                            want_cocycle.append(Violation("one-cocycle", (u + 1, v + 1, w + 1)))
+                    else:
+                        held[rule] += 1
+            direction = cochain_from_map(S)
+            assert check_deformation(InfinitesimalDeformation(rbo, direction)) == tuple(want)
+            assert one_cocycle_check(rbo, direction) == tuple(want_cocycle)
+    # both outcomes of every rule were compared, so the oracle is not vacuous
+    assert all(held.values()) and all(failed.values()), (held, failed)
