@@ -24,8 +24,11 @@ complex instead of silently picking one; see
 :func:`complex_audit` and :func:`resolve_sign_convention`.
 
 The operator complex reads its coefficients theta_T off the projected
-semidirect bracket of graph vectors, and a degree-1 cochain f is closed
-exactly when the t-coefficient of that defect for T + t f vanishes.
+semidirect bracket of graph vectors; its degree -1 map is
+delta X = T D(X) - [X,-] T.  Every differential matrix, of delta, d_1
+or d_3, is built by one helper that maps basis cochains through
+:func:`delta_wedge` or :func:`coboundary`, and a degree-1 cochain is
+closed exactly when d_1 f = 0.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .representations import RepresentationData
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
-    _defect_coefficients,
     _graph_vector,
     _projected_bracket,
     check_rbo,
@@ -316,24 +318,42 @@ def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "defi
     return Cochain(f.degree + 2, d, m, tuple(out))
 
 
+def _differential(
+    rep: RepresentationData, degree: int, vectors, convention: str = "definition",
+    rbo: RelativeRBO | None = None,
+) -> Matrix:
+    """Matrix of the differential on degree-``degree`` cochains: column k
+    is the flattened image of the k-th flat cochain in ``vectors``.
+
+    Degrees 1 and 3 go through :func:`coboundary` over ``rep``; degree
+    -1 goes through :func:`delta_wedge` of ``rbo``, whose induced
+    representation ``rep`` is.
+    """
+    dp, d = rep.algebra.dim, rep.space_dim
+    height = dp * d if degree == -1 else dp ** (degree + 2) * d
+    cols = []
+    for vec in vectors:
+        f = unflatten_cochain(degree, dp, d, vec)
+        img = delta_wedge(rbo, f) if degree == -1 else coboundary(rep, f, convention)
+        cols.append(flatten_cochain(img))
+    return Matrix.from_columns(cols, height)
+
+
 def complex_audit(rep: RepresentationData) -> dict[str, bool]:
     """For each sign convention, does d(d(f)) = 0 on a basis of C^1?
 
     The double coboundary is linear in f, so checking every elementary
-    degree-1 cochain decides the property on all of C^1 exactly.
+    degree-1 cochain decides the property on all of C^1 exactly.  d_1
+    has n = 1, where both conventions agree, so it is built once and
+    each convention's d_3 is applied to its columns.
     """
     d, m = rep.algebra.dim, rep.space_dim
-    results = {}
-    for convention in SIGN_CONVENTIONS:
-        ok = True
-        for flat in range(d * m):
-            f = elementary_cochain(1, d, m, flat)
-            g = coboundary(rep, coboundary(rep, f, convention), convention)
-            if not g.is_zero():
-                ok = False
-                break
-        results[convention] = ok
-    return results
+    d1 = _differential(rep, 1, cochain_space_basis(1, d, m).vectors)
+    images = [d1.column(k) for k in range(d1.cols)]
+    return {
+        convention: _differential(rep, 3, images, convention).is_zero()
+        for convention in SIGN_CONVENTIONS
+    }
 
 
 def resolve_sign_convention(rep: RepresentationData) -> tuple[str, dict[str, bool]]:
@@ -389,28 +409,44 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     return out
 
 
-def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
-    """Degree -1 coboundary: (delta X)(v) = T D(X) v - [X, Tv]."""
-    if wedge.degree != -1:
-        raise StructureError("delta_wedge expects a degree -1 cochain")
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
-    if wedge.target_dim != L.dim or wedge.source_dim != Lp.dim:
-        raise StructureError("wedge coordinates sized for a different operator")
+def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
+    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
+    L = rbo.ambient
     pairs = wedge_pairs(L.dim)
-    coeffs = []
-    for vix in range(Lp.dim):
-        ev = basis_vector(Lp.dim, vix)
-        Tv = T.column(vix)
+    cols = []
+    for x in range(L.dim):
         acc = [ZERO] * L.dim
         for (i, j), co in zip(pairs, wedge.coeffs):
-            if not co:
-                continue
-            t = T.apply(rep.d_basis(i, j).apply(ev))
-            br = L.bracket_eval(basis_vector(L.dim, i), basis_vector(L.dim, j), Tv)
-            for l in range(L.dim):
-                acc[l] += co * (t[l] - br[l])
-        coeffs.append(tuple(acc))
-    return Cochain(1, Lp.dim, L.dim, tuple(coeffs))
+            if co:
+                vec = L.bracket[i][j][x]
+                for l in range(L.dim):
+                    acc[l] += co * vec[l]
+        cols.append(tuple(acc))
+    return Matrix.from_columns(cols, L.dim)
+
+
+def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
+    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action."""
+    rep = rbo.action.rep
+    pairs = wedge_pairs(rbo.ambient.dim)
+    acc = Matrix.zeros(rbo.source.dim, rbo.source.dim)
+    for (i, j), co in zip(pairs, wedge.coeffs):
+        if co:
+            acc = acc + rep.d_basis(i, j).scale(co)
+    return acc
+
+
+def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
+    """Degree -1 coboundary: delta X = T D(X) - [X,-] T, that is
+    (delta X)(v) = T D(X) v - [X, Tv]."""
+    if wedge.degree != -1:
+        raise StructureError("delta_wedge expects a degree -1 cochain")
+    if wedge.target_dim != rbo.ambient.dim or wedge.source_dim != rbo.source.dim:
+        raise StructureError("wedge coordinates sized for a different operator")
+    T = rbo.T
+    return cochain_from_map(
+        T @ wedge_d_operator(rbo, wedge) - wedge_bracket_operator(rbo, wedge) @ T
+    )
 
 
 def coboundary_T(rbo: RelativeRBO, f: Cochain, sign_convention: str = "definition") -> Cochain:
@@ -423,23 +459,22 @@ def coboundary_T(rbo: RelativeRBO, f: Cochain, sign_convention: str = "definitio
 
 
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
-    """Closedness of a degree-1 cochain, read off the operator identity.
+    """Closedness of a degree-1 cochain: the basis triples where d_1 f,
+    its coboundary in the operator complex, does not vanish.
 
-    The t-coefficient of the Rota-Baxter defect of T + t f is exactly
-    the closedness identity of f, weight term included, so f is a
-    cocycle when that coefficient vanishes on every basis triple.
-    Agrees with ``coboundary_T(rbo, f).is_zero()`` identically.
+    d_1 f at (u, v, w) is the t-coefficient of the Rota-Baxter defect
+    of T + t f at that triple, so the witnesses are also those of the
+    order-t rule of :func:`triplekit.deformations.check_deformation`.
     """
     if f.degree != 1:
         raise StructureError("cocycle check expects a degree-1 cochain")
     if f.source_dim != rbo.source.dim or f.target_dim != rbo.ambient.dim:
         raise StructureError("cochain dimensions differ from the operator's spaces")
+    df = coboundary_T(rbo, f)
     return tuple(
-        Violation("one-cocycle", (u + 1, v + 1, w + 1))
-        for (u, v, w), (c1, _, _) in _defect_coefficients(
-            rbo.action, rbo.weight, rbo.T, cochain_to_map(f)
-        )
-        if not vec_is_zero(c1)
+        Violation("one-cocycle", tuple(a + 1 for a in args))
+        for args, vec in zip(product(range(f.source_dim), repeat=3), df.coeffs)
+        if not vec_is_zero(vec)
     )
 
 
@@ -466,49 +501,22 @@ class CohomologyData:
     coboundaries: SubspaceBasis
 
 
-def coboundary_matrix_from_wedge(rbo: RelativeRBO) -> Matrix:
-    """Matrix of delta on wedge coordinates, columns to flat C^1."""
-    L, Lp = rbo.ambient, rbo.source
-    w = L.dim * (L.dim - 1) // 2
-    cols = []
-    for k in range(w):
-        coords = tuple(Fraction(1) if t == k else ZERO for t in range(w))
-        img = delta_wedge(rbo, Cochain(-1, Lp.dim, L.dim, coords))
-        cols.append(flatten_cochain(img))
-    return Matrix.from_columns(cols, Lp.dim * L.dim)
-
-
 def cohomology_data(rbo: RelativeRBO, degree: int) -> CohomologyData:
+    """Z, B and H of the operator complex in degree 1 or 3: Z is the
+    kernel of the outgoing differential on the constrained cochains, B
+    the image of the incoming one."""
     if degree not in (1, 3):
         raise StructureError(f"unsupported cohomology degree {degree}")
     rep_t = induced_rep(rbo)
     d, dp = rbo.ambient.dim, rbo.source.dim
-    if degree == 1:
-        flat_dim = dp * d
-        cols = []
-        for flat in range(flat_dim):
-            img = coboundary(rep_t, elementary_cochain(1, dp, d, flat))
-            cols.append(flatten_cochain(img))
-        m_out = Matrix.from_columns(cols, dp**3 * d)
-        cocycles = kernel_basis(m_out)
-        m_in = coboundary_matrix_from_wedge(rbo)
-        coboundaries = SubspaceBasis.from_spanning(
-            [m_in.column(k) for k in range(m_in.cols)], flat_dim
-        )
-        result = CohomologyResult(
-            1, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles)
-        )
-        return CohomologyData(result, cocycles, coboundaries)
-
-    convention, audit = resolve_sign_convention(rep_t)
-    constrained = cochain_space_basis(3, dp, d)
-    flat_dim = dp**3 * d
-    cols = []
-    for vec in constrained.vectors:
-        f = unflatten_cochain(3, dp, d, vec)
-        cols.append(flatten_cochain(coboundary(rep_t, f, convention)))
-    m_out = Matrix.from_columns(cols, dp**5 * d)
-    inner_kernel = kernel_basis(m_out)
+    convention, audit = "definition", {}
+    if degree == 3:
+        convention, audit = resolve_sign_convention(rep_t)
+    incoming = cochain_space_basis(degree - 2, dp, d).vectors
+    m_in = _differential(rep_t, degree - 2, incoming, convention, rbo)
+    constrained = cochain_space_basis(degree, dp, d)
+    inner_kernel = kernel_basis(_differential(rep_t, degree, constrained.vectors, convention))
+    flat_dim = dp**degree * d
     z_vectors = []
     for coeffs in inner_kernel.vectors:
         flat = [ZERO] * flat_dim
@@ -518,20 +526,15 @@ def cohomology_data(rbo: RelativeRBO, degree: int) -> CohomologyData:
                     flat[t] += c * vec[t]
         z_vectors.append(tuple(flat))
     cocycles = SubspaceBasis.from_spanning(z_vectors, flat_dim)
-    cols = []
-    for flat in range(dp * d):
-        img = coboundary(rep_t, elementary_cochain(1, dp, d, flat), convention)
-        cols.append(flatten_cochain(img))
-    m_in = Matrix.from_columns(cols, flat_dim)
     coboundaries = SubspaceBasis.from_spanning(
         [m_in.column(k) for k in range(m_in.cols)], flat_dim
     )
     result = CohomologyResult(
-        3,
+        degree,
         cocycles.dim,
         coboundaries.dim,
         quotient_dim(coboundaries, cocycles),
-        convention,
+        convention if audit else None,
         tuple(sorted(audit.items())),
     )
     return CohomologyData(result, cocycles, coboundaries)

@@ -33,7 +33,10 @@ from .cohomology import (
     Cochain,
     cochain_to_map,
     cohomology_data,
+    delta_wedge,
     flatten_cochain,
+    wedge_bracket_operator,
+    wedge_d_operator,
     wedge_pairs,
     zero_cochain,
 )
@@ -91,33 +94,6 @@ class EquivalenceWitness:
             raise StructureError("equivalence witness must be a degree -1 cochain")
 
 
-def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
-    L = rbo.ambient
-    pairs = wedge_pairs(L.dim)
-    cols = []
-    for x in range(L.dim):
-        acc = [ZERO] * L.dim
-        for (i, j), co in zip(pairs, wedge.coeffs):
-            if co:
-                vec = L.bracket[i][j][x]
-                for l in range(L.dim):
-                    acc[l] += co * vec[l]
-        cols.append(tuple(acc))
-    return Matrix.from_columns(cols, L.dim)
-
-
-def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action."""
-    rep = rbo.action.rep
-    pairs = wedge_pairs(rbo.ambient.dim)
-    acc = Matrix.zeros(rbo.source.dim, rbo.source.dim)
-    for (i, j), co in zip(pairs, wedge.coeffs):
-        if co:
-            acc = acc + rep.d_basis(i, j).scale(co)
-    return acc
-
-
 def check_deformation(d: InfinitesimalDeformation) -> Report:
     """Coefficient equations at t, t^2, t^3 on all basis triples."""
     rbo = d.base
@@ -170,7 +146,7 @@ def _equivalence_system(
     in X as well and are appended as extra homogeneous rows.
     """
     rbo = d1.base
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
+    L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
     dp, dd = Lp.dim, L.dim
     pairs = wedge_pairs(dd)
     S1, S2 = d1.direction_map(), d2.direction_map()
@@ -182,11 +158,7 @@ def _equivalence_system(
         ))
         dx = wedge_d_operator(rbo, unit)
         bx = wedge_bracket_operator(rbo, unit)
-        col = []
-        for u in range(dp):
-            eu = basis_vector(dp, u)
-            line1 = vec_sub(T.apply(dx.apply(eu)), bx.apply(T.column(u)))
-            col.extend(line1)
+        col = list(flatten_cochain(delta_wedge(rbo, unit)))
         for u in range(dp):
             eu = basis_vector(dp, u)
             line2 = vec_sub(bx.apply(S1.column(u)), S2.apply(dx.apply(eu)))
@@ -227,20 +199,18 @@ def check_equivalence(
     if d1.base != d2.base:
         raise StructureError("equivalence is defined for deformations of one operator")
     rbo = d1.base
-    L, Lp, rep, T = rbo.ambient, rbo.source, rbo.action.rep, rbo.T
+    L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
     dp = Lp.dim
     S1, S2 = d1.direction_map(), d2.direction_map()
     bx = wedge_bracket_operator(rbo, w.wedge)
     dx = wedge_d_operator(rbo, w.wedge)
+    delta = delta_wedge(rbo, w.wedge)
     out = []
     for u in range(dp):
-        eu = basis_vector(dp, u)
-        lhs = vec_sub(S1.column(u), S2.column(u))
-        rhs = vec_sub(T.apply(dx.apply(eu)), bx.apply(T.column(u)))
-        if lhs != rhs:
+        if vec_sub(S1.column(u), S2.column(u)) != delta.coeffs[u]:
             out.append(Violation("intertwining-order-t", (u + 1,)))
         lhs = bx.apply(S1.column(u))
-        rhs = S2.apply(dx.apply(eu))
+        rhs = S2.apply(dx.apply(basis_vector(dp, u)))
         if lhs != rhs:
             out.append(Violation("compatibility-order-t", (u + 1,)))
     if strict:

@@ -58,6 +58,12 @@ def _require_list(value, context):
     return value
 
 
+def _dim(value, context):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise StructureError(f"{context} must be a non-negative integer")
+    return value
+
+
 def _matrix_rows(rows, context):
     for row in _require_list(rows, context):
         _require_list(row, context)
@@ -262,7 +268,7 @@ def cochain_from_json(data: dict) -> Cochain:
     case, unless stated.
     """
     degree = _require(data, "degree", "cochain")
-    coeffs = _require(data, "coeffs", "cochain")
+    coeffs = _require_list(_require(data, "coeffs", "cochain"), "cochain coeffs")
     if degree == -1:
         count = len(coeffs)
         target_dim = data.get("target_dim")
@@ -272,7 +278,8 @@ def cochain_from_json(data: dict) -> Cochain:
             )
             if target_dim is None:
                 raise StructureError("cochain: wedge coordinate count is not triangular")
-        source_dim = data.get("source_dim", target_dim)
+        target_dim = _dim(target_dim, "cochain: target_dim")
+        source_dim = _dim(data.get("source_dim", target_dim), "cochain: source_dim")
         return Cochain(-1, source_dim, target_dim, tuple(parse_scalar(x) for x in coeffs))
     if not (isinstance(degree, int) and degree >= 1 and degree % 2 == 1):
         raise StructureError(f"cochain: unsupported degree {degree!r}")
@@ -282,12 +289,15 @@ def cochain_from_json(data: dict) -> Cochain:
         if not isinstance(node, list) or not node:
             raise StructureError("cochain: coefficient nesting shallower than the degree")
         node = node[0]
-    source_dim = data.get("source_dim", len(coeffs))
-    target_dim = data.get("target_dim", len(node) if isinstance(node, list) else 0)
+    source_dim = _dim(data.get("source_dim", len(coeffs)), "cochain: source_dim")
+    target_dim = _dim(
+        data.get("target_dim", len(node) if isinstance(node, list) else 0), "cochain: target_dim"
+    )
 
     flat: list = []
 
     def walk(node, depth):
+        _require_list(node, "cochain coeffs")
         if depth == degree:
             if len(node) != target_dim:
                 raise StructureError("cochain: value vector has wrong length")
@@ -325,8 +335,11 @@ def load_cochain(path) -> Cochain:
 
 
 def subspace_from_json(data: dict) -> SubspaceBasis:
-    ambient = _require(data, "ambient_dim", "subspace")
-    vectors = [tuple(parse_scalar(x) for x in row) for row in _require(data, "vectors", "subspace")]
+    ambient = _dim(_require(data, "ambient_dim", "subspace"), "subspace: ambient_dim")
+    vectors = [
+        tuple(parse_scalar(x) for x in _require_list(row, "subspace vector"))
+        for row in _require_list(_require(data, "vectors", "subspace"), "subspace vectors")
+    ]
     return SubspaceBasis.from_spanning(vectors, ambient)
 
 

@@ -99,10 +99,18 @@ def test_rbo_equivalence_sweep_smoke():
 
 
 def test_coh_group_degree_1():
-    out = run_cli("coh", "group", "--degree", "1", str(fixture_path("rbo3_P")))
-    assert out.returncode == 0
-    data = json.loads(out.stdout)
-    assert data == {"degree": 1, "dim_B": 1, "dim_H": 5, "dim_Z": 6}
+    expected = {
+        1: {"degree": 1, "dim_B": 1, "dim_H": 5, "dim_Z": 6},
+        3: {
+            "degree": 3, "dim_B": 3, "dim_H": 8, "dim_Z": 11,
+            "sign_audit": {"complex": True, "definition": True},
+            "sign_convention": "definition",
+        },
+    }
+    for degree, want in expected.items():
+        out = run_cli("coh", "group", "--degree", str(degree), str(fixture_path("rbo3_P")))
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == want
 
 
 def test_coh_basis_override():
@@ -170,19 +178,30 @@ def test_exit_codes(tmp_path):
 
 
 def test_malformed_input_is_reported_not_raised(tmp_path):
+    lts_verify = ("lts", "verify")
+    rep_verify = ("rep", "verify")
+    rbo3 = str(fixture_path("rbo3_P"))
+    subsystem = ("lts", "subsystem", str(fixture_path("lts3")))
     cases = (
-        ("lts", {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
-        ("lts", {"dim": 3, "basis": 5}),
-        ("lts", {"dim": 3, "brackets": 5}),
-        ("lts", {"dim": 3, "brackets": [{"args": 5, "value": {}}]}),
-        ("rep", {"algebra": {"dim": 1}, "space_dim": "x", "theta": []}),
-        ("rep", {"algebra": {"dim": 1}, "space_dim": 1, "theta": [{"args": [1, 1], "matrix": 5}]}),
+        (lts_verify, {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
+        (lts_verify, {"dim": 3, "basis": 5}),
+        (lts_verify, {"dim": 3, "brackets": 5}),
+        (lts_verify, {"dim": 3, "brackets": [{"args": 5, "value": {}}]}),
+        (rep_verify, {"algebra": {"dim": 1}, "space_dim": "x", "theta": []}),
+        (rep_verify, {"algebra": {"dim": 1}, "space_dim": 1, "theta": [{"args": [1, 1], "matrix": 5}]}),
+        (("coh", "cocycle", rbo3), {"degree": -1, "coeffs": 5}),
+        (("coh", "coboundary", rbo3), {"degree": -1, "coeffs": ["1", "0", "0"], "target_dim": "x"}),
+        (("coh", "coboundary", rbo3), {
+            "degree": 1, "source_dim": 3.0, "coeffs": [["0", "0", "0"]] * 3,
+        }),
+        (subsystem, {"ambient_dim": 3, "vectors": 5}),
+        (subsystem, {"ambient_dim": 3, "vectors": [5]}),
     )
-    for n, (group, doc) in enumerate(cases):
+    for n, (argv, doc) in enumerate(cases):
         path = tmp_path / f"malformed{n}.json"
         path.write_text(dump_json(doc))
-        out = run_cli(group, "verify", str(path))
-        assert out.returncode == 2, out.stderr
+        out = run_cli(*argv, str(path))
+        assert out.returncode == 2, (argv, out.stderr)
         assert json.loads(out.stdout)["kind"] == "input"
 
 

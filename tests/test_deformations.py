@@ -73,19 +73,21 @@ def test_coboundary_direction_is_full_deformation(rbo3):
     assert check_deformation(d) == ()
 
 
-def test_order_t_iff_cocycle_random(rbo3):
-    # the order-t coefficient equation and closedness are the same
-    # linear condition; compare them over seeded random directions
+def test_order_t_iff_cocycle_random(rbo3, rbo4):
+    # the order-t coefficient of the interpolated defect and d_1 f are
+    # two independent paths to the same linear condition; compare their
+    # witness triples over seeded random directions
     rng = random.Random(SEEDS["deformation"])
     seen_failing = 0
-    for _ in range(120):
-        S = random_integer_matrix(rng, 3, 3)
-        d = InfinitesimalDeformation(rbo3, cochain_from_map(S))
-        order_t_holds = all(v.rule != "order-t" for v in check_deformation(d))
-        cocycle = one_cocycle_check(rbo3, d.direction) == ()
-        assert order_t_holds == cocycle
-        if not cocycle:
-            seen_failing += 1
+    for rbo, trials in ((rbo3, 120), (rbo4, 6)):
+        for _ in range(trials):
+            S = random_integer_matrix(rng, rbo.ambient.dim, rbo.source.dim)
+            d = InfinitesimalDeformation(rbo, cochain_from_map(S))
+            order_t = [v.witness for v in check_deformation(d) if v.rule == "order-t"]
+            cocycle = [v.witness for v in one_cocycle_check(rbo, d.direction)]
+            assert order_t == cocycle
+            if cocycle:
+                seen_failing += 1
     assert seen_failing > 0  # the comparison must not be vacuous
 
 
