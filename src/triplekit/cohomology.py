@@ -235,6 +235,8 @@ def cochain_space_basis(
     Degree 5 spaces grow as d_source^5 and are gated behind
     ``allow_degree_5`` so a size override stays an explicit choice.
     """
+    if d_source < 0 or d_target < 0:
+        raise StructureError("cochain space dimensions must be non-negative")
     if degree == -1:
         return SubspaceBasis.full_space(d_target * (d_target - 1) // 2)
     if degree == 1:

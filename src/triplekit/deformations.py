@@ -21,7 +21,8 @@ conditions on X:
 Both are linear in the wedge coordinates, so witnesses are found by
 one exact linear solve.  Strict mode additionally demands the
 first-order parts of the theta- and D-equivariance conditions of an
-operator homomorphism.
+operator homomorphism.  Each condition is written once: the check
+evaluates it at the witness, the solve stacks it at the unit wedges.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from .cohomology import (
 from .linalg import (
     Matrix,
     StructureError,
-    SubspaceBasis,
     VerificationError,
-    ZERO,
     basis_vector,
+    rref,
     solve,
     vec_is_zero,
     vec_sub,
+    zero_vector,
 )
 from .reporting import Report, Violation
 from .rota_baxter import RelativeRBO, _defect_coefficients
@@ -111,80 +112,66 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     """(is_cocycle, class coordinates in a fixed basis of H^1).
 
     The H^1 basis extends the canonical coboundary basis to the
-    cocycle space by greedy pivoting over the cocycle basis vectors,
-    so the coordinates are deterministic for a given operator.
+    cocycle space by the cocycle basis vectors that are pivots of one
+    elimination on [B basis | Z basis | direction], so the coordinates
+    are deterministic for a given operator; they are the direction
+    column's entries on the rows of those pivots.
     """
     data = cohomology_data(d.base, 1)
     zb, bb = data.cocycles, data.coboundaries
-    target = flatten_cochain(d.direction)
-    if not zb.contains(target):
+    cols = list(bb.vectors) + list(zb.vectors) + [flatten_cochain(d.direction)]
+    reduced, pivots = rref(Matrix.from_columns(cols, zb.ambient_dim))
+    if len(cols) - 1 in pivots:
         raise VerificationError("direction is not a 1-cocycle; no cohomology class")
-    complement = []
-    current = list(bb.vectors)
-    span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
-    for vec in zb.vectors:
-        if not span.contains(vec):
-            complement.append(vec)
-            current.append(vec)
-            span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
-    cols = list(bb.vectors) + complement
-    if not cols:
-        return True, ()
-    m = Matrix.from_columns(cols, zb.ambient_dim)
-    x = solve(m, target)
-    if x is None:
-        raise VerificationError("cocycle does not decompose over the computed basis")
-    return True, tuple(x[len(bb.vectors):])
+    return True, tuple(reduced.entries[r][-1] for r in range(bb.dim, len(pivots)))
+
+
+def _equivalence_conditions(rbo: RelativeRBO, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):
+    """(rule, witness, value, target) for every first-order condition on
+    the pair (id + t[X,-], id + t D(X)) carrying T + t S1 onto T + t S2,
+    in report order; a condition holds when its value equals its target.
+
+    Values are linear in X and targets do not depend on it.  At a unit
+    wedge e_a ^ e_b the theta rows are minus (R2) of the action at
+    (a, b, x, y), and the D rows follow from them.
+    """
+    rep, d = rbo.action.rep, rbo.ambient.dim
+    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
+    delta = delta_wedge(rbo, X)
+    out = []
+    for u in range(rbo.source.dim):
+        s1 = S1.column(u)
+        out.append(("intertwining-order-t", (u + 1,), delta.coeffs[u], vec_sub(s1, S2.column(u))))
+        e2 = vec_sub(bx.apply(s1), S2.apply(dx.column(u)))
+        out.append(("compatibility-order-t", (u + 1,), e2, zero_vector(d)))
+    if strict:
+        E, zero = rbo.ambient.basis(), zero_vector(rbo.source.dim ** 2)
+        for x, y in product(range(d), repeat=2):
+            for rule, m, op in (
+                ("theta-equivariance-order-t", rep.theta[x][y], rep.theta_vec),
+                ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
+            ):
+                var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx
+                out.append((rule, (x + 1, y + 1), tuple(a for row in var.entries for a in row), zero))
+    return out
 
 
 def _equivalence_system(
     d1: InfinitesimalDeformation, d2: InfinitesimalDeformation, strict: bool = False
 ):
-    """Stack (E1) and (E2) as one linear system over wedge coordinates.
-
-    In strict mode the first-order equivariance conditions are linear
-    in X as well and are appended as extra homogeneous rows.
-    """
+    """Stack every condition of :func:`_equivalence_conditions` as one
+    linear system over wedge coordinates: column k holds the values at
+    the k-th unit wedge, the right-hand side the targets."""
     rbo = d1.base
-    L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
-    dp, dd = Lp.dim, L.dim
-    pairs = wedge_pairs(dd)
+    dp, dd = rbo.source.dim, rbo.ambient.dim
     S1, S2 = d1.direction_map(), d2.direction_map()
-    one = ZERO + 1
-    cols = []
-    for k in range(len(pairs)):
-        unit = Cochain(-1, dp, dd, tuple(
-            one if t == k else ZERO for t in range(len(pairs))
-        ))
-        dx = wedge_d_operator(rbo, unit)
-        bx = wedge_bracket_operator(rbo, unit)
-        col = list(flatten_cochain(delta_wedge(rbo, unit)))
-        for u in range(dp):
-            eu = basis_vector(dp, u)
-            line2 = vec_sub(bx.apply(S1.column(u)), S2.apply(dx.apply(eu)))
-            col.extend(line2)
-        if strict:
-            for x, y in product(range(dd), repeat=2):
-                th = rep.theta[x][y]
-                dm = rep.d_basis(x, y)
-                ex, ey = basis_vector(dd, x), basis_vector(dd, y)
-                th_def = (dx @ th) - rep.theta_vec(bx.apply(ex), ey) \
-                    - rep.theta_vec(ex, bx.apply(ey)) - (th @ dx)
-                d_def = (dx @ dm) - rep.d_vec(bx.apply(ex), ey) \
-                    - rep.d_vec(ex, bx.apply(ey)) - (dm @ dx)
-                for mat in (th_def, d_def):
-                    for row in mat.entries:
-                        col.extend(row)
-        cols.append(tuple(col))
-    rhs = []
-    for u in range(dp):
-        rhs.extend(vec_sub(S1.column(u), S2.column(u)))
-    rhs.extend([ZERO] * (dp * dd))
-    if strict:
-        rhs.extend([ZERO] * (dd * dd * 2 * dp * dp))
-    height = len(rhs)
-    m = Matrix.from_columns(cols, height) if cols else Matrix.zeros(height, 0)
-    return m, tuple(rhs)
+    n = len(wedge_pairs(dd))
+    # with no wedge coordinates the zero wedge still yields the targets
+    units = [Cochain(-1, dp, dd, basis_vector(n, k)) for k in range(n)] or [zero_cochain(-1, dp, dd)]
+    evaluated = [_equivalence_conditions(rbo, S1, S2, X, strict) for X in units]
+    rhs = tuple(x for _, _, _, target in evaluated[0] for x in target)
+    cols = [tuple(x for _, _, value, _ in blocks for x in value) for blocks in evaluated[:n]]
+    return Matrix.from_columns(cols, len(rhs)), rhs
 
 
 def check_equivalence(
@@ -198,38 +185,13 @@ def check_equivalence(
     """
     if d1.base != d2.base:
         raise StructureError("equivalence is defined for deformations of one operator")
-    rbo = d1.base
-    L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
-    dp = Lp.dim
-    S1, S2 = d1.direction_map(), d2.direction_map()
-    bx = wedge_bracket_operator(rbo, w.wedge)
-    dx = wedge_d_operator(rbo, w.wedge)
-    delta = delta_wedge(rbo, w.wedge)
-    out = []
-    for u in range(dp):
-        if vec_sub(S1.column(u), S2.column(u)) != delta.coeffs[u]:
-            out.append(Violation("intertwining-order-t", (u + 1,)))
-        lhs = bx.apply(S1.column(u))
-        rhs = S2.apply(dx.apply(basis_vector(dp, u)))
-        if lhs != rhs:
-            out.append(Violation("compatibility-order-t", (u + 1,)))
-    if strict:
-        d = L.dim
-        for x, y in product(range(d), repeat=2):
-            th = rep.theta[x][y]
-            dm = rep.d_basis(x, y)
-            ex, ey = basis_vector(d, x), basis_vector(d, y)
-            th_var = rep.theta_vec(bx.apply(ex), ey) + rep.theta_vec(ex, bx.apply(ey))
-            lhs = dx @ th
-            rhs = th_var + (th @ dx)
-            if lhs != rhs:
-                out.append(Violation("theta-equivariance-order-t", (x + 1, y + 1)))
-            d_var = rep.d_vec(bx.apply(ex), ey) + rep.d_vec(ex, bx.apply(ey))
-            lhs = dx @ dm
-            rhs = d_var + (dm @ dx)
-            if lhs != rhs:
-                out.append(Violation("D-equivariance-order-t", (x + 1, y + 1)))
-    return tuple(out)
+    return tuple(
+        Violation(rule, witness)
+        for rule, witness, value, target in _equivalence_conditions(
+            d1.base, d1.direction_map(), d2.direction_map(), w.wedge, strict
+        )
+        if value != target
+    )
 
 
 def find_equivalence_witness(

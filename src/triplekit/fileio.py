@@ -75,9 +75,7 @@ def _matrix_rows(rows, context):
 
 
 def algebra_from_json(data: dict) -> LieTripleSystem:
-    dim = _require(data, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 0:
-        raise StructureError("algebra: dim must be a non-negative integer")
+    dim = _dim(_require(data, "dim", "algebra"), "algebra: dim")
     names = data.get("basis") or [f"e{i+1}" for i in range(dim)]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise StructureError("algebra: basis must be a list of names")
@@ -138,9 +136,7 @@ def load_algebra(path) -> LieTripleSystem:
 
 def representation_from_json(data: dict, base_dir: Path | None = None) -> RepresentationData:
     algebra = algebra_from_json(_resolve(_require(data, "algebra", "representation"), base_dir, _read_json))
-    space_dim = _require(data, "space_dim", "representation")
-    if not isinstance(space_dim, int) or space_dim < 0:
-        raise StructureError("representation: space_dim must be a non-negative integer")
+    space_dim = _dim(_require(data, "space_dim", "representation"), "representation: space_dim")
     zero = Matrix.zeros(space_dim, space_dim)
     table = [[zero for _ in range(algebra.dim)] for _ in range(algebra.dim)]
     for item in _require_list(data.get("theta", []), "representation theta"):
@@ -364,3 +360,5 @@ def _read_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructureError(f"{path} is nested too deeply to read") from exc

@@ -48,10 +48,6 @@ class VerificationError(ValueError):
     """An operation was invoked on input that fails its admissibility check."""
 
 
-def scalar_vector(values) -> Vector:
-    return tuple(parse_scalar(v) for v in values)
-
-
 def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -60,16 +56,8 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if t == i else ZERO for t in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:

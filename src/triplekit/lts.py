@@ -81,9 +81,6 @@ class LieTripleSystem:
         tensor = tuple(tuple(tuple(line) for line in plane) for plane in table)
         return cls(dim, names, tensor)
 
-    def bracket_basis(self, i: int, j: int, k: int) -> Vector:
-        return self.bracket[i][j][k]
-
     def bracket_eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
         """Trilinear extension of the structure tensor to arbitrary vectors."""
         for v in (x, y, z):
@@ -173,8 +170,10 @@ def is_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
 
 
 def is_abelian_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
-    if not is_subsystem(L, S):
-        return False
+    """True when every bracket of basis vectors of S vanishes; zero
+    brackets lie in span(S), so S is then a subsystem too."""
+    if S.ambient_dim != L.dim:
+        raise StructureError("subspace ambient dimension differs from system dimension")
     for x in S.vectors:
         for y in S.vectors:
             for z in S.vectors:

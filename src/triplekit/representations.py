@@ -44,9 +44,6 @@ class RepresentationData:
                 if mat.rows != self.space_dim or mat.cols != self.space_dim:
                     raise StructureError("theta matrix shape differs from space_dim")
 
-    def theta_basis(self, i: int, j: int) -> Matrix:
-        return self.theta[i][j]
-
     def d_basis(self, i: int, j: int) -> Matrix:
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), recomputed on demand."""
         return self.theta[j][i] - self.theta[i][j]
@@ -164,13 +161,15 @@ def semidirect_bracket(
     """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight.
 
     The only place the mixed term is written out; every operator
-    identity in the package is read off this bracket.
+    identity in the package is read off this bracket.  A mixed term
+    whose L' argument is zero is that zero vector, and its matrix is
+    not built.
     """
     L, Lp, rep = a.algebra, a.target, a.rep
     part_l = L.bracket_eval(x1, x2, x3)
-    t1 = rep.d_vec(x1, x2).apply(u3)
-    t2 = rep.theta_vec(x2, x3).apply(u1)
-    t3 = rep.theta_vec(x1, x3).apply(u2)
+    t1 = rep.d_vec(x1, x2).apply(u3) if any(u3) else u3
+    t2 = rep.theta_vec(x2, x3).apply(u1) if any(u1) else u1
+    t3 = rep.theta_vec(x1, x3).apply(u2) if any(u2) else u2
     lam_part = Lp.bracket_eval(u1, u2, u3)
     part_p = tuple(
         t1[l] + t2[l] - t3[l] + weight * lam_part[l] for l in range(Lp.dim)

@@ -196,11 +196,19 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         }),
         (subsystem, {"ambient_dim": 3, "vectors": 5}),
         (subsystem, {"ambient_dim": 3, "vectors": [5]}),
+        (lts_verify, {"dim": True}),
+        (rep_verify, {"algebra": {"dim": 1}, "space_dim": True, "theta": []}),
+        # raw text: nesting deeper than the recursion limit
+        (lts_verify, "[" * 5000 + "]" * 5000),
+        # no input file: the dimensions come from the command line
+        (("coh", "basis", "--degree", "3", "--source-dim", "-1", "--target-dim", "2"), None),
     )
     for n, (argv, doc) in enumerate(cases):
-        path = tmp_path / f"malformed{n}.json"
-        path.write_text(dump_json(doc))
-        out = run_cli(*argv, str(path))
+        if doc is not None:
+            path = tmp_path / f"malformed{n}.json"
+            path.write_text(doc if isinstance(doc, str) else dump_json(doc))
+            argv += (str(path),)
+        out = run_cli(*argv)
         assert out.returncode == 2, (argv, out.stderr)
         assert json.loads(out.stdout)["kind"] == "input"
 

@@ -10,7 +10,10 @@ from triplekit.cohomology import (
     cochain_to_map,
     cohomology_data,
     delta_wedge,
+    flatten_cochain,
     one_cocycle_check,
+    unflatten_cochain,
+    wedge_pairs,
     zero_cochain,
 )
 from triplekit.deformations import (
@@ -24,9 +27,24 @@ from triplekit.deformations import (
     wedge_bracket_operator,
     wedge_d_operator,
 )
-from triplekit.linalg import Matrix, StructureError, VerificationError
+from triplekit.linalg import (
+    Matrix,
+    StructureError,
+    SubspaceBasis,
+    VerificationError,
+    basis_vector,
+    solve,
+    vec_sub,
+)
+from triplekit.lts import zero_system
 from triplekit.properties import random_integer_matrix
 from triplekit.reporting import Violation
+from triplekit.representations import (
+    ActionData,
+    RepresentationData,
+    adjoint_representation,
+    verify_representation,
+)
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
 from conftest import SEEDS
@@ -202,16 +220,14 @@ def test_no_witness_across_classes(rbo3):
     assert find_equivalence_witness(d1, d2) is None
 
 
-def random_cocycle_direction(rng, data):
-    from triplekit.cohomology import unflatten_cochain
-
+def random_cocycle_direction(rng, data, source_dim=3, target_dim=3):
     flat = [F(0)] * data.cocycles.ambient_dim
     for vec in data.cocycles.vectors:
         c = F(rng.randint(-2, 2))
         if c:
             for t, x in enumerate(vec):
                 flat[t] += c * x
-    return unflatten_cochain(1, 3, 3, tuple(flat))
+    return unflatten_cochain(1, source_dim, target_dim, tuple(flat))
 
 
 def test_equivalent_pairs_share_class(rbo3):
@@ -363,3 +379,159 @@ def test_coefficient_rules_match_sympy_expansion(rbo3, rbo4):
             assert one_cocycle_check(rbo, direction) == tuple(want_cocycle)
     # both outcomes of every rule were compared, so the oracle is not vacuous
     assert all(held.values()) and all(failed.values()), (held, failed)
+
+
+# ---------------------------------------------------------------------------
+# independent references: each equivalence condition expanded by hand, and
+# the H^1 complement picked by one span test per cocycle basis vector
+
+
+def reference_check_equivalence(d1, d2, w, strict=False):
+    rbo = d1.base
+    L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
+    dp = Lp.dim
+    S1, S2 = d1.direction_map(), d2.direction_map()
+    bx = wedge_bracket_operator(rbo, w.wedge)
+    dx = wedge_d_operator(rbo, w.wedge)
+    delta = (rbo.T @ dx) - (bx @ rbo.T)
+    out = []
+    for u in range(dp):
+        if vec_sub(S1.column(u), S2.column(u)) != delta.column(u):
+            out.append(Violation("intertwining-order-t", (u + 1,)))
+        lhs = bx.apply(S1.column(u))
+        rhs = S2.apply(dx.apply(basis_vector(dp, u)))
+        if lhs != rhs:
+            out.append(Violation("compatibility-order-t", (u + 1,)))
+    if strict:
+        d = L.dim
+        for x, y in product(range(d), repeat=2):
+            th = rep.theta[x][y]
+            dm = rep.d_basis(x, y)
+            ex, ey = basis_vector(d, x), basis_vector(d, y)
+            th_var = rep.theta_vec(bx.apply(ex), ey) + rep.theta_vec(ex, bx.apply(ey))
+            if dx @ th != th_var + (th @ dx):
+                out.append(Violation("theta-equivariance-order-t", (x + 1, y + 1)))
+            d_var = rep.d_vec(bx.apply(ex), ey) + rep.d_vec(ex, bx.apply(ey))
+            if dx @ dm != d_var + (dm @ dx):
+                out.append(Violation("D-equivariance-order-t", (x + 1, y + 1)))
+    return tuple(out)
+
+
+def reference_cocycle_class(data, direction):
+    zb, bb = data.cocycles, data.coboundaries
+    target = flatten_cochain(direction)
+    if not zb.contains(target):
+        return None
+    complement = []
+    current = list(bb.vectors)
+    span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
+    for vec in zb.vectors:
+        if not span.contains(vec):
+            complement.append(vec)
+            current.append(vec)
+            span = SubspaceBasis.from_spanning(current, zb.ambient_dim)
+    cols = list(bb.vectors) + complement
+    if not cols:
+        return ()
+    x = solve(Matrix.from_columns(cols, zb.ambient_dim), target)
+    return tuple(x[len(bb.vectors):])
+
+
+def random_wedge(rng, rbo, low=-2, high=2):
+    d = rbo.ambient.dim
+    return Cochain(-1, rbo.source.dim, d, tuple(F(rng.randint(low, high)) for _ in wedge_pairs(d)))
+
+
+def perturbed_adjoint_operator(L, T):
+    """L's adjoint with theta(e1,e3) also sending e2 to e1, which breaks
+    (R2), acting on the abelian system of the same dimension; with T it
+    is not an operator, which the equivalence conditions do not need."""
+    theta = [list(row) for row in adjoint_representation(L).theta]
+    bump = [[F(0)] * L.dim for _ in range(L.dim)]
+    bump[0][1] = F(1)
+    theta[0][2] = theta[0][2] + Matrix.from_rows(bump)
+    rep = RepresentationData(L, L.dim, tuple(map(tuple, theta)))
+    return RelativeRBO(ActionData(rep, zero_system(L.dim)), F(1), T)
+
+
+def test_equivalence_conditions_match_hand_expansion(rbo3, rbo4, sl2_lts):
+    # the fixtures' actions satisfy (R2), so their strict rows vanish;
+    # the perturbed sl2 action makes the strict rows fire as well
+    rng = random.Random(SEEDS["deformation"])
+    sl2 = perturbed_adjoint_operator(sl2_lts, random_integer_matrix(rng, 3, 3))
+    rules = (
+        "intertwining-order-t", "compatibility-order-t",
+        "theta-equivariance-order-t", "D-equivariance-order-t",
+    )
+    held = {rule: 0 for rule in rules}
+    failed = {rule: 0 for rule in rules}
+    for rbo in (rbo3, rbo4, sl2):
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        data = cohomology_data(rbo, 1) if rbo is not sl2 else None
+        zero = zero_cochain(1, dp, d)
+        for trial in range(6):
+            if data and trial % 3 != 2:
+                S2 = random_cocycle_direction(rng, data, dp, d)
+            else:
+                S2 = cochain_from_map(random_integer_matrix(rng, d, dp))
+            X = random_wedge(rng, rbo)
+            shifted = cochain_to_map(S2) + cochain_to_map(delta_wedge(rbo, X))
+            d2 = InfinitesimalDeformation(rbo, S2)
+            for S1 in (cochain_from_map(shifted), S2, zero):
+                d1 = InfinitesimalDeformation(rbo, S1)
+                for w in (X, random_wedge(rng, rbo, -1, 1), zero_cochain(-1, dp, d)):
+                    w = EquivalenceWitness(w)
+                    for strict in (False, True):
+                        want = reference_check_equivalence(d1, d2, w, strict)
+                        assert check_equivalence(d1, d2, w, strict) == want
+                        for rule in rules:
+                            fired = sum(v.rule == rule for v in want)
+                            rows = dp if rule in rules[:2] else d * d * strict
+                            failed[rule] += fired
+                            held[rule] += rows - fired
+                found = find_equivalence_witness(d1, d2, strict=trial % 2 == 1)
+                if found is not None:
+                    assert reference_check_equivalence(d1, d2, found, trial % 2 == 1) == ()
+    # both outcomes of every condition were compared
+    assert all(held.values()) and all(failed.values()), (held, failed)
+
+
+def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):
+    rng = random.Random(SEEDS["deformation"])
+    raised = 0
+    for rbo in (rbo3, rbo4):
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        data = cohomology_data(rbo, 1)
+        directions = [zero_cochain(1, dp, d), delta_wedge(rbo, random_wedge(rng, rbo))]
+        directions += [random_cocycle_direction(rng, data, dp, d) for _ in range(4)]
+        directions += [cochain_from_map(random_integer_matrix(rng, d, dp)) for _ in range(2)]
+        for f in directions:
+            want = reference_cocycle_class(data, f)
+            if want is None:
+                raised += 1
+                with pytest.raises(VerificationError):
+                    deformation_cocycle_class(InfinitesimalDeformation(rbo, f))
+            else:
+                assert deformation_cocycle_class(InfinitesimalDeformation(rbo, f)) == (True, want)
+    assert raised > 0
+
+
+def test_strict_theta_rows_are_minus_r2(lts4, sl2_lts):
+    # with T = 0 and S1 = S2 = 0 only the strict rows can fire, and at the
+    # unit wedge e_a ^ e_b the theta rows are -(R2) of the action at
+    # (a, b, x, y), which verify_representation evaluates on its own
+    for L in (lts4, sl2_lts):
+        rbo = perturbed_adjoint_operator(L, Matrix.zeros(L.dim, L.dim))
+        r2 = [v.witness for v in verify_representation(rbo.action.rep) if v.rule == "module-identity-2"]
+        zero = InfinitesimalDeformation(rbo, zero_cochain(1, L.dim, L.dim))
+        pairs = wedge_pairs(L.dim)
+        assert check_equivalence(zero, zero, EquivalenceWitness(wedge(rbo, *[1] * len(pairs)))) == ()
+        fired = {"theta-equivariance-order-t": 0, "D-equivariance-order-t": 0}
+        for k, (a, b) in enumerate(pairs):
+            w = EquivalenceWitness(Cochain(-1, L.dim, L.dim, basis_vector(len(pairs), k)))
+            report = check_equivalence(zero, zero, w, strict=True)
+            theta_rows = [v.witness for v in report if v.rule == "theta-equivariance-order-t"]
+            assert theta_rows == [(x, y) for aa, bb, x, y in r2 if (aa, bb) == (a + 1, b + 1)]
+            for v in report:
+                fired[v.rule] += 1
+        assert all(fired.values()), (L.dim, fired)
