@@ -3,7 +3,9 @@ Rota-Baxter operators, with exact cocycle/coboundary dimensions.
 
 Cochains of degree 2n+1 >= 3 satisfy two linear constraints: they
 vanish when the arguments in slots 2n-1 and 2n coincide, and their
-cyclic sum over the last three argument slots vanishes.  Degree-1
+cyclic sum over the last three argument slots vanishes.  The
+constraints are written once, as the explicit reduced echelon basis of
+:func:`cochain_space_basis`; no elimination builds it.  Degree-1
 cochains are unconstrained linear maps, and the operator complex has
 an extra degree -1 piece, the wedge square of the target system.
 
@@ -34,11 +36,11 @@ closed exactly when d_1 f = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (
     Matrix,
+    ONE,
     StructureError,
     SubspaceBasis,
     Vector,
@@ -177,60 +179,22 @@ def wedge_pairs(d: int) -> tuple[tuple[int, int], ...]:
 # constrained cochain spaces
 
 
-def scalar_constraint_rows(degree: int, d: int) -> list[Vector]:
-    """Constraint equations on the scalar tensor of a degree >= 3 cochain."""
-    rows = []
-    count = d**degree
-    p = degree - 3  # first of the last three argument slots
-    for args in product(range(d), repeat=degree):
-        swapped = list(args)
-        swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-        row = [ZERO] * count
-        row[flat_arg_index(args, d)] += Fraction(1)
-        row[flat_arg_index(tuple(swapped), d)] += Fraction(1)
-        rows.append(tuple(row))
-        cyc = list(args)
-        cyc[p], cyc[p + 1], cyc[p + 2] = args[p + 1], args[p + 2], args[p]
-        cyc2 = list(args)
-        cyc2[p], cyc2[p + 1], cyc2[p + 2] = args[p + 2], args[p], args[p + 1]
-        row = [ZERO] * count
-        row[flat_arg_index(args, d)] += Fraction(1)
-        row[flat_arg_index(tuple(cyc), d)] += Fraction(1)
-        row[flat_arg_index(tuple(cyc2), d)] += Fraction(1)
-        rows.append(tuple(row))
-    return rows
-
-
-def cochain_satisfies_constraints(f: Cochain) -> bool:
-    """Apply the degree's constraint equations directly to the cochain."""
-    if f.degree in (-1, 1):
-        return True
-    d = f.source_dim
-    p = f.degree - 3
-    for args in product(range(d), repeat=f.degree):
-        swapped = list(args)
-        swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-        if not vec_is_zero(
-            tuple(a + b for a, b in zip(f.value(args), f.value(tuple(swapped))))
-        ):
-            return False
-        cyc = list(args)
-        cyc[p], cyc[p + 1], cyc[p + 2] = args[p + 1], args[p + 2], args[p]
-        cyc2 = list(args)
-        cyc2[p], cyc2[p + 1], cyc2[p + 2] = args[p + 2], args[p], args[p + 1]
-        s = tuple(
-            a + b + c
-            for a, b, c in zip(f.value(args), f.value(tuple(cyc)), f.value(tuple(cyc2)))
-        )
-        if not vec_is_zero(s):
-            return False
-    return True
-
-
 def cochain_space_basis(
     degree: int, d_source: int, d_target: int, allow_degree_5: bool = False
 ) -> SubspaceBasis:
     """Basis of the constrained cochain space, in flattened coordinates.
+
+    In degrees 3 and 5 the constraints bind the last three arguments
+    (x, y, z): skew in x, y and a vanishing cyclic sum.  For every
+    prefix of the other arguments, every (i, j, k) with i < j and
+    k >= i, and every target coordinate, one row holds +1 at (i, j, k),
+    -1 at (j, i, k) and, when k is neither i nor j, also -1 at (j, k, i)
+    and +1 at (k, j, i).  The pivot (i, j, k) is the only one of these
+    positions with first argument below the second and third argument
+    at least the first, so no row has an entry in another row's pivot
+    column; emitted in lexicographic order, the rows already are the
+    reduced echelon basis.  Per target coordinate and prefix there are
+    d(d-1)(d+1)/3 of them, d = d_source.
 
     Degree 5 spaces grow as d_source^5 and are gated behind
     ``allow_degree_5`` so a size override stays an explicit choice.
@@ -245,18 +209,22 @@ def cochain_space_basis(
         raise StructureError(f"unsupported cochain degree {degree}")
     if degree == 5 and not allow_degree_5:
         raise StructureError("degree-5 cochain spaces require the size override")
-    rows = scalar_constraint_rows(degree, d_source)
-    scalar_kernel = kernel_basis(Matrix.from_rows(rows))
-    count = d_source**degree
-    vectors = []
-    for svec in scalar_kernel.vectors:
-        for l in range(d_target):
-            full = [ZERO] * (count * d_target)
-            for p in range(count):
-                if svec[p]:
-                    full[p * d_target + l] = svec[p]
-            vectors.append(tuple(full))
-    return SubspaceBasis.from_spanning(vectors, count * d_target)
+    ds, dt = d_source, d_target
+    width = ds**degree * dt
+    rows = []
+    for *head, i, j, k in product(range(ds), repeat=degree):
+        if i >= j or k < i:
+            continue
+        tails = [((i, j, k), ONE), ((j, i, k), -ONE)]
+        if k not in (i, j):
+            tails += [((j, k, i), -ONE), ((k, j, i), ONE)]
+        terms = [(flat_arg_index((*head, *tail), ds) * dt, c) for tail, c in tails]
+        for l in range(dt):
+            row = [ZERO] * width
+            for pos, c in terms:
+                row[pos + l] = c
+            rows.append(tuple(row))
+    return SubspaceBasis(width, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -209,17 +209,18 @@ class SubspaceBasis:
     def __post_init__(self):
         if any(len(v) != self.ambient_dim for v in self.vectors):
             raise StructureError("basis vector length differs from ambient dimension")
-        # membership tests rely on the echelon normal form, so direct
-        # construction must already satisfy it; build via from_spanning
-        # for arbitrary vector lists
-        last = -1
-        for row in self.vectors:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None or lead <= last or row[lead] != 1:
-                raise StructureError(
-                    "basis rows are not in reduced echelon form; use from_spanning"
-                )
-            last = lead
+        # membership tests and span equality rely on the reduced echelon
+        # normal form, so direct construction must already satisfy it:
+        # increasing leads equal to 1, each alone in its column.  Build
+        # via from_spanning for arbitrary vector lists
+        leads = [next((j for j, x in enumerate(row) if x), None) for row in self.vectors]
+        if (
+            None in leads
+            or any(a >= b for a, b in zip(leads, leads[1:]))
+            or any(row[lead] != 1 for row, lead in zip(self.vectors, leads))
+            or any(sum(1 for c in leads if row[c]) != 1 for row in self.vectors)
+        ):
+            raise StructureError("basis rows are not in reduced echelon form; use from_spanning")
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int) -> "SubspaceBasis":

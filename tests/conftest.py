@@ -7,12 +7,14 @@ below; tests must not draw from unseeded randomness.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from triplekit.cohomology import Cochain
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import Matrix
+from triplekit.linalg import Matrix, vec_is_zero
 from triplekit.lts import LieTripleSystem
 
 SEEDS = {
@@ -20,6 +22,7 @@ SEEDS = {
     "yamaguti": 424242,
     "deformation": 91731,
     "fuzz": 5150,
+    "change_of_basis": 310,
 }
 
 F = Fraction
@@ -107,3 +110,21 @@ def known_operator_pool(name: str, rng, count: int):
     for _ in range(count):
         pool.append(center_valued_operator(dim, image, killed, rng))
     return pool
+
+
+def cochain_satisfies_constraints(f: Cochain) -> bool:
+    """Apply the constraint equations of degree >= 3 cochains directly:
+    skew in the first two of the last three slots, vanishing cyclic sum
+    over the last three.  Degrees -1 and 1 are unconstrained."""
+    if f.degree in (-1, 1):
+        return True
+    p = f.degree - 3
+    for args in product(range(f.source_dim), repeat=f.degree):
+        head, (a, b, c) = args[:p], args[p:]
+        swapped = f.value(head + (b, a, c))
+        if not vec_is_zero(tuple(x + y for x, y in zip(f.value(args), swapped))):
+            return False
+        cyclic = (f.value(args), f.value(head + (b, c, a)), f.value(head + (c, a, b)))
+        if not vec_is_zero(tuple(map(sum, zip(*cyclic)))):
+            return False
+    return True

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -8,7 +9,6 @@ from triplekit.cohomology import (
     Cochain,
     cochain_from_map,
     cochain_map_p,
-    cochain_satisfies_constraints,
     cochain_space_basis,
     cochain_to_map,
     coboundary,
@@ -17,6 +17,7 @@ from triplekit.cohomology import (
     cohomology_group,
     complex_audit,
     delta_wedge,
+    flat_arg_index,
     flatten_cochain,
     induced_rep,
     one_cocycle_check,
@@ -24,13 +25,20 @@ from triplekit.cohomology import (
     unflatten_cochain,
     zero_cochain,
 )
-from triplekit.linalg import Matrix, StructureError, VerificationError, basis_vector
+from triplekit.linalg import (
+    Matrix,
+    StructureError,
+    SubspaceBasis,
+    VerificationError,
+    basis_vector,
+    kernel_basis,
+)
 from triplekit.lts import zero_system
 from triplekit.properties import random_integer_matrix
 from triplekit.representations import adjoint_representation, verify_representation, zero_representation
 from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, descendent_lts
 
-from conftest import SEEDS
+from conftest import SEEDS, cochain_satisfies_constraints
 
 F = Fraction
 
@@ -77,6 +85,48 @@ def test_cochain_space_degree_3_cross_checked_by_sympy():
     assert got.dim == scalar_nullity * 3
     for vec in got.vectors:
         assert cochain_satisfies_constraints(unflatten_cochain(3, 3, 3, vec))
+
+
+@lru_cache(maxsize=None)
+def scalar_constraint_kernel(degree, d):
+    """Kernel of the constraint equations on the scalar tensor of a
+    degree >= 3 cochain on d source dimensions."""
+    count = d**degree
+    p = degree - 3
+    rows = []
+    for args in product(range(d), repeat=degree):
+        head, (a, b, c) = args[:p], args[p:]
+        for others in (((b, a, c),), ((b, c, a), (c, a, b))):
+            row = [F(0)] * count
+            for t in (args, *(head + o for o in others)):
+                row[flat_arg_index(t, d)] += 1
+            rows.append(row)
+    return kernel_basis(Matrix.from_rows(rows))
+
+
+def reference_cochain_space_basis(degree, d_source, d_target):
+    """The elimination path: the scalar constraint kernel, one copy of
+    it per target coordinate, and the canonical basis of their span."""
+    count = d_source**degree
+    vectors = []
+    for svec in scalar_constraint_kernel(degree, d_source).vectors:
+        for l in range(d_target):
+            full = [F(0)] * (count * d_target)
+            for pos, x in enumerate(svec):
+                full[pos * d_target + l] = x
+            vectors.append(tuple(full))
+    return SubspaceBasis.from_spanning(vectors, count * d_target)
+
+
+@pytest.mark.parametrize(
+    "degree, source_dims, target_dims", [(3, range(7), range(4)), (5, range(4), range(3))]
+)
+def test_explicit_basis_equals_elimination(degree, source_dims, target_dims):
+    for ds in source_dims:
+        for dt in target_dims:
+            got = cochain_space_basis(degree, ds, dt, allow_degree_5=True)
+            assert got == reference_cochain_space_basis(degree, ds, dt), (ds, dt)
+            assert got.dim == ds ** (degree - 3) * ds * (ds - 1) * (ds + 1) // 3 * dt
 
 
 def test_degree_5_needs_override():

@@ -98,6 +98,18 @@ def test_subspace_is_canonical_under_permutation():
     assert a == b
 
 
+def test_subspace_basis_requires_reduced_form():
+    # echelon with unit leads, but the second lead column is nonzero in
+    # the first row: the span's canonical basis is ((1, 0), (0, 1))
+    with pytest.raises(StructureError):
+        SubspaceBasis(2, ((F(1), F(1)), (F(0), F(1))))
+    for rows in (((F(0), F(1)), (F(1), F(0))), ((F(2), F(0)),), ((F(0), F(0)),)):
+        with pytest.raises(StructureError):
+            SubspaceBasis(2, rows)
+    reduced = ((F(1), F(0), F(3)), (F(0), F(1), F(-1)))
+    assert SubspaceBasis(3, reduced) == SubspaceBasis.from_spanning(reduced, 3)
+
+
 def test_solve_and_invert():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     x = solve(m, (F(5), F(11)))
