@@ -27,16 +27,19 @@ complex instead of silently picking one; see
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect bracket of graph vectors; its degree -1 map is
-delta X = T D(X) - [X,-] T.  Every differential matrix, of delta, d_1
-or d_3, is built by one helper that maps basis cochains through
-:func:`delta_wedge` or :func:`coboundary`, and a degree-1 cochain is
-closed exactly when d_1 f = 0.
+delta X = T D(X) - [X,-] T.  Each differential is written once, by one
+pass that writes its entries into sparse columns, and
+:class:`OperatorComplex` assembles each at most once per operator; the
+audit is the sparse product d_3 d_1, and a degree-1 cochain is closed
+exactly when d_1 f = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
+from math import prod
 
 from .linalg import (
     Matrix,
@@ -104,9 +107,7 @@ class Cochain:
         return self.coeffs[flat_arg_index(args, self.source_dim)]
 
     def is_zero(self) -> bool:
-        if self.degree == -1:
-            return all(x == 0 for x in self.coeffs)
-        return all(vec_is_zero(v) for v in self.coeffs)
+        return not any(flatten_cochain(self))
 
 
 def flat_arg_index(args: tuple[int, ...], d: int) -> int:
@@ -117,12 +118,8 @@ def flat_arg_index(args: tuple[int, ...], d: int) -> int:
 
 
 def zero_cochain(degree: int, source_dim: int, target_dim: int) -> Cochain:
-    if degree == -1:
-        return Cochain(-1, source_dim, target_dim, (ZERO,) * (target_dim * (target_dim - 1) // 2))
-    return Cochain(
-        degree, source_dim, target_dim,
-        tuple(zero_vector(target_dim) for _ in range(source_dim**degree)),
-    )
+    size = target_dim * (target_dim - 1) // 2 if degree == -1 else source_dim**degree * target_dim
+    return unflatten_cochain(degree, source_dim, target_dim, zero_vector(size))
 
 
 def elementary_cochain(degree: int, source_dim: int, target_dim: int, flat: int) -> Cochain:
@@ -130,18 +127,12 @@ def elementary_cochain(degree: int, source_dim: int, target_dim: int, flat: int)
     total = source_dim**degree * target_dim
     if not 0 <= flat < total:
         raise StructureError("flat coordinate out of range")
-    pos, l = divmod(flat, target_dim)
-    coeffs = [zero_vector(target_dim)] * (source_dim**degree)
-    coeffs[pos] = basis_vector(target_dim, l)
-    return Cochain(degree, source_dim, target_dim, tuple(coeffs))
+    return unflatten_cochain(degree, source_dim, target_dim, basis_vector(total, flat))
 
 
 def cochain_from_map(matrix: Matrix) -> Cochain:
     """Degree-1 cochain from the matrix of a linear map (rows = target)."""
-    return Cochain(
-        1, matrix.cols, matrix.rows,
-        tuple(matrix.column(j) for j in range(matrix.cols)),
-    )
+    return Cochain(1, matrix.cols, matrix.rows, matrix.transpose().entries)
 
 
 def cochain_to_map(f: Cochain) -> Matrix:
@@ -151,12 +142,7 @@ def cochain_to_map(f: Cochain) -> Matrix:
 
 
 def flatten_cochain(f: Cochain) -> Vector:
-    if f.degree == -1:
-        return tuple(f.coeffs)
-    out = []
-    for vec in f.coeffs:
-        out.extend(vec)
-    return tuple(out)
+    return tuple(f.coeffs) if f.degree == -1 else tuple(x for vec in f.coeffs for x in vec)
 
 
 def unflatten_cochain(degree: int, source_dim: int, target_dim: int, flat: Vector) -> Cochain:
@@ -165,9 +151,7 @@ def unflatten_cochain(degree: int, source_dim: int, target_dim: int, flat: Vecto
     count = source_dim**degree
     if len(flat) != count * target_dim:
         raise StructureError("flattened cochain has wrong length")
-    coeffs = tuple(
-        tuple(flat[p * target_dim + l] for l in range(target_dim)) for p in range(count)
-    )
+    coeffs = tuple(tuple(flat[p * target_dim:(p + 1) * target_dim]) for p in range(count))
     return Cochain(degree, source_dim, target_dim, coeffs)
 
 
@@ -231,6 +215,39 @@ def cochain_space_basis(
 # the coboundary operator
 
 
+def _columns(entries) -> dict:
+    """Sum (column, row, value) entries into a differential: sparse
+    columns, the j-th the image of the j-th flat basis cochain."""
+    columns = {}
+    for j, i, x in entries:
+        col = columns.setdefault(j, {})
+        col[i] = col.get(i, ZERO) + x
+    return {j: nz for j, col in columns.items() if (nz := {i: x for i, x in col.items() if x})}
+
+
+def _apply(columns, vec: dict) -> dict:
+    """The matrix with these columns times a sparse vector."""
+    out = {}
+    for j, c in vec.items():
+        for i, a in columns.get(j, {}).items():
+            out[i] = out.get(i, ZERO) + c * a
+    return {i: x for i, x in out.items() if x}
+
+
+def _sparse(vec: Vector) -> dict:
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _dense(vec: dict, n: int) -> Vector:
+    return tuple(vec.get(i, ZERO) for i in range(n))
+
+
+def _image(columns, f: Cochain) -> Cochain:
+    """The cochain that a differential maps f to."""
+    ds, dt, degree = f.source_dim, f.target_dim, 1 if f.degree == -1 else f.degree + 2
+    return unflatten_cochain(degree, ds, dt, _dense(_apply(columns, _sparse(flatten_cochain(f))), ds**degree * dt))
+
+
 def _d_sum_sign(convention: str, n: int, i: int) -> int:
     if convention == "definition":
         return -1 if i % 2 == 0 else 1            # (-1)^(i+1)
@@ -239,105 +256,77 @@ def _d_sum_sign(convention: str, n: int, i: int) -> int:
     raise StructureError(f"unknown sign convention {convention!r}")
 
 
-def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "definition") -> Cochain:
-    """Coboundary of a degree >= 1 cochain over the given coefficients.
+def _assemble(rep: RepresentationData, degree: int, convention: str = "definition") -> dict:
+    """The coboundary out of degree ``degree`` on all flat cochains, in
+    one pass over the output argument tuples: each term of the formula
+    above reads f at one argument tuple and writes the entries of the
+    matrix it applies there (theta, D, or a bracket coefficient)."""
+    d, m, L = rep.algebra.dim, rep.space_dim, rep.algebra
 
-    ``rep.algebra`` is the source of the cochain arguments and the
-    representation space is the target.
-    """
+    def nonzeros(mat):
+        return [(r, c, a) for r, row in enumerate(mat.entries) for c, a in enumerate(row) if a]
+
+    theta = [[nonzeros(rep.theta[i][j]) for j in range(d)] for i in range(d)]
+    dmat = [[nonzeros(rep.d_basis(i, j)) for j in range(d)] for i in range(d)]
+    ident = [(l, l, ONE) for l in range(m)]
+    n = (degree + 1) // 2
+    signs = [(_d_sum_sign(convention, n, i), -1 if (i + n + 1) % 2 else 1) for i in range(1, n + 1)]
+
+    def entries():
+        for pos, args in enumerate(product(range(d), repeat=degree + 2)):
+            terms = [(args[:-2], theta[args[-2]][args[-1]], 1),
+                     (args[:-3] + args[-2:-1], theta[args[-3]][args[-1]], -1)]
+            for i, (d_sign, ins_sign) in enumerate(signs, 1):
+                a, b = args[2 * i - 2], args[2 * i - 1]
+                reduced = args[: 2 * i - 2] + args[2 * i:]
+                terms.append((reduced, dmat[a][b], d_sign))
+                for slot in range(2 * i - 2, degree):
+                    for lsrc, c in enumerate(L.bracket[a][b][reduced[slot]]):
+                        if c:
+                            terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))
+            for args_in, mat, sign in terms:
+                base = flat_arg_index(args_in, d) * m
+                for r, c, a in mat:
+                    yield base + c, pos * m + r, sign * a
+
+    return _columns(entries())
+
+
+def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "definition") -> Cochain:
+    """Coboundary of a degree >= 1 cochain over the given coefficients,
+    whose algebra is the source of the arguments and whose space is the
+    target: the assembled differential applied to f."""
     if f.degree < 1:
         raise StructureError("coboundary of the wedge piece is operator-specific; use delta_wedge")
-    d, m = rep.algebra.dim, rep.space_dim
-    if f.source_dim != d or f.target_dim != m:
+    if f.source_dim != rep.algebra.dim or f.target_dim != rep.space_dim:
         raise StructureError("cochain dimensions differ from the coefficient system")
-    n = (f.degree + 1) // 2
-    L = rep.algebra
-    theta = rep.theta
-    dmat = [[rep.d_basis(i, j) for j in range(d)] for i in range(d)]
-    out = []
-    for args in product(range(d), repeat=f.degree + 2):
-        acc = list(theta[args[-2]][args[-1]].apply(f.value(args[:-2])))
-        t = theta[args[-3]][args[-1]].apply(f.value(args[:-3] + (args[-2],)))
-        for l in range(m):
-            acc[l] -= t[l]
-        for i in range(1, n + 1):
-            reduced = args[: 2 * i - 2] + args[2 * i:]
-            sgn = _d_sum_sign(sign_convention, n, i)
-            t = dmat[args[2 * i - 2]][args[2 * i - 1]].apply(f.value(reduced))
-            if sgn > 0:
-                for l in range(m):
-                    acc[l] += t[l]
-            else:
-                for l in range(m):
-                    acc[l] -= t[l]
-            ins_sgn = -1 if (i + n + 1) % 2 else 1
-            for jpos in range(2 * i, f.degree + 2):
-                w = L.bracket[args[2 * i - 2]][args[2 * i - 1]][args[jpos]]
-                if vec_is_zero(w):
-                    continue
-                red = list(reduced)
-                slot = jpos - 2
-                for lsrc in range(d):
-                    if w[lsrc]:
-                        red[slot] = lsrc
-                        t = f.value(tuple(red))
-                        coef = w[lsrc] if ins_sgn > 0 else -w[lsrc]
-                        for l in range(m):
-                            acc[l] += coef * t[l]
-        out.append(tuple(acc))
-    return Cochain(f.degree + 2, d, m, tuple(out))
+    return _image(_assemble(rep, f.degree, sign_convention), f)
 
 
-def _differential(
-    rep: RepresentationData, degree: int, vectors, convention: str = "definition",
-    rbo: RelativeRBO | None = None,
-) -> Matrix:
-    """Matrix of the differential on degree-``degree`` cochains: column k
-    is the flattened image of the k-th flat cochain in ``vectors``.
-
-    Degrees 1 and 3 go through :func:`coboundary` over ``rep``; degree
-    -1 goes through :func:`delta_wedge` of ``rbo``, whose induced
-    representation ``rep`` is.
-    """
-    dp, d = rep.algebra.dim, rep.space_dim
-    height = dp * d if degree == -1 else dp ** (degree + 2) * d
-    cols = []
-    for vec in vectors:
-        f = unflatten_cochain(degree, dp, d, vec)
-        img = delta_wedge(rbo, f) if degree == -1 else coboundary(rep, f, convention)
-        cols.append(flatten_cochain(img))
-    return Matrix.from_columns(cols, height)
+def _audit(differential) -> dict[str, bool]:
+    """Does d_3 d_1 vanish, per sign convention?  d_1 maps a basis of C^1,
+    so this decides d(d(f)) = 0 on C^1; at n = 1 the conventions agree."""
+    images = differential(1, "definition").values()
+    return {c: not any(_apply(differential(3, c), col) for col in images) for c in SIGN_CONVENTIONS}
 
 
 def complex_audit(rep: RepresentationData) -> dict[str, bool]:
-    """For each sign convention, does d(d(f)) = 0 on a basis of C^1?
+    """For each sign convention, does d(d(f)) = 0 on a basis of C^1?"""
+    return _audit(partial(_assemble, rep))
 
-    The double coboundary is linear in f, so checking every elementary
-    degree-1 cochain decides the property on all of C^1 exactly.  d_1
-    has n = 1, where both conventions agree, so it is built once and
-    each convention's d_3 is applied to its columns.
-    """
-    d, m = rep.algebra.dim, rep.space_dim
-    d1 = _differential(rep, 1, cochain_space_basis(1, d, m).vectors)
-    images = [d1.column(k) for k in range(d1.cols)]
-    return {
-        convention: _differential(rep, 3, images, convention).is_zero()
-        for convention in SIGN_CONVENTIONS
-    }
+
+def _closing_convention(audit: dict[str, bool]) -> str:
+    for convention in SIGN_CONVENTIONS:
+        if audit[convention]:
+            return convention
+    raise VerificationError("no sign convention closes the cochain complex")
 
 
 def resolve_sign_convention(rep: RepresentationData) -> tuple[str, dict[str, bool]]:
-    """Pick the convention whose double coboundary vanishes.
-
-    The printed definition is preferred when it passes; otherwise the
-    variant from the functoriality argument is used and the audit dict
-    records the discrepancy for the caller to surface.
-    """
+    """The convention whose double coboundary vanishes, the printed one
+    first, and the audit that records any discrepancy."""
     audit = complex_audit(rep)
-    for convention in SIGN_CONVENTIONS:
-        if audit[convention]:
-            return convention, audit
-    raise VerificationError("no sign convention closes the cochain complex")
+    return _closing_convention(audit), audit
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +368,86 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     return out
 
 
-def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
-    L = rbo.ambient
-    pairs = wedge_pairs(L.dim)
-    cols = []
-    for x in range(L.dim):
-        acc = [ZERO] * L.dim
-        for (i, j), co in zip(pairs, wedge.coeffs):
-            if co:
-                vec = L.bracket[i][j][x]
-                for l in range(L.dim):
-                    acc[l] += co * vec[l]
-        cols.append(tuple(acc))
-    return Matrix.from_columns(cols, L.dim)
+def _assemble_delta(rbo: RelativeRBO) -> dict:
+    """delta X = T D(X) - [X,-] T, one column per unit wedge e_i ^ e_j:
+    (delta X)(v) = T D(e_i, e_j) v - [e_i, e_j, Tv]."""
+    T, L, dp, d = rbo.T.entries, rbo.ambient, rbo.source.dim, rbo.ambient.dim
+
+    def entries():
+        for k, (i, j) in enumerate(wedge_pairs(d)):
+            D = rbo.action.rep.d_basis(i, j).entries
+            for v, w, l in product(range(dp), range(dp), range(d)):
+                yield k, v * d + l, T[l][w] * D[w][v]
+            for v, x, l in product(range(dp), range(d), range(d)):
+                yield k, v * d + l, -T[x][v] * L.bracket[i][j][x][l]
+
+    return _columns(entries())
 
 
-def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action."""
-    rep = rbo.action.rep
-    pairs = wedge_pairs(rbo.ambient.dim)
-    acc = Matrix.zeros(rbo.source.dim, rbo.source.dim)
-    for (i, j), co in zip(pairs, wedge.coeffs):
-        if co:
-            acc = acc + rep.d_basis(i, j).scale(co)
-    return acc
+class OperatorComplex:
+    """The complex of one operator: its induced representation, delta,
+    d_1, d_3 per sign convention and the audit, each built on first use
+    and kept.  A command builds one and pays only for what it reads."""
+
+    def __init__(self, rbo: RelativeRBO):
+        self.rbo = rbo
+        self._built = {}
+
+    @cached_property
+    def rep(self) -> RepresentationData:
+        return induced_rep(self.rbo)
+
+    def differential(self, degree: int, convention: str = "definition") -> dict:
+        """delta (degree -1), d_1 or d_3 as sparse columns."""
+        key = (degree, convention if degree == 3 else None)  # the conventions agree at n = 1
+        if key not in self._built:
+            self._built[key] = (
+                _assemble_delta(self.rbo) if degree == -1 else _assemble(self.rep, degree, convention)
+            )
+        return self._built[key]
+
+    @cached_property
+    def audit(self) -> dict[str, bool]:
+        return _audit(self.differential)
+
+    def apply(self, f: Cochain, convention: str = "definition") -> Cochain:
+        """Coboundary of f in degree -1, 1 or 3."""
+        if f.degree not in (-1, 1, 3):
+            raise StructureError(f"unsupported cochain degree {f.degree}")
+        columns = self.differential(f.degree, convention)
+        if f.source_dim != self.rbo.source.dim or f.target_dim != self.rbo.ambient.dim:
+            raise StructureError(
+                "wedge coordinates sized for a different operator" if f.degree == -1
+                else "cochain dimensions differ from the coefficient system"
+            )
+        return _image(columns, f)
+
+    def cohomology(self, degree: int) -> CohomologyData:
+        """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
+        differential on the constrained basis, taken on the nonzero
+        rows of its images; B is the image of the incoming one."""
+        if degree not in (1, 3):
+            raise StructureError(f"unsupported cohomology degree {degree}")
+        d, dp = self.rbo.ambient.dim, self.rbo.source.dim
+        size = dp**degree * d
+        audit = self.audit if degree == 3 else {}
+        convention = _closing_convention(audit) if audit else "definition"
+        basis = dict(enumerate(map(_sparse, cochain_space_basis(degree, dp, d).vectors)))
+        images = [_apply(self.differential(degree, convention), vec) for vec in basis.values()]
+        rows = sorted(set().union(*images))
+        kernel = kernel_basis(Matrix(len(rows), len(images), tuple(
+            tuple(img.get(i, ZERO) for img in images) for i in rows
+        )))
+        # the constrained basis is in reduced echelon form, so its
+        # combinations along the echelon kernel basis are too
+        cocycles = SubspaceBasis(size, tuple(_dense(_apply(basis, _sparse(c)), size) for c in kernel.vectors))
+        coboundaries = SubspaceBasis.from_spanning(
+            [_dense(col, size) for col in self.differential(degree - 2).values()], size
+        )
+        return CohomologyData(CohomologyResult(
+            degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
+            convention if audit else None, tuple(sorted(audit.items())),
+        ), cocycles, coboundaries)
 
 
 def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
@@ -411,21 +455,12 @@ def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     (delta X)(v) = T D(X) v - [X, Tv]."""
     if wedge.degree != -1:
         raise StructureError("delta_wedge expects a degree -1 cochain")
-    if wedge.target_dim != rbo.ambient.dim or wedge.source_dim != rbo.source.dim:
-        raise StructureError("wedge coordinates sized for a different operator")
-    T = rbo.T
-    return cochain_from_map(
-        T @ wedge_d_operator(rbo, wedge) - wedge_bracket_operator(rbo, wedge) @ T
-    )
+    return OperatorComplex(rbo).apply(wedge)
 
 
 def coboundary_T(rbo: RelativeRBO, f: Cochain, sign_convention: str = "definition") -> Cochain:
     """Coboundary in the operator complex (degrees -1, 1, 3)."""
-    if f.degree == -1:
-        return delta_wedge(rbo, f)
-    if f.degree not in (1, 3):
-        raise StructureError(f"unsupported cochain degree {f.degree}")
-    return coboundary(induced_rep(rbo), f, sign_convention)
+    return OperatorComplex(rbo).apply(f, sign_convention)
 
 
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
@@ -472,42 +507,8 @@ class CohomologyData:
 
 
 def cohomology_data(rbo: RelativeRBO, degree: int) -> CohomologyData:
-    """Z, B and H of the operator complex in degree 1 or 3: Z is the
-    kernel of the outgoing differential on the constrained cochains, B
-    the image of the incoming one."""
-    if degree not in (1, 3):
-        raise StructureError(f"unsupported cohomology degree {degree}")
-    rep_t = induced_rep(rbo)
-    d, dp = rbo.ambient.dim, rbo.source.dim
-    convention, audit = "definition", {}
-    if degree == 3:
-        convention, audit = resolve_sign_convention(rep_t)
-    incoming = cochain_space_basis(degree - 2, dp, d).vectors
-    m_in = _differential(rep_t, degree - 2, incoming, convention, rbo)
-    constrained = cochain_space_basis(degree, dp, d)
-    inner_kernel = kernel_basis(_differential(rep_t, degree, constrained.vectors, convention))
-    flat_dim = dp**degree * d
-    z_vectors = []
-    for coeffs in inner_kernel.vectors:
-        flat = [ZERO] * flat_dim
-        for c, vec in zip(coeffs, constrained.vectors):
-            if c:
-                for t in range(flat_dim):
-                    flat[t] += c * vec[t]
-        z_vectors.append(tuple(flat))
-    cocycles = SubspaceBasis.from_spanning(z_vectors, flat_dim)
-    coboundaries = SubspaceBasis.from_spanning(
-        [m_in.column(k) for k in range(m_in.cols)], flat_dim
-    )
-    result = CohomologyResult(
-        degree,
-        cocycles.dim,
-        coboundaries.dim,
-        quotient_dim(coboundaries, cocycles),
-        convention if audit else None,
-        tuple(sorted(audit.items())),
-    )
-    return CohomologyData(result, cocycles, coboundaries)
+    """Z, B and H of the operator complex in degree 1 or 3."""
+    return OperatorComplex(rbo).cohomology(degree)
 
 
 def cohomology_group(rbo: RelativeRBO, degree: int) -> CohomologyResult:
@@ -537,24 +538,14 @@ def cochain_map_p(h, f: Cochain) -> Cochain:
     if check_rbo_homomorphism(h):
         raise VerificationError("cochain transport requires a verified operator homomorphism")
     dp, d = f.source_dim, f.target_dim
-    coeffs = list(f.coeffs)
-    for slot in range(f.degree):
-        stride = dp ** (f.degree - 1 - slot)
-        new = [None] * len(coeffs)
-        for pos in range(len(coeffs)):
-            digits_slot = (pos // stride) % dp
-            if digits_slot != 0:
-                continue
-            base = pos
-            for jnew in range(dp):
-                acc = [ZERO] * d
-                for iold in range(dp):
-                    c = psi_inv.entries[iold][jnew]
-                    if c:
-                        vec = coeffs[base + iold * stride]
-                        for l in range(d):
-                            acc[l] += c * vec[l]
-                new[base + jnew * stride] = tuple(acc)
-        coeffs = new
-    coeffs = [tuple(h.psi_L.apply(vec)) for vec in coeffs]
+    # psi'^-1 u_a = sum_s psi_inv[s][a] u_s: the nonzero (s, coefficient) pairs per a
+    pulls = [[(s, c) for s, row in enumerate(psi_inv.entries) if (c := row[a])] for a in range(dp)]
+    coeffs = []
+    for args in product(range(dp), repeat=f.degree):
+        acc = [ZERO] * d
+        for terms in product(*(pulls[a] for a in args)):
+            c = prod(t for _, t in terms)
+            for l, x in enumerate(f.value(tuple(s for s, _ in terms))):
+                acc[l] += c * x
+        coeffs.append(h.psi_L.apply(tuple(acc)))
     return Cochain(f.degree, dp, d, tuple(coeffs))

@@ -27,20 +27,10 @@ evaluates it at the witness, the solve stacks it at the unit wedges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
-from .cohomology import (
-    Cochain,
-    cochain_to_map,
-    cohomology_data,
-    delta_wedge,
-    flatten_cochain,
-    wedge_bracket_operator,
-    wedge_d_operator,
-    wedge_pairs,
-    zero_cochain,
-)
+from .cohomology import Cochain, OperatorComplex, cochain_to_map, flatten_cochain, wedge_pairs, zero_cochain
 from .linalg import (
     Matrix,
     StructureError,
@@ -72,6 +62,8 @@ __all__ = [
 class InfinitesimalDeformation:
     base: RelativeRBO
     direction: Cochain  # degree 1, source L', target L
+    # the base's complex, shared by the questions on this deformation
+    complex: OperatorComplex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.direction.degree != 1:
@@ -81,6 +73,7 @@ class InfinitesimalDeformation:
             or self.direction.target_dim != self.base.ambient.dim
         ):
             raise StructureError("deformation direction dimensions differ from the operator")
+        object.__setattr__(self, "complex", OperatorComplex(self.base))
 
     def direction_map(self) -> Matrix:
         return cochain_to_map(self.direction)
@@ -93,6 +86,20 @@ class EquivalenceWitness:
     def __post_init__(self):
         if self.wedge.degree != -1:
             raise StructureError("equivalence witness must be a degree -1 cochain")
+
+
+def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
+    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
+    L, d = rbo.ambient, rbo.ambient.dim
+    terms = zip(wedge_pairs(d), wedge.coeffs)
+    return sum((Matrix.from_columns(L.bracket[i][j], d).scale(co) for (i, j), co in terms if co), Matrix.zeros(d, d))
+
+
+def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
+    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action."""
+    rep, dp = rbo.action.rep, rbo.source.dim
+    terms = zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)
+    return sum((rep.d_basis(i, j).scale(co) for (i, j), co in terms if co), Matrix.zeros(dp, dp))
 
 
 def check_deformation(d: InfinitesimalDeformation) -> Report:
@@ -117,7 +124,7 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     are deterministic for a given operator; they are the direction
     column's entries on the rows of those pivots.
     """
-    data = cohomology_data(d.base, 1)
+    data = d.complex.cohomology(1)
     zb, bb = data.cocycles, data.coboundaries
     cols = list(bb.vectors) + list(zb.vectors) + [flatten_cochain(d.direction)]
     reduced, pivots = rref(Matrix.from_columns(cols, zb.ambient_dim))
@@ -126,7 +133,7 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     return True, tuple(reduced.entries[r][-1] for r in range(bb.dim, len(pivots)))
 
 
-def _equivalence_conditions(rbo: RelativeRBO, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):
+def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):
     """(rule, witness, value, target) for every first-order condition on
     the pair (id + t[X,-], id + t D(X)) carrying T + t S1 onto T + t S2,
     in report order; a condition holds when its value equals its target.
@@ -135,9 +142,10 @@ def _equivalence_conditions(rbo: RelativeRBO, S1: Matrix, S2: Matrix, X: Cochain
     wedge e_a ^ e_b the theta rows are minus (R2) of the action at
     (a, b, x, y), and the D rows follow from them.
     """
+    rbo = cx.rbo
     rep, d = rbo.action.rep, rbo.ambient.dim
     bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
-    delta = delta_wedge(rbo, X)
+    delta = cx.apply(X)
     out = []
     for u in range(rbo.source.dim):
         s1 = S1.column(u)
@@ -168,7 +176,7 @@ def _equivalence_system(
     n = len(wedge_pairs(dd))
     # with no wedge coordinates the zero wedge still yields the targets
     units = [Cochain(-1, dp, dd, basis_vector(n, k)) for k in range(n)] or [zero_cochain(-1, dp, dd)]
-    evaluated = [_equivalence_conditions(rbo, S1, S2, X, strict) for X in units]
+    evaluated = [_equivalence_conditions(d1.complex, S1, S2, X, strict) for X in units]
     rhs = tuple(x for _, _, _, target in evaluated[0] for x in target)
     cols = [tuple(x for _, _, value, _ in blocks for x in value) for blocks in evaluated[:n]]
     return Matrix.from_columns(cols, len(rhs)), rhs
@@ -188,7 +196,7 @@ def check_equivalence(
     return tuple(
         Violation(rule, witness)
         for rule, witness, value, target in _equivalence_conditions(
-            d1.base, d1.direction_map(), d2.direction_map(), w.wedge, strict
+            d1.complex, d1.direction_map(), d2.direction_map(), w.wedge, strict
         )
         if value != target
     )

@@ -103,9 +103,6 @@ class Matrix:
             tuple(columns[c][r] for c in range(cols)) for r in range(rows)
         ))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -172,11 +169,13 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
+        support = [(j, x) for j, x in enumerate(rows[r]) if x]
         for i in range(n_rows):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f, row = rows[i][col], rows[i]
+                for j, x in support:
+                    row[j] -= f * x
         pivots.append(col)
         r += 1
         if r == n_rows:

@@ -102,9 +102,10 @@ def test_h1_dims_survive_change_of_basis(name, request):
         assert dims(moved, 1) == dims(rbo, 1)
 
 
-def test_h3_dims_survive_change_of_basis(rbo3):
-    moved, _ = transported(rbo3, SEEDS["change_of_basis"])
-    assert dims(moved, 3) == dims(rbo3, 3) == (11, 3, 8)
+def test_h3_dims_survive_change_of_basis(rbo3, rbo4):
+    for rbo, want in ((rbo3, (11, 3, 8)), (rbo4, (40, 4, 36))):
+        moved, _ = transported(rbo, SEEDS["change_of_basis"])
+        assert dims(moved, 3) == dims(rbo, 3) == want
 
 
 def seeded_directions(rbo, rng):

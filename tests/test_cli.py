@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from triplekit.fileio import dump_json
 from triplekit.fixtures import fixture_path
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    # the child gets the source tree on its path, as pytest's own process does
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "triplekit", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

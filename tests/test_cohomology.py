@@ -7,6 +7,7 @@ import pytest
 
 from triplekit.cohomology import (
     Cochain,
+    OperatorComplex,
     cochain_from_map,
     cochain_map_p,
     cochain_space_basis,
@@ -17,6 +18,7 @@ from triplekit.cohomology import (
     cohomology_group,
     complex_audit,
     delta_wedge,
+    elementary_cochain,
     flat_arg_index,
     flatten_cochain,
     induced_rep,
@@ -36,7 +38,7 @@ from triplekit.linalg import (
 from triplekit.lts import zero_system
 from triplekit.properties import random_integer_matrix
 from triplekit.representations import adjoint_representation, verify_representation, zero_representation
-from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, descendent_lts
+from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, check_rbo_homomorphism, descendent_lts
 
 from conftest import SEEDS, cochain_satisfies_constraints
 
@@ -379,6 +381,31 @@ def test_cochain_map_functorial(rbo3):
         left = cochain_map_p(h, coboundary_T(rbo3, f))
         right = coboundary_T(rbo3, cochain_map_p(h, f))
         assert left == right
+
+
+@pytest.mark.parametrize("name", ["rbo3", "rbo4"])
+def test_cochain_map_intertwines_degree_3(name, request):
+    # every non-identity pair of diagonal sign matrices that is an
+    # operator homomorphism carries d_3 f to d_3 of the carried f
+    rbo = request.getfixturevalue(name)
+    d, dp = rbo.ambient.dim, rbo.source.dim
+
+    def diag(signs):
+        return Matrix.from_rows([[s if i == j else 0 for j in range(len(signs))] for i, s in enumerate(signs)])
+
+    homs = []
+    for sa in product((1, -1), repeat=d):
+        for sb in product((1, -1), repeat=dp):
+            h = RBOHomomorphism(rbo, rbo, diag(sa), diag(sb))
+            if -1 in sa + sb and check_rbo_homomorphism(h) == ():
+                homs.append(h)
+    assert len(homs) == {"rbo3": 3, "rbo4": 7}[name]
+    cx = OperatorComplex(rbo)
+    rng = random.Random(SEEDS["fuzz"])
+    for h in homs:
+        for flat in rng.sample(range(dp**3 * d), 4):
+            f = elementary_cochain(3, dp, d, flat)
+            assert cochain_map_p(h, cx.apply(f)) == cx.apply(cochain_map_p(h, f))
 
 
 def test_cochain_map_rejects_singular(rbo3):
