@@ -43,6 +43,7 @@ from .rota_baxter import (
     LinearMap,
     RBOHomomorphism,
     RelativeRBO,
+    RotaBaxterError,
     check_rbo,
     check_rbo_all_weights,
     check_rbo_homomorphism,

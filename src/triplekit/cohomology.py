@@ -60,9 +60,9 @@ from .representations import RepresentationData
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
+    RotaBaxterError,
     _graph_vector,
     _projected_bracket,
-    check_rbo,
     check_rbo_homomorphism,
     descendent_lts,
 )
@@ -512,10 +512,15 @@ def cohomology_data(rbo: RelativeRBO, degree: int) -> CohomologyData:
 
 
 def cohomology_group(rbo: RelativeRBO, degree: int) -> CohomologyResult:
-    """Exact dims of cocycles, coboundaries and the quotient."""
-    if check_rbo(rbo.action, rbo.weight, rbo.T):
-        raise VerificationError("cohomology requires the Rota-Baxter identity to hold")
-    return cohomology_data(rbo, degree).result
+    """Exact dims of cocycles, coboundaries and the quotient.  (RB) is
+    checked once, by the descendent system under the induced
+    representation, before anything else is computed."""
+    cx = OperatorComplex(rbo)
+    try:
+        cx.rep
+    except RotaBaxterError as exc:
+        raise VerificationError("cohomology requires the Rota-Baxter identity to hold") from exc
+    return cx.cohomology(degree).result
 
 
 # ---------------------------------------------------------------------------

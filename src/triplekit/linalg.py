@@ -12,6 +12,7 @@ Scalars serialize as ``"p/q"``, or ``"p"`` when the denominator is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 Scalar = Fraction
@@ -239,17 +240,22 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """(lead, ((column, value), ...)) for every row: its lead column
+        and its nonzero entries, found once per basis for contains."""
+        support = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.vectors)
+        return tuple((nz[0][0], nz) for nz in support)
+
     def contains(self, vec: Vector) -> bool:
         if len(vec) != self.ambient_dim:
             raise StructureError("vector length differs from ambient dimension")
         residue = list(vec)
-        for row in self.vectors:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is not None and residue[lead]:
-                f = residue[lead]
-                for j in range(self.ambient_dim):
-                    residue[j] -= f * row[j]
-        return all(x == 0 for x in residue)
+        for lead, support in self._rows:
+            if f := residue[lead]:
+                for j, x in support:
+                    residue[j] -= f * x
+        return vec_is_zero(residue)
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
         if self.ambient_dim != other.ambient_dim:

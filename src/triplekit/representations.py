@@ -9,14 +9,17 @@ subject to the two compatibility identities
          + theta([a,b,c], d) + theta(c, [a,b,d]) = 0
 
 with D(a,b) = theta(b,a) - theta(a,b).  D is always derived on the
-fly, never stored.  An action is a representation on a space that is
-itself a Lie triple system, landing in its center and killing its
-brackets; actions are exactly what semidirect products need.
+fly, never stored.  Besides the dense matrices, a representation keeps
+the nonzero entries of each theta(e_i, e_j), built once, and every
+contraction with arbitrary arguments runs over that list.  An action
+is a representation on a space that is itself a Lie triple system,
+landing in its center and killing its brackets; actions are exactly
+what semidirect products need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +37,10 @@ class RepresentationData:
     algebra: LieTripleSystem
     space_dim: int
     theta: ThetaTensor
+    # (i, j, ((row, col, value), ...)) for every nonzero theta[i][j],
+    # listing its nonzero entries; the contractions run over this
+    # instead of the dense matrices.
+    nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.algebra.dim
@@ -43,6 +50,17 @@ class RepresentationData:
             for mat in row:
                 if mat.rows != self.space_dim or mat.cols != self.space_dim:
                     raise StructureError("theta matrix shape differs from space_dim")
+        nz = []
+        for i, j in product(range(d), repeat=2):
+            entries = tuple(
+                (r, c, a)
+                for r, row in enumerate(self.theta[i][j].entries)
+                for c, a in enumerate(row)
+                if a
+            )
+            if entries:
+                nz.append((i, j, entries))
+        object.__setattr__(self, "nonzero", tuple(nz))
 
     def d_basis(self, i: int, j: int) -> Matrix:
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), recomputed on demand."""
@@ -54,16 +72,11 @@ class RepresentationData:
         if len(x) != d or len(y) != d:
             raise StructureError("theta argument length differs from algebra dimension")
         acc = [[ZERO] * n for _ in range(n)]
-        for i in range(d):
-            if not x[i]:
-                continue
-            for j in range(d):
-                c = x[i] * y[j]
-                if c:
-                    for out, row in zip(acc, self.theta[i][j].entries):
-                        for col, a in enumerate(row):
-                            if a:
-                                out[col] += c * a
+        for i, j, entries in self.nonzero:
+            c = x[i] * y[j]
+            if c:
+                for r, col, a in entries:
+                    acc[r][col] += c * a
         return Matrix(n, n, tuple(map(tuple, acc)))
 
     def d_vec(self, x: Vector, y: Vector) -> Matrix:
@@ -161,20 +174,33 @@ def semidirect_bracket(
     """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight.
 
     The only place the mixed term is written out; every operator
-    identity in the package is read off this bracket.  A mixed term
-    whose L' argument is zero is that zero vector, and its matrix is
-    not built.
+    identity in the package is read off this bracket.  Its L' part
+
+      D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'
+
+    is contracted in one pass over the nonzero entries of the
+    theta(e_i, e_j): the entry (row, col, value) of theta(e_i, e_j)
+    adds value * (c3 u3[col] + c1 u1[col] - c2 u2[col]) to the row,
+    with c3 = x2_i x1_j - x1_i x2_j, c1 = x2_i x3_j and c2 = x1_i x3_j.
+    No matrix is built.
     """
     L, Lp, rep = a.algebra, a.target, a.rep
     part_l = L.bracket_eval(x1, x2, x3)
-    t1 = rep.d_vec(x1, x2).apply(u3) if any(u3) else u3
-    t2 = rep.theta_vec(x2, x3).apply(u1) if any(u1) else u1
-    t3 = rep.theta_vec(x1, x3).apply(u2) if any(u2) else u2
-    lam_part = Lp.bracket_eval(u1, u2, u3)
-    part_p = tuple(
-        t1[l] + t2[l] - t3[l] + weight * lam_part[l] for l in range(Lp.dim)
-    )
-    return part_l, part_p
+    part_p = [weight * v for v in Lp.bracket_eval(u1, u2, u3)]
+    # an entry contributes only in a column where some u is nonzero
+    cols = [col for col in range(Lp.dim) if u1[col] or u2[col] or u3[col]]
+    for i, j, entries in rep.nonzero:
+        if not (x1[i] or x2[i]):
+            continue  # each of c3, c1, c2 has x1_i or x2_i as a factor
+        c3 = x2[i] * x1[j] - x1[i] * x2[j]
+        c1 = x2[i] * x3[j]
+        c2 = x1[i] * x3[j]
+        if c3 or c1 or c2:
+            combo = {col: c3 * u3[col] + c1 * u1[col] - c2 * u2[col] for col in cols}
+            for r, col, val in entries:
+                if s := combo.get(col):
+                    part_p[r] += val * s
+    return part_l, tuple(part_p)
 
 
 def semidirect_product(a: ActionData, weight: Fraction) -> LieTripleSystem:

@@ -44,6 +44,10 @@ from .reporting import Report, Violation
 LinearMap = Matrix
 
 
+class RotaBaxterError(VerificationError):
+    """An operation that requires (RB) found basis triples where it fails."""
+
+
 @dataclass(frozen=True)
 class RelativeRBO:
     action: ActionData
@@ -209,20 +213,22 @@ def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
                     + lambda [u,v,w]'
 
     Requires (RB); T is then a homomorphism into L, which callers can
-    confirm with :func:`triplekit.lts.is_homomorphism`.
+    confirm with :func:`triplekit.lts.is_homomorphism`.  One bracket per
+    triple yields both the (RB) defect x - Tp and the entry p.
     """
-    report = check_rbo(rbo.action, rbo.weight, rbo.T)
-    if report:
-        raise VerificationError(
-            f"descendent system requires the Rota-Baxter identity; {len(report)} basis triples fail"
-        )
     dp = rbo.source.dim
     graph = [_graph_vector(rbo.T, u) for u in range(dp)]
-    entries = {}
+    entries, failing = {}, 0
     for u, v, w in product(range(dp), repeat=3):
-        _, vec = semidirect_bracket(rbo.action, rbo.weight, *graph[u], *graph[v], *graph[w])
-        if not vec_is_zero(vec):
-            entries[(u, v, w)] = vec
+        x, p = semidirect_bracket(rbo.action, rbo.weight, *graph[u], *graph[v], *graph[w])
+        if not vec_is_zero(vec_sub(x, rbo.T.apply(p))):
+            failing += 1
+        elif not vec_is_zero(p):
+            entries[(u, v, w)] = p
+    if failing:
+        raise RotaBaxterError(
+            f"descendent system requires the Rota-Baxter identity; {failing} basis triples fail"
+        )
     return LieTripleSystem.from_entries(dp, entries, rbo.source.basis_names)
 
 

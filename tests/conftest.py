@@ -23,6 +23,7 @@ SEEDS = {
     "deformation": 91731,
     "fuzz": 5150,
     "change_of_basis": 310,
+    "semidirect": 7129,
 }
 
 F = Fraction

@@ -8,12 +8,14 @@ equality; there are no tolerances to tune.  Run with
 to see the per-criterion lines as they stream.
 """
 
+import os
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -429,10 +431,14 @@ def test_criterion_11_determinism_and_round_trip(tmp_path):
             assert again == raw, name
 
         def run_cli(*args):
+            # the child gets the source tree on its path, as pytest's own process does
+            src = str(Path(__file__).resolve().parents[1] / "src")
+            path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
             return subprocess.run(
                 [sys.executable, "-m", "triplekit", *args],
                 capture_output=True,
                 text=True,
+                env={**os.environ, "PYTHONPATH": path},
             )
 
         for args in (

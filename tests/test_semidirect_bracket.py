@@ -1,0 +1,198 @@
+"""The sparse semidirect bracket against the dense formula it replaced.
+
+``dense_theta`` and ``oracle_bracket`` are the mixed term as it was
+written before the action was contracted sparsely: build theta(x, y)
+as the dense sum of the matrices x_i y_j theta(e_i, e_j), D(x, y) as a
+difference of two of them, and only then apply each to its vector.
+They read only the dense ``theta`` tensor of the representation.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from triplekit import rota_baxter
+from triplekit.cli import main
+from triplekit.cohomology import zero_cochain
+from triplekit.fileio import cochain_to_json, dump_json, rbo_to_json
+from triplekit.fixtures import fixture_path
+from triplekit.linalg import Matrix, StructureError, basis_vector
+from triplekit.lts import LieTripleSystem
+from triplekit.representations import (
+    RepresentationData,
+    self_action,
+    semidirect_bracket,
+    semidirect_product,
+    verify_action,
+)
+from triplekit.rota_baxter import RelativeRBO
+
+from conftest import SEEDS
+from test_operator_complex import ladder
+
+F = Fraction
+WEIGHTS = (F(0), F(1), F(-2), F(1, 2))
+
+
+def dense_theta(rep, x, y):
+    """theta(x, y) = sum_ij x_i y_j theta(e_i, e_j) over the dense tensor."""
+    n, d = rep.space_dim, rep.algebra.dim
+    out = Matrix.zeros(n, n)
+    for i, j in product(range(d), repeat=2):
+        if x[i] * y[j]:
+            out = out + rep.theta[i][j].scale(x[i] * y[j])
+    return out
+
+
+def oracle_bracket(a, weight, x1, u1, x2, u2, x3, u3):
+    """[(x1,u1),(x2,u2),(x3,u3)]: the L' part is
+    D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'."""
+    rep = a.rep
+    # a mixed term whose L' argument is zero is that zero vector
+    t1 = (dense_theta(rep, x2, x1) - dense_theta(rep, x1, x2)).apply(u3) if any(u3) else u3
+    t2 = dense_theta(rep, x2, x3).apply(u1) if any(u1) else u1
+    t3 = dense_theta(rep, x1, x3).apply(u2) if any(u2) else u2
+    lam = a.target.bracket_eval(u1, u2, u3)
+    part_p = tuple(p + q - r + weight * s for p, q, r, s in zip(t1, t2, t3, lam))
+    return a.algebra.bracket_eval(x1, x2, x3), part_p
+
+
+def oracle_product(a, weight):
+    d, n = a.algebra.dim, a.algebra.dim + a.target.dim
+
+    def split(idx):
+        e = basis_vector(n, idx)
+        return e[:d], e[d:]
+
+    entries = {}
+    for i, j, k in product(range(n), repeat=3):
+        pl, pp = oracle_bracket(a, weight, *split(i), *split(j), *split(k))
+        if any(pl + pp):
+            entries[(i, j, k)] = pl + pp
+    names = tuple(a.algebra.basis_names) + tuple(f"{nm}'" for nm in a.target.basis_names)
+    return LieTripleSystem.from_entries(n, entries, names)
+
+
+ACTIONS = ["rbo3", "rbo4", "ladder4", "sl2_lts", "lts3", "lts4"]
+
+
+def action(name, request):
+    if name == "ladder4":
+        return ladder(4).action
+    if name in ("rbo3", "rbo4"):
+        return request.getfixturevalue(name).action
+    return self_action(request.getfixturevalue(name))
+
+
+def random_vector(rng, n):
+    return tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_bracket_matches_dense_oracle(name, request):
+    a = action(name, request)
+    d, dp = a.algebra.dim, a.target.dim
+    rng = random.Random(SEEDS["semidirect"])
+    for weight in WEIGHTS:
+        # every pattern of zero u-slots, with dense random x and u otherwise
+        for zeros in product((False, True), repeat=3):
+            for _ in range(3):
+                xs = [random_vector(rng, d) for _ in range(3)]
+                us = [(F(0),) * dp if z else random_vector(rng, dp) for z in zeros]
+                args = [v for pair in zip(xs, us) for v in pair]
+                assert semidirect_bracket(a, weight, *args) == oracle_bracket(a, weight, *args), (weight, zeros)
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_theta_vec_matches_dense_oracle(name, request):
+    rep = action(name, request).rep
+    rng = random.Random(SEEDS["semidirect"])
+    for _ in range(5):
+        x, y = random_vector(rng, rep.algebra.dim), random_vector(rng, rep.algebra.dim)
+        assert rep.theta_vec(x, y) == dense_theta(rep, x, y)
+        assert rep.d_vec(x, y) == dense_theta(rep, y, x) - dense_theta(rep, x, y)
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_semidirect_product_matches_oracle(name, request):
+    a = action(name, request)
+    if verify_action(a):
+        with pytest.raises(StructureError):
+            semidirect_product(a, F(1))
+        return
+    for weight in WEIGHTS:
+        assert semidirect_product(a, weight) == oracle_product(a, weight), weight
+
+
+def test_operator_commands_build_no_theta_matrix(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(name):
+        inner = getattr(RepresentationData, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return inner(self, *args)
+
+        return wrapper
+
+    for name in ("theta_vec", "d_vec"):
+        monkeypatch.setattr(RepresentationData, name, counting(name))
+    op = str(fixture_path("rbo4_P"))
+    zero = tmp_path / "zero.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    s = str(zero)
+    for argv in (
+        ("coh", "group", op, "--degree", "1"),
+        ("coh", "group", op, "--degree", "3"),
+        ("coh", "coboundary", op, s),
+        ("coh", "cocycle", op, s),
+        ("def", "check", op, s),
+        ("def", "class", op, s),
+        ("def", "trivial", op, s),
+    ):
+        calls.clear()
+        assert main(list(argv)) == 0, argv
+        capsys.readouterr()
+        assert calls == [], argv
+    # the counter is live: strict equivalence contracts theta with
+    # arbitrary arguments on purpose
+    assert main(["def", "trivial", op, s, "--strict"]) == 0
+    capsys.readouterr()
+    assert "theta_vec" in calls and "d_vec" in calls
+
+
+def test_cohomology_of_a_non_operator_checks_rb_once(monkeypatch, tmp_path, capsys, rbo4):
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(rbo_to_json(RelativeRBO(rbo4.action, F(1), Matrix.identity(4)))))
+    zero = tmp_path / "zero.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    expected = {
+        ("coh", "group"): "cohomology requires the Rota-Baxter identity to hold",
+        ("coh", "coboundary"): "descendent system requires the Rota-Baxter identity; 2 basis triples fail",
+    }
+    for argv in (
+        ("coh", "group", str(bad), "--degree", "1"),
+        ("coh", "group", str(bad), "--degree", "3"),
+        ("coh", "coboundary", str(bad), str(zero)),
+    ):
+        assert main(list(argv)) == 1, argv
+        want = '{\n  "error": "%s",\n  "kind": "verification"\n}\n' % expected[argv[:2]]
+        assert capsys.readouterr().out == want, argv
+
+    # on an operator, (RB) is read off the d'^3 brackets of the
+    # descendent system alone; induced_rep adds 2 d d'^2 more for
+    # theta_T and its D_T check
+    brackets = []
+    inner = rota_baxter.semidirect_bracket
+
+    def counting(*args):
+        brackets.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(rota_baxter, "semidirect_bracket", counting)
+    assert main(["coh", "group", str(fixture_path("rbo4_P")), "--degree", "1"]) == 0
+    capsys.readouterr()
+    assert len(brackets) == 4**3 + 2 * 4 * 4**2
