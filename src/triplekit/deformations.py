@@ -21,8 +21,12 @@ conditions on X:
 Both are linear in the wedge coordinates, so witnesses are found by
 one exact linear solve.  Strict mode additionally demands the
 first-order parts of the theta- and D-equivariance conditions of an
-operator homomorphism.  Each condition is written once: the check
-evaluates it at the witness, the solve stacks it at the unit wedges.
+operator homomorphism.  The theta rows are contracted in one pass over
+the nonzero entries of the theta(e_i, e_j), [X,-] and D(X), with no
+matrix built; D is theta(b,a) - theta(a,b) and every term is linear in
+theta, so each D row is a difference of two theta rows.  Each condition
+is written once: the check evaluates it at the witness, the solve
+stacks it at the unit wedges.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .linalg import (
     Matrix,
     StructureError,
     VerificationError,
+    ZERO,
     basis_vector,
     rref,
     solve,
@@ -133,6 +138,35 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     return True, tuple(reduced.entries[r][-1] for r in range(bb.dim, len(pivots)))
 
 
+def _theta_equivariance_rows(rep, bx: Matrix, dx: Matrix):
+    """rows[x][y] = dx theta(e_x,e_y) - theta(bx e_x, e_y) - theta(e_x, bx e_y)
+    - theta(e_x,e_y) dx, flattened row by row, for every basis pair.
+
+    One pass over the nonzero entries of the theta(e_i, e_j): the entry
+    (r, c, a) of theta(e_i, e_j) meets the nonzeros of column r and
+    row c of dx in row (i, j), and adds -bx[i][x] a to row (x, j) and
+    -bx[j][y] a to row (i, y).  No matrix is built.
+    """
+    d, dp = rep.algebra.dim, rep.space_dim
+    rows = [[[ZERO] * (dp * dp) for _ in range(d)] for _ in range(d)]
+    dx_cols = [[(s, b) for s, b in enumerate(dx.column(k)) if b] for k in range(dp)]
+    dx_rows = [[(s, b) for s, b in enumerate(row) if b] for row in dx.entries]
+    bx_rows = [[(t, b) for t, b in enumerate(row) if b] for row in bx.entries]
+    for i, j, entries in rep.nonzero:
+        own = rows[i][j]
+        for r, c, a in entries:
+            for s, b in dx_cols[r]:
+                own[s * dp + c] += b * a
+            for s, b in dx_rows[c]:
+                own[r * dp + s] -= a * b
+        # theta(bx e_x, e_y) and theta(e_x, bx e_y), over the nonzeros of bx
+        middle = [(rows[x][j], b) for x, b in bx_rows[i]] + [(rows[i][y], b) for y, b in bx_rows[j]]
+        for row, b in middle:
+            for r, c, a in entries:
+                row[r * dp + c] -= b * a
+    return rows
+
+
 def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):
     """(rule, witness, value, target) for every first-order condition on
     the pair (id + t[X,-], id + t D(X)) carrying T + t S1 onto T + t S2,
@@ -140,10 +174,12 @@ def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Coch
 
     Values are linear in X and targets do not depend on it.  At a unit
     wedge e_a ^ e_b the theta rows are minus (R2) of the action at
-    (a, b, x, y), and the D rows follow from them.
+    (a, b, x, y).  Since D(x, y) = theta(y, x) - theta(x, y) and every
+    term is linear in theta, the D row at (x, y) is the theta row at
+    (y, x) minus the one at (x, y).
     """
     rbo = cx.rbo
-    rep, d = rbo.action.rep, rbo.ambient.dim
+    d = rbo.ambient.dim
     bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
     delta = cx.apply(X)
     out = []
@@ -153,14 +189,14 @@ def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Coch
         e2 = vec_sub(bx.apply(s1), S2.apply(dx.column(u)))
         out.append(("compatibility-order-t", (u + 1,), e2, zero_vector(d)))
     if strict:
-        E, zero = rbo.ambient.basis(), zero_vector(rbo.source.dim ** 2)
+        theta = _theta_equivariance_rows(rbo.action.rep, bx, dx)
+        zero = zero_vector(rbo.source.dim ** 2)
         for x, y in product(range(d), repeat=2):
-            for rule, m, op in (
-                ("theta-equivariance-order-t", rep.theta[x][y], rep.theta_vec),
-                ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
-            ):
-                var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx
-                out.append((rule, (x + 1, y + 1), tuple(a for row in var.entries for a in row), zero))
+            row = tuple(theta[x][y])
+            out.append(("theta-equivariance-order-t", (x + 1, y + 1), row, zero))
+            # theta[y][x] - row, skipping the zero entries that make up most of row
+            d_row = tuple(a - b if b else a for a, b in zip(theta[y][x], row))
+            out.append(("D-equivariance-order-t", (x + 1, y + 1), d_row, zero))
     return out
 
 

@@ -88,8 +88,9 @@ class LieTripleSystem:
                 raise StructureError("bracket argument length differs from dimension")
         out = [ZERO] * self.dim
         for i, j, k, vec in self.nonzero:
-            coef = x[i] * y[j] * z[k]
-            if coef:
+            # most argument coordinates are zero on basis-vector arguments
+            if x[i] and y[j] and z[k]:
+                coef = x[i] * y[j] * z[k]
                 for l, val in enumerate(vec):
                     if val:
                         out[l] += coef * val

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, StructureError
 from .representations import ActionData, semidirect_product
 from .rota_baxter import (
     graph_subsystem,
@@ -45,6 +45,8 @@ def equivalence_sweep(
     number of maps that were operators and the list of disagreeing
     trials (empty unless something is wrong).
     """
+    if trials < 0:
+        raise StructureError(f"trial count must be nonnegative, got {trials}")
     rng = random.Random(seed)
     ambient = semidirect_product(action, weight)
     d, dp = action.algebra.dim, action.target.dim

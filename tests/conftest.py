@@ -24,6 +24,7 @@ SEEDS = {
     "fuzz": 5150,
     "change_of_basis": 310,
     "semidirect": 7129,
+    "bracket": 5813,
 }
 
 F = Fraction

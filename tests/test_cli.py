@@ -209,6 +209,7 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         (lts_verify, "[" * 5000 + "]" * 5000),
         # no input file: the dimensions come from the command line
         (("coh", "basis", "--degree", "3", "--source-dim", "-1", "--target-dim", "2"), None),
+        (("rbo", "equivalence", rbo3, "--trials", "-1"), None),
     )
     for n, (argv, doc) in enumerate(cases):
         if doc is not None:

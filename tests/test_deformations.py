@@ -6,6 +6,7 @@ import pytest
 
 from triplekit.cohomology import (
     Cochain,
+    OperatorComplex,
     cochain_from_map,
     cochain_to_map,
     cohomology_data,
@@ -19,6 +20,8 @@ from triplekit.cohomology import (
 from triplekit.deformations import (
     EquivalenceWitness,
     InfinitesimalDeformation,
+    _equivalence_conditions,
+    _equivalence_system,
     check_deformation,
     check_equivalence,
     deformation_cocycle_class,
@@ -494,6 +497,80 @@ def test_equivalence_conditions_match_hand_expansion(rbo3, rbo4, sl2_lts):
                     assert reference_check_equivalence(d1, d2, found, trial % 2 == 1) == ()
     # both outcomes of every condition were compared
     assert all(held.values()) and all(failed.values()), (held, failed)
+
+
+
+STRICT_RULES = ("theta-equivariance-order-t", "D-equivariance-order-t")
+
+
+def oracle_strict_rows(rbo, X):
+    """The strict rows as written before they were contracted sparsely:
+    dense theta and D matrices from theta_vec / d_vec, multiplied by the
+    dense D(X) with @, each row flattened row by row."""
+    rep, d = rbo.action.rep, rbo.ambient.dim
+    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
+    E = rbo.ambient.basis()
+    out = []
+    for x, y in product(range(d), repeat=2):
+        for rule, m, op in (
+            ("theta-equivariance-order-t", rep.theta[x][y], rep.theta_vec),
+            ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
+        ):
+            var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx
+            out.append((rule, (x + 1, y + 1), tuple(a for row in var.entries for a in row)))
+    return out
+
+
+def strict_row_operators(rbo3, rbo4, sl2_lts, lts4):
+    """rbo3_P and rbo4_P, whose strict rows vanish, and the perturbed
+    sl2 and lts4 actions, where they fire."""
+    perturbed = [perturbed_adjoint_operator(L, Matrix.zeros(L.dim, L.dim)) for L in (sl2_lts, lts4)]
+    return [rbo3, rbo4, *perturbed]
+
+
+def test_strict_rows_match_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
+    # unit wedges and seeded random wedges, some with fractional coordinates
+    rng = random.Random(SEEDS["deformation"])
+    fired = 0
+    for rbo in strict_row_operators(rbo3, rbo4, sl2_lts, lts4):
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        n = len(wedge_pairs(d))
+        wedges = [Cochain(-1, dp, d, basis_vector(n, k)) for k in range(n)]
+        wedges += [random_wedge(rng, rbo) for _ in range(3)]
+        wedges += [Cochain(-1, dp, d, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))]
+        cx = OperatorComplex(rbo)
+        S = Matrix.zeros(d, dp)
+        for X in wedges:
+            rows = [
+                (rule, witness, value)
+                for rule, witness, value, _target in _equivalence_conditions(cx, S, S, X, True)
+                if rule in STRICT_RULES
+            ]
+            want = oracle_strict_rows(rbo, X)
+            assert rows == want, (d, X.coeffs)
+            fired += sum(any(value) for _rule, _witness, value in want)
+    assert fired
+
+
+def test_strict_system_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
+    rng = random.Random(SEEDS["deformation"])
+    for rbo in strict_row_operators(rbo3, rbo4, sl2_lts, lts4):
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        n = len(wedge_pairs(d))
+        d1 = InfinitesimalDeformation(rbo, cochain_from_map(random_integer_matrix(rng, d, dp)))
+        d2 = InfinitesimalDeformation(rbo, cochain_from_map(random_integer_matrix(rng, d, dp)))
+        S1, S2 = d1.direction_map(), d2.direction_map()
+        # the non-strict rows of each unit wedge, then the oracle's strict rows
+        cols = []
+        for k in range(n):
+            X = Cochain(-1, dp, d, basis_vector(n, k))
+            plain = _equivalence_conditions(d1.complex, S1, S2, X, False)
+            values = [value for _rule, _witness, value, _target in plain]
+            values += [value for _rule, _witness, value in oracle_strict_rows(rbo, X)]
+            cols.append(tuple(x for value in values for x in value))
+        targets = [target for _rule, _witness, _value, target in plain] + [(F(0),) * (dp * dp)] * (2 * d * d)
+        rhs = tuple(x for target in targets for x in target)
+        assert _equivalence_system(d1, d2, strict=True) == (Matrix.from_columns(cols, len(rhs)), rhs)
 
 
 def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from triplekit.linalg import Matrix, SubspaceBasis, basis_vector
 from triplekit.lts import (
     HomomorphismCandidate,
@@ -14,6 +16,7 @@ from triplekit.lts import (
     verify_lts,
     zero_system,
 )
+from triplekit.representations import semidirect_product
 
 from conftest import SEEDS
 
@@ -96,6 +99,43 @@ def test_bracket_eval_examples(lts3):
     assert lts3.bracket_eval(e[0], e[0], e[1]) == (F(0),) * 3
     doubled = tuple(2 * x for x in e[0])
     assert lts3.bracket_eval(doubled, e[1], e[0]) == (F(0), F(0), F(2))
+
+
+
+def dense_bracket_eval(L, x, y, z):
+    """sum x_i y_j z_k c[i][j][k] over all d^3 triples of the dense tensor."""
+    out = [F(0)] * L.dim
+    for i, j, k in product(range(L.dim), repeat=3):
+        for l, val in enumerate(L.bracket[i][j][k]):
+            out[l] += x[i] * y[j] * z[k] * val
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["lts3", "lts4", "sl2_lts", "rbo4_semidirect"])
+def test_bracket_eval_matches_dense_oracle(name, request):
+    if name == "rbo4_semidirect":
+        rbo4 = request.getfixturevalue("rbo4")
+        L = semidirect_product(rbo4.action, rbo4.weight)
+    else:
+        L = request.getfixturevalue(name)
+    rng = random.Random(SEEDS["bracket"])
+
+    def draw(kind):
+        # "sparse" zeroes about half of the coordinates, "dense" none
+        coords = []
+        for _ in range(L.dim):
+            zero = kind == "zero" or (kind == "sparse" and rng.random() < 0.5)
+            coords.append(F(0) if zero else F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        return tuple(coords)
+
+    nonzero = 0
+    for kinds in product(("zero", "sparse", "dense"), repeat=3):
+        for _ in range(3):
+            x, y, z = map(draw, kinds)
+            got = L.bracket_eval(x, y, z)
+            assert got == dense_bracket_eval(L, x, y, z), kinds
+            nonzero += any(got)
+    assert nonzero
 
 
 def test_derived_algebra(lts3, lts4):

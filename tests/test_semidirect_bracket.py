@@ -16,7 +16,7 @@ import pytest
 from triplekit import rota_baxter
 from triplekit.cli import main
 from triplekit.cohomology import zero_cochain
-from triplekit.fileio import cochain_to_json, dump_json, rbo_to_json
+from triplekit.fileio import cochain_to_json, dump_json, matrix_to_json, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, StructureError, basis_vector
 from triplekit.lts import LieTripleSystem
@@ -144,22 +144,31 @@ def test_operator_commands_build_no_theta_matrix(monkeypatch, tmp_path, capsys):
     zero = tmp_path / "zero.json"
     zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
     s = str(zero)
+    wedge = tmp_path / "wedge.json"
+    wedge.write_text(dump_json(cochain_to_json(zero_cochain(-1, 4, 4))))
     for argv in (
         ("coh", "group", op, "--degree", "1"),
         ("coh", "group", op, "--degree", "3"),
         ("coh", "coboundary", op, s),
         ("coh", "cocycle", op, s),
         ("def", "check", op, s),
+        ("def", "check", op, s, "--strict"),
         ("def", "class", op, s),
         ("def", "trivial", op, s),
+        ("def", "trivial", op, s, "--strict"),
+        ("def", "equiv", op, s, s, "--strict"),
+        ("def", "equiv", op, s, s, "--strict", "--witness", str(wedge)),
     ):
         calls.clear()
         assert main(list(argv)) == 0, argv
         capsys.readouterr()
         assert calls == [], argv
-    # the counter is live: strict equivalence contracts theta with
-    # arbitrary arguments on purpose
-    assert main(["def", "trivial", op, s, "--strict"]) == 0
+    # the counter is live: the homomorphism check contracts theta with
+    # the columns of psi_L, arbitrary arguments, on purpose
+    identity = matrix_to_json(Matrix.identity(4))
+    hom = tmp_path / "hom.json"
+    hom.write_text(dump_json({"source": op, "target": op, "psi_L": identity, "psi_Lprime": identity}))
+    assert main(["rbo", "hom", str(hom)]) == 0
     capsys.readouterr()
     assert "theta_vec" in calls and "d_vec" in calls
 
