@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import fileio
 from .cohomology import (
@@ -283,7 +284,11 @@ def cmd_fixtures_path(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by
+    every later one: it depends on no input, and parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="triplekit",
         description="exact computations with Lie triple systems and relative Rota-Baxter operators",

@@ -27,7 +27,8 @@ complex instead of silently picking one; see
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect bracket of graph vectors; its degree -1 map is
-delta X = T D(X) - [X,-] T.  Each differential is written once, by one
+delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
+of T and of the bracket.  Each differential is written once, by one
 pass that writes its entries into sparse columns, and
 :class:`OperatorComplex` assembles each at most once per operator; the
 audit is the sparse product d_3 d_1, and a degree-1 cochain is closed
@@ -370,16 +371,27 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
 
 def _assemble_delta(rbo: RelativeRBO) -> dict:
     """delta X = T D(X) - [X,-] T, one column per unit wedge e_i ^ e_j:
-    (delta X)(v) = T D(e_i, e_j) v - [e_i, e_j, Tv]."""
-    T, L, dp, d = rbo.T.entries, rbo.ambient, rbo.source.dim, rbo.ambient.dim
+    (delta X)(v) = T D(e_i, e_j) v - [e_i, e_j, Tv].  Every entry is a
+    product of nonzeros: of theta, since D(e_i, e_j) = theta(e_j, e_i)
+    - theta(e_i, e_j), of T, and of the bracket."""
+    d, dp = rbo.ambient.dim, rbo.source.dim
+    wedge = {pair: k for k, pair in enumerate(wedge_pairs(d))}
+    T_cols = [[(l, t) for l, t in enumerate(rbo.T.column(w)) if t] for w in range(dp)]
+    T_rows = [[(v, t) for v, t in enumerate(row) if t] for row in rbo.T.entries]
 
     def entries():
-        for k, (i, j) in enumerate(wedge_pairs(d)):
-            D = rbo.action.rep.d_basis(i, j).entries
-            for v, w, l in product(range(dp), range(dp), range(d)):
-                yield k, v * d + l, T[l][w] * D[w][v]
-            for v, x, l in product(range(dp), range(d), range(d)):
-                yield k, v * d + l, -T[x][v] * L.bracket[i][j][x][l]
+        for i, j, theta in rbo.action.rep.nonzero:
+            if i != j:
+                k, sign = (wedge[i, j], -1) if i < j else (wedge[j, i], 1)
+                for w, v, a in theta:
+                    for l, t in T_cols[w]:
+                        yield k, v * d + l, sign * t * a
+        for i, j, x, vec in rbo.ambient.nonzero:
+            if i < j:
+                for v, t in T_rows[x]:
+                    for l, c in enumerate(vec):
+                        if c:
+                            yield wedge[i, j], v * d + l, -t * c
 
     return _columns(entries())
 
@@ -414,13 +426,12 @@ class OperatorComplex:
         """Coboundary of f in degree -1, 1 or 3."""
         if f.degree not in (-1, 1, 3):
             raise StructureError(f"unsupported cochain degree {f.degree}")
-        columns = self.differential(f.degree, convention)
         if f.source_dim != self.rbo.source.dim or f.target_dim != self.rbo.ambient.dim:
             raise StructureError(
                 "wedge coordinates sized for a different operator" if f.degree == -1
                 else "cochain dimensions differ from the coefficient system"
             )
-        return _image(columns, f)
+        return _image(self.differential(f.degree, convention), f)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing

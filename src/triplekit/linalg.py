@@ -115,10 +115,8 @@ class Matrix:
     def apply(self, vec: Vector) -> Vector:
         if len(vec) != self.cols:
             raise StructureError(f"cannot apply {self.rows}x{self.cols} matrix to length-{len(vec)} vector")
-        return tuple(
-            sum((row[j] * vec[j] for j in range(self.cols) if vec[j]), ZERO)
-            for row in self.entries
-        )
+        support = [(j, x) for j, x in enumerate(vec) if x]
+        return tuple(sum((row[j] * x for j, x in support), ZERO) for row in self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._need_same_shape(other)

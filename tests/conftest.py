@@ -25,6 +25,7 @@ SEEDS = {
     "change_of_basis": 310,
     "semidirect": 7129,
     "bracket": 5813,
+    "delta": 6271,
 }
 
 F = Fraction

@@ -2,10 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from triplekit.fileio import dump_json
+from triplekit.cli import build_parser, main
+from triplekit.cohomology import zero_cochain
+from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
+from triplekit.linalg import Matrix
+from triplekit.rota_baxter import RelativeRBO
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -189,6 +194,12 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
     rep_verify = ("rep", "verify")
     rbo3 = str(fixture_path("rbo3_P"))
     subsystem = ("lts", "subsystem", str(fixture_path("lts3")))
+    # rbo4_P's action with a T that fails (RB): a mis-sized cochain is
+    # reported before anything is built from the operator
+    bad4 = tmp_path / "bad4.json"
+    bad4.write_text(dump_json(rbo_to_json(
+        RelativeRBO(load_rbo(fixture_path("rbo4_P")).action, Fraction(1), Matrix.identity(4))
+    )))
     cases = (
         (lts_verify, {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
         (lts_verify, {"dim": 3, "basis": 5}),
@@ -210,6 +221,9 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         # no input file: the dimensions come from the command line
         (("coh", "basis", "--degree", "3", "--source-dim", "-1", "--target-dim", "2"), None),
         (("rbo", "equivalence", rbo3, "--trials", "-1"), None),
+        (("coh", "coboundary", str(bad4)), {
+            "degree": 1, "source_dim": 3, "target_dim": 3, "coeffs": [["0", "0", "0"]] * 3,
+        }),
     )
     for n, (argv, doc) in enumerate(cases):
         if doc is not None:
@@ -231,3 +245,29 @@ def test_byte_identical_reruns():
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # main keeps one parser for the process; a run must leave nothing in
+    # it that changes the next one, so each step of the sequence prints
+    # what a fresh process prints
+    assert build_parser() is build_parser()
+    rbo3 = str(fixture_path("rbo3_P"))
+    zero = tmp_path / "zero.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 3, 3))))
+    sequence = (
+        ("coh", "group", rbo3, "--degree", "2"),
+        ("coh", "group", rbo3, "--degree", "1", "--weight", "0"),
+        ("coh", "group", rbo3, "--degree", "1"),
+        ("def", "trivial", rbo3, str(zero), "--strict"),
+    )
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        fresh = run_cli(*argv)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]

@@ -127,3 +127,26 @@ def test_matrix_shape_errors():
         Matrix.identity(2) @ Matrix.identity(3)
     with pytest.raises(StructureError):
         Matrix.identity(2).apply((F(1),))
+
+
+def test_apply_matches_dense_oracle():
+    # the dense sum over every column, zero coordinates included
+    rng = random.Random(SEEDS["fuzz"])
+
+    def entry(density):
+        return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) if rng.random() < density else F(0)
+
+    for rows, cols in ((3, 4), (5, 2), (1, 1), (4, 0), (0, 3), (0, 0)):
+        m = Matrix(rows, cols, tuple(tuple(entry(0.6) for _ in range(cols)) for _ in range(rows)))
+        # zero, sparse and dense vectors
+        for density in (0, 0.3, 1):
+            for _ in range(5):
+                vec = tuple(entry(density) for _ in range(cols))
+                want = tuple(sum((row[j] * vec[j] for j in range(cols)), F(0)) for row in m.entries)
+                got = m.apply(vec)
+                assert got == want, (rows, cols, density)
+                assert all(type(x) is Fraction for x in got)
+        for length in (cols - 1, cols + 1):
+            if length >= 0:
+                with pytest.raises(StructureError):
+                    m.apply((F(1),) * length)

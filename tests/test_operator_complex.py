@@ -30,12 +30,13 @@ from triplekit.cohomology import (
 from triplekit.deformations import wedge_bracket_operator, wedge_d_operator
 from triplekit.fileio import cochain_to_json, dump_json
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import SubspaceBasis, basis_vector, vec_is_zero
-from triplekit.lts import LieTripleSystem
-from triplekit.representations import adjoint_representation, self_action
+from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
+from triplekit.lts import LieTripleSystem, zero_system
+from triplekit.representations import ActionData, RepresentationData, adjoint_representation, self_action
 from triplekit.rota_baxter import RelativeRBO, projection_rbo
 
 from conftest import SEEDS
+from test_deformations import perturbed_adjoint_operator
 
 F = Fraction
 
@@ -166,6 +167,36 @@ def test_operator_differentials_match_evaluator(name, request):
         f = generic(degree, dp, d)
         for convention in ("definition", "complex"):
             assert cx.apply(f, convention) == evaluate(cx.rep, f, convention), (degree, convention)
+
+
+def random_matrix(rng, rows, cols, density):
+    """Signed rationals, each entry nonzero with the given probability."""
+    return Matrix(rows, cols, tuple(
+        tuple(F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) if rng.random() < density else F(0)
+              for _ in range(cols))
+        for _ in range(rows)
+    ))
+
+
+@pytest.mark.parametrize("name, source_dim", [("lts3", 5), ("lts4", 2), ("perturbed", 4)])
+def test_delta_matches_evaluator_on_random_maps(name, source_dim, request):
+    # the fixtures' T are diagonal 0/1 projections with d = d', which
+    # cannot tell T from its transpose or see a lost T factor; delta
+    # needs neither (RB) nor the action identities, so random theta and
+    # random rational T of every shape are fair input
+    rng = random.Random(SEEDS["delta"])
+    L = request.getfixturevalue("lts4" if name == "perturbed" else name)
+    T = random_matrix(rng, L.dim, source_dim, 1)
+    if name == "perturbed":
+        rbo = perturbed_adjoint_operator(L, T)
+    else:
+        theta = tuple(
+            tuple(random_matrix(rng, source_dim, source_dim, 0.5) for _ in range(L.dim)) for _ in range(L.dim)
+        )
+        action = ActionData(RepresentationData(L, source_dim, theta), zero_system(source_dim))
+        rbo = RelativeRBO(action, F(1), T)
+    X = generic(-1, source_dim, L.dim)
+    assert OperatorComplex(rbo).apply(X) == evaluate_delta(rbo, X)
 
 
 @pytest.mark.parametrize("name", ["sl2_lts", "lts3", "lts4"])
