@@ -14,12 +14,12 @@ contradictions, matching how such tables are usually written down
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .cohomology import Cochain
 from .linalg import (
     Matrix,
+    Scalar,
     StructureError,
     SubspaceBasis,
     format_scalar,
@@ -41,7 +41,7 @@ def _resolve(node, base_dir: Path | None, loader):
     if isinstance(node, str):
         path = Path(node)
         if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
+            path = base_dir.joinpath(path)
         return loader(path)
     return node
 
@@ -81,7 +81,7 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
         raise StructureError("algebra: basis must be a list of names")
     if len(names) != dim:
         raise StructureError("algebra: basis name count differs from dim")
-    entries: dict[tuple[int, int, int], list[Fraction]] = {}
+    entries: dict[tuple[int, int, int], list[Scalar]] = {}
     for item in _require_list(data.get("brackets", []), "algebra brackets"):
         args = _require_list(_require(item, "args", "algebra bracket entry"), "algebra bracket args")
         if len(args) != 3 or not all(isinstance(a, int) and 1 <= a <= dim for a in args):

@@ -43,7 +43,7 @@ FIXTURES = {
 def fixture_path(name: str) -> Path:
     if name not in FIXTURES:
         raise StructureError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
-    return Path(resources.files(__package__) / "fixtures" / FIXTURES[name]["file"])
+    return Path(resources.files(__package__).joinpath("fixtures", FIXTURES[name]["file"]))
 
 
 def list_fixtures() -> list[dict]:

@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (axiom checks, cohomology ranks, deformation
-classes) needs exact ranks and kernels, so scalars are
-``fractions.Fraction`` throughout and elimination is plain fraction
-Gaussian elimination.  Vectors are tuples of Fractions, matrices are
-tuples of row tuples; all values are immutable and safe to share.
+classes) needs exact ranks and kernels, so every scalar is exact: an
+integral value is a plain ``int`` and only a non-integral value is a
+``fractions.Fraction``.  Integral data, such as every bundled fixture,
+then runs on machine-speed int arithmetic.  Sums, differences and
+products of ints and Fractions stay exact by themselves; a quotient of
+two ints would be a float, so every division goes through
+:func:`exact_div` and no other code divides scalars.  Vectors are
+tuples of scalars, matrices are tuples of row tuples; all values are
+immutable and safe to share.
 
 Scalars serialize as ``"p/q"``, or ``"p"`` when the denominator is 1.
 """
@@ -15,29 +20,46 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def parse_scalar(text) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (also accepts ints) into a Fraction."""
-    if isinstance(text, Fraction):
-        return text
+def _normal(q: Fraction) -> Scalar:
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_scalar(text) -> Scalar:
+    """Parse ``"p/q"`` or ``"p"`` (also accepts ints and Fractions) into a
+    scalar: an int when the value is integral, else a Fraction."""
+    if isinstance(text, bool):
+        raise StructureError(f"not a rational scalar: {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return int(text)
+    if isinstance(text, Fraction):
+        return _normal(text)
     if isinstance(text, str):
         try:
-            return Fraction(text.strip())
+            return _normal(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"not a rational scalar: {text!r}") from exc
     raise StructureError(f"not a rational scalar: {text!r}")
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` (or ``"p"`` for integers)."""
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral, else a
+    Fraction.  Raises ZeroDivisionError when b is zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _normal(Fraction(a, b))
+
+
+def format_scalar(value: Scalar) -> str:
+    """Render a scalar as ``"p/q"`` (or ``"p"`` for integers)."""
     return str(value)
 
 
@@ -71,7 +93,7 @@ class Matrix:
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
@@ -133,7 +155,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
 
-    def scale(self, c: Fraction) -> "Matrix":
+    def scale(self, c: Scalar) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -155,7 +177,7 @@ class Matrix:
             )
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     if not rows:
         return rows, []
@@ -167,8 +189,9 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv if x else x for x in rows[r]]
+        if (p := rows[r][col]) != 1:
+            inv = exact_div(ONE, p)
+            rows[r] = [x * inv if x else x for x in rows[r]]
         support = [(j, x) for j, x in enumerate(rows[r]) if x]
         for i in range(n_rows):
             if i != r and rows[i][col]:

@@ -11,9 +11,8 @@ entries live in [-3, 3]; fixed seeds keep runs reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .linalg import Matrix, StructureError
+from .linalg import Matrix, Scalar, StructureError
 from .representations import ActionData, semidirect_product
 from .rota_baxter import (
     graph_subsystem,
@@ -30,12 +29,12 @@ ENTRY_RANGE = (-3, 3)
 def random_integer_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     lo, hi = ENTRY_RANGE
     return Matrix.from_rows(
-        [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
     )
 
 
 def equivalence_sweep(
-    action: ActionData, weight: Fraction, trials: int = 100, seed: int = 20260808,
+    action: ActionData, weight: Scalar, trials: int = 100, seed: int = 20260808,
     extra_maps=(),
 ) -> dict:
     """Run the three-way equivalence over seeded random maps.

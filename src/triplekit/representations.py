@@ -20,10 +20,9 @@ what semidirect products need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix, StructureError, Vector, ZERO, basis_vector, vec_is_zero
+from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, basis_vector, vec_is_zero
 from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
@@ -169,7 +168,7 @@ def verify_action(a: ActionData) -> Report:
 
 
 def semidirect_bracket(
-    a: ActionData, weight: Fraction, x1: Vector, u1: Vector, x2: Vector, u2: Vector, x3: Vector, u3: Vector
+    a: ActionData, weight: Scalar, x1: Vector, u1: Vector, x2: Vector, u2: Vector, x3: Vector, u3: Vector
 ) -> tuple[Vector, Vector]:
     """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight.
 
@@ -203,7 +202,7 @@ def semidirect_bracket(
     return part_l, tuple(part_p)
 
 
-def semidirect_product(a: ActionData, weight: Fraction) -> LieTripleSystem:
+def semidirect_product(a: ActionData, weight: Scalar) -> LieTripleSystem:
     """System on L (+) L' whose bracket realizes the mixed formula.
 
     Basis order is the L basis followed by the L' basis.  The action

@@ -19,17 +19,19 @@ parts separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (
     Matrix,
+    ONE,
+    Scalar,
     StructureError,
     SubspaceBasis,
     Vector,
     VerificationError,
     ZERO,
     basis_vector,
+    exact_div,
     invert,
     vec_is_zero,
     vec_sub,
@@ -51,7 +53,7 @@ class RotaBaxterError(VerificationError):
 @dataclass(frozen=True)
 class RelativeRBO:
     action: ActionData
-    weight: Fraction
+    weight: Scalar
     T: LinearMap
 
     def __post_init__(self):
@@ -71,14 +73,14 @@ def _graph_vector(T: LinearMap, u: int) -> tuple[Vector, Vector]:
     return T.column(u), basis_vector(T.cols, u)
 
 
-def _projected_bracket(action: ActionData, weight: Fraction, T: LinearMap, a, b, c) -> Vector:
+def _projected_bracket(action: ActionData, weight: Scalar, T: LinearMap, a, b, c) -> Vector:
     """x - Tp for (x, p) = [a, b, c], the semidirect bracket of three
     (x, u) pairs; zero exactly when the bracket lies on the graph of T."""
     x, p = semidirect_bracket(action, weight, *a, *b, *c)
     return vec_sub(x, T.apply(p))
 
 
-def _rbo_defect(action: ActionData, weight: Fraction, T: LinearMap, u: int, v: int, w: int):
+def _rbo_defect(action: ActionData, weight: Scalar, T: LinearMap, u: int, v: int, w: int):
     """LHS - RHS of (RB) at basis triple (u, v, w): the projected bracket
     of the graph vectors of u, v and w; zero vector iff (RB) holds there."""
     return _projected_bracket(
@@ -86,7 +88,7 @@ def _rbo_defect(action: ActionData, weight: Fraction, T: LinearMap, u: int, v: i
     )
 
 
-def _rbo_violations(action: ActionData, weight: Fraction, T: LinearMap):
+def _rbo_violations(action: ActionData, weight: Scalar, T: LinearMap):
     """Basis triples where (RB) fails, generated in lexicographic order."""
     _check_dims(action, T)
     for u, v, w in product(range(action.target.dim), repeat=3):
@@ -94,30 +96,32 @@ def _rbo_violations(action: ActionData, weight: Fraction, T: LinearMap):
             yield Violation("rota-baxter-identity", (u + 1, v + 1, w + 1))
 
 
-def check_rbo(action: ActionData, weight: Fraction, T: LinearMap) -> Report:
+def check_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> Report:
     """All basis triples where (RB) fails, in lexicographic order."""
     return tuple(_rbo_violations(action, weight, T))
 
 
-def is_rbo(action: ActionData, weight: Fraction, T: LinearMap) -> bool:
+def is_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> bool:
     """Early-exit variant of :func:`check_rbo` for property sweeps."""
     return next(_rbo_violations(action, weight, T), None) is None
 
 
-def _defect_coefficients(action: ActionData, weight: Fraction, T: LinearMap, S: LinearMap):
+def _defect_coefficients(action: ActionData, weight: Scalar, T: LinearMap, S: LinearMap):
     """((u, v, w), (c1, c2, c3)) for every basis triple, where c_k is the
     t^k coefficient of the (RB) defect of T + tS at (u, v, w).
 
     The defect is cubic in t, so its values at t = 0, 1, -1, 2 determine
     all four coefficients, recovered here by exact interpolation.
     """
-    points = (T, T + S, T - S, T + S.scale(Fraction(2)))
+    points = (T, T + S, T - S, T + S.scale(2))
     for u, v, w in product(range(action.target.dim), repeat=3):
         d0, d1, dm, d2 = (_rbo_defect(action, weight, M, u, v, w) for M in points)
-        c2 = tuple((a + b) / 2 - z for a, b, z in zip(d1, dm, d0))
-        odd = tuple((a - b) / 2 for a, b in zip(d1, dm))  # c1 + c3
+        c2 = tuple(exact_div(a + b, 2) - z for a, b, z in zip(d1, dm, d0))
+        odd = tuple(exact_div(a - b, 2) for a, b in zip(d1, dm))  # c1 + c3
         # (d2 - d0 - 4 c2) / 2 = c1 + 4 c3
-        c3 = tuple(((e - z - 4 * q) / 2 - o) / 3 for e, z, q, o in zip(d2, d0, c2, odd))
+        c3 = tuple(
+            exact_div(exact_div(e - z - 4 * q, 2) - o, 3) for e, z, q, o in zip(d2, d0, c2, odd)
+        )
         c1 = tuple(o - k for o, k in zip(odd, c3))
         yield (u, v, w), (c1, c2, c3)
 
@@ -176,7 +180,7 @@ def projection_rbo(
     Binv = invert(B)
     sel = Matrix.from_rows(
         [
-            [Fraction(1) if (r == c and r >= complement.dim) else ZERO for c in range(L.dim)]
+            [ONE if (r == c and r >= complement.dim) else ZERO for c in range(L.dim)]
             for r in range(L.dim)
         ]
     )
@@ -287,7 +291,7 @@ def nijenhuis_lift(action: ActionData, T: LinearMap) -> Matrix:
     rows = []
     for r in range(d):
         rows.append(
-            tuple(Fraction(1) if c == r else ZERO for c in range(d)) + tuple(T.entries[r])
+            tuple(ONE if c == r else ZERO for c in range(d)) + tuple(T.entries[r])
         )
     for _ in range(dp):
         rows.append(zero_vector(n))

@@ -26,6 +26,7 @@ SEEDS = {
     "semidirect": 7129,
     "bracket": 5813,
     "delta": 6271,
+    "scalars": 8117,
 }
 
 F = Fraction

@@ -200,6 +200,11 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
     bad4.write_text(dump_json(rbo_to_json(
         RelativeRBO(load_rbo(fixture_path("rbo4_P")).action, Fraction(1), Matrix.identity(4))
     )))
+    # a JSON boolean is not the scalar 1, neither as the weight nor in T
+    bool_weight = json.loads(fixture_path("rbo3_P").read_text())
+    bool_weight["weight"] = True
+    bool_entry = json.loads(fixture_path("rbo3_P").read_text())
+    bool_entry["T"][0][0] = True
     cases = (
         (lts_verify, {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
         (lts_verify, {"dim": 3, "basis": 5}),
@@ -224,6 +229,8 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         (("coh", "coboundary", str(bad4)), {
             "degree": 1, "source_dim": 3, "target_dim": 3, "coeffs": [["0", "0", "0"]] * 3,
         }),
+        (("coh", "group", "--degree", "1"), bool_weight),
+        (("coh", "group", "--degree", "1"), bool_entry),
     )
     for n, (argv, doc) in enumerate(cases):
         if doc is not None:

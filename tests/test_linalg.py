@@ -9,6 +9,7 @@ from triplekit.linalg import (
     SubspaceBasis,
     VerificationError,
     basis_vector,
+    exact_div,
     format_scalar,
     invert,
     kernel_basis,
@@ -33,6 +34,32 @@ def test_scalar_parse_and_format():
         parse_scalar("1/0")
     with pytest.raises(StructureError):
         parse_scalar("abc")
+
+
+def test_integral_scalars_are_ints():
+    # an integral value is an int, only a non-integral one a Fraction
+    for value, want in (("4/2", 2), ("-6/3", -2), (" 7 ", 7), (F(6, 3), 2), (3, 3), ("0/5", 0)):
+        got = parse_scalar(value)
+        assert type(got) is int and got == want, value
+    for value, want in (("1/2", F(1, 2)), (F(-4, 6), F(-2, 3)), ("0.25", F(1, 4))):
+        got = parse_scalar(value)
+        assert type(got) is Fraction and got == want, value
+    # a JSON boolean or a float is not a scalar
+    for value in (True, False, 1.5, 2.0, None, [1]):
+        with pytest.raises(StructureError):
+            parse_scalar(value)
+
+
+def test_exact_div():
+    for a, b, want in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 7, 0), (F(3, 2), F(1, 2), 3), (F(1, 2), F(1, 4), 2)):
+        got = exact_div(a, b)
+        assert type(got) is int and got == want, (a, b)
+    for a, b, want in ((1, 2, F(1, 2)), (-3, 6, F(-1, 2)), (F(1, 2), 3, F(1, 6)), (2, F(3, 5), F(10, 3))):
+        got = exact_div(a, b)
+        assert type(got) is Fraction and got == want, (a, b)
+    for a, b in ((1, 0), (0, 0), (F(1, 2), F(0))):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, b)
 
 
 def test_scalar_arithmetic_exact():
@@ -145,7 +172,7 @@ def test_apply_matches_dense_oracle():
                 want = tuple(sum((row[j] * vec[j] for j in range(cols)), F(0)) for row in m.entries)
                 got = m.apply(vec)
                 assert got == want, (rows, cols, density)
-                assert all(type(x) is Fraction for x in got)
+                assert all(type(x) in (int, Fraction) for x in got)
         for length in (cols - 1, cols + 1):
             if length >= 0:
                 with pytest.raises(StructureError):
