@@ -5,7 +5,8 @@ Cochains of degree 2n+1 >= 3 satisfy two linear constraints: they
 vanish when the arguments in slots 2n-1 and 2n coincide, and their
 cyclic sum over the last three argument slots vanishes.  The
 constraints are written once, as the explicit reduced echelon basis of
-:func:`cochain_space_basis`; no elimination builds it.  Degree-1
+:func:`cochain_space_basis`, sparse rows of at most four nonzeros; no
+elimination builds it.  Degree-1
 cochains are unconstrained linear maps, and the operator complex has
 an extra degree -1 piece, the wedge square of the target system.
 
@@ -32,7 +33,11 @@ of T and of the bracket.  Each differential is written once, by one
 pass that writes its entries into sparse columns, and
 :class:`OperatorComplex` assembles each at most once per operator; the
 audit is the sparse product d_3 d_1, and a degree-1 cochain is closed
-exactly when d_1 f = 0.
+exactly when d_1 f = 0.  Cocycles, coboundaries and their quotient come
+from the sparse elimination of :func:`triplekit.linalg.echelon` on the
+images of the constrained basis and on the incoming columns, so no
+dense matrix stands between the constrained basis and H; the tests
+check them against a dense elimination kept there as the oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ from .linalg import (
     ZERO,
     basis_vector,
     invert,
-    kernel_basis,
     quotient_dim,
+    sparse_kernel,
+    sparse_transpose,
     vec_is_zero,
     zero_vector,
 )
@@ -178,7 +184,8 @@ def cochain_space_basis(
     positions with first argument below the second and third argument
     at least the first, so no row has an entry in another row's pivot
     column; emitted in lexicographic order, the rows already are the
-    reduced echelon basis.  Per target coordinate and prefix there are
+    reduced echelon basis, written sparse as their (column, value)
+    pairs.  Per target coordinate and prefix there are
     d(d-1)(d+1)/3 of them, d = d_source.
 
     Degree 5 spaces grow as d_source^5 and are gated behind
@@ -195,7 +202,6 @@ def cochain_space_basis(
     if degree == 5 and not allow_degree_5:
         raise StructureError("degree-5 cochain spaces require the size override")
     ds, dt = d_source, d_target
-    width = ds**degree * dt
     rows = []
     for *head, i, j, k in product(range(ds), repeat=degree):
         if i >= j or k < i:
@@ -203,13 +209,9 @@ def cochain_space_basis(
         tails = [((i, j, k), ONE), ((j, i, k), -ONE)]
         if k not in (i, j):
             tails += [((j, k, i), -ONE), ((k, j, i), ONE)]
-        terms = [(flat_arg_index((*head, *tail), ds) * dt, c) for tail, c in tails]
-        for l in range(dt):
-            row = [ZERO] * width
-            for pos, c in terms:
-                row[pos + l] = c
-            rows.append(tuple(row))
-    return SubspaceBasis(width, tuple(rows))
+        terms = sorted((flat_arg_index((*head, *tail), ds) * dt, c) for tail, c in tails)
+        rows += (tuple((pos + l, c) for pos, c in terms) for l in range(dt))
+    return SubspaceBasis(ds**degree * dt, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +237,13 @@ def _apply(columns, vec: dict) -> dict:
     return {i: x for i, x in out.items() if x}
 
 
-def _sparse(vec: Vector) -> dict:
-    return {i: x for i, x in enumerate(vec) if x}
-
-
-def _dense(vec: dict, n: int) -> Vector:
-    return tuple(vec.get(i, ZERO) for i in range(n))
-
-
 def _image(columns, f: Cochain) -> Cochain:
     """The cochain that a differential maps f to."""
     ds, dt, degree = f.source_dim, f.target_dim, 1 if f.degree == -1 else f.degree + 2
-    return unflatten_cochain(degree, ds, dt, _dense(_apply(columns, _sparse(flatten_cochain(f))), ds**degree * dt))
+    flat = [ZERO] * (ds**degree * dt)
+    for i, x in _apply(columns, {j: x for j, x in enumerate(flatten_cochain(f)) if x}).items():
+        flat[i] = x
+    return unflatten_cochain(degree, ds, dt, tuple(flat))
 
 
 def _d_sum_sign(convention: str, n: int, i: int) -> int:
@@ -435,26 +432,24 @@ class OperatorComplex:
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
-        differential on the constrained basis, taken on the nonzero
-        rows of its images; B is the image of the incoming one."""
+        differential on the constrained basis, B the span of the
+        incoming one's columns; both are read off the sparse echelon
+        form of :func:`triplekit.linalg.echelon`, with no dense matrix."""
         if degree not in (1, 3):
             raise StructureError(f"unsupported cohomology degree {degree}")
         d, dp = self.rbo.ambient.dim, self.rbo.source.dim
         size = dp**degree * d
         audit = self.audit if degree == 3 else {}
         convention = _closing_convention(audit) if audit else "definition"
-        basis = dict(enumerate(map(_sparse, cochain_space_basis(degree, dp, d).vectors)))
-        images = [_apply(self.differential(degree, convention), vec) for vec in basis.values()]
-        rows = sorted(set().union(*images))
-        kernel = kernel_basis(Matrix(len(rows), len(images), tuple(
-            tuple(img.get(i, ZERO) for img in images) for i in rows
-        )))
+        basis = dict(enumerate(map(dict, cochain_space_basis(degree, dp, d).rows)))
+        images = [_apply(self.differential(degree, convention), vec).items() for vec in basis.values()]
+        kernel = sparse_kernel(sparse_transpose(images), len(images))
         # the constrained basis is in reduced echelon form, so its
         # combinations along the echelon kernel basis are too
-        cocycles = SubspaceBasis(size, tuple(_dense(_apply(basis, _sparse(c)), size) for c in kernel.vectors))
-        coboundaries = SubspaceBasis.from_spanning(
-            [_dense(col, size) for col in self.differential(degree - 2).values()], size
-        )
+        cocycles = SubspaceBasis(size, tuple(
+            tuple(sorted(_apply(basis, dict(c)).items())) for c in kernel.rows
+        ))
+        coboundaries = SubspaceBasis.from_sparse(self.differential(degree - 2).values(), size)
         return CohomologyData(CohomologyResult(
             degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
             convention if audit else None, tuple(sorted(audit.items())),

@@ -41,8 +41,9 @@ from .linalg import (
     VerificationError,
     ZERO,
     basis_vector,
-    rref,
+    echelon,
     solve,
+    sparse_transpose,
     vec_is_zero,
     vec_sub,
     zero_vector,
@@ -125,17 +126,19 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
 
     The H^1 basis extends the canonical coboundary basis to the
     cocycle space by the cocycle basis vectors that are pivots of one
-    elimination on [B basis | Z basis | direction], so the coordinates
-    are deterministic for a given operator; they are the direction
+    sparse elimination (:func:`triplekit.linalg.echelon`) on the
+    columns [B basis | Z basis | direction], so the coordinates are
+    deterministic for a given operator; they are the direction
     column's entries on the rows of those pivots.
     """
     data = d.complex.cohomology(1)
     zb, bb = data.cocycles, data.coboundaries
-    cols = list(bb.vectors) + list(zb.vectors) + [flatten_cochain(d.direction)]
-    reduced, pivots = rref(Matrix.from_columns(cols, zb.ambient_dim))
-    if len(cols) - 1 in pivots:
+    direction = tuple((i, x) for i, x in enumerate(flatten_cochain(d.direction)) if x)
+    pivots = echelon(sparse_transpose(bb.rows + zb.rows + (direction,)))
+    last = bb.dim + zb.dim
+    if last in pivots:
         raise VerificationError("direction is not a 1-cocycle; no cohomology class")
-    return True, tuple(reduced.entries[r][-1] for r in range(bb.dim, len(pivots)))
+    return True, tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
 
 
 def _theta_equivariance_rows(rep, bx: Matrix, dx: Matrix):

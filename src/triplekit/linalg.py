@@ -11,6 +11,16 @@ two ints would be a float, so every division goes through
 tuples of scalars, matrices are tuples of row tuples; all values are
 immutable and safe to share.
 
+Every exact elimination (rank, kernel, span, solve, inverse, quotient
+and the reduced row echelon form) runs on one routine, :func:`echelon`,
+over sparse rows: dicts from column to nonzero value.  Each row is
+reduced once against the pivot rows found so far, and each new pivot is
+cleared from the older pivot rows, so the result is fully reduced at
+every step and its cost follows the nonzeros, not the shape.  A
+:class:`SubspaceBasis` keeps its reduced echelon rows in that sparse
+form and builds the dense ``vectors`` only when asked.  The tests keep
+a dense column-by-column reduction as the oracle for this routine.
+
 Scalars serialize as ``"p/q"``, or ``"p"`` when the denominator is 1.
 """
 
@@ -177,126 +187,180 @@ class Matrix:
             )
 
 
-def _rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][col]), None)
-        if piv is None:
+def _nonzero(vec) -> dict:
+    # any() first: most rows of the stacked condition systems are zero
+    return {j: x for j, x in enumerate(vec) if x} if any(vec) else {}
+
+
+def _subtract(row: dict, f: Scalar, other: dict) -> None:
+    """row -= f * other, in place, keeping only nonzero entries."""
+    for j, x in other.items():
+        if y := row.get(j, ZERO) - f * x:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """Clear every pivot column from ``row`` in place and return it.
+
+    ``pivots`` maps each pivot column to the tail of its row, the entries
+    past the implicit 1, and no tail has an entry in another pivot
+    column.  Subtracting one pivot row therefore leaves the row's
+    entries in the other pivot columns as they were, so one pass over
+    the pivot columns the row holds clears them all."""
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(c), pivots[c])
+    return row
+
+
+def echelon(rows) -> dict:
+    """The fully reduced echelon form of the span of sparse rows.
+
+    Rows map (or list as pairs) column to value.  Returns {pivot column:
+    tail}: the pivot row holds 1 in its pivot column, the tail's entries
+    elsewhere, and 0 in every other pivot column.  Each incoming row is
+    reduced once against the pivot rows; if anything is left, its first
+    column becomes a new pivot, the row is scaled to 1 there and that
+    column is cleared from the older pivot rows.  A tail only gains
+    entries past a column it already holds, so every pivot row starts at
+    its pivot column and, sorted by pivot, the rows are the reduced row
+    echelon form.  This is the one exact elimination of the package."""
+    pivots = {}
+    for row in filter(None, rows):
+        row = _reduce(dict(row), pivots)
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if (p := rows[r][col]) != 1:
-            inv = exact_div(ONE, p)
-            rows[r] = [x * inv if x else x for x in rows[r]]
-        support = [(j, x) for j, x in enumerate(rows[r]) if x]
-        for i in range(n_rows):
-            if i != r and rows[i][col]:
-                f, row = rows[i][col], rows[i]
-                for j, x in support:
-                    row[j] -= f * x
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+        p = min(row)
+        if (a := row.pop(p)) != 1:
+            inv = exact_div(ONE, a)
+            row = {j: x * inv for j, x in row.items()}
+        for tail in pivots.values():
+            if f := tail.pop(p, ZERO):
+                _subtract(tail, f, row)
+        pivots[p] = row
+    return pivots
+
+
+def sparse_transpose(columns) -> list[dict]:
+    """The sparse rows of the matrix whose k-th column lists its
+    (row, value) pairs; all-zero rows are left out."""
+    rows = {}
+    for k, column in enumerate(columns):
+        for i, x in column:
+            rows.setdefault(i, {})[k] = x
+    return list(rows.values())
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    rows, pivots = _rref([list(r) for r in m.entries])
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows)), tuple(pivots)
+    basis = SubspaceBasis.from_spanning(m.entries, m.cols)
+    zeros = ((ZERO,) * m.cols,) * (m.rows - basis.dim)
+    return Matrix(m.rows, m.cols, basis.vectors + zeros), tuple(row[0][0] for row in basis.rows)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals, exact."""
-    _, pivots = _rref([list(r) for r in m.entries])
-    return len(pivots)
+    return len(echelon(map(_nonzero, m.entries)))
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Basis of a subspace of F^n, kept in reduced row echelon form.
 
-    The RREF normal form makes equality of spans a plain tuple
-    comparison and membership a single elimination pass.
+    ``rows`` holds each basis row sparse, as its (column, value) pairs
+    in column order.  The RREF normal form makes equality of spans a
+    plain tuple comparison and membership a single reduction pass;
+    ``vectors`` is the dense view, built on first use.
     """
 
     ambient_dim: int
-    vectors: tuple[Vector, ...]
+    rows: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.vectors):
-            raise StructureError("basis vector length differs from ambient dimension")
         # membership tests and span equality rely on the reduced echelon
         # normal form, so direct construction must already satisfy it:
-        # increasing leads equal to 1, each alone in its column.  Build
-        # via from_spanning for arbitrary vector lists
-        leads = [next((j for j, x in enumerate(row) if x), None) for row in self.vectors]
-        if (
-            None in leads
-            or any(a >= b for a, b in zip(leads, leads[1:]))
-            or any(row[lead] != 1 for row, lead in zip(self.vectors, leads))
-            or any(sum(1 for c in leads if row[c]) != 1 for row in self.vectors)
-        ):
-            raise StructureError("basis rows are not in reduced echelon form; use from_spanning")
+        # each row lists its nonzero entries in column order inside the
+        # ambient space, and the leads increase, equal 1 and stand alone
+        # in their columns.  Build via from_spanning or from_sparse for
+        # arbitrary vector lists
+        leads = {row[0][0] for row in self.rows if row}
+        previous = -1
+        for row in self.rows:
+            cols = [j for j, _ in row]
+            if not (
+                cols and previous < cols[0] and cols[-1] < self.ambient_dim and row[0][1] == 1
+                and all(a < b for a, b in zip(cols, cols[1:])) and all(x for _, x in row)
+                and sum(j in leads for j in cols) == 1
+            ):
+                raise StructureError("basis rows are not in reduced echelon form; use from_spanning")
+            previous = cols[0]
+
+    @classmethod
+    def from_sparse(cls, rows, ambient_dim: int) -> "SubspaceBasis":
+        """Canonical basis of the span of sparse rows (column -> value,
+        as a mapping or as pairs)."""
+        pivots = echelon(rows)
+        return cls(ambient_dim, tuple(
+            ((p, ONE),) + tuple(sorted(pivots[p].items())) for p in sorted(pivots)
+        ))
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int) -> "SubspaceBasis":
-        """Canonical basis (RREF rows) of the span of ``vectors``."""
-        rows = [list(v) for v in vectors if not vec_is_zero(v)]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise StructureError("spanning vector length differs from ambient dimension")
-        reduced, pivots = _rref(rows)
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced[: len(pivots)]))
+        """Canonical basis (RREF rows) of the span of dense ``vectors``."""
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise StructureError("spanning vector length differs from ambient dimension")
+        return cls.from_sparse(map(_nonzero, vectors), ambient_dim)
 
     @classmethod
     def full_space(cls, n: int) -> "SubspaceBasis":
-        return cls(n, tuple(basis_vector(n, i) for i in range(n)))
+        return cls(n, tuple(((i, ONE),) for i in range(n)))
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     @cached_property
-    def _rows(self) -> tuple:
-        """(lead, ((column, value), ...)) for every row: its lead column
-        and its nonzero entries, found once per basis for contains."""
-        support = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.vectors)
-        return tuple((nz[0][0], nz) for nz in support)
+    def vectors(self) -> tuple[Vector, ...]:
+        out = []
+        for row in self.rows:
+            vec = [ZERO] * self.ambient_dim
+            for j, x in row:
+                vec[j] = x
+            out.append(tuple(vec))
+        return tuple(out)
+
+    @cached_property
+    def _pivots(self) -> dict:
+        """The rows as echelon pivots, {lead: tail}, for membership."""
+        return {row[0][0]: dict(row[1:]) for row in self.rows}
 
     def contains(self, vec: Vector) -> bool:
         if len(vec) != self.ambient_dim:
             raise StructureError("vector length differs from ambient dimension")
-        residue = list(vec)
-        for lead, support in self._rows:
-            if f := residue[lead]:
-                for j, x in support:
-                    residue[j] -= f * x
-        return vec_is_zero(residue)
+        return not _reduce(_nonzero(vec), self._pivots)
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise StructureError("ambient dimensions differ")
-        return all(other.contains(v) for v in self.vectors)
+        return not any(_reduce(dict(row), other._pivots) for row in self.rows)
+
+
+def sparse_kernel(rows, cols: int) -> SubspaceBasis:
+    """Basis of the right null space of the matrix with these sparse
+    rows and ``cols`` columns: each free column f of the echelon form
+    gives e_f minus the tails' entries at f in their pivot columns."""
+    pivots = echelon(rows)
+    kernel = {f: {f: ONE} for f in range(cols) if f not in pivots}
+    for p, tail in pivots.items():
+        for j, x in tail.items():
+            kernel[j][p] = -x
+    return SubspaceBasis.from_sparse(kernel.values(), cols)
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the right null space of ``m`` (ambient dim = cols)."""
-    rows, pivots = _rref([list(r) for r in m.entries])
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for free in free_cols:
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -rows[r][free]
-        vectors.append(tuple(v))
-    return SubspaceBasis.from_spanning(vectors, m.cols)
+    return sparse_kernel(map(_nonzero, m.entries), m.cols)
 
 
 def quotient_dim(sub: SubspaceBasis, total: SubspaceBasis) -> int:
@@ -309,16 +373,17 @@ def quotient_dim(sub: SubspaceBasis, total: SubspaceBasis) -> int:
 
 
 def solve(m: Matrix, rhs: Vector):
-    """One exact solution of m x = rhs, or None if inconsistent."""
+    """One exact solution of m x = rhs, or None if inconsistent: the one
+    that is zero in every free column of the reduced echelon form."""
     if len(rhs) != m.rows:
         raise StructureError("right-hand side length differs from row count")
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(m.entries)]
-    rows, pivots = _rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    pivots = echelon({**_nonzero(row), n: b} if b else _nonzero(row) for row, b in zip(m.entries, rhs))
+    if n in pivots:
         return None
-    x = [ZERO] * m.cols
-    for r, pcol in enumerate(pivots):
-        x[pcol] = rows[r][m.cols]
+    x = [ZERO] * n
+    for p, tail in pivots.items():
+        x[p] = tail.get(n, ZERO)
     return tuple(x)
 
 
@@ -327,8 +392,11 @@ def invert(m: Matrix):
     if m.rows != m.cols:
         raise StructureError("only square matrices can be inverted")
     n = m.rows
-    aug = [list(m.entries[i]) + list(basis_vector(n, i)) for i in range(n)]
-    rows, pivots = _rref(aug)
-    if list(pivots) != list(range(n)):
+    pivots = echelon({**_nonzero(row), n + i: ONE} for i, row in enumerate(m.entries))
+    if sorted(pivots) != list(range(n)):
         return None
-    return Matrix(n, n, tuple(tuple(rows[i][n:]) for i in range(n)))
+    rows = [[ZERO] * n for _ in range(n)]
+    for p, tail in pivots.items():
+        for j, x in tail.items():
+            rows[p][j - n] = x
+    return Matrix(n, n, tuple(map(tuple, rows)))

@@ -27,6 +27,7 @@ SEEDS = {
     "bracket": 5813,
     "delta": 6271,
     "scalars": 8117,
+    "elimination": 4409,
 }
 
 F = Fraction
@@ -52,42 +53,45 @@ def rbo4():
     return load_rbo(fixture_path("rbo4_P"))
 
 
-def make_sl2_lts() -> LieTripleSystem:
-    """sl2 with [x,y,z] = [[x,y],z]; every structure map is nonzero,
-    which makes it the discriminating test bed for sign conventions."""
-    lie = {}
+def make_sln_lts(n: int) -> LieTripleSystem:
+    """sl_n with [x,y,z] = [[x,y],z].  Basis: E_ij (i != j) in
+    lexicographic order, then H_i = E_ii - E_(i+1)(i+1); the H_i
+    coordinate of a traceless diagonal matrix m is the sum of m_tt over
+    t <= i.  At n = 2 this is E, F, H with [E,F] = H, [H,E] = 2E and
+    [H,F] = -2F.  Every structure map of sl2 is nonzero, which makes it
+    the discriminating test bed for sign conventions."""
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    dim = len(offdiag) + n - 1
 
-    def setb(i, j, vec):
-        lie[(i, j)] = tuple(F(x) for x in vec)
-        lie[(j, i)] = tuple(-F(x) for x in vec)
+    def matrix(b):
+        m = [[0] * n for _ in range(n)]
+        if b < len(offdiag):
+            i, j = offdiag[b]
+            m[i][j] = 1
+        else:
+            i = b - len(offdiag)
+            m[i][i], m[i + 1][i + 1] = 1, -1
+        return m
 
-    setb(0, 1, (0, 0, 1))
-    setb(2, 0, (2, 0, 0))
-    setb(2, 1, (0, -2, 0))
+    def lie(x, y):
+        return [[sum(x[r][t] * y[t][c] - y[r][t] * x[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
 
-    def lie_ev(u, v):
-        out = [F(0)] * 3
-        for (i, j), vec in lie.items():
-            c = u[i] * v[j]
-            if c:
-                for l in range(3):
-                    out[l] += c * vec[l]
-        return tuple(out)
+    def coordinates(m):
+        diag = [m[t][t] for t in range(n)]
+        return tuple([m[i][j] for i, j in offdiag] + [sum(diag[: i + 1]) for i in range(n - 1)])
 
-    basis = [tuple(F(1) if t == i else F(0) for t in range(3)) for i in range(3)]
+    basis = [matrix(b) for b in range(dim)]
     entries = {}
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                vec = lie_ev(lie_ev(basis[i], basis[j]), basis[k])
-                if any(vec):
-                    entries[(i, j, k)] = vec
-    return LieTripleSystem.from_entries(3, entries)
+    for i, j, k in product(range(dim), repeat=3):
+        vec = coordinates(lie(lie(basis[i], basis[j]), basis[k]))
+        if any(vec):
+            entries[(i, j, k)] = vec
+    return LieTripleSystem.from_entries(dim, entries)
 
 
 @pytest.fixture(scope="session")
 def sl2_lts() -> LieTripleSystem:
-    return make_sl2_lts()
+    return make_sln_lts(2)
 
 
 def center_valued_operator(dim: int, image_rows, killed_cols, rng) -> Matrix:

@@ -1,0 +1,137 @@
+"""Dense exact elimination: the oracle for the sparse one in ``linalg``.
+
+``linalg.echelon`` is the package's one elimination; it works on sparse
+rows and reduces each row once as it arrives.  This module keeps the
+textbook alternative on dense rows, column by column, and rebuilds the
+old dense cohomology path on it, so that the tests can require both to
+give the same answers.  Everything returns dense tuples.
+"""
+
+from __future__ import annotations
+
+from triplekit.cohomology import cochain_space_basis
+from triplekit.linalg import ONE, ZERO, exact_div
+
+
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if (p := rows[r][col]) != 1:
+            inv = exact_div(ONE, p)
+            rows[r] = [x * inv if x else x for x in rows[r]]
+        support = [(j, x) for j, x in enumerate(rows[r]) if x]
+        for i in range(n_rows):
+            if i != r and rows[i][col]:
+                f, row = rows[i][col], rows[i]
+                for j, x in support:
+                    row[j] -= f * x
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def rref(entries) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    rows, pivots = _rref([list(r) for r in entries])
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def rank(entries) -> int:
+    return len(rref(entries)[1])
+
+
+def span(vectors, n: int) -> tuple[tuple, ...]:
+    """The reduced echelon basis of the span of dense vectors."""
+    rows, pivots = _rref([list(v) for v in vectors if any(v)])
+    assert all(len(r) == n for r in rows)
+    return tuple(map(tuple, rows[: len(pivots)]))
+
+
+def kernel(entries, cols: int) -> tuple[tuple, ...]:
+    """The reduced echelon basis of the right null space."""
+    rows, pivots = _rref([list(r) for r in entries])
+    vectors = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = [ZERO] * cols
+        v[free] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][free]
+        vectors.append(v)
+    return span(vectors, cols)
+
+
+def solve(entries, cols: int, rhs):
+    rows, pivots = _rref([list(r) + [b] for r, b in zip(entries, rhs)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][cols]
+    return tuple(x)
+
+
+def invert(entries):
+    n = len(entries)
+    rows, pivots = _rref([list(r) + [ONE if j == i else ZERO for j in range(n)] for i, r in enumerate(entries)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def quotient_dim(sub, total, n: int):
+    """dim(total / sub), or None when sub is not inside total."""
+    if len(span(list(sub) + list(total), n)) != len(total):
+        return None
+    return len(total) - len(sub)
+
+
+def cohomology(cx, degree: int, convention: str):
+    """(Z, B) of an operator complex as dense reduced echelon bases: Z
+    from the kernel of the dense matrix of the images of the constrained
+    basis, on their nonzero rows; B from the dense span of the incoming
+    differential's columns."""
+    d, dp = cx.rbo.ambient.dim, cx.rbo.source.dim
+    size = dp**degree * d
+    basis = cochain_space_basis(degree, dp, d).vectors
+    differential = cx.differential(degree, convention)
+    images = []
+    for vec in basis:
+        out = {}
+        for j, c in enumerate(vec):
+            for i, a in differential.get(j, {}).items() if c else ():
+                out[i] = out.get(i, ZERO) + c * a
+        images.append(out)
+    rows = sorted(set().union(*images))
+    coefficients = kernel([[img.get(i, ZERO) for img in images] for i in rows], len(basis))
+    combinations = []
+    for coeff in coefficients:
+        acc = [ZERO] * size
+        for c, vec in zip(coeff, basis):
+            for t, x in enumerate(vec) if c else ():
+                if x:
+                    acc[t] += c * x
+        combinations.append(acc)
+    incoming = cx.differential(degree - 2).values()
+    coboundaries = span([[col.get(i, ZERO) for i in range(size)] for col in incoming], size)
+    return span(combinations, size), coboundaries
+
+
+def cocycle_class(cocycles, coboundaries, direction):
+    """The dense reading of an H^1 class: one reduction of the
+    columns [B | Z | direction]; None when the direction is no cocycle."""
+    columns = list(coboundaries) + list(cocycles) + [tuple(direction)]
+    n = len(direction)
+    rows, pivots = rref([[col[i] for col in columns] for i in range(n)])
+    if len(columns) - 1 in pivots:
+        return None
+    return tuple(rows[r][-1] for r in range(len(coboundaries), len(pivots)))

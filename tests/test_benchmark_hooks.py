@@ -1,13 +1,20 @@
 """The benchmark's traced run (``perfbench/layertrace.py``) wraps names
-of triplekit from outside; a refactor must keep every name it relies on.
-These tests only read the benchmark's files."""
+of triplekit from outside; a refactor must keep every name it relies on
+and every call shape it measures.  These tests read the benchmark's
+files and run its traced run; they change none of them."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 # Functions whose calls or inclusive time the benchmark reports by name.
 COUNTED = (
@@ -44,3 +51,18 @@ def test_counted_functions_stay_public():
         fn = vars(module).get(name)
         assert inspect.isfunction(fn), f"triplekit.{layer}.{name} is not a module function"
         assert fn.__module__ == module.__name__, f"{name} is not defined in triplekit.{layer}"
+
+
+@pytest.mark.parametrize("workload", ["cohomology", "deformations"])
+def test_traced_run_stays_correct(workload):
+    # the traced run measures elimination inputs from the call arguments
+    # (a Matrix first, or from_spanning's vectors and ambient dimension)
+    # and reads cochain_space_basis(...).vectors as dense tuples
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--trace", "1", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result

@@ -219,6 +219,9 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         }),
         (subsystem, {"ambient_dim": 3, "vectors": 5}),
         (subsystem, {"ambient_dim": 3, "vectors": [5]}),
+        # a mis-sized vector is refused whether or not it is zero
+        (subsystem, {"ambient_dim": 3, "vectors": [["1", "0"]]}),
+        (subsystem, {"ambient_dim": 3, "vectors": [["0", "0"]]}),
         (lts_verify, {"dim": True}),
         (rep_verify, {"algebra": {"dim": 1}, "space_dim": True, "theta": []}),
         # raw text: nesting deeper than the recursion limit

@@ -37,10 +37,15 @@ from triplekit.linalg import (
 )
 from triplekit.lts import zero_system
 from triplekit.properties import random_integer_matrix
-from triplekit.representations import adjoint_representation, verify_representation, zero_representation
+from triplekit.representations import (
+    adjoint_representation,
+    self_action,
+    verify_representation,
+    zero_representation,
+)
 from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, check_rbo_homomorphism, descendent_lts
 
-from conftest import SEEDS, cochain_satisfies_constraints
+from conftest import SEEDS, cochain_satisfies_constraints, make_sln_lts
 
 F = Fraction
 
@@ -351,6 +356,23 @@ def test_cohomology_degree_3_reports_convention(rbo3):
     assert res.degree == 3
     assert res.sign_convention in ("definition", "complex")
     assert dict(res.sign_audit)[res.sign_convention] is True
+
+
+def test_sl3_cartan_projection_needs_the_complex_convention():
+    # sl3 with [x,y,z] = [[x,y],z] and T the projection onto its Cartan
+    # subalgebra at weight 0: the first operator on which the printed
+    # D-sum sign fails d(d(f)) = 0 and only "complex" closes the complex
+    L = make_sln_lts(3)
+    cartan = range(6, 8)
+    T = Matrix(8, 8, tuple(tuple(int(i == j and i in cartan) for j in range(8)) for i in range(8)))
+    cx = OperatorComplex(RelativeRBO(self_action(L), 0, T))
+    h1 = cx.cohomology(1).result
+    assert (h1.dim_cocycles, h1.dim_coboundaries, h1.dim_H) == (13, 6, 7)
+    assert cx.audit == {"complex": True, "definition": False}
+    h3 = cx.cohomology(3).result
+    assert (h3.dim_cocycles, h3.dim_coboundaries, h3.dim_H) == (96, 51, 45)
+    assert h3.sign_convention == "complex"
+    assert dict(h3.sign_audit) == {"complex": True, "definition": False}
 
 
 def test_cohomology_requires_operator(rbo3):

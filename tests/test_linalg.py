@@ -126,15 +126,26 @@ def test_subspace_is_canonical_under_permutation():
 
 
 def test_subspace_basis_requires_reduced_form():
-    # echelon with unit leads, but the second lead column is nonzero in
-    # the first row: the span's canonical basis is ((1, 0), (0, 1))
+    # rows are sparse: (column, value) pairs in column order.  Echelon
+    # with unit leads, but the second lead column is nonzero in the
+    # first row: the span's canonical basis is ((1, 0), (0, 1))
     with pytest.raises(StructureError):
-        SubspaceBasis(2, ((F(1), F(1)), (F(0), F(1))))
-    for rows in (((F(0), F(1)), (F(1), F(0))), ((F(2), F(0)),), ((F(0), F(0)),)):
+        SubspaceBasis(2, (((0, F(1)), (1, F(1))), ((1, F(1)),)))
+    # dense (0, 1), (1, 0): leads out of order; (2, 0): lead not 1; a zero row
+    for rows in ((((1, F(1)),), ((0, F(1)),)), (((0, F(2)),),), ((),)):
         with pytest.raises(StructureError):
             SubspaceBasis(2, rows)
+    # the sparse form itself: an explicit zero, columns outside the
+    # ambient space, and columns out of order
+    for rows in ((((0, F(1)), (1, F(0))),), (((0, F(1)), (2, F(1))),), (((-1, F(1)),),)):
+        with pytest.raises(StructureError):
+            SubspaceBasis(2, rows)
+    with pytest.raises(StructureError):
+        SubspaceBasis(3, (((0, F(1)), (2, F(3)), (1, F(4))),))
     reduced = ((F(1), F(0), F(3)), (F(0), F(1), F(-1)))
-    assert SubspaceBasis(3, reduced) == SubspaceBasis.from_spanning(reduced, 3)
+    sparse = (((0, F(1)), (2, F(3))), ((1, F(1)), (2, F(-1))))
+    assert SubspaceBasis(3, sparse) == SubspaceBasis.from_spanning(reduced, 3)
+    assert SubspaceBasis(3, sparse).vectors == reduced
 
 
 def test_solve_and_invert():

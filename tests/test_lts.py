@@ -18,7 +18,7 @@ from triplekit.lts import (
 )
 from triplekit.representations import semidirect_product
 
-from conftest import SEEDS
+from conftest import SEEDS, make_sln_lts
 
 F = Fraction
 
@@ -30,6 +30,22 @@ def span(dim, *indices):
 def test_verify_accepts_fixtures(lts3, lts4):
     assert verify_lts(lts3) == ()
     assert verify_lts(lts4) == ()
+
+
+def test_sln_tables():
+    # sl2 in the basis E, F, H: [[E,F],E] = [H,E] = 2E, [[E,F],F] = -2F,
+    # [[H,E],F] = 2H and [[F,E],H] = -[H,H] = 0
+    sl2 = make_sln_lts(2)
+    assert sl2.bracket[0][1][0] == (2, 0, 0)
+    assert sl2.bracket[0][1][1] == (0, -2, 0)
+    assert sl2.bracket[2][0][1] == (0, 0, 2)
+    assert sl2.bracket[1][0][2] == (0, 0, 0)
+    assert len(sl2.nonzero) == 12
+    sl3 = make_sln_lts(3)
+    assert sl3.dim == 8 and verify_lts(sl3) == ()
+    # [[E_01, E_10], E_01] = [H_0, E_01] = 2 E_01; [[E_12, E_21], E_01] = [H_1, E_01] = -E_01
+    assert sl3.bracket[0][2][0] == (2,) + (0,) * 7
+    assert sl3.bracket[3][5][0] == (-1,) + (0,) * 7
 
 
 def test_verify_accepts_zero_bracket():
