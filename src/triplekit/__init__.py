@@ -59,19 +59,17 @@ from .rota_baxter import (
 from .cohomology import (
     Cochain,
     CohomologyResult,
+    OperatorComplex,
     cochain_from_map,
     cochain_map_p,
     cochain_space_basis,
     cochain_to_map,
     coboundary,
-    coboundary_T,
-    cohomology_data,
     cohomology_group,
     complex_audit,
     delta_wedge,
     induced_rep,
     one_cocycle_check,
-    resolve_sign_convention,
     wedge_pairs,
     zero_cochain,
 )

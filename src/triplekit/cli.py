@@ -15,9 +15,9 @@ from functools import cache
 
 from . import fileio
 from .cohomology import (
+    OperatorComplex,
     cochain_map_p,
     cochain_space_basis,
-    coboundary_T,
     cohomology_group,
     one_cocycle_check,
 )
@@ -187,7 +187,7 @@ def cmd_coh_cocycle(args) -> int:
 def cmd_coh_coboundary(args) -> int:
     rbo = _with_weight(fileio.load_rbo(args.operator), args)
     f = fileio.load_cochain(args.cochain)
-    _emit(fileio.cochain_to_json(coboundary_T(rbo, f)))
+    _emit(fileio.cochain_to_json(OperatorComplex(rbo).apply(f)))
     return 0
 
 

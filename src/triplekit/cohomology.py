@@ -24,7 +24,8 @@ by the parity of n otherwise.  Only one can square to zero.  This
 module implements both ("definition" and "complex"), audits d(d(f)) = 0
 on a generating basis, and surfaces which convention closes the
 complex instead of silently picking one; see
-:func:`complex_audit` and :func:`resolve_sign_convention`.
+:func:`complex_audit` and :attr:`OperatorComplex.audit`, whose closing
+convention :meth:`OperatorComplex.cohomology` reports.
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect bracket of graph vectors; its degree -1 map is
@@ -314,17 +315,11 @@ def complex_audit(rep: RepresentationData) -> dict[str, bool]:
 
 
 def _closing_convention(audit: dict[str, bool]) -> str:
+    """The convention whose double coboundary vanishes, the printed one first."""
     for convention in SIGN_CONVENTIONS:
         if audit[convention]:
             return convention
     raise VerificationError("no sign convention closes the cochain complex")
-
-
-def resolve_sign_convention(rep: RepresentationData) -> tuple[str, dict[str, bool]]:
-    """The convention whose double coboundary vanishes, the printed one
-    first, and the audit that records any discrepancy."""
-    audit = complex_audit(rep)
-    return _closing_convention(audit), audit
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +459,6 @@ def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     return OperatorComplex(rbo).apply(wedge)
 
 
-def coboundary_T(rbo: RelativeRBO, f: Cochain, sign_convention: str = "definition") -> Cochain:
-    """Coboundary in the operator complex (degrees -1, 1, 3)."""
-    return OperatorComplex(rbo).apply(f, sign_convention)
-
-
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
     """Closedness of a degree-1 cochain: the basis triples where d_1 f,
     its coboundary in the operator complex, does not vanish.
@@ -481,7 +471,7 @@ def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
         raise StructureError("cocycle check expects a degree-1 cochain")
     if f.source_dim != rbo.source.dim or f.target_dim != rbo.ambient.dim:
         raise StructureError("cochain dimensions differ from the operator's spaces")
-    df = coboundary_T(rbo, f)
+    df = OperatorComplex(rbo).apply(f)
     return tuple(
         Violation("one-cocycle", tuple(a + 1 for a in args))
         for args, vec in zip(product(range(f.source_dim), repeat=3), df.coeffs)
@@ -510,11 +500,6 @@ class CohomologyData:
     result: CohomologyResult
     cocycles: SubspaceBasis
     coboundaries: SubspaceBasis
-
-
-def cohomology_data(rbo: RelativeRBO, degree: int) -> CohomologyData:
-    """Z, B and H of the operator complex in degree 1 or 3."""
-    return OperatorComplex(rbo).cohomology(degree)
 
 
 def cohomology_group(rbo: RelativeRBO, degree: int) -> CohomologyResult:

@@ -58,8 +58,14 @@ def _require_list(value, context):
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, and not a boolean, which Python
+    counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _dim(value, context):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise StructureError(f"{context} must be a non-negative integer")
     return value
 
@@ -84,7 +90,7 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
     entries: dict[tuple[int, int, int], list[Scalar]] = {}
     for item in _require_list(data.get("brackets", []), "algebra brackets"):
         args = _require_list(_require(item, "args", "algebra bracket entry"), "algebra bracket args")
-        if len(args) != 3 or not all(isinstance(a, int) and 1 <= a <= dim for a in args):
+        if len(args) != 3 or not all(_is_int(a) and 1 <= a <= dim for a in args):
             raise StructureError(f"algebra: bad bracket args {args!r}")
         i, j, k = (a - 1 for a in args)
         value = _require(item, "value", "algebra bracket entry")
@@ -141,7 +147,7 @@ def representation_from_json(data: dict, base_dir: Path | None = None) -> Repres
     table = [[zero for _ in range(algebra.dim)] for _ in range(algebra.dim)]
     for item in _require_list(data.get("theta", []), "representation theta"):
         args = _require_list(_require(item, "args", "theta entry"), "representation theta args")
-        if len(args) != 2 or not all(isinstance(a, int) and 1 <= a <= algebra.dim for a in args):
+        if len(args) != 2 or not all(_is_int(a) and 1 <= a <= algebra.dim for a in args):
             raise StructureError(f"representation: bad theta args {args!r}")
         rows = _require(item, "matrix", "theta entry")
         mat = Matrix.from_rows(_matrix_rows(rows, "representation theta matrix"))
@@ -265,6 +271,8 @@ def cochain_from_json(data: dict) -> Cochain:
     """
     degree = _require(data, "degree", "cochain")
     coeffs = _require_list(_require(data, "coeffs", "cochain"), "cochain coeffs")
+    if not (_is_int(degree) and (degree == -1 or (degree >= 1 and degree % 2 == 1))):
+        raise StructureError(f"cochain: unsupported degree {degree!r}")
     if degree == -1:
         count = len(coeffs)
         target_dim = data.get("target_dim")
@@ -277,8 +285,6 @@ def cochain_from_json(data: dict) -> Cochain:
         target_dim = _dim(target_dim, "cochain: target_dim")
         source_dim = _dim(data.get("source_dim", target_dim), "cochain: source_dim")
         return Cochain(-1, source_dim, target_dim, tuple(parse_scalar(x) for x in coeffs))
-    if not (isinstance(degree, int) and degree >= 1 and degree % 2 == 1):
-        raise StructureError(f"cochain: unsupported degree {degree!r}")
 
     node = coeffs
     for _ in range(degree):

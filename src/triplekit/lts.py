@@ -158,29 +158,23 @@ def center(L: LieTripleSystem) -> SubspaceBasis:
     return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zeros(0, d))
 
 
-def is_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
-    """True when the bracket of any three basis vectors of S stays in span(S)."""
+def _brackets_of_basis(L: LieTripleSystem, S: SubspaceBasis):
+    """The brackets of all triples of basis vectors of S, lazily, so a
+    caller's test can stop at the first that fails it."""
     if S.ambient_dim != L.dim:
         raise StructureError("subspace ambient dimension differs from system dimension")
-    for x in S.vectors:
-        for y in S.vectors:
-            for z in S.vectors:
-                if not S.contains(L.bracket_eval(x, y, z)):
-                    return False
-    return True
+    return (L.bracket_eval(x, y, z) for x, y, z in product(S.vectors, repeat=3))
+
+
+def is_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
+    """True when the bracket of any three basis vectors of S stays in span(S)."""
+    return all(map(S.contains, _brackets_of_basis(L, S)))
 
 
 def is_abelian_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
     """True when every bracket of basis vectors of S vanishes; zero
     brackets lie in span(S), so S is then a subsystem too."""
-    if S.ambient_dim != L.dim:
-        raise StructureError("subspace ambient dimension differs from system dimension")
-    for x in S.vectors:
-        for y in S.vectors:
-            for z in S.vectors:
-                if not vec_is_zero(L.bracket_eval(x, y, z)):
-                    return False
-    return True
+    return all(map(vec_is_zero, _brackets_of_basis(L, S)))
 
 
 @dataclass(frozen=True)

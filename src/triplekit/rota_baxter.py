@@ -203,10 +203,8 @@ def graph_subsystem(rbo: RelativeRBO) -> SubspaceBasis:
     return SubspaceBasis.from_spanning(vectors, rbo.ambient.dim + dp)
 
 
-def graph_is_subsystem(rbo: RelativeRBO, semidirect: LieTripleSystem | None = None) -> bool:
-    if semidirect is None:
-        semidirect = semidirect_product(rbo.action, rbo.weight)
-    return is_subsystem(semidirect, graph_subsystem(rbo))
+def graph_is_subsystem(rbo: RelativeRBO) -> bool:
+    return is_subsystem(semidirect_product(rbo.action, rbo.weight), graph_subsystem(rbo))
 
 
 def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
@@ -260,27 +258,25 @@ def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> V
     return vec_sub(lhs, tuple(acc))
 
 
-def nijenhuis_check(L: LieTripleSystem, N: Matrix) -> Report:
-    """All basis triples violating the seven-term Nijenhuis identity."""
+def _nijenhuis_violations(L: LieTripleSystem, N: Matrix, indices):
+    """Basis triples over ``indices`` where the Nijenhuis identity fails,
+    generated in the lexicographic order of ``indices``."""
     if N.rows != L.dim or N.cols != L.dim:
         raise StructureError("Nijenhuis candidate must be square on the system")
-    out = []
-    for x, y, z in product(range(L.dim), repeat=3):
+    for x, y, z in product(indices, repeat=3):
         if not vec_is_zero(nijenhuis_defect(L, N, x, y, z)):
-            out.append(Violation("nijenhuis-identity", (x + 1, y + 1, z + 1)))
-    return tuple(out)
+            yield Violation("nijenhuis-identity", (x + 1, y + 1, z + 1))
+
+
+def nijenhuis_check(L: LieTripleSystem, N: Matrix) -> Report:
+    """All basis triples violating the seven-term Nijenhuis identity."""
+    return tuple(_nijenhuis_violations(L, N, range(L.dim)))
 
 
 def is_nijenhuis(L: LieTripleSystem, N: Matrix) -> bool:
     """Early-exit variant of :func:`nijenhuis_check`, scanning the triples
     most likely to fail first (highest indices) for speed on sweeps."""
-    if N.rows != L.dim or N.cols != L.dim:
-        raise StructureError("Nijenhuis candidate must be square on the system")
-    idx = range(L.dim - 1, -1, -1)
-    for x, y, z in product(idx, repeat=3):
-        if not vec_is_zero(nijenhuis_defect(L, N, x, y, z)):
-            return False
-    return True
+    return next(_nijenhuis_violations(L, N, range(L.dim - 1, -1, -1)), None) is None
 
 
 def nijenhuis_lift(action: ActionData, T: LinearMap) -> Matrix:

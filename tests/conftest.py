@@ -28,6 +28,7 @@ SEEDS = {
     "delta": 6271,
     "scalars": 8117,
     "elimination": 4409,
+    "nijenhuis": 2719,
 }
 
 F = Fraction

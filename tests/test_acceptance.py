@@ -21,12 +21,11 @@ import pytest
 
 from triplekit.cohomology import (
     Cochain,
+    OperatorComplex,
     cochain_from_map,
     cochain_map_p,
     cochain_to_map,
     coboundary,
-    coboundary_T,
-    cohomology_data,
     cohomology_group,
     complex_audit,
     delta_wedge,
@@ -183,7 +182,7 @@ def test_criterion_07_complex_property(rbo3, rbo4, lts3):
                 for k in range(w):
                     coords = tuple(F(1) if t == k else F(0) for t in range(w))
                     x = Cochain(-1, rbo.source.dim, rbo.ambient.dim, coords)
-                    assert coboundary_T(rbo, delta_wedge(rbo, x)).is_zero()
+                    assert OperatorComplex(rbo).apply(delta_wedge(rbo, x)).is_zero()
         adj = adjoint_representation(lts3)
         rng = random.Random(SEEDS["yamaguti"])
         verbatim_ok = True
@@ -350,7 +349,7 @@ def test_criterion_09_deformation_theory(rbo3):
         assert disagreements == 0
         assert nontrivial > 0
 
-        data = cohomology_data(rbo3, 1)
+        data = OperatorComplex(rbo3).cohomology(1)
         rng = random.Random(SEEDS["deformation"])
         pairs_checked = 0
         for trial in range(25):
@@ -409,13 +408,14 @@ def test_criterion_10_functoriality(rbo3):
                 break
         assert nonidentity is not None, "no nonidentity diagonal sign pair found"
 
+        cx = OperatorComplex(rbo3)
         for h in (identity, nonidentity):
             for flat in range(9):
                 from triplekit.cohomology import elementary_cochain
 
                 f = elementary_cochain(1, 3, 3, flat)
-                left = cochain_map_p(h, coboundary_T(rbo3, f))
-                right = coboundary_T(rbo3, cochain_map_p(h, f))
+                left = cochain_map_p(h, cx.apply(f))
+                right = cx.apply(cochain_map_p(h, f))
                 assert left == right
 
 

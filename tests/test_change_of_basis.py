@@ -20,9 +20,9 @@ import pytest
 
 from triplekit.cohomology import (
     Cochain,
+    OperatorComplex,
     cochain_from_map,
     cochain_to_map,
-    cohomology_data,
     delta_wedge,
     unflatten_cochain,
     wedge_pairs,
@@ -90,7 +90,7 @@ def transported(rbo, seed):
 
 
 def dims(rbo, degree):
-    res = cohomology_data(rbo, degree).result
+    res = OperatorComplex(rbo).cohomology(degree).result
     return res.dim_cocycles, res.dim_coboundaries, res.dim_H
 
 
@@ -112,7 +112,7 @@ def seeded_directions(rbo, rng):
     """Wedge images, random cocycles and random maps, as matrices."""
     dp, d = rbo.source.dim, rbo.ambient.dim
     n = len(wedge_pairs(d))
-    cocycles = cohomology_data(rbo, 1).cocycles.vectors
+    cocycles = OperatorComplex(rbo).cohomology(1).cocycles.vectors
     out = [Matrix.zeros(d, dp)]
     for _ in range(3):
         wedge = Cochain(-1, dp, d, tuple(F(rng.randint(-2, 2)) for _ in range(n)))

@@ -224,6 +224,11 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         (subsystem, {"ambient_dim": 3, "vectors": [["0", "0"]]}),
         (lts_verify, {"dim": True}),
         (rep_verify, {"algebra": {"dim": 1}, "space_dim": True, "theta": []}),
+        # JSON booleans and floats are not integers, as degrees or as indices
+        (("coh", "cocycle", rbo3), {"degree": True, "coeffs": [["0", "0", "0"]] * 3}),
+        (("coh", "coboundary", rbo3), {"degree": -1.0, "coeffs": ["0", "0", "0"]}),
+        (lts_verify, {"dim": 3, "brackets": [{"args": [True, 2, 2], "value": {"1": "1"}}]}),
+        (rep_verify, {"algebra": {"dim": 2}, "space_dim": 1, "theta": [{"args": [True, 2], "matrix": [["1"]]}]}),
         # raw text: nesting deeper than the recursion limit
         (lts_verify, "[" * 5000 + "]" * 5000),
         # no input file: the dimensions come from the command line

@@ -8,13 +8,12 @@ import pytest
 from triplekit.cohomology import (
     Cochain,
     OperatorComplex,
+    _closing_convention,
     cochain_from_map,
     cochain_map_p,
     cochain_space_basis,
     cochain_to_map,
     coboundary,
-    coboundary_T,
-    cohomology_data,
     cohomology_group,
     complex_audit,
     delta_wedge,
@@ -23,7 +22,6 @@ from triplekit.cohomology import (
     flatten_cochain,
     induced_rep,
     one_cocycle_check,
-    resolve_sign_convention,
     unflatten_cochain,
     zero_cochain,
 )
@@ -201,7 +199,7 @@ def test_coboundary_output_satisfies_constraints(lts3, sl2_lts):
     rng = random.Random(SEEDS["yamaguti"])
     for L in (lts3, sl2_lts):
         adj = adjoint_representation(L)
-        convention, _ = resolve_sign_convention(adj)
+        convention = _closing_convention(complex_audit(adj))
         for _ in range(5):
             f1 = random_cochain(rng, 1, L.dim, L.dim)
             g3 = coboundary(adj, f1, convention)
@@ -216,8 +214,7 @@ def test_sign_audit_on_rich_system(sl2_lts):
     # functoriality argument does
     audit = complex_audit(adjoint_representation(sl2_lts))
     assert audit == {"definition": False, "complex": True}
-    convention, _ = resolve_sign_convention(adjoint_representation(sl2_lts))
-    assert convention == "complex"
+    assert _closing_convention(audit) == "complex"
 
 
 def test_sign_audit_on_fixture_adjoints(lts3, lts4):
@@ -226,8 +223,7 @@ def test_sign_audit_on_fixture_adjoints(lts3, lts4):
     for L in (lts3, lts4):
         audit = complex_audit(adjoint_representation(L))
         assert audit["complex"] is True
-        convention, _ = resolve_sign_convention(adjoint_representation(L))
-        assert convention == "definition"
+        assert _closing_convention(audit) == "definition"
         assert audit["definition"] is True
 
 
@@ -293,7 +289,7 @@ def test_wedge_images_are_closed(rbo3, rbo4):
         for k in range(w):
             coords = tuple(F(1) if t == k else F(0) for t in range(w))
             f = delta_wedge(rbo, Cochain(-1, rbo.source.dim, rbo.ambient.dim, coords))
-            assert coboundary_T(rbo, f).is_zero()
+            assert OperatorComplex(rbo).apply(f).is_zero()
             assert one_cocycle_check(rbo, f) == ()
 
 
@@ -302,7 +298,7 @@ def test_one_cocycle_matches_coboundary(rbo3):
     for _ in range(40):
         f = cochain_from_map(random_integer_matrix(rng, 3, 3))
         direct = one_cocycle_check(rbo3, f) == ()
-        engine = coboundary_T(rbo3, f).is_zero()
+        engine = OperatorComplex(rbo3).apply(f).is_zero()
         assert direct == engine
 
 
@@ -346,7 +342,7 @@ def test_cohomology_zero_bracket_pair():
 def test_cohomology_containment(rbo3, rbo4):
     for rbo in (rbo3, rbo4):
         for degree in (1, 3):
-            data = cohomology_data(rbo, degree)
+            data = OperatorComplex(rbo).cohomology(degree)
             assert data.coboundaries.is_subspace_of(data.cocycles)
             assert data.result.dim_H == data.cocycles.dim - data.coboundaries.dim
 
@@ -397,11 +393,12 @@ def test_cochain_map_identity_is_identity(rbo3):
 def test_cochain_map_functorial(rbo3):
     psi = Matrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 12]])
     h = RBOHomomorphism(rbo3, rbo3, psi, psi)
+    cx = OperatorComplex(rbo3)
     rng = random.Random(SEEDS["fuzz"])
     for _ in range(10):
         f = random_cochain(rng, 1, 3, 3)
-        left = cochain_map_p(h, coboundary_T(rbo3, f))
-        right = coboundary_T(rbo3, cochain_map_p(h, f))
+        left = cochain_map_p(h, cx.apply(f))
+        right = cx.apply(cochain_map_p(h, f))
         assert left == right
 
 

@@ -9,7 +9,6 @@ from triplekit.cohomology import (
     OperatorComplex,
     cochain_from_map,
     cochain_to_map,
-    cohomology_data,
     delta_wedge,
     flatten_cochain,
     one_cocycle_check,
@@ -141,7 +140,7 @@ def test_cocycle_class_of_coboundary_is_zero(rbo3):
 
 def test_cocycle_class_nonzero_for_noncoboundary(rbo3):
     # pick a cocycle outside the coboundary space using the computed bases
-    data = cohomology_data(rbo3, 1)
+    data = OperatorComplex(rbo3).cohomology(1)
     outside = None
     for vec in data.cocycles.vectors:
         if not data.coboundaries.contains(vec):
@@ -212,7 +211,7 @@ def test_find_witness_constructed_pair(rbo3):
 
 
 def test_no_witness_across_classes(rbo3):
-    data = cohomology_data(rbo3, 1)
+    data = OperatorComplex(rbo3).cohomology(1)
     outside = next(
         vec for vec in data.cocycles.vectors if not data.coboundaries.contains(vec)
     )
@@ -237,7 +236,7 @@ def test_equivalent_pairs_share_class(rbo3):
     # pairs differing by a wedge coboundary, with the witness found by
     # the exact solver; every pair that admits a witness must have
     # identical class coordinates
-    data = cohomology_data(rbo3, 1)
+    data = OperatorComplex(rbo3).cohomology(1)
     rng = random.Random(SEEDS["deformation"])
     checked = 0
     for _ in range(25):
@@ -275,7 +274,7 @@ def test_trivial_deformation_witness(rbo3):
 
 
 def test_nontrivial_class_has_no_witness(rbo3):
-    data = cohomology_data(rbo3, 1)
+    data = OperatorComplex(rbo3).cohomology(1)
     outside = next(
         vec for vec in data.cocycles.vectors if not data.coboundaries.contains(vec)
     )
@@ -296,7 +295,7 @@ def test_trivial_witness_matches_delta_sign(rbo3):
     from triplekit.cohomology import cochain_to_map, flatten_cochain
 
     assert cochain_to_map(f) == direct
-    data = cohomology_data(rbo3, 1)
+    data = OperatorComplex(rbo3).cohomology(1)
     assert data.coboundaries.contains(flatten_cochain(f))
 
 
@@ -470,7 +469,7 @@ def test_equivalence_conditions_match_hand_expansion(rbo3, rbo4, sl2_lts):
     failed = {rule: 0 for rule in rules}
     for rbo in (rbo3, rbo4, sl2):
         d, dp = rbo.ambient.dim, rbo.source.dim
-        data = cohomology_data(rbo, 1) if rbo is not sl2 else None
+        data = OperatorComplex(rbo).cohomology(1) if rbo is not sl2 else None
         zero = zero_cochain(1, dp, d)
         for trial in range(6):
             if data and trial % 3 != 2:
@@ -578,7 +577,7 @@ def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):
     raised = 0
     for rbo in (rbo3, rbo4):
         d, dp = rbo.ambient.dim, rbo.source.dim
-        data = cohomology_data(rbo, 1)
+        data = OperatorComplex(rbo).cohomology(1)
         directions = [zero_cochain(1, dp, d), delta_wedge(rbo, random_wedge(rng, rbo))]
         directions += [random_cocycle_direction(rng, data, dp, d) for _ in range(4)]
         directions += [cochain_from_map(random_integer_matrix(rng, d, dp)) for _ in range(2)]

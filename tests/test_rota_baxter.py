@@ -22,6 +22,7 @@ from triplekit.rota_baxter import (
     descendent_lts,
     graph_is_subsystem,
     graph_subsystem,
+    is_nijenhuis,
     is_rbo,
     nijenhuis_check,
     nijenhuis_lift,
@@ -168,6 +169,23 @@ def test_nijenhuis_lift_shape_and_idempotence(rbo3, rbo4):
         lift = nijenhuis_lift(rbo.action, rbo.T)
         sd = semidirect_product(rbo.action, rbo.weight)
         assert nijenhuis_check(sd, lift) == ()
+
+
+def test_nijenhuis_early_exit_agrees_with_report(lts3, rbo4):
+    # is_nijenhuis scans from the highest indices and stops at the first
+    # failure; it must decide exactly what the full report decides
+    rng = random.Random(SEEDS["nijenhuis"])
+    sd = semidirect_product(rbo4.action, rbo4.weight)
+    seen = set()
+    for L, lifts in ((lts3, ()), (sd, (rbo4.T, *(random_integer_matrix(rng, 4, 4) for _ in range(5))))):
+        maps = [random_integer_matrix(rng, L.dim, L.dim) for _ in range(15)]
+        maps += [Matrix.identity(L.dim).scale(c) for c in (0, 1, -2)]
+        maps += [nijenhuis_lift(rbo4.action, T) for T in lifts]
+        for N in maps:
+            decided = is_nijenhuis(L, N)
+            assert decided == (nijenhuis_check(L, N) == ())
+            seen.add(decided)
+    assert seen == {True, False}
 
 
 def test_three_way_equivalence_seeded(rbo3, rbo4):
