@@ -48,7 +48,6 @@ from .rota_baxter import (
     check_rbo_all_weights,
     check_rbo_homomorphism,
     descendent_lts,
-    graph_is_subsystem,
     graph_subsystem,
     is_nijenhuis,
     is_rbo,

@@ -42,7 +42,6 @@ from .rota_baxter import (
     check_rbo_all_weights,
     check_rbo_homomorphism,
     descendent_lts,
-    graph_is_subsystem,
     graph_subsystem,
     nijenhuis_check,
     nijenhuis_lift,
@@ -85,11 +84,9 @@ def cmd_lts_derived(args) -> int:
 def cmd_lts_subsystem(args) -> int:
     L = fileio.load_algebra(args.algebra)
     S = fileio.load_subspace(args.span)
-    sub = is_subsystem(L, S)
-    _emit({
-        "is_subsystem": sub,
-        "is_abelian_subsystem": bool(sub and is_abelian_subsystem(L, S)),
-    })
+    abelian = is_abelian_subsystem(L, S)
+    # an abelian subsystem is a subsystem, so its brackets are read once
+    _emit({"is_subsystem": abelian or is_subsystem(L, S), "is_abelian_subsystem": abelian})
     return 0
 
 
@@ -126,7 +123,7 @@ def cmd_rbo_graph(args) -> int:
     graph = graph_subsystem(rbo)
     _emit({
         "graph": fileio.subspace_to_json(graph),
-        "is_subsystem": graph_is_subsystem(rbo),
+        "is_subsystem": is_subsystem(semidirect_product(rbo.action, rbo.weight), graph),
     })
     return 0
 
@@ -224,12 +221,8 @@ def cmd_def_check(args) -> int:
         "order_t3": "order-t3" not in rules,
         "cocycle": cocycle,
         "violations": [v.to_json() for v in report],
+        "class": [format_scalar(x) for x in deformation_cocycle_class(d)] if cocycle else None,
     }
-    if cocycle:
-        _, coords = deformation_cocycle_class(d)
-        data["class"] = [format_scalar(x) for x in coords]
-    else:
-        data["class"] = None
     witness = is_trivial_deformation(d, strict=args.strict) if not report else None
     data["trivial_witness"] = (
         [format_scalar(x) for x in witness.wedge.coeffs] if witness else None
@@ -240,8 +233,7 @@ def cmd_def_check(args) -> int:
 
 def cmd_def_class(args) -> int:
     d = _load_deformation(args)
-    _, coords = deformation_cocycle_class(d)
-    _emit({"class": [format_scalar(x) for x in coords]})
+    _emit({"class": [format_scalar(x) for x in deformation_cocycle_class(d)]})
     return 0
 
 

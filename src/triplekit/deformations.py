@@ -2,13 +2,14 @@
 
 The defining identity, the projected semidirect bracket of graph
 vectors, is cubic in the operator, so T + t*S satisfies it for every t
-exactly when the coefficient equations at t, t^2 and t^3 all hold.
-Those coefficients are recovered exactly by interpolating the one
-defect at t = 0, 1, -1, 2, and each is checked on basis triples of the
-source.  The order-t equation is precisely the closedness of S as a
-degree-1 cochain, so verified deformation directions carry a class in
-the degree-1 cohomology of the operator complex, and equivalent
-deformations share that class.
+exactly when the coefficient equations at t, t^2 and t^3 all hold on
+basis triples of the source.  The t coefficient is d_1 S, read off the
+operator complex, so verified directions carry a class in its degree-1
+cohomology, and equivalent deformations share that class.  The t^3
+coefficient is the weight-0 defect of S alone, and the t^2 coefficient
+is the defect of T + S less those two.  No t^0 term is left, because
+the complex is built only when (RB) holds for T on every basis triple;
+on any other base the check raises, naming how many triples fail.
 
 Equivalence of two directions S1, S2 is witnessed by a wedge element X
 of the ambient system making (id + t[X,-], id + t D(X)) an operator
@@ -49,7 +50,7 @@ from .linalg import (
     zero_vector,
 )
 from .reporting import Report, Violation
-from .rota_baxter import RelativeRBO, _defect_coefficients
+from .rota_baxter import RelativeRBO, _rbo_defect
 
 __all__ = [
     "InfinitesimalDeformation",
@@ -108,21 +109,31 @@ def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
     return sum((rep.d_basis(i, j).scale(co) for (i, j), co in terms if co), Matrix.zeros(dp, dp))
 
 
+def _coefficients(d: InfinitesimalDeformation):
+    """((u, v, w), (c1, c2, c3)) for every basis triple, in lexicographic
+    order, where c_k is the t^k coefficient of the (RB) defect of
+    T + t*S at (u, v, w)."""
+    rbo, S = d.base, d.direction_map()
+    order_t = d.complex.apply(d.direction).coeffs
+    for (u, v, w), c1 in zip(product(range(rbo.source.dim), repeat=3), order_t):
+        c3 = _rbo_defect(rbo.action, ZERO, S, u, v, w)
+        full = _rbo_defect(rbo.action, rbo.weight, rbo.T + S, u, v, w)
+        yield (u, v, w), (c1, tuple(x - a - b for x, a, b in zip(full, c1, c3)), c3)
+
+
 def check_deformation(d: InfinitesimalDeformation) -> Report:
     """Coefficient equations at t, t^2, t^3 on all basis triples."""
-    rbo = d.base
     out = []
-    for (u, v, w), coeffs in _defect_coefficients(
-        rbo.action, rbo.weight, rbo.T, d.direction_map()
-    ):
+    for (u, v, w), coeffs in _coefficients(d):
         for rule, c in zip(("order-t", "order-t2", "order-t3"), coeffs):
             if not vec_is_zero(c):
                 out.append(Violation(rule, (u + 1, v + 1, w + 1)))
     return tuple(out)
 
 
-def deformation_cocycle_class(d: InfinitesimalDeformation):
-    """(is_cocycle, class coordinates in a fixed basis of H^1).
+def deformation_cocycle_class(d: InfinitesimalDeformation) -> tuple:
+    """Class coordinates of a closed direction in a fixed basis of H^1;
+    a direction that is not closed raises.
 
     The H^1 basis extends the canonical coboundary basis to the
     cocycle space by the cocycle basis vectors that are pivots of one
@@ -138,7 +149,7 @@ def deformation_cocycle_class(d: InfinitesimalDeformation):
     last = bb.dim + zb.dim
     if last in pivots:
         raise VerificationError("direction is not a 1-cocycle; no cohomology class")
-    return True, tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
+    return tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
 
 
 def _theta_equivariance_rows(rep, bx: Matrix, dx: Matrix):

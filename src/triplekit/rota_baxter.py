@@ -31,14 +31,13 @@ from .linalg import (
     VerificationError,
     ZERO,
     basis_vector,
-    exact_div,
     invert,
     vec_is_zero,
     vec_sub,
     zero_vector,
 )
-from .lts import HomomorphismCandidate, LieTripleSystem, derived_algebra, is_abelian_subsystem, is_homomorphism, is_subsystem
-from .representations import ActionData, self_action, semidirect_bracket, semidirect_product, verify_action
+from .lts import HomomorphismCandidate, LieTripleSystem, derived_algebra, is_abelian_subsystem, is_homomorphism
+from .representations import ActionData, self_action, semidirect_bracket, verify_action
 from .reporting import Report, Violation
 
 # A linear map between based spaces is just its matrix, target rows by
@@ -104,26 +103,6 @@ def check_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> Report:
 def is_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> bool:
     """Early-exit variant of :func:`check_rbo` for property sweeps."""
     return next(_rbo_violations(action, weight, T), None) is None
-
-
-def _defect_coefficients(action: ActionData, weight: Scalar, T: LinearMap, S: LinearMap):
-    """((u, v, w), (c1, c2, c3)) for every basis triple, where c_k is the
-    t^k coefficient of the (RB) defect of T + tS at (u, v, w).
-
-    The defect is cubic in t, so its values at t = 0, 1, -1, 2 determine
-    all four coefficients, recovered here by exact interpolation.
-    """
-    points = (T, T + S, T - S, T + S.scale(2))
-    for u, v, w in product(range(action.target.dim), repeat=3):
-        d0, d1, dm, d2 = (_rbo_defect(action, weight, M, u, v, w) for M in points)
-        c2 = tuple(exact_div(a + b, 2) - z for a, b, z in zip(d1, dm, d0))
-        odd = tuple(exact_div(a - b, 2) for a, b in zip(d1, dm))  # c1 + c3
-        # (d2 - d0 - 4 c2) / 2 = c1 + 4 c3
-        c3 = tuple(
-            exact_div(exact_div(e - z - 4 * q, 2) - o, 3) for e, z, q, o in zip(d2, d0, c2, odd)
-        )
-        c1 = tuple(o - k for o, k in zip(odd, c3))
-        yield (u, v, w), (c1, c2, c3)
 
 
 def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
@@ -201,10 +180,6 @@ def graph_subsystem(rbo: RelativeRBO) -> SubspaceBasis:
     dp = rbo.source.dim
     vectors = [Tu + eu for Tu, eu in (_graph_vector(rbo.T, u) for u in range(dp))]
     return SubspaceBasis.from_spanning(vectors, rbo.ambient.dim + dp)
-
-
-def graph_is_subsystem(rbo: RelativeRBO) -> bool:
-    return is_subsystem(semidirect_product(rbo.action, rbo.weight), graph_subsystem(rbo))
 
 
 def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:

@@ -14,8 +14,10 @@ import pytest
 from triplekit.cohomology import Cochain
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import Matrix, vec_is_zero
+from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
 from triplekit.lts import LieTripleSystem
+from triplekit.representations import self_action
+from triplekit.rota_baxter import RelativeRBO, projection_rbo
 
 SEEDS = {
     "equivalence": 20260808,
@@ -52,6 +54,16 @@ def rbo3():
 @pytest.fixture(scope="session")
 def rbo4():
     return load_rbo(fixture_path("rbo4_P"))
+
+
+def ladder(n):
+    """[e1,e2,e1] = e_n with its projection onto span{e2..e_(n-1)} along
+    span{e1, e_n}, at weight 1."""
+    top = basis_vector(n, n - 1)
+    L = LieTripleSystem.from_entries(n, {(0, 1, 0): top, (1, 0, 0): tuple(-x for x in top)})
+    target = SubspaceBasis.from_spanning([basis_vector(n, i) for i in range(1, n - 1)], n)
+    complement = SubspaceBasis.from_spanning([basis_vector(n, 0), top], n)
+    return RelativeRBO(self_action(L), F(1), projection_rbo(L, target, complement))
 
 
 def make_sln_lts(n: int) -> LieTripleSystem:

@@ -371,8 +371,8 @@ def test_criterion_09_deformation_theory(rbo3):
             if w is None:
                 continue
             assert check_equivalence(d1, d2, w) == ()
-            _, c1 = deformation_cocycle_class(d1)
-            _, c2 = deformation_cocycle_class(d2)
+            c1 = deformation_cocycle_class(d1)
+            c2 = deformation_cocycle_class(d2)
             assert c1 == c2
             pairs_checked += 1
         assert pairs_checked >= 1
@@ -380,8 +380,8 @@ def test_criterion_09_deformation_theory(rbo3):
         for k in range(3):
             coords = tuple(F(1) if t == k else F(0) for t in range(3))
             f = delta_wedge(rbo3, Cochain(-1, 3, 3, coords))
-            ok, cls = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
-            assert ok and all(x == 0 for x in cls)
+            cls = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
+            assert all(x == 0 for x in cls)
 
 
 def test_criterion_10_functoriality(rbo3):

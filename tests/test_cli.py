@@ -5,11 +5,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from triplekit import cli
 from triplekit.cli import build_parser, main
 from triplekit.cohomology import zero_cochain
 from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix
+from triplekit.lts import LieTripleSystem
 from triplekit.rota_baxter import RelativeRBO
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -151,6 +153,55 @@ def test_def_check_report(tmp_path):
     assert data["cocycle"] is True
     assert data["class"] == ["0"] * 5
     assert data["trivial_witness"] == ["0", "0", "0"]
+
+
+def test_def_check_on_non_operator_is_a_verification_failure(tmp_path):
+    # rbo4_P's action with T = identity fails (RB) at two basis triples;
+    # the deformation coefficients are read off that operator's complex,
+    # which refuses it by name
+    op = tmp_path / "ident_op.json"
+    op.write_text(dump_json(rbo_to_json(
+        RelativeRBO(load_rbo(fixture_path("rbo4_P")).action, Fraction(1), Matrix.identity(4))
+    )))
+    direction = tmp_path / "zero.json"
+    direction.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    out = run_cli("def", "check", str(op), str(direction))
+    assert out.returncode == 1
+    assert json.loads(out.stdout) == {
+        "error": "descendent system requires the Rota-Baxter identity; 2 basis triples fail",
+        "kind": "verification",
+    }
+
+
+def test_rbo_graph_builds_the_graph_once(monkeypatch, capsys):
+    calls = []
+    inner = cli.graph_subsystem
+
+    def counting(rbo):
+        calls.append(rbo)
+        return inner(rbo)
+
+    monkeypatch.setattr(cli, "graph_subsystem", counting)
+    assert main(["rbo", "graph", str(fixture_path("rbo4_P"))]) == 0
+    assert json.loads(capsys.readouterr().out)["is_subsystem"] is True
+    assert len(calls) == 1
+
+
+def test_lts_subsystem_evaluates_each_bracket_once(monkeypatch, tmp_path, capsys):
+    # span{e2, e3} of lts4 is abelian: 8 triples, each bracket read once
+    span = tmp_path / "span.json"
+    span.write_text(dump_json({"ambient_dim": 4, "vectors": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]}))
+    calls = []
+    inner = LieTripleSystem.bracket_eval
+
+    def counting(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(LieTripleSystem, "bracket_eval", counting)
+    assert main(["lts", "subsystem", str(fixture_path("lts4")), str(span)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"is_abelian_subsystem": True, "is_subsystem": True}
+    assert len(calls) == 8
 
 
 def test_fixtures_listing_and_path():

@@ -19,6 +19,7 @@ from triplekit.cohomology import (
 from triplekit.deformations import (
     EquivalenceWitness,
     InfinitesimalDeformation,
+    _coefficients,
     _equivalence_conditions,
     _equivalence_system,
     check_deformation,
@@ -35,6 +36,7 @@ from triplekit.linalg import (
     SubspaceBasis,
     VerificationError,
     basis_vector,
+    exact_div,
     solve,
     vec_sub,
 )
@@ -47,9 +49,9 @@ from triplekit.representations import (
     adjoint_representation,
     verify_representation,
 )
-from triplekit.rota_baxter import RelativeRBO, check_rbo
+from triplekit.rota_baxter import RelativeRBO, _rbo_defect, check_rbo
 
-from conftest import SEEDS
+from conftest import SEEDS, ladder
 
 F = Fraction
 
@@ -93,22 +95,62 @@ def test_coboundary_direction_is_full_deformation(rbo3):
     assert check_deformation(d) == ()
 
 
+def interpolated_coefficients(action, weight, T, S):
+    """The oracle for the deformation coefficients: ((u, v, w), (c1, c2,
+    c3)) for every basis triple, where c_k is the t^k coefficient of the
+    (RB) defect of T + tS, recovered by exact interpolation of the cubic
+    defect at t = 0, 1, -1, 2."""
+    points = (T, T + S, T - S, T + S.scale(2))
+    for u, v, w in product(range(action.target.dim), repeat=3):
+        d0, d1, dm, d2 = (_rbo_defect(action, weight, M, u, v, w) for M in points)
+        c2 = tuple(exact_div(a + b, 2) - z for a, b, z in zip(d1, dm, d0))
+        odd = tuple(exact_div(a - b, 2) for a, b in zip(d1, dm))  # c1 + c3
+        # (d2 - d0 - 4 c2) / 2 = c1 + 4 c3
+        c3 = tuple(
+            exact_div(exact_div(e - z - 4 * q, 2) - o, 3) for e, z, q, o in zip(d2, d0, c2, odd)
+        )
+        c1 = tuple(o - k for o, k in zip(odd, c3))
+        yield (u, v, w), (c1, c2, c3)
+
+
 def test_order_t_iff_cocycle_random(rbo3, rbo4):
-    # the order-t coefficient of the interpolated defect and d_1 f are
-    # two independent paths to the same linear condition; compare their
-    # witness triples over seeded random directions
+    # the coefficients read off d_1 S, the weight-0 defect of S and one
+    # defect of T + S, against the four-point interpolation on every
+    # triple; random, cocycle and coboundary directions, integral and
+    # p/q, at three weights.  The order-t witnesses are the triples where
+    # d_1 S does not vanish.
     rng = random.Random(SEEDS["deformation"])
-    seen_failing = 0
-    for rbo, trials in ((rbo3, 120), (rbo4, 6)):
-        for _ in range(trials):
-            S = random_integer_matrix(rng, rbo.ambient.dim, rbo.source.dim)
-            d = InfinitesimalDeformation(rbo, cochain_from_map(S))
-            order_t = [v.witness for v in check_deformation(d) if v.rule == "order-t"]
-            cocycle = [v.witness for v in one_cocycle_check(rbo, d.direction)]
-            assert order_t == cocycle
-            if cocycle:
-                seen_failing += 1
-    assert seen_failing > 0  # the comparison must not be vacuous
+
+    def scalar(fractional):
+        return F(rng.randint(-3, 3), rng.randint(1, 3) if fractional else 1)
+
+    nonzero = [0, 0, 0]
+    for base in (rbo3, rbo4, ladder(4)):
+        for weight in (F(1), F(1, 2), F(-2, 3)):
+            rbo = RelativeRBO(base.action, weight, base.T)
+            d, dp = rbo.ambient.dim, rbo.source.dim
+            cocycles = OperatorComplex(rbo).cohomology(1).cocycles.vectors
+            for fractional in (False, True):
+                flat = [F(0)] * (dp * d)
+                for vec in cocycles:
+                    c = scalar(fractional)
+                    flat = [a + c * x for a, x in zip(flat, vec)]
+                wedge_coords = tuple(scalar(fractional) for _ in wedge_pairs(d))
+                directions = (
+                    cochain_from_map(Matrix.from_rows([[scalar(fractional) for _ in range(dp)] for _ in range(d)])),
+                    unflatten_cochain(1, dp, d, tuple(flat)),
+                    delta_wedge(rbo, Cochain(-1, dp, d, wedge_coords)),
+                )
+                for f in directions:
+                    deform = InfinitesimalDeformation(rbo, f)
+                    got = list(_coefficients(deform))
+                    assert got == list(interpolated_coefficients(rbo.action, weight, rbo.T, deform.direction_map()))
+                    for _, coeffs in got:
+                        for k, c in enumerate(coeffs):
+                            nonzero[k] += any(c)
+                    order_t = [v.witness for v in check_deformation(deform) if v.rule == "order-t"]
+                    assert order_t == [v.witness for v in one_cocycle_check(rbo, f)]
+    assert all(nonzero), nonzero  # every coefficient was compared away from zero
 
 
 def test_deformation_truncation_to_operator(rbo3):
@@ -128,14 +170,11 @@ def test_deformation_truncation_to_operator(rbo3):
 
 def test_cocycle_class_of_coboundary_is_zero(rbo3):
     f = delta_wedge(rbo3, wedge(rbo3, 1, 0, 0))
-    ok, coords = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
-    assert ok
+    coords = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
     assert len(coords) == 5
     assert all(x == 0 for x in coords)
-    ok, coords = deformation_cocycle_class(
-        InfinitesimalDeformation(rbo3, zero_cochain(1, 3, 3))
-    )
-    assert ok and all(x == 0 for x in coords)
+    coords = deformation_cocycle_class(InfinitesimalDeformation(rbo3, zero_cochain(1, 3, 3)))
+    assert all(x == 0 for x in coords)
 
 
 def test_cocycle_class_nonzero_for_noncoboundary(rbo3):
@@ -150,8 +189,7 @@ def test_cocycle_class_nonzero_for_noncoboundary(rbo3):
     from triplekit.cohomology import unflatten_cochain
 
     f = unflatten_cochain(1, 3, 3, outside)
-    ok, coords = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
-    assert ok
+    coords = deformation_cocycle_class(InfinitesimalDeformation(rbo3, f))
     assert any(x != 0 for x in coords)
 
 
@@ -253,8 +291,8 @@ def test_equivalent_pairs_share_class(rbo3):
         if w is None:
             continue
         assert check_equivalence(d1, d2, w) == ()
-        _, c1 = deformation_cocycle_class(d1)
-        _, c2 = deformation_cocycle_class(d2)
+        c1 = deformation_cocycle_class(d1)
+        c2 = deformation_cocycle_class(d2)
         assert c1 == c2
         checked += 1
     assert checked > 0, "no equivalent pair was generated; the comparison is vacuous"
@@ -588,7 +626,7 @@ def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):
                 with pytest.raises(VerificationError):
                     deformation_cocycle_class(InfinitesimalDeformation(rbo, f))
             else:
-                assert deformation_cocycle_class(InfinitesimalDeformation(rbo, f)) == (True, want)
+                assert deformation_cocycle_class(InfinitesimalDeformation(rbo, f)) == want
     assert raised > 0
 
 

@@ -19,6 +19,7 @@ from triplekit.cohomology import Cochain, OperatorComplex, cochain_from_map, unf
 from triplekit.deformations import (
     EquivalenceWitness,
     InfinitesimalDeformation,
+    _coefficients,
     check_deformation,
     deformation_cocycle_class,
     is_trivial_deformation,
@@ -36,10 +37,9 @@ from triplekit.linalg import (
 )
 from triplekit.lts import LieTripleSystem
 from triplekit.representations import ActionData, RepresentationData
-from triplekit.rota_baxter import RelativeRBO, _defect_coefficients, check_rbo
+from triplekit.rota_baxter import RelativeRBO, check_rbo
 
-from conftest import SEEDS
-from test_operator_complex import ladder
+from conftest import SEEDS, ladder
 
 F = Fraction
 
@@ -129,17 +129,16 @@ def as_ints(f: Cochain) -> Cochain:
 
 def class_coordinates(d: InfinitesimalDeformation):
     try:
-        return deformation_cocycle_class(d)[1]
+        return deformation_cocycle_class(d)
     except VerificationError:
         return "not a cocycle"
 
 
 def answers(rbo: RelativeRBO, direction: Cochain) -> dict:
     d = InfinitesimalDeformation(rbo, direction)
-    S = d.direction_map()
     return {
-        "check_rbo": check_rbo(rbo.action, rbo.weight, rbo.T + S),
-        "coefficients": tuple(c for _, c in _defect_coefficients(rbo.action, rbo.weight, rbo.T, S)),
+        "check_rbo": check_rbo(rbo.action, rbo.weight, rbo.T + d.direction_map()),
+        "coefficients": tuple(c for _, c in _coefficients(d)),
         "check_deformation": check_deformation(d),
         "class": class_coordinates(d),
         "trivial": is_trivial_deformation(d),
@@ -176,7 +175,7 @@ def test_int_build_matches_fraction_build(name, weight, request):
     if weight == "1":
         dp, d = base.source.dim, base.ambient.dim
         S = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(dp)] for _ in range(d)])
-        coeffs = [c for _, c in _defect_coefficients(rbo_int.action, rbo_int.weight, rbo_int.T, S)]
+        coeffs = [c for _, c in _coefficients(InfinitesimalDeformation(rbo_int, cochain_from_map(S)))]
         assert all(type(x) is int for x in exact_values(coeffs))
 
 

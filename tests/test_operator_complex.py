@@ -30,12 +30,12 @@ from triplekit.cohomology import (
 from triplekit.deformations import wedge_bracket_operator, wedge_d_operator
 from triplekit.fileio import cochain_to_json, dump_json
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
+from triplekit.linalg import Matrix, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
-from triplekit.representations import ActionData, RepresentationData, adjoint_representation, self_action
-from triplekit.rota_baxter import RelativeRBO, projection_rbo
+from triplekit.representations import ActionData, RepresentationData, adjoint_representation
+from triplekit.rota_baxter import RelativeRBO
 
-from conftest import SEEDS
+from conftest import SEEDS, ladder
 from test_deformations import perturbed_adjoint_operator
 
 F = Fraction
@@ -147,16 +147,6 @@ def generic(degree, source_dim, target_dim):
     ))
 
 
-def ladder(n):
-    """[e1,e2,e1] = e_n with its projection onto span{e2..e_(n-1)} along
-    span{e1, e_n}, at weight 1."""
-    top = basis_vector(n, n - 1)
-    L = LieTripleSystem.from_entries(n, {(0, 1, 0): top, (1, 0, 0): tuple(-x for x in top)})
-    target = SubspaceBasis.from_spanning([basis_vector(n, i) for i in range(1, n - 1)], n)
-    complement = SubspaceBasis.from_spanning([basis_vector(n, 0), top], n)
-    return RelativeRBO(self_action(L), F(1), projection_rbo(L, target, complement))
-
-
 @pytest.mark.parametrize("name", ["rbo3", "rbo4", "ladder4"])
 def test_operator_differentials_match_evaluator(name, request):
     rbo = ladder(4) if name == "ladder4" else request.getfixturevalue(name)
@@ -249,23 +239,26 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     for name in ("_assemble", "_assemble_delta"):
         monkeypatch.setattr(cohomology, name, counting(name))
     op = str(fixture_path("rbo4_P"))
-    zero = tmp_path / "zero.json"
+    zero, ident = tmp_path / "zero.json", tmp_path / "ident.json"
     zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    # the identity direction is not closed on rbo4_P
+    ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
     s = str(zero)
     delta, d1 = ("_assemble_delta",), ("_assemble", 1, "definition")
     d3 = [("_assemble", 3, c) for c in ("definition", "complex")]
     commands = [
-        (("coh", "group", op, "--degree", "3"), [d1, *d3]),
-        (("coh", "group", op, "--degree", "1"), [delta, d1]),
-        (("coh", "cocycle", op, s), [d1]),
-        (("coh", "coboundary", op, s), [d1]),
-        (("def", "check", op, s, "--strict"), [delta, d1]),
-        (("def", "class", op, s), [delta, d1]),
-        (("def", "trivial", op, s), [delta]),
-        (("def", "equiv", op, s, s, "--strict"), [delta]),
+        (("coh", "group", op, "--degree", "3"), [d1, *d3], 0),
+        (("coh", "group", op, "--degree", "1"), [delta, d1], 0),
+        (("coh", "cocycle", op, s), [d1], 0),
+        (("coh", "coboundary", op, s), [d1], 0),
+        (("def", "check", op, s, "--strict"), [delta, d1], 0),
+        (("def", "check", op, str(ident)), [d1], 1),
+        (("def", "class", op, s), [delta, d1], 0),
+        (("def", "trivial", op, s), [delta], 0),
+        (("def", "equiv", op, s, s, "--strict"), [delta], 0),
     ]
-    for argv, want in commands:
+    for argv, want, code in commands:
         built.clear()
-        assert main(list(argv)) == 0, argv
+        assert main(list(argv)) == code, argv
         capsys.readouterr()
         assert sorted(built) == sorted(want), argv

@@ -20,7 +20,6 @@ from triplekit.rota_baxter import (
     check_rbo_all_weights,
     check_rbo_homomorphism,
     descendent_lts,
-    graph_is_subsystem,
     graph_subsystem,
     is_nijenhuis,
     is_rbo,
@@ -117,7 +116,6 @@ def test_graph_span_and_closure(rbo3):
     assert graph.dim == 3
     sd = semidirect_product(rbo3.action, rbo3.weight)
     assert is_subsystem(sd, graph)
-    assert graph_is_subsystem(rbo3)
 
 
 def test_graph_of_zero_map_at_zero_weight(rbo3):
@@ -126,7 +124,7 @@ def test_graph_of_zero_map_at_zero_weight(rbo3):
     assert graph.vectors == tuple(
         (F(0),) * 3 + tuple(basis_vector(3, u)) for u in range(3)
     )
-    assert graph_is_subsystem(zero)
+    assert is_subsystem(semidirect_product(zero.action, zero.weight), graph)
 
 
 def test_descendent_bracket_value(rbo3):

@@ -29,8 +29,7 @@ from triplekit.representations import (
 )
 from triplekit.rota_baxter import RelativeRBO
 
-from conftest import SEEDS
-from test_operator_complex import ladder
+from conftest import SEEDS, ladder
 
 F = Fraction
 WEIGHTS = (F(0), F(1), F(-2), F(1, 2))
