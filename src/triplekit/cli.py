@@ -57,12 +57,6 @@ def _report_result(report: Report) -> int:
     return 1 if report else 0
 
 
-def _with_weight(rbo: RelativeRBO, args) -> RelativeRBO:
-    if getattr(args, "weight", None) is None:
-        return rbo
-    return RelativeRBO(rbo.action, parse_scalar(args.weight), rbo.T)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -112,14 +106,14 @@ def cmd_sd_build(args) -> int:
 
 
 def cmd_rbo_check(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
+    rbo = args.rbo
     if args.all_weights:
         return _report_result(check_rbo_all_weights(rbo.action, rbo.T))
     return _report_result(check_rbo(rbo.action, rbo.weight, rbo.T))
 
 
 def cmd_rbo_graph(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
+    rbo = args.rbo
     graph = graph_subsystem(rbo)
     _emit({
         "graph": fileio.subspace_to_json(graph),
@@ -129,13 +123,12 @@ def cmd_rbo_graph(args) -> int:
 
 
 def cmd_rbo_descendent(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    _emit(fileio.algebra_to_json(descendent_lts(rbo)))
+    _emit(fileio.algebra_to_json(descendent_lts(args.rbo)))
     return 0
 
 
 def cmd_rbo_nijenhuis(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
+    rbo = args.rbo
     lift = nijenhuis_lift(rbo.action, rbo.T)
     ambient = semidirect_product(rbo.action, rbo.weight)
     report = nijenhuis_check(ambient, lift)
@@ -152,17 +145,13 @@ def cmd_rbo_hom(args) -> int:
 
 
 def cmd_rbo_equivalence(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    result = equivalence_sweep(
-        rbo.action, rbo.weight, trials=args.trials, seed=args.seed
-    )
+    result = equivalence_sweep(args.rbo.action, args.rbo.weight, trials=args.trials, seed=args.seed)
     _emit(result)
     return 0 if result["counterexamples"] == 0 else 1
 
 
 def cmd_coh_group(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    result = cohomology_group(rbo, args.degree)
+    result = cohomology_group(args.rbo, args.degree)
     data = {
         "degree": result.degree,
         "dim_Z": result.dim_cocycles,
@@ -177,14 +166,12 @@ def cmd_coh_group(args) -> int:
 
 
 def cmd_coh_cocycle(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    return _report_result(one_cocycle_check(rbo, fileio.load_cochain(args.cochain)))
+    return _report_result(one_cocycle_check(args.rbo, fileio.load_cochain(args.cochain)))
 
 
 def cmd_coh_coboundary(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
     f = fileio.load_cochain(args.cochain)
-    _emit(fileio.cochain_to_json(OperatorComplex(rbo).apply(f)))
+    _emit(fileio.cochain_to_json(OperatorComplex(args.rbo).apply(f)))
     return 0
 
 
@@ -205,8 +192,7 @@ def cmd_coh_basis(args) -> int:
 
 
 def _load_deformation(args) -> InfinitesimalDeformation:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    return InfinitesimalDeformation(rbo, fileio.load_cochain(args.direction))
+    return InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction))
 
 
 def cmd_def_check(args) -> int:
@@ -238,9 +224,8 @@ def cmd_def_class(args) -> int:
 
 
 def cmd_def_equiv(args) -> int:
-    rbo = _with_weight(fileio.load_rbo(args.operator), args)
-    d1 = InfinitesimalDeformation(rbo, fileio.load_cochain(args.direction1))
-    d2 = InfinitesimalDeformation(rbo, fileio.load_cochain(args.direction2))
+    d1 = InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction1))
+    d2 = InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction2))
     if args.witness:
         w = EquivalenceWitness(fileio.load_cochain(args.witness))
         return _report_result(check_equivalence(d1, d2, w, strict=args.strict))
@@ -421,6 +406,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every operator command reads its operator, at --weight when
+        # given, before any other input file
+        if "operator" in vars(args):
+            rbo = fileio.load_rbo(args.operator)
+            if args.weight is not None:
+                rbo = RelativeRBO(rbo.action, parse_scalar(args.weight), rbo.T)
+            args.rbo = rbo
         return args.handler(args)
     except VerificationError as exc:
         _emit({"error": str(exc), "kind": "verification"})

@@ -31,7 +31,9 @@ The operator complex reads its coefficients theta_T off the projected
 semidirect bracket of graph vectors; its degree -1 map is
 delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
 of T and of the bracket.  Each differential is written once, by one
-pass that writes its entries into sparse columns, and
+pass that writes its entries into sparse columns, reading theta off
+``RepresentationData.nonzero`` and each D(a, b) as the two entries
+theta(b, a) - theta(a, b), so no D matrix is built; and
 :class:`OperatorComplex` assembles each at most once per operator; the
 audit is the sparse product d_3 d_1, and a degree-1 cochain is closed
 exactly when d_1 f = 0.  Cocycles, coboundaries and their quotient come
@@ -62,6 +64,7 @@ from .linalg import (
     sparse_kernel,
     sparse_transpose,
     vec_is_zero,
+    vec_sub,
     zero_vector,
 )
 from .representations import RepresentationData
@@ -259,14 +262,12 @@ def _assemble(rep: RepresentationData, degree: int, convention: str = "definitio
     """The coboundary out of degree ``degree`` on all flat cochains, in
     one pass over the output argument tuples: each term of the formula
     above reads f at one argument tuple and writes the entries of the
-    matrix it applies there (theta, D, or a bracket coefficient)."""
+    matrix it applies there (theta, the two theta terms of D, or a
+    bracket coefficient)."""
     d, m, L = rep.algebra.dim, rep.space_dim, rep.algebra
-
-    def nonzeros(mat):
-        return [(r, c, a) for r, row in enumerate(mat.entries) for c, a in enumerate(row) if a]
-
-    theta = [[nonzeros(rep.theta[i][j]) for j in range(d)] for i in range(d)]
-    dmat = [[nonzeros(rep.d_basis(i, j)) for j in range(d)] for i in range(d)]
+    theta = [[()] * d for _ in range(d)]
+    for i, j, entries in rep.nonzero:
+        theta[i][j] = entries
     ident = [(l, l, ONE) for l in range(m)]
     n = (degree + 1) // 2
     signs = [(_d_sum_sign(convention, n, i), -1 if (i + n + 1) % 2 else 1) for i in range(1, n + 1)]
@@ -278,12 +279,15 @@ def _assemble(rep: RepresentationData, degree: int, convention: str = "definitio
             for i, (d_sign, ins_sign) in enumerate(signs, 1):
                 a, b = args[2 * i - 2], args[2 * i - 1]
                 reduced = args[: 2 * i - 2] + args[2 * i:]
-                terms.append((reduced, dmat[a][b], d_sign))
+                # D(a, b) = theta(b, a) - theta(a, b)
+                terms += [(reduced, theta[b][a], d_sign), (reduced, theta[a][b], -d_sign)]
                 for slot in range(2 * i - 2, degree):
                     for lsrc, c in enumerate(L.bracket[a][b][reduced[slot]]):
                         if c:
                             terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))
             for args_in, mat, sign in terms:
+                if not mat:
+                    continue  # a zero theta(e_i, e_j) writes nothing
                 base = flat_arg_index(args_in, d) * m
                 for r, c, a in mat:
                     yield base + c, pos * m + r, sign * a
@@ -332,33 +336,33 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
 
       theta_T(u,v)x = [x,Tu,Tv] - T( D(x,Tu)v - theta(x,Tv)u ),
 
-    the projected bracket of (x,0), (Tu,u), (Tv,v).  The derived D_T is
-    checked against the projected bracket of (Tu,u), (Tv,v), (x,0)
-    on all basis pairs before returning.
+    the projected bracket of (x,0), (Tu,u), (Tv,v).  Its derived D_T is
+    the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when the
+    ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since the
+    L' parts of the two agree identically; that identity is checked on
+    all basis pairs and vectors before returning.
     """
     desc = descendent_lts(rbo)
-    d, dp = rbo.ambient.dim, rbo.source.dim
-    graph = [_graph_vector(rbo.T, u) for u in range(dp)]
+    L, T = rbo.ambient, rbo.T
+    d, dp = L.dim, rbo.source.dim
+    graph = [_graph_vector(T, u) for u in range(dp)]
     plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
-
-    def projected(a, b, c):
-        return _projected_bracket(rbo.action, rbo.weight, rbo.T, a, b, c)
-
     theta_t = tuple(
         tuple(
-            Matrix.from_columns([projected(ex, graph[u], graph[v]) for ex in plain], d)
+            Matrix.from_columns(
+                [_projected_bracket(rbo.action, rbo.weight, T, ex, graph[u], graph[v])[0] for ex in plain], d
+            )
             for v in range(dp)
         )
         for u in range(dp)
     )
-    out = RepresentationData(desc, d, theta_t)
-    for u, v in product(range(dp), repeat=2):
-        direct = Matrix.from_columns([projected(graph[u], graph[v], ex) for ex in plain], d)
-        if direct != out.d_basis(u, v):
+    br = L.bracket_eval
+    for (Tu, _), (Tv, _), (ex, _) in product(graph, graph, plain):
+        if br(Tu, Tv, ex) != vec_sub(br(ex, Tv, Tu), br(ex, Tu, Tv)):
             raise VerificationError(
                 "derived D_T disagrees with its closed formula; input is not a valid operator"
             )
-    return out
+    return RepresentationData(desc, d, theta_t)
 
 
 def _assemble_delta(rbo: RelativeRBO) -> dict:

@@ -22,10 +22,11 @@ conditions on X:
 Both are linear in the wedge coordinates, so witnesses are found by
 one exact linear solve.  Strict mode additionally demands the
 first-order parts of the theta- and D-equivariance conditions of an
-operator homomorphism.  The theta rows are contracted in one pass over
-the nonzero entries of the theta(e_i, e_j), [X,-] and D(X), with no
-matrix built; D is theta(b,a) - theta(a,b) and every term is linear in
-theta, so each D row is a difference of two theta rows.  Each condition
+operator homomorphism.  The theta rows come from the one (R2)
+evaluator of :mod:`triplekit.representations`, a pass over the nonzero
+entries of the theta(e_i, e_j), [X,-] and D(X) with no matrix built;
+D is theta(b,a) - theta(a,b) and every term is linear in theta, so each
+D row is a difference of two theta rows.  Each condition
 is written once: the check evaluates it at the witness, the solve
 stacks it at the unit wedges.
 """
@@ -50,7 +51,8 @@ from .linalg import (
     zero_vector,
 )
 from .reporting import Report, Violation
-from .rota_baxter import RelativeRBO, _rbo_defect
+from .representations import _theta_equivariance_rows
+from .rota_baxter import RelativeRBO, _rb_defects
 
 __all__ = [
     "InfinitesimalDeformation",
@@ -115,10 +117,10 @@ def _coefficients(d: InfinitesimalDeformation):
     T + t*S at (u, v, w)."""
     rbo, S = d.base, d.direction_map()
     order_t = d.complex.apply(d.direction).coeffs
-    for (u, v, w), c1 in zip(product(range(rbo.source.dim), repeat=3), order_t):
-        c3 = _rbo_defect(rbo.action, ZERO, S, u, v, w)
-        full = _rbo_defect(rbo.action, rbo.weight, rbo.T + S, u, v, w)
-        yield (u, v, w), (c1, tuple(x - a - b for x, a, b in zip(full, c1, c3)), c3)
+    alone = _rb_defects(rbo.action, ZERO, S)
+    combined = _rb_defects(rbo.action, rbo.weight, rbo.T + S)
+    for c1, (triple, c3, _), (_, full, _) in zip(order_t, alone, combined):
+        yield triple, (c1, tuple(x - a - b for x, a, b in zip(full, c1, c3)), c3)
 
 
 def check_deformation(d: InfinitesimalDeformation) -> Report:
@@ -150,35 +152,6 @@ def deformation_cocycle_class(d: InfinitesimalDeformation) -> tuple:
     if last in pivots:
         raise VerificationError("direction is not a 1-cocycle; no cohomology class")
     return tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
-
-
-def _theta_equivariance_rows(rep, bx: Matrix, dx: Matrix):
-    """rows[x][y] = dx theta(e_x,e_y) - theta(bx e_x, e_y) - theta(e_x, bx e_y)
-    - theta(e_x,e_y) dx, flattened row by row, for every basis pair.
-
-    One pass over the nonzero entries of the theta(e_i, e_j): the entry
-    (r, c, a) of theta(e_i, e_j) meets the nonzeros of column r and
-    row c of dx in row (i, j), and adds -bx[i][x] a to row (x, j) and
-    -bx[j][y] a to row (i, y).  No matrix is built.
-    """
-    d, dp = rep.algebra.dim, rep.space_dim
-    rows = [[[ZERO] * (dp * dp) for _ in range(d)] for _ in range(d)]
-    dx_cols = [[(s, b) for s, b in enumerate(dx.column(k)) if b] for k in range(dp)]
-    dx_rows = [[(s, b) for s, b in enumerate(row) if b] for row in dx.entries]
-    bx_rows = [[(t, b) for t, b in enumerate(row) if b] for row in bx.entries]
-    for i, j, entries in rep.nonzero:
-        own = rows[i][j]
-        for r, c, a in entries:
-            for s, b in dx_cols[r]:
-                own[s * dp + c] += b * a
-            for s, b in dx_rows[c]:
-                own[r * dp + s] -= a * b
-        # theta(bx e_x, e_y) and theta(e_x, bx e_y), over the nonzeros of bx
-        middle = [(rows[x][j], b) for x, b in bx_rows[i]] + [(rows[i][y], b) for y, b in bx_rows[j]]
-        for row, b in middle:
-            for r, c, a in entries:
-                row[r * dp + c] -= b * a
-    return rows
 
 
 def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):

@@ -104,6 +104,10 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
                 raise StructureError(f"algebra: bracket value index {key!r} is not an integer") from exc
             if not 0 <= l < dim:
                 raise StructureError(f"algebra: bracket value index {key} out of range")
+            # only the numeral algebra_to_json writes: no sign, space,
+            # underscore, leading zero or non-ASCII digit
+            if key != str(l + 1):
+                raise StructureError(f"algebra: bracket value index {key!r} is not the numeral {l + 1}")
             vec[l] = parse_scalar(val)
         if i == j:
             if not vec_is_zero(tuple(vec)):

@@ -11,7 +11,8 @@ subject to the two compatibility identities
 with D(a,b) = theta(b,a) - theta(a,b).  D is always derived on the
 fly, never stored.  Besides the dense matrices, a representation keeps
 the nonzero entries of each theta(e_i, e_j), built once, and every
-contraction with arbitrary arguments runs over that list.  An action
+contraction with arbitrary arguments runs over that list, as does the
+one evaluator of (R2), which deformations share.  An action
 is a representation on a space that is itself a Lie triple system,
 landing in its center and killing its brackets; actions are exactly
 what semidirect products need.
@@ -101,7 +102,8 @@ def adjoint_representation(L: LieTripleSystem) -> RepresentationData:
 
 
 def verify_representation(r: RepresentationData) -> Report:
-    """Check (R1) and (R2) on all basis 4-tuples of the acting algebra."""
+    """Check (R1) and (R2) on all basis 4-tuples of the acting algebra;
+    (R2) is read off :func:`_theta_equivariance_rows`, one call per pair."""
     d = r.algebra.dim
     out = []
     th, br, E = r.theta, r.algebra.bracket, r.algebra.basis()
@@ -115,16 +117,42 @@ def verify_representation(r: RepresentationData) -> Report:
         )
         if not lhs.is_zero():
             out.append(Violation("module-identity-1", (a + 1, b + 1, c + 1, dd + 1)))
-    for a, b, c, dd in product(range(d), repeat=4):
-        lhs = (
-            th[c][dd] @ dm[a][b]
-            - dm[a][b] @ th[c][dd]
-            + r.theta_vec(br[a][b][c], E[dd])
-            + r.theta_vec(E[c], br[a][b][dd])
-        )
-        if not lhs.is_zero():
-            out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))
+    for a, b in product(range(d), repeat=2):
+        rows = _theta_equivariance_rows(r, Matrix.from_columns(br[a][b], d), dm[a][b])
+        for c, dd in product(range(d), repeat=2):
+            if any(rows[c][dd]):
+                out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))
     return tuple(out)
+
+
+def _theta_equivariance_rows(rep: RepresentationData, bx: Matrix, dx: Matrix):
+    """rows[x][y] = dx theta(e_x,e_y) - theta(bx e_x, e_y) - theta(e_x, bx e_y)
+    - theta(e_x,e_y) dx, flattened row by row, for every basis pair: at
+    bx = [e_a, e_b, -] and dx = D(a, b), minus (R2) at (a, b, x, y).
+
+    One pass over the nonzero entries of the theta(e_i, e_j): the entry
+    (r, c, a) of theta(e_i, e_j) meets the nonzeros of column r and
+    row c of dx in row (i, j), and adds -bx[i][x] a to row (x, j) and
+    -bx[j][y] a to row (i, y).  No matrix is built.
+    """
+    d, dp = rep.algebra.dim, rep.space_dim
+    rows = [[[ZERO] * (dp * dp) for _ in range(d)] for _ in range(d)]
+    dx_cols = [[(s, b) for s, b in enumerate(dx.column(k)) if b] for k in range(dp)]
+    dx_rows = [[(s, b) for s, b in enumerate(row) if b] for row in dx.entries]
+    bx_rows = [[(t, b) for t, b in enumerate(row) if b] for row in bx.entries]
+    for i, j, entries in rep.nonzero:
+        own = rows[i][j]
+        for r, c, a in entries:
+            for s, b in dx_cols[r]:
+                own[s * dp + c] += b * a
+            for s, b in dx_rows[c]:
+                own[r * dp + s] -= a * b
+        # theta(bx e_x, e_y) and theta(e_x, bx e_y), over the nonzeros of bx
+        middle = [(rows[x][j], b) for x, b in bx_rows[i]] + [(rows[i][y], b) for y, b in bx_rows[j]]
+        for row, b in middle:
+            for r, c, a in entries:
+                row[r * dp + c] -= b * a
+    return rows
 
 
 @dataclass(frozen=True)

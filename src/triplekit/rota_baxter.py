@@ -9,11 +9,15 @@ relative Rota-Baxter operator of weight lambda when
 for all u, v, w in L'.  Both sides are read off the semidirect bracket
 of the graph vectors (Tu,u), (Tv,v), (Tw,w): the defect of (RB) is that
 bracket projected by (x, u) -> x - Tu, so (RB) says the graph {Tu + u}
-is a subsystem of the semidirect product.  The block lift
+is a subsystem of the semidirect product.  One pass builds the graph
+vectors once and yields, per basis triple, the defect and the L' part
+of that bracket; the operator checks, the descendent bracket and the
+deformation coefficients all read it.  The block lift
 (x,u) -> (x + Tu, 0) being a Nijenhuis operator is an equivalent
-characterization.  The identity (RB) is affine in lambda, so "operator
-of every weight" is decided exactly by checking the constant and linear
-parts separately.
+characterization; the Nijenhuis torsion is evaluated nested, with three
+applications of N per triple.  The identity (RB) is affine in lambda,
+so "operator of every weight" is decided exactly by checking the
+constant and linear parts separately.
 """
 
 from __future__ import annotations
@@ -72,26 +76,30 @@ def _graph_vector(T: LinearMap, u: int) -> tuple[Vector, Vector]:
     return T.column(u), basis_vector(T.cols, u)
 
 
-def _projected_bracket(action: ActionData, weight: Scalar, T: LinearMap, a, b, c) -> Vector:
-    """x - Tp for (x, p) = [a, b, c], the semidirect bracket of three
-    (x, u) pairs; zero exactly when the bracket lies on the graph of T."""
+def _projected_bracket(action: ActionData, weight: Scalar, T: LinearMap, a, b, c) -> tuple[Vector, Vector]:
+    """(x - Tp, p) for (x, p) = [a, b, c], the semidirect bracket of three
+    (x, u) pairs; x - Tp is zero exactly when the bracket lies on the
+    graph of T."""
     x, p = semidirect_bracket(action, weight, *a, *b, *c)
-    return vec_sub(x, T.apply(p))
+    return vec_sub(x, T.apply(p)), p
 
 
-def _rbo_defect(action: ActionData, weight: Scalar, T: LinearMap, u: int, v: int, w: int):
-    """LHS - RHS of (RB) at basis triple (u, v, w): the projected bracket
-    of the graph vectors of u, v and w; zero vector iff (RB) holds there."""
-    return _projected_bracket(
-        action, weight, T, _graph_vector(T, u), _graph_vector(T, v), _graph_vector(T, w)
-    )
+def _rb_defects(action: ActionData, weight: Scalar, T: LinearMap):
+    """((u, v, w), x - Tp, p) for every basis triple of L' in
+    lexicographic order, from the projected bracket of the graph vectors
+    of u, v and w: x - Tp is LHS - RHS of (RB), the zero vector exactly
+    where (RB) holds, and p is the L' part.  The graph vectors are built
+    once."""
+    _check_dims(action, T)
+    graph = [_graph_vector(T, u) for u in range(T.cols)]
+    for u, v, w in product(range(T.cols), repeat=3):
+        yield (u, v, w), *_projected_bracket(action, weight, T, graph[u], graph[v], graph[w])
 
 
 def _rbo_violations(action: ActionData, weight: Scalar, T: LinearMap):
     """Basis triples where (RB) fails, generated in lexicographic order."""
-    _check_dims(action, T)
-    for u, v, w in product(range(action.target.dim), repeat=3):
-        if not vec_is_zero(_rbo_defect(action, weight, T, u, v, w)):
+    for (u, v, w), defect, _ in _rb_defects(action, weight, T):
+        if not vec_is_zero(defect):
             yield Violation("rota-baxter-identity", (u + 1, v + 1, w + 1))
 
 
@@ -112,11 +120,9 @@ def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
     lambda = 0 and the lambda-coefficient is T applied to the source
     bracket, so both parts are checked independently.
     """
-    _check_dims(action, T)
-    dp = action.target.dim
     out = []
-    for u, v, w in product(range(dp), repeat=3):
-        if not vec_is_zero(_rbo_defect(action, ZERO, T, u, v, w)):
+    for (u, v, w), defect, _ in _rb_defects(action, ZERO, T):
+        if not vec_is_zero(defect):
             out.append(Violation("rota-baxter-constant-part", (u + 1, v + 1, w + 1)))
         if not vec_is_zero(T.apply(action.target.bracket[u][v][w])):
             out.append(Violation("rota-baxter-weight-part", (u + 1, v + 1, w + 1)))
@@ -193,44 +199,31 @@ def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
     confirm with :func:`triplekit.lts.is_homomorphism`.  One bracket per
     triple yields both the (RB) defect x - Tp and the entry p.
     """
-    dp = rbo.source.dim
-    graph = [_graph_vector(rbo.T, u) for u in range(dp)]
     entries, failing = {}, 0
-    for u, v, w in product(range(dp), repeat=3):
-        x, p = semidirect_bracket(rbo.action, rbo.weight, *graph[u], *graph[v], *graph[w])
-        if not vec_is_zero(vec_sub(x, rbo.T.apply(p))):
+    for triple, defect, p in _rb_defects(rbo.action, rbo.weight, rbo.T):
+        if not vec_is_zero(defect):
             failing += 1
         elif not vec_is_zero(p):
-            entries[(u, v, w)] = p
+            entries[triple] = p
     if failing:
         raise RotaBaxterError(
             f"descendent system requires the Rota-Baxter identity; {failing} basis triples fail"
         )
-    return LieTripleSystem.from_entries(dp, entries, rbo.source.basis_names)
+    return LieTripleSystem.from_entries(rbo.source.dim, entries, rbo.source.basis_names)
 
 
 def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> Vector:
-    """LHS - RHS of the Nijenhuis identity at basis triple (x, y, z)."""
-    E = (basis_vector(L.dim, x), basis_vector(L.dim, y), basis_vector(L.dim, z))
+    """LHS - RHS of the Nijenhuis identity at basis triple (x, y, z),
+    written nested as [Nx,Ny,Nz] - N(A - N(B - N[x,y,z])), where A sums
+    the three brackets with two arguments under N and B the three with
+    one; three applications of N per triple."""
+    ex, ey, ez = (basis_vector(L.dim, i) for i in (x, y, z))
     Nx, Ny, Nz = N.column(x), N.column(y), N.column(z)
-    lhs = L.bracket_eval(Nx, Ny, Nz)
-    acc = list(N.apply(L.bracket_eval(Nx, Ny, E[2])))
-    for term in (L.bracket_eval(E[0], Ny, Nz), L.bracket_eval(Nx, E[1], Nz)):
-        t = N.apply(term)
-        for l in range(L.dim):
-            acc[l] += t[l]
-    for term in (
-        L.bracket_eval(Nx, E[1], E[2]),
-        L.bracket_eval(E[0], Ny, E[2]),
-        L.bracket_eval(E[0], E[1], Nz),
-    ):
-        t = N.apply(N.apply(term))
-        for l in range(L.dim):
-            acc[l] -= t[l]
-    t = N.apply(N.apply(N.apply(L.bracket[x][y][z])))
-    for l in range(L.dim):
-        acc[l] += t[l]
-    return vec_sub(lhs, tuple(acc))
+    br = L.bracket_eval
+    two = tuple(map(sum, zip(br(Nx, Ny, ez), br(Nx, ey, Nz), br(ex, Ny, Nz))))
+    one = tuple(map(sum, zip(br(Nx, ey, ez), br(ex, Ny, ez), br(ex, ey, Nz))))
+    inner = N.apply(vec_sub(one, N.apply(L.bracket[x][y][z])))
+    return vec_sub(br(Nx, Ny, Nz), N.apply(vec_sub(two, inner)))
 
 
 def _nijenhuis_violations(L: LieTripleSystem, N: Matrix, indices):

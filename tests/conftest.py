@@ -31,6 +31,7 @@ SEEDS = {
     "scalars": 8117,
     "elimination": 4409,
     "nijenhuis": 2719,
+    "identities": 6053,
 }
 
 F = Fraction

@@ -1,16 +1,26 @@
-"""Dense exact elimination: the oracle for the sparse one in ``linalg``.
+"""Dense and hand-expanded oracles for the package's one evaluator per
+identity.
 
 ``linalg.echelon`` is the package's one elimination; it works on sparse
 rows and reduces each row once as it arrives.  This module keeps the
 textbook alternative on dense rows, column by column, and rebuilds the
 old dense cohomology path on it, so that the tests can require both to
 give the same answers.  Everything returns dense tuples.
+
+It also keeps three identities as they were written before each got a
+single evaluator: (R2) as a dense matrix loop over basis 4-tuples, the
+Nijenhuis torsion expanded into its seven terms with twelve
+applications of N, and the D_T self-check of the induced
+representation as a comparison of projected brackets.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from triplekit.cohomology import cochain_space_basis
-from triplekit.linalg import ONE, ZERO, exact_div
+from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, vec_sub, zero_vector
+from triplekit.representations import semidirect_bracket
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -135,3 +145,78 @@ def cocycle_class(cocycles, coboundaries, direction):
     if len(columns) - 1 in pivots:
         return None
     return tuple(rows[r][-1] for r in range(len(coboundaries), len(pivots)))
+
+
+def r2_violations(rep):
+    """Witnesses (a, b, c, d), 1-based and in lexicographic order, where
+    the dense (R2) matrix
+
+      theta(c,d) D(a,b) - D(a,b) theta(c,d)
+        + theta([a,b,c], d) + theta(c, [a,b,d])
+
+    is not zero."""
+    d = rep.algebra.dim
+    th, br, E = rep.theta, rep.algebra.bracket, rep.algebra.basis()
+    dm = [[th[j][i] - th[i][j] for j in range(d)] for i in range(d)]
+    out = []
+    for a, b, c, dd in product(range(d), repeat=4):
+        lhs = (
+            th[c][dd] @ dm[a][b]
+            - dm[a][b] @ th[c][dd]
+            + rep.theta_vec(br[a][b][c], E[dd])
+            + rep.theta_vec(E[c], br[a][b][dd])
+        )
+        if not lhs.is_zero():
+            out.append((a + 1, b + 1, c + 1, dd + 1))
+    return out
+
+
+def nijenhuis_defect(L, N, x, y, z):
+    """[Nx,Ny,Nz] - N([Nx,Ny,z] + [x,Ny,Nz] + [Nx,y,Nz])
+    + N^2([Nx,y,z] + [x,Ny,z] + [x,y,Nz]) - N^3[x,y,z], each term
+    applied separately: twelve applications of N per triple."""
+    E = (basis_vector(L.dim, x), basis_vector(L.dim, y), basis_vector(L.dim, z))
+    Nx, Ny, Nz = N.column(x), N.column(y), N.column(z)
+    lhs = L.bracket_eval(Nx, Ny, Nz)
+    acc = list(N.apply(L.bracket_eval(Nx, Ny, E[2])))
+    for term in (L.bracket_eval(E[0], Ny, Nz), L.bracket_eval(Nx, E[1], Nz)):
+        t = N.apply(term)
+        for l in range(L.dim):
+            acc[l] += t[l]
+    for term in (
+        L.bracket_eval(Nx, E[1], E[2]),
+        L.bracket_eval(E[0], Ny, E[2]),
+        L.bracket_eval(E[0], E[1], Nz),
+    ):
+        t = N.apply(N.apply(term))
+        for l in range(L.dim):
+            acc[l] -= t[l]
+    t = N.apply(N.apply(N.apply(L.bracket[x][y][z])))
+    for l in range(L.dim):
+        acc[l] += t[l]
+    return vec_sub(lhs, tuple(acc))
+
+
+def d_t_gaps(rbo):
+    """{(u, v): direct - derived} for every basis pair of L', as dense
+    matrices over the ambient space: ``direct`` is the projected bracket
+    of (Tu,u), (Tv,v), (x,0) and ``derived`` is theta_T(v,u) - theta_T(u,v),
+    with theta_T(u,v)x the projected bracket of (x,0), (Tu,u), (Tv,v).
+    The induced representation used to compare exactly these; (RB) is
+    not needed to form them."""
+    T, d, dp = rbo.T, rbo.ambient.dim, rbo.source.dim
+    graph = [(T.column(u), basis_vector(dp, u)) for u in range(dp)]
+    plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
+
+    def projected(a, b, c):
+        x, p = semidirect_bracket(rbo.action, rbo.weight, *a, *b, *c)
+        return vec_sub(x, T.apply(p))
+
+    def theta_t(u, v):
+        return Matrix.from_columns([projected(ex, graph[u], graph[v]) for ex in plain], d)
+
+    gaps = {}
+    for u, v in product(range(dp), repeat=2):
+        direct = Matrix.from_columns([projected(graph[u], graph[v], ex) for ex in plain], d)
+        gaps[u, v] = direct - (theta_t(v, u) - theta_t(u, v))
+    return gaps

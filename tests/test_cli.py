@@ -280,6 +280,11 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         (("coh", "coboundary", rbo3), {"degree": -1.0, "coeffs": ["0", "0", "0"]}),
         (lts_verify, {"dim": 3, "brackets": [{"args": [True, 2, 2], "value": {"1": "1"}}]}),
         (rep_verify, {"algebra": {"dim": 2}, "space_dim": 1, "theta": [{"args": [True, 2], "matrix": [["1"]]}]}),
+        # a bracket-value index is the numeral algebra_to_json writes, not
+        # whatever int() accepts ("1_0" would be read as 10)
+        (lts_verify, {"dim": 11, "brackets": [{"args": [1, 2, 1], "value": {"1_0": "1"}}]}),
+        *((lts_verify, {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": {key: "1"}}]})
+          for key in (" 3", "+3", "03", "3 ", "\u0663")),
         # raw text: nesting deeper than the recursion limit
         (lts_verify, "[" * 5000 + "]" * 5000),
         # no input file: the dimensions come from the command line

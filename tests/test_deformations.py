@@ -47,10 +47,11 @@ from triplekit.representations import (
     ActionData,
     RepresentationData,
     adjoint_representation,
-    verify_representation,
+    semidirect_bracket,
 )
-from triplekit.rota_baxter import RelativeRBO, _rbo_defect, check_rbo
+from triplekit.rota_baxter import RelativeRBO, check_rbo
 
+import dense_oracle
 from conftest import SEEDS, ladder
 
 F = Fraction
@@ -95,6 +96,14 @@ def test_coboundary_direction_is_full_deformation(rbo3):
     assert check_deformation(d) == ()
 
 
+def rb_defect(action, weight, T, u, v, w):
+    """LHS - RHS of (RB) at one basis triple, straight from the semidirect
+    bracket of the graph vectors (Tu,u), (Tv,v), (Tw,w)."""
+    graph = [(T.column(a), basis_vector(T.cols, a)) for a in (u, v, w)]
+    x, p = semidirect_bracket(action, weight, *graph[0], *graph[1], *graph[2])
+    return vec_sub(x, T.apply(p))
+
+
 def interpolated_coefficients(action, weight, T, S):
     """The oracle for the deformation coefficients: ((u, v, w), (c1, c2,
     c3)) for every basis triple, where c_k is the t^k coefficient of the
@@ -102,7 +111,7 @@ def interpolated_coefficients(action, weight, T, S):
     defect at t = 0, 1, -1, 2."""
     points = (T, T + S, T - S, T + S.scale(2))
     for u, v, w in product(range(action.target.dim), repeat=3):
-        d0, d1, dm, d2 = (_rbo_defect(action, weight, M, u, v, w) for M in points)
+        d0, d1, dm, d2 = (rb_defect(action, weight, M, u, v, w) for M in points)
         c2 = tuple(exact_div(a + b, 2) - z for a, b, z in zip(d1, dm, d0))
         odd = tuple(exact_div(a - b, 2) for a, b in zip(d1, dm))  # c1 + c3
         # (d2 - d0 - 4 c2) / 2 = c1 + 4 c3
@@ -118,13 +127,14 @@ def test_order_t_iff_cocycle_random(rbo3, rbo4):
     # defect of T + S, against the four-point interpolation on every
     # triple; random, cocycle and coboundary directions, integral and
     # p/q, at three weights.  The order-t witnesses are the triples where
-    # d_1 S does not vanish.
+    # the oracle's c1 does not vanish.
     rng = random.Random(SEEDS["deformation"])
 
     def scalar(fractional):
         return F(rng.randint(-3, 3), rng.randint(1, 3) if fractional else 1)
 
     nonzero = [0, 0, 0]
+    closed = [0, 0]
     for base in (rbo3, rbo4, ladder(4)):
         for weight in (F(1), F(1, 2), F(-2, 3)):
             rbo = RelativeRBO(base.action, weight, base.T)
@@ -144,13 +154,20 @@ def test_order_t_iff_cocycle_random(rbo3, rbo4):
                 for f in directions:
                     deform = InfinitesimalDeformation(rbo, f)
                     got = list(_coefficients(deform))
-                    assert got == list(interpolated_coefficients(rbo.action, weight, rbo.T, deform.direction_map()))
+                    got_oracle = list(interpolated_coefficients(rbo.action, weight, rbo.T, deform.direction_map()))
+                    assert got == got_oracle
                     for _, coeffs in got:
                         for k, c in enumerate(coeffs):
                             nonzero[k] += any(c)
+                    # the order-t witnesses and the cocycle check both read
+                    # d_1 S, so each is held against the oracle's c1
+                    want = [tuple(a + 1 for a in t) for t, (c1, _, _) in got_oracle if any(c1)]
                     order_t = [v.witness for v in check_deformation(deform) if v.rule == "order-t"]
-                    assert order_t == [v.witness for v in one_cocycle_check(rbo, f)]
+                    assert order_t == want
+                    assert [v.witness for v in one_cocycle_check(rbo, f)] == want
+                    closed[not want] += 1
     assert all(nonzero), nonzero  # every coefficient was compared away from zero
+    assert all(closed), closed  # closed and unclosed directions both occurred
 
 
 def test_deformation_truncation_to_operator(rbo3):
@@ -633,10 +650,10 @@ def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):
 def test_strict_theta_rows_are_minus_r2(lts4, sl2_lts):
     # with T = 0 and S1 = S2 = 0 only the strict rows can fire, and at the
     # unit wedge e_a ^ e_b the theta rows are -(R2) of the action at
-    # (a, b, x, y), which verify_representation evaluates on its own
+    # (a, b, x, y), which the dense oracle evaluates on its own
     for L in (lts4, sl2_lts):
         rbo = perturbed_adjoint_operator(L, Matrix.zeros(L.dim, L.dim))
-        r2 = [v.witness for v in verify_representation(rbo.action.rep) if v.rule == "module-identity-2"]
+        r2 = dense_oracle.r2_violations(rbo.action.rep)
         zero = InfinitesimalDeformation(rbo, zero_cochain(1, L.dim, L.dim))
         pairs = wedge_pairs(L.dim)
         assert check_equivalence(zero, zero, EquivalenceWitness(wedge(rbo, *[1] * len(pairs)))) == ()

@@ -191,8 +191,8 @@ def test_cohomology_of_a_non_operator_checks_rb_once(monkeypatch, tmp_path, caps
         assert capsys.readouterr().out == want, argv
 
     # on an operator, (RB) is read off the d'^3 brackets of the
-    # descendent system alone; induced_rep adds 2 d d'^2 more for
-    # theta_T and its D_T check
+    # descendent system alone; induced_rep adds d d'^2 more for
+    # theta_T, and its D_T check reads ambient brackets only
     brackets = []
     inner = rota_baxter.semidirect_bracket
 
@@ -203,4 +203,4 @@ def test_cohomology_of_a_non_operator_checks_rb_once(monkeypatch, tmp_path, caps
     monkeypatch.setattr(rota_baxter, "semidirect_bracket", counting)
     assert main(["coh", "group", str(fixture_path("rbo4_P")), "--degree", "1"]) == 0
     capsys.readouterr()
-    assert len(brackets) == 4**3 + 2 * 4 * 4**2
+    assert len(brackets) == 4**3 + 4 * 4**2
