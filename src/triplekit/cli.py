@@ -402,9 +402,28 @@ def parser_group(sub, name, help_text):
     )
 
 
+def _attach_weight(argv) -> list[str]:
+    """``argv`` with ``--weight -2/3`` written as ``--weight=-2/3``.
+
+    argparse takes a word that starts with ``-`` for an option unless it
+    reads as a negative integer or decimal, so a negative fraction after
+    ``--weight``, or after an abbreviation such as ``--wei``, would leave
+    the option without its value."""
+    out: list[str] = []
+    for word in argv:
+        if (
+            out and len(out[-1]) > 2 and "--weight".startswith(out[-1])
+            and word[:1] == "-" and (word[1:2].isdigit() or word[1:2] == ".")
+        ):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_weight(sys.argv[1:] if argv is None else argv))
     try:
         # every operator command reads its operator, at --weight when
         # given, before any other input file

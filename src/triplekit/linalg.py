@@ -52,6 +52,10 @@ def parse_scalar(text) -> Scalar:
         return _normal(text)
     if isinstance(text, str):
         try:
+            # an ASCII integer, the common case, skips Fraction's regex
+            digits = text[1:] if text[:1] == "-" else text
+            if digits.isdigit() and digits.isascii():
+                return int(text)
             return _normal(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"not a rational scalar: {text!r}") from exc

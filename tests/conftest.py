@@ -32,6 +32,7 @@ SEEDS = {
     "elimination": 4409,
     "nijenhuis": 2719,
     "identities": 6053,
+    "serialization": 7411,
 }
 
 F = Fraction

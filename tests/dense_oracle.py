@@ -11,7 +11,9 @@ It also keeps three identities as they were written before each got a
 single evaluator: (R2) as a dense matrix loop over basis 4-tuples, the
 Nijenhuis torsion expanded into its seven terms with twelve
 applications of N, and the D_T self-check of the induced
-representation as a comparison of projected brackets.
+representation as a comparison of projected brackets.  Last, it keeps
+the nested ``coeffs`` of a cochain file built as they first were, one
+recursive call per argument prefix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from triplekit.cohomology import cochain_space_basis
-from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, vec_sub, zero_vector
+from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
 from triplekit.representations import semidirect_bracket
 
 
@@ -220,3 +222,19 @@ def d_t_gaps(rbo):
         direct = Matrix.from_columns([projected(graph[u], graph[v], ex) for ex in plain], d)
         gaps[u, v] = direct - (theta_t(v, u) - theta_t(u, v))
     return gaps
+
+
+def cochain_coeffs(f):
+    """The ``coeffs`` of ``fileio.cochain_to_json(f)``: the wedge
+    coordinates in degree -1, else lists nested one level per argument,
+    with the value vector ``f.value(args)`` at each full argument
+    tuple."""
+    if f.degree == -1:
+        return [format_scalar(x) for x in f.coeffs]
+
+    def build(prefix):
+        if len(prefix) == f.degree:
+            return [format_scalar(x) for x in f.value(prefix)]
+        return [build(prefix + (i,)) for i in range(f.source_dim)]
+
+    return build(())

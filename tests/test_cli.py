@@ -8,7 +8,7 @@ from pathlib import Path
 from triplekit import cli
 from triplekit.cli import build_parser, main
 from triplekit.cohomology import zero_cochain
-from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
+from triplekit.fileio import action_to_json, cochain_to_json, dump_json, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix
 from triplekit.lts import LieTripleSystem
@@ -342,3 +342,47 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
         assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
         codes.append(code)
     assert codes == [2, 0, 0, 0]
+
+
+def test_negative_weight_reads_as_the_attached_form(tmp_path, capsys):
+    # argparse takes a word like "-2/3" for an option unless it reads as
+    # a negative integer or decimal; every command with --weight must
+    # print what the "--weight=-2/3" spelling prints
+    rbo3 = str(fixture_path("rbo3_P"))
+    action = tmp_path / "action.json"
+    action.write_text(dump_json(action_to_json(load_rbo(rbo3).action)))
+    zero = tmp_path / "zero.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 3, 3))))
+    zero = str(zero)
+    commands = (
+        ("sd", "build", str(action)),
+        *(("rbo", cmd, rbo3) for cmd in ("check", "graph", "descendent", "nijenhuis")),
+        ("rbo", "equivalence", rbo3, "--trials", "3"),
+        ("coh", "group", rbo3, "--degree", "1"),
+        ("coh", "group", rbo3, "--degree", "3"),
+        ("coh", "cocycle", rbo3, zero),
+        ("coh", "coboundary", rbo3, zero),
+        ("def", "check", rbo3, zero),
+        ("def", "class", rbo3, zero),
+        ("def", "equiv", rbo3, zero, zero),
+        ("def", "trivial", rbo3, zero, "--strict"),
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    for argv in commands:
+        for weight in ("-2/3", "-7/2", "-3", "-.5", "-1/0"):
+            # the option before the remaining arguments, as README writes it
+            split = run([*argv[:3], "--weight", weight, *argv[3:]])
+            assert split == run([*argv, f"--weight={weight}"]), (argv, weight)
+            assert split == run([*argv, "--wei", weight]), (argv, weight)
+            assert split[0] == (2 if weight == "-1/0" else 0), (argv, weight)
+            assert json.loads(split[1])
+    assert json.loads(run(["coh", "group", rbo3, "--weight", "-2/3", "--degree", "1"])[1]) == {
+        "degree": 1, "dim_B": 1, "dim_H": 5, "dim_Z": 6,
+    }
