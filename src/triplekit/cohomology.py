@@ -31,22 +31,28 @@ The operator complex reads its coefficients theta_T off the projected
 semidirect bracket of graph vectors; its degree -1 map is
 delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
 of T and of the bracket.  Each differential is written once, by one
-pass that writes its entries into sparse columns, reading theta off
-``RepresentationData.nonzero`` and each D(a, b) as the two entries
-theta(b, a) - theta(a, b), so no D matrix is built; and
-:class:`OperatorComplex` assembles each at most once per operator; the
-audit is the sparse product d_3 d_1, and a degree-1 cochain is closed
-exactly when d_1 f = 0.  Cocycles, coboundaries and their quotient come
-from the sparse elimination of :func:`triplekit.linalg.echelon` on the
-images of the constrained basis and on the incoming columns, so no
-dense matrix stands between the constrained basis and H; the tests
-check them against a dense elimination kept there as the oracle.
+pass that scatters its entries into sparse columns from those nonzeros:
+each entry of theta (read off ``RepresentationData.nonzero``, each
+D(a, b) as the two entries theta(b, a) - theta(a, b), so no D matrix is
+built) and each nonzero bracket coefficient writes its terms over every
+value of the free arguments, and no empty output tuple is visited.  The
+pass keeps the D-sum apart, as a block P with the "definition" signs,
+from the rest A; the "complex" signs differ from those by (-1)^(n+1),
+so d_3 is A + P under one convention and A - P under the other, and one
+pass serves both.  :class:`OperatorComplex` assembles each at most once
+per operator; the audit is the two sparse products A d_1 and P d_1, and
+a degree-1 cochain is closed exactly when d_1 f = 0.  Cocycles,
+coboundaries and their quotient come from the sparse elimination of
+:func:`triplekit.linalg.echelon` on the images of the constrained
+basis and on the incoming columns, so no dense matrix stands between
+the constrained basis and H; the tests check them against a dense
+elimination kept there as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -229,6 +235,10 @@ def _columns(entries) -> dict:
     for j, i, x in entries:
         col = columns.setdefault(j, {})
         col[i] = col.get(i, ZERO) + x
+    return _without_zeros(columns)
+
+
+def _without_zeros(columns: dict) -> dict:
     return {j: nz for j, col in columns.items() if (nz := {i: x for i, x in col.items() if x})}
 
 
@@ -250,49 +260,99 @@ def _image(columns, f: Cochain) -> Cochain:
     return unflatten_cochain(degree, ds, dt, tuple(flat))
 
 
-def _d_sum_sign(convention: str, n: int, i: int) -> int:
-    if convention == "definition":
-        return -1 if i % 2 == 0 else 1            # (-1)^(i+1)
-    if convention == "complex":
-        return -1 if (n + i) % 2 else 1           # (-1)^(n+i)
-    raise StructureError(f"unknown sign convention {convention!r}")
+def _p_sign(convention: str, n: int) -> int:
+    """The sign of the D-sum block P in the differential out of degree
+    2n - 1.  P is written with the signs (-1)^(i+1) of "definition";
+    the (-1)^(n+i) of "complex" differ from them by (-1)^(n+1), the same
+    factor for every i."""
+    if convention not in SIGN_CONVENTIONS:
+        raise StructureError(f"unknown sign convention {convention!r}")
+    return -1 if convention == "complex" and n % 2 == 0 else 1
 
 
-def _assemble(rep: RepresentationData, degree: int, convention: str = "definition") -> dict:
-    """The coboundary out of degree ``degree`` on all flat cochains, in
-    one pass over the output argument tuples: each term of the formula
-    above reads f at one argument tuple and writes the entries of the
-    matrix it applies there (theta, the two theta terms of D, or a
-    bracket coefficient)."""
-    d, m, L = rep.algebra.dim, rep.space_dim, rep.algebra
-    theta = [[()] * d for _ in range(d)]
-    for i, j, entries in rep.nonzero:
-        theta[i][j] = entries
-    ident = [(l, l, ONE) for l in range(m)]
-    n = (degree + 1) // 2
-    signs = [(_d_sum_sign(convention, n, i), -1 if (i + n + 1) % 2 else 1) for i in range(1, n + 1)]
+def _offsets(d: int, m: int, degree: int, slots) -> list[tuple[int, int]]:
+    """The flat (input, output) positions, times m, of every assignment
+    of the free arguments of one term: ``slots`` pairs the input slot of
+    each free argument with its output slot, the input tuple having
+    ``degree`` slots and the output tuple two more."""
+    offsets = [(0, 0)]
+    for s, t in slots:
+        wi, wo = d ** (degree - 1 - s) * m, d ** (degree + 1 - t) * m
+        offsets = [(i + x * wi, o + x * wo) for i, o in offsets for x in range(d)]
+    return offsets
 
-    def entries():
-        for pos, args in enumerate(product(range(d), repeat=degree + 2)):
-            terms = [(args[:-2], theta[args[-2]][args[-1]], 1),
-                     (args[:-3] + args[-2:-1], theta[args[-3]][args[-1]], -1)]
-            for i, (d_sign, ins_sign) in enumerate(signs, 1):
-                a, b = args[2 * i - 2], args[2 * i - 1]
-                reduced = args[: 2 * i - 2] + args[2 * i:]
-                # D(a, b) = theta(b, a) - theta(a, b)
-                terms += [(reduced, theta[b][a], d_sign), (reduced, theta[a][b], -d_sign)]
-                for slot in range(2 * i - 2, degree):
-                    for lsrc, c in enumerate(L.bracket[a][b][reduced[slot]]):
-                        if c:
-                            terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))
-            for args_in, mat, sign in terms:
-                if not mat:
-                    continue  # a zero theta(e_i, e_j) writes nothing
-                base = flat_arg_index(args_in, d) * m
-                for r, c, a in mat:
-                    yield base + c, pos * m + r, sign * a
 
-    return _columns(entries())
+def _scatter(columns: dict, offsets, col: int, row: int, sign: int, entries) -> None:
+    """Add sign * a at column col + c and row row + r of ``columns``,
+    shifted by each (input, output) offset, for each entry (r, c, a)."""
+    for r, c, a in entries:
+        x, j0, i0 = sign * a, col + c, row + r
+        for i, o in offsets:
+            column = columns.get(i + j0)
+            if column is None:
+                columns[i + j0] = {o + i0: x}
+            else:
+                column[o + i0] = column.get(o + i0, ZERO) + x
+
+
+def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
+    """The coboundary out of degree ``degree`` as two blocks of sparse
+    columns: P, the D-sum with the signs of "definition", and A, the
+    rest; under a convention it is A + _p_sign(convention, n) P.
+
+    Each term of the formula above fixes some output arguments and
+    passes the others through, so its entries are scattered from the
+    nonzeros of the matrix it applies, over the free arguments: theta
+    (x_{2n}, x_{2n+1}) and -theta(x_{2n-1}, x_{2n+1}) from each theta
+    entry; D(x_{2i-1}, x_{2i}) = theta(x_{2i}, x_{2i-1}) - theta(x_{2i-1},
+    x_{2i}) from each theta entry twice; and each insertion of
+    [x_{2i-1}, x_{2i}, x_j] from each nonzero bracket coefficient, as an
+    identity block.  No output tuple that receives nothing is visited."""
+    d, m, k = rep.algebra.dim, rep.space_dim, degree
+    n = (k + 1) // 2
+    A, P = {}, {}
+
+    def around(s, fixed=None):
+        """Offsets for a term whose output holds a fixed pair in slots
+        s, s + 1, and whose input slot ``fixed``, if any, is fixed too."""
+        return _offsets(d, m, k, [(t, t if t < s else t + 2) for t in range(k) if t != fixed])
+
+    ends = around(k)
+    split = _offsets(d, m, k, [(t, t) for t in range(k - 1)] + [(k - 1, k)])
+    for a, b, entries in rep.nonzero:
+        _scatter(A, ends, 0, (a * d + b) * m, 1, entries)
+        _scatter(A, split, 0, (a * d * d + b) * m, -1, entries)
+    for i in range(1, n + 1):
+        s, w = 2 * i - 2, d ** (k + 2 - 2 * i) * m  # the pair's slots, its second one's weight
+        d_sign, ins_sign = -1 if i % 2 == 0 else 1, -1 if (i + n + 1) % 2 else 1
+        offsets = around(s)
+        for a, b, entries in rep.nonzero:
+            if a != b:  # theta(a, b) enters D(b, a) and, negated, D(a, b)
+                _scatter(P, offsets, 0, (b * d + a) * w, d_sign, entries)
+                _scatter(P, offsets, 0, (a * d + b) * w, -d_sign, entries)
+        for slot in range(s, k):
+            wz = d ** (k - 1 - slot) * m
+            offsets = around(s, slot)
+            for a, b, z, vec in rep.algebra.nonzero:
+                for src, c in enumerate(vec):
+                    if c:
+                        ident = [(l, l, c) for l in range(m)]
+                        _scatter(A, offsets, src * wz, (a * d + b) * w + z * wz, ins_sign, ident)
+    return _without_zeros(A), _without_zeros(P)
+
+
+def _combine(a: dict, p: dict, sign: int) -> dict:
+    """The columns of A + sign P.  Columns that P leaves alone are A's own."""
+    out = dict(a)
+    for j, col in p.items():
+        merged = dict(a.get(j, ()))
+        for i, x in col.items():
+            merged[i] = merged.get(i, ZERO) + sign * x
+        if nz := {i: x for i, x in merged.items() if x}:
+            out[j] = nz
+        else:
+            out.pop(j, None)
+    return out
 
 
 def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "definition") -> Cochain:
@@ -303,19 +363,23 @@ def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "defi
         raise StructureError("coboundary of the wedge piece is operator-specific; use delta_wedge")
     if f.source_dim != rep.algebra.dim or f.target_dim != rep.space_dim:
         raise StructureError("cochain dimensions differ from the coefficient system")
-    return _image(_assemble(rep, f.degree, sign_convention), f)
+    sign = _p_sign(sign_convention, (f.degree + 1) // 2)
+    return _image(_combine(*_assemble(rep, f.degree), sign), f)
 
 
-def _audit(differential) -> dict[str, bool]:
-    """Does d_3 d_1 vanish, per sign convention?  d_1 maps a basis of C^1,
-    so this decides d(d(f)) = 0 on C^1; at n = 1 the conventions agree."""
-    images = differential(1, "definition").values()
-    return {c: not any(_apply(differential(3, c), col) for col in images) for c in SIGN_CONVENTIONS}
+def _audit(d1: dict, a3: dict, p3: dict) -> dict[str, bool]:
+    """Does d_3 d_1 = A d_1 + s P d_1 vanish, per sign convention?  d_1
+    maps a basis of C^1, so this decides d(d(f)) = 0 on C^1; s is +1
+    under "definition" and -1 under "complex", so the two products
+    decide both conventions."""
+    images = [(_apply(a3, col), _apply(p3, col)) for col in d1.values()]
+    signs = {c: _p_sign(c, 2) for c in SIGN_CONVENTIONS}
+    return {c: all(x == {i: -s * y for i, y in py.items()} for x, py in images) for c, s in signs.items()}
 
 
 def complex_audit(rep: RepresentationData) -> dict[str, bool]:
     """For each sign convention, does d(d(f)) = 0 on a basis of C^1?"""
-    return _audit(partial(_assemble, rep))
+    return _audit(_combine(*_assemble(rep, 1), 1), *_assemble(rep, 3))
 
 
 def _closing_convention(audit: dict[str, bool]) -> str:
@@ -394,29 +458,38 @@ def _assemble_delta(rbo: RelativeRBO) -> dict:
 
 class OperatorComplex:
     """The complex of one operator: its induced representation, delta,
-    d_1, d_3 per sign convention and the audit, each built on first use
+    d_1, the two blocks of d_3 and the audit, each built on first use
     and kept.  A command builds one and pays only for what it reads."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
         self._built = {}
+        self._parts = {}
 
     @cached_property
     def rep(self) -> RepresentationData:
         return induced_rep(self.rbo)
 
+    def _blocks(self, degree: int) -> tuple[dict, dict]:
+        """A and P of the differential out of degree 1 or 3, assembled once."""
+        if degree not in self._parts:
+            self._parts[degree] = _assemble(self.rep, degree)
+        return self._parts[degree]
+
     def differential(self, degree: int, convention: str = "definition") -> dict:
-        """delta (degree -1), d_1 or d_3 as sparse columns."""
-        key = (degree, convention if degree == 3 else None)  # the conventions agree at n = 1
+        """delta (degree -1), d_1 or d_3 as sparse columns; d_3 is A + P
+        under "definition" and A - P under "complex"."""
+        sign = _p_sign(convention, (degree + 1) // 2)
+        key = (degree, sign if degree > 0 else 1)
         if key not in self._built:
             self._built[key] = (
-                _assemble_delta(self.rbo) if degree == -1 else _assemble(self.rep, degree, convention)
+                _assemble_delta(self.rbo) if degree == -1 else _combine(*self._blocks(degree), sign)
             )
         return self._built[key]
 
     @cached_property
     def audit(self) -> dict[str, bool]:
-        return _audit(self.differential)
+        return _audit(self.differential(1), *self._blocks(3))
 
     def apply(self, f: Cochain, convention: str = "definition") -> Cochain:
         """Coboundary of f in degree -1, 1 or 3."""

@@ -11,16 +11,19 @@ It also keeps three identities as they were written before each got a
 single evaluator: (R2) as a dense matrix loop over basis 4-tuples, the
 Nijenhuis torsion expanded into its seven terms with twelve
 applications of N, and the D_T self-check of the induced
-representation as a comparison of projected brackets.  Last, it keeps
-the nested ``coeffs`` of a cochain file built as they first were, one
-recursive call per argument prefix.
+representation as a comparison of projected brackets.  It keeps the
+coboundary assembled as it first was, one sign convention at a time by
+a walk over every output argument tuple, with the sign audit as the
+product of each d_3 with d_1.  Last, it keeps the nested ``coeffs`` of
+a cochain file built as they first were, one recursive call per
+argument prefix.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from triplekit.cohomology import cochain_space_basis
+from triplekit.cohomology import SIGN_CONVENTIONS, _apply, _columns, cochain_space_basis, flat_arg_index
 from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
 from triplekit.representations import semidirect_bracket
 
@@ -147,6 +150,58 @@ def cocycle_class(cocycles, coboundaries, direction):
     if len(columns) - 1 in pivots:
         return None
     return tuple(rows[r][-1] for r in range(len(coboundaries), len(pivots)))
+
+
+def d_sum_sign(convention: str, n: int, i: int) -> int:
+    """The sign s(n, i) of the i-th D term in the differential out of degree 2n - 1."""
+    if convention == "definition":
+        return -1 if i % 2 == 0 else 1            # (-1)^(i+1)
+    if convention == "complex":
+        return -1 if (n + i) % 2 else 1           # (-1)^(n+i)
+    raise ValueError(convention)
+
+
+def assemble(rep, degree: int, convention: str = "definition") -> dict:
+    """The coboundary out of degree ``degree`` on all flat cochains, in
+    one pass over the output argument tuples: each term of the formula
+    reads f at one argument tuple and writes the entries of the matrix
+    it applies there (theta, the two theta terms of D, or a bracket
+    coefficient)."""
+    d, m, L = rep.algebra.dim, rep.space_dim, rep.algebra
+    theta = [[()] * d for _ in range(d)]
+    for i, j, entries in rep.nonzero:
+        theta[i][j] = entries
+    ident = [(l, l, ONE) for l in range(m)]
+    n = (degree + 1) // 2
+    signs = [(d_sum_sign(convention, n, i), -1 if (i + n + 1) % 2 else 1) for i in range(1, n + 1)]
+
+    def entries():
+        for pos, args in enumerate(product(range(d), repeat=degree + 2)):
+            terms = [(args[:-2], theta[args[-2]][args[-1]], 1),
+                     (args[:-3] + args[-2:-1], theta[args[-3]][args[-1]], -1)]
+            for i, (d_sign, ins_sign) in enumerate(signs, 1):
+                a, b = args[2 * i - 2], args[2 * i - 1]
+                reduced = args[: 2 * i - 2] + args[2 * i:]
+                # D(a, b) = theta(b, a) - theta(a, b)
+                terms += [(reduced, theta[b][a], d_sign), (reduced, theta[a][b], -d_sign)]
+                for slot in range(2 * i - 2, degree):
+                    for lsrc, c in enumerate(L.bracket[a][b][reduced[slot]]):
+                        if c:
+                            terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))
+            for args_in, mat, sign in terms:
+                base = flat_arg_index(args_in, d) * m
+                for r, c, a in mat:
+                    yield base + c, pos * m + r, sign * a
+
+    return _columns(entries())
+
+
+def audit(rep) -> dict[str, bool]:
+    """Does d_3 d_1 vanish, per sign convention, with d_3 assembled
+    once for each convention?"""
+    images = assemble(rep, 1).values()
+    d3 = {c: assemble(rep, 3, c) for c in SIGN_CONVENTIONS}
+    return {c: not any(_apply(d3[c], col) for col in images) for c in SIGN_CONVENTIONS}
 
 
 def r2_violations(rep):
