@@ -28,7 +28,8 @@ complex instead of silently picking one; see
 convention :meth:`OperatorComplex.cohomology` reports.
 
 The operator complex reads its coefficients theta_T off the projected
-semidirect bracket of graph vectors; its degree -1 map is
+semidirect brackets of the basis of L with graph vectors, all built in
+one pass; its degree -1 map is
 delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
 of T and of the bracket.  Each differential is written once, by one
 pass that scatters its entries into sparse columns from those nonzeros:
@@ -73,13 +74,12 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .representations import RepresentationData
+from .representations import RepresentationData, semidirect_brackets, vector_family
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
     RotaBaxterError,
-    _graph_vector,
-    _projected_bracket,
+    _graph_family,
     check_rbo_homomorphism,
     descendent_lts,
 )
@@ -400,32 +400,41 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
 
       theta_T(u,v)x = [x,Tu,Tv] - T( D(x,Tu)v - theta(x,Tv)u ),
 
-    the projected bracket of (x,0), (Tu,u), (Tv,v).  Its derived D_T is
-    the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when the
-    ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since the
-    L' parts of the two agree identically; that identity is checked on
-    all basis pairs and vectors before returning.
+    the projected bracket x' - Tp of (x', p) = [(x,0), (Tu,u), (Tv,v)].
+    One :func:`triplekit.representations.semidirect_brackets` pass over
+    the families (plain, graph, graph) yields every such bracket, and
+    the matrices of theta_T are written from its entries.  Its derived
+    D_T is the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when
+    the ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since
+    the L' parts of the two agree identically; that identity is checked
+    on all basis pairs and vectors before returning, reading the L
+    parts of a second pass over (graph, graph, plain) against the L
+    parts of the first.
     """
     desc = descendent_lts(rbo)
-    L, T = rbo.ambient, rbo.T
-    d, dp = L.dim, rbo.source.dim
-    graph = [_graph_vector(T, u) for u in range(dp)]
-    plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
-    theta_t = tuple(
-        tuple(
-            Matrix.from_columns(
-                [_projected_bracket(rbo.action, rbo.weight, T, ex, graph[u], graph[v])[0] for ex in plain], d
-            )
-            for v in range(dp)
-        )
-        for u in range(dp)
-    )
-    br = L.bracket_eval
-    for (Tu, _), (Tv, _), (ex, _) in product(graph, graph, plain):
-        if br(Tu, Tv, ex) != vec_sub(br(ex, Tv, Tu), br(ex, Tu, Tv)):
+    action, T = rbo.action, rbo.T
+    d, dp = rbo.ambient.dim, rbo.source.dim
+    graph = _graph_family(T)
+    plain = vector_family(Matrix.identity(d), Matrix.zeros(dp, d))
+    table = semidirect_brackets(action, rbo.weight, plain, graph, graph)
+    theta = [[[[ZERO] * d for _ in range(d)] for _ in range(dp)] for _ in range(dp)]
+    for (x, u, v), (part, p) in table.items():
+        rows = theta[u][v]
+        for l, c in enumerate(vec_sub(part, T.apply(p))):
+            rows[l][x] = c
+    mixed = semidirect_brackets(action, rbo.weight, graph, graph, plain)
+    zero = zero_vector(d)
+
+    def ambient(tab, key):
+        got = tab.get(key)
+        return zero if got is None else got[0]
+
+    for u, v, x in product(range(dp), range(dp), range(d)):
+        if ambient(mixed, (u, v, x)) != vec_sub(ambient(table, (x, v, u)), ambient(table, (x, u, v))):
             raise VerificationError(
                 "derived D_T disagrees with its closed formula; input is not a valid operator"
             )
+    theta_t = tuple(tuple(Matrix(d, d, tuple(map(tuple, m))) for m in row) for row in theta)
     return RepresentationData(desc, d, theta_t)
 
 

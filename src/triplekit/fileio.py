@@ -211,6 +211,7 @@ def representation_from_json(data: dict, base_dir: Path | None = None) -> Repres
     space_dim = _dim(_require(data, "space_dim", "representation"), "representation: space_dim")
     zero = Matrix.zeros(space_dim, space_dim)
     table = [[zero for _ in range(algebra.dim)] for _ in range(algebra.dim)]
+    given = set()
     for item in _require_list(data.get("theta", []), "representation theta"):
         args = _require_list(_require(item, "args", "theta entry"), "representation theta args")
         if len(args) != 2 or not all(_is_int(a) and 1 <= a <= algebra.dim for a in args):
@@ -219,7 +220,11 @@ def representation_from_json(data: dict, base_dir: Path | None = None) -> Repres
         mat = Matrix.from_rows(_matrix_rows(rows, "representation theta matrix"))
         if mat.rows != space_dim or mat.cols != space_dim:
             raise StructureError(f"representation: theta matrix at {args} has wrong shape")
-        table[args[0] - 1][args[1] - 1] = mat
+        i, j = args[0] - 1, args[1] - 1
+        if (i, j) in given and table[i][j] != mat:
+            raise StructureError(f"representation: contradictory entries for theta {tuple(args)}")
+        given.add((i, j))
+        table[i][j] = mat
     return RepresentationData(algebra, space_dim, tuple(tuple(row) for row in table))
 
 

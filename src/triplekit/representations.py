@@ -11,11 +11,15 @@ subject to the two compatibility identities
 with D(a,b) = theta(b,a) - theta(a,b).  D is always derived on the
 fly, never stored.  Besides the dense matrices, a representation keeps
 the nonzero entries of each theta(e_i, e_j), built once, and every
-contraction with arbitrary arguments runs over that list, as does the
-one evaluator of (R2), which deformations share.  An action
-is a representation on a space that is itself a Lie triple system,
-landing in its center and killing its brackets; actions are exactly
-what semidirect products need.
+contraction with arbitrary arguments runs over that list, as do the
+one evaluator of (R2), which deformations share, and the action check.
+An action is a representation on a space that is itself a Lie triple
+system, landing in its center and killing its brackets; actions are
+exactly what semidirect products need.  The semidirect bracket is
+written out once, in :func:`semidirect_brackets`, which brackets every
+triple of members of three vector families in one scatter pass; the
+semidirect product, the Rota-Baxter defects and the induced
+representation of an operator are all tables of it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, basis_vector, vec_is_zero
+from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, vec_is_zero
 from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
@@ -177,79 +181,124 @@ def self_action(L: LieTripleSystem) -> ActionData:
 
 
 def verify_action(a: ActionData) -> Report:
-    """theta(x,y) must land in the target's center and kill its brackets."""
+    """theta(x,y) must land in the target's center and kill its brackets.
+
+    Only the nonzero theta(e_i, e_j) can fail, so the check runs over
+    ``rep.nonzero``: center membership is tested for the nonzero
+    columns alone, and each bracket's image is summed from the entries.
+    """
     out = []
-    d = a.rep.algebra.dim
-    dp = a.target.dim
     ctr = center(a.target)
-    for i, j in product(range(d), repeat=2):
+    for i, j, entries in a.rep.nonzero:
         mat = a.rep.theta[i][j]
-        for u in range(dp):
+        for u in sorted({c for _r, c, _x in entries}):
             if not ctr.contains(mat.column(u)):
                 out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))
         for u, v, w, vec in a.target.nonzero:
-            if not vec_is_zero(mat.apply(vec)):
+            image = {}
+            for r, c, x in entries:
+                if vec[c]:
+                    image[r] = image.get(r, ZERO) + x * vec[c]
+            if any(image.values()):
                 out.append(
                     Violation("kills-brackets", (i + 1, j + 1, u + 1, v + 1, w + 1))
                 )
     return tuple(out)
 
 
-def semidirect_bracket(
-    a: ActionData, weight: Scalar, x1: Vector, u1: Vector, x2: Vector, u2: Vector, x3: Vector, u3: Vector
-) -> tuple[Vector, Vector]:
-    """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight.
+def vector_family(x_map: Matrix, u_map: Matrix) -> tuple:
+    """The family whose s-th member is (column s of x_map, column s of
+    u_map) in L (+) L', given as :func:`semidirect_brackets` reads it:
+    for each row of each map, its nonzero (member, coefficient) pairs."""
+    def rows(m):
+        return tuple(tuple((s, c) for s, c in enumerate(row) if c) for row in m.entries)
+
+    return rows(x_map), rows(u_map)
+
+
+def _scatter3(acc: dict, size: int, first, second, third, terms) -> None:
+    """Add a b c v at position l of acc[(s, t, r)], a fresh zero row of
+    ``size`` if absent, for every (s, a) of ``first``, (t, b) of
+    ``second``, (r, c) of ``third`` and (l, v) of ``terms``."""
+    for s, a in first:
+        for t, b in second:
+            ab = a * b
+            for r, c in third:
+                row = acc.get((s, t, r))
+                if row is None:
+                    row = acc[s, t, r] = [ZERO] * size
+                abc = ab * c
+                for l, v in terms:
+                    row[l] += abc * v
+
+
+def semidirect_brackets(a: ActionData, weight: Scalar, first, second, third) -> dict:
+    """{(s, t, r): (x, p)}: the bracket [(x1,u1),(x2,u2),(x3,u3)] on
+    L (+) L' of member s of the first family, t of the second and r of
+    the third, for every triple that receives a term; the bracket of
+    any other triple is zero.  Families are built by
+    :func:`vector_family`.
 
     The only place the mixed term is written out; every operator
-    identity in the package is read off this bracket.  Its L' part
+    identity in the package is read off this bracket.  Its L part is
+    [x1,x2,x3] and its L' part is
 
-      D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'
+      D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'.
 
-    is contracted in one pass over the nonzero entries of the
-    theta(e_i, e_j): the entry (row, col, value) of theta(e_i, e_j)
-    adds value * (c3 u3[col] + c1 u1[col] - c2 u2[col]) to the row,
-    with c3 = x2_i x1_j - x1_i x2_j, c1 = x2_i x3_j and c2 = x1_i x3_j.
-    No matrix is built.
+    One pass scatters every term from the nonzeros: each bracket
+    coefficient of L (and, times the weight, of L') meets the members
+    with a nonzero coefficient in its three argument rows, and each
+    entry (row, col, value) of theta(e_i, e_j) meets the members
+    nonzero in rows i and j of the L maps and in row col of an L' map,
+    once per term it enters: theta(x2,x1)u3 - theta(x1,x2)u3 for D
+    (nothing when i = j), theta(x2,x3)u1 and -theta(x1,x3)u2.  No matrix
+    is built and no triple that receives nothing is visited.
     """
     L, Lp, rep = a.algebra, a.target, a.rep
-    part_l = L.bracket_eval(x1, x2, x3)
-    part_p = [weight * v for v in Lp.bracket_eval(u1, u2, u3)]
-    # an entry contributes only in a column where some u is nonzero
-    cols = [col for col in range(Lp.dim) if u1[col] or u2[col] or u3[col]]
+    d, dp = L.dim, Lp.dim
+    for rows_x, rows_u in (first, second, third):
+        if len(rows_x) != d or len(rows_u) != dp:
+            raise StructureError("family rows differ from the action's dimensions")
+    (x1, u1), (x2, u2), (x3, u3) = first, second, third
+    size, acc = d + dp, {}
+    for i, j, k, vec in L.nonzero:
+        if x1[i] and x2[j] and x3[k]:
+            _scatter3(acc, size, x1[i], x2[j], x3[k], [(l, v) for l, v in enumerate(vec) if v])
+    if weight:
+        for i, j, k, vec in Lp.nonzero:
+            if u1[i] and u2[j] and u3[k]:
+                _scatter3(acc, size, u1[i], u2[j], u3[k], [(d + l, weight * v) for l, v in enumerate(vec) if v])
     for i, j, entries in rep.nonzero:
-        if not (x1[i] or x2[i]):
-            continue  # each of c3, c1, c2 has x1_i or x2_i as a factor
-        c3 = x2[i] * x1[j] - x1[i] * x2[j]
-        c1 = x2[i] * x3[j]
-        c2 = x1[i] * x3[j]
-        if c3 or c1 or c2:
-            combo = {col: c3 * u3[col] + c1 * u1[col] - c2 * u2[col] for col in cols}
-            for r, col, val in entries:
-                if s := combo.get(col):
-                    part_p[r] += val * s
-    return part_l, tuple(part_p)
+        by_col = {}
+        for row, col, value in entries:
+            by_col.setdefault(col, []).append((d + row, value))
+        for col, plus in by_col.items():
+            minus = [(l, -v) for l, v in plus]
+            if i != j:
+                _scatter3(acc, size, x1[j], x2[i], u3[col], plus)
+                _scatter3(acc, size, x1[i], x2[j], u3[col], minus)
+            _scatter3(acc, size, u1[col], x2[i], x3[j], plus)
+            _scatter3(acc, size, x1[i], u2[col], x3[j], minus)
+    return {key: (tuple(row[:d]), tuple(row[d:])) for key, row in acc.items()}
 
 
 def semidirect_product(a: ActionData, weight: Scalar) -> LieTripleSystem:
     """System on L (+) L' whose bracket realizes the mixed formula.
 
-    Basis order is the L basis followed by the L' basis.  The action
-    must verify; otherwise the output need not satisfy the axioms.
+    Basis order is the L basis followed by the L' basis: the bracket
+    table of the basis family, read off :func:`semidirect_brackets`.
+    The action must verify; otherwise the output need not satisfy the
+    axioms.
     """
     if verify_action(a):
         raise StructureError("semidirect product requires a verified action")
-    d, dp = a.algebra.dim, a.target.dim
-    n = d + dp
-
-    def split(idx):
-        e = basis_vector(n, idx)
-        return e[:d], e[d:]
-
-    entries = {}
-    for i, j, k in product(range(n), repeat=3):
-        pl, pp = semidirect_bracket(a, weight, *split(i), *split(j), *split(k))
-        vec = pl + pp
-        if not vec_is_zero(vec):
-            entries[(i, j, k)] = vec
+    d, n = a.algebra.dim, a.algebra.dim + a.target.dim
+    unit = Matrix.identity(n).entries
+    basis = vector_family(Matrix(d, n, unit[:d]), Matrix(n - d, n, unit[d:]))
+    entries = {
+        key: x + p
+        for key, (x, p) in semidirect_brackets(a, weight, basis, basis, basis).items()
+        if not vec_is_zero(x + p)
+    }
     names = tuple(a.algebra.basis_names) + tuple(f"{nm}'" for nm in a.target.basis_names)
     return LieTripleSystem.from_entries(n, entries, names)

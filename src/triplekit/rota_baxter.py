@@ -9,11 +9,12 @@ relative Rota-Baxter operator of weight lambda when
 for all u, v, w in L'.  Both sides are read off the semidirect bracket
 of the graph vectors (Tu,u), (Tv,v), (Tw,w): the defect of (RB) is that
 bracket projected by (x, u) -> x - Tu, so (RB) says the graph {Tu + u}
-is a subsystem of the semidirect product.  One pass builds the graph
-vectors once and yields, per basis triple, the defect and the L' part
-of that bracket; the operator checks, the descendent bracket and the
-deformation coefficients all read it.  The block lift
-(x,u) -> (x + Tu, 0) being a Nijenhuis operator is an equivalent
+is a subsystem of the semidirect product.  One scatter pass of
+:func:`triplekit.representations.semidirect_brackets` over the family
+of graph vectors builds all these brackets at once, and the defect and
+the L' part are read off it per basis triple; the operator checks, the
+descendent bracket and the deformation coefficients all read it.  The
+block lift (x,u) -> (x + Tu, 0) being a Nijenhuis operator is an equivalent
 characterization; the Nijenhuis torsion is evaluated nested, with three
 applications of N per triple.  The identity (RB) is affine in lambda,
 so "operator of every weight" is decided exactly by checking the
@@ -41,7 +42,7 @@ from .linalg import (
     zero_vector,
 )
 from .lts import HomomorphismCandidate, LieTripleSystem, derived_algebra, is_abelian_subsystem, is_homomorphism
-from .representations import ActionData, self_action, semidirect_bracket, verify_action
+from .representations import ActionData, self_action, semidirect_brackets, vector_family, verify_action
 from .reporting import Report, Violation
 
 # A linear map between based spaces is just its matrix, target rows by
@@ -71,29 +72,27 @@ class RelativeRBO:
         return self.action.algebra
 
 
-def _graph_vector(T: LinearMap, u: int) -> tuple[Vector, Vector]:
-    """(Tu, u) in L (+) L' for the basis vector u of L'."""
-    return T.column(u), basis_vector(T.cols, u)
-
-
-def _projected_bracket(action: ActionData, weight: Scalar, T: LinearMap, a, b, c) -> tuple[Vector, Vector]:
-    """(x - Tp, p) for (x, p) = [a, b, c], the semidirect bracket of three
-    (x, u) pairs; x - Tp is zero exactly when the bracket lies on the
-    graph of T."""
-    x, p = semidirect_bracket(action, weight, *a, *b, *c)
-    return vec_sub(x, T.apply(p)), p
+def _graph_family(T: LinearMap) -> tuple:
+    """The graph vectors (Tu, u) of the basis vectors u of L'."""
+    return vector_family(T, Matrix.identity(T.cols))
 
 
 def _rb_defects(action: ActionData, weight: Scalar, T: LinearMap):
     """((u, v, w), x - Tp, p) for every basis triple of L' in
-    lexicographic order, from the projected bracket of the graph vectors
-    of u, v and w: x - Tp is LHS - RHS of (RB), the zero vector exactly
-    where (RB) holds, and p is the L' part.  The graph vectors are built
-    once."""
+    lexicographic order, where (x, p) is the semidirect bracket of the
+    graph vectors of u, v and w: x - Tp is LHS - RHS of (RB), the zero
+    vector exactly where (RB) holds, and p is the L' part.  One
+    :func:`semidirect_brackets` pass builds every bracket."""
     _check_dims(action, T)
-    graph = [_graph_vector(T, u) for u in range(T.cols)]
-    for u, v, w in product(range(T.cols), repeat=3):
-        yield (u, v, w), *_projected_bracket(action, weight, T, graph[u], graph[v], graph[w])
+    graph = _graph_family(T)
+    table = semidirect_brackets(action, weight, graph, graph, graph)
+    zero_x, zero_p = zero_vector(T.rows), zero_vector(T.cols)
+    for triple in product(range(T.cols), repeat=3):
+        if (got := table.get(triple)) is None:
+            yield triple, zero_x, zero_p
+        else:
+            x, p = got
+            yield triple, vec_sub(x, T.apply(p)), p
 
 
 def _rbo_violations(action: ActionData, weight: Scalar, T: LinearMap):
@@ -109,7 +108,8 @@ def check_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> Report:
 
 
 def is_rbo(action: ActionData, weight: Scalar, T: LinearMap) -> bool:
-    """Early-exit variant of :func:`check_rbo` for property sweeps."""
+    """Does (RB) hold?  The bracket pass is whole; only the scan of its
+    defects stops at the first that fails."""
     return next(_rbo_violations(action, weight, T), None) is None
 
 
@@ -184,7 +184,7 @@ def sum_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
 def graph_subsystem(rbo: RelativeRBO) -> SubspaceBasis:
     """Span of {Tu + u : u basis of L'} inside the semidirect product."""
     dp = rbo.source.dim
-    vectors = [Tu + eu for Tu, eu in (_graph_vector(rbo.T, u) for u in range(dp))]
+    vectors = [rbo.T.column(u) + basis_vector(dp, u) for u in range(dp)]
     return SubspaceBasis.from_spanning(vectors, rbo.ambient.dim + dp)
 
 
@@ -196,8 +196,9 @@ def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
                     + lambda [u,v,w]'
 
     Requires (RB); T is then a homomorphism into L, which callers can
-    confirm with :func:`triplekit.lts.is_homomorphism`.  One bracket per
-    triple yields both the (RB) defect x - Tp and the entry p.
+    confirm with :func:`triplekit.lts.is_homomorphism`.  Each triple's
+    bracket in the one pass of :func:`_rb_defects` yields both the (RB)
+    defect x - Tp and the entry p.
     """
     entries, failing = {}, 0
     for triple, defect, p in _rb_defects(rbo.action, rbo.weight, rbo.T):

@@ -12,6 +12,9 @@ single evaluator: (R2) as a dense matrix loop over basis 4-tuples, the
 Nijenhuis torsion expanded into its seven terms with twelve
 applications of N, and the D_T self-check of the induced
 representation as a comparison of projected brackets.  It keeps the
+semidirect bracket evaluated one triple of vectors at a time, with
+theta_T built column by column from it, and the action conditions
+checked on every dense theta matrix and column.  It keeps the
 coboundary assembled as it first was, one sign convention at a time by
 a walk over every output argument tuple, with the sign audit as the
 product of each d_3 with d_1.  Last, it keeps the nested ``coeffs`` of
@@ -25,7 +28,8 @@ from itertools import product
 
 from triplekit.cohomology import SIGN_CONVENTIONS, _apply, _columns, cochain_space_basis, flat_arg_index
 from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
-from triplekit.representations import semidirect_bracket
+from triplekit.lts import center
+from triplekit.reporting import Violation
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -254,6 +258,73 @@ def nijenhuis_defect(L, N, x, y, z):
     return vec_sub(lhs, tuple(acc))
 
 
+def semidirect_bracket(a, weight, x1, u1, x2, u2, x3, u3):
+    """[(x1,u1),(x2,u2),(x3,u3)] on L (+) L' for the action and weight,
+    one triple of vectors at a time, as the package first evaluated it.
+    Its L' part
+
+      D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'
+
+    is contracted in one pass over the nonzero entries of the
+    theta(e_i, e_j): the entry (row, col, value) of theta(e_i, e_j)
+    adds value * (c3 u3[col] + c1 u1[col] - c2 u2[col]) to the row,
+    with c3 = x2_i x1_j - x1_i x2_j, c1 = x2_i x3_j and c2 = x1_i x3_j.
+    """
+    L, Lp, rep = a.algebra, a.target, a.rep
+    part_l = L.bracket_eval(x1, x2, x3)
+    part_p = [weight * v for v in Lp.bracket_eval(u1, u2, u3)]
+    cols = [col for col in range(Lp.dim) if u1[col] or u2[col] or u3[col]]
+    for i, j, entries in rep.nonzero:
+        c3 = x2[i] * x1[j] - x1[i] * x2[j]
+        c1 = x2[i] * x3[j]
+        c2 = x1[i] * x3[j]
+        if c3 or c1 or c2:
+            combo = {col: c3 * u3[col] + c1 * u1[col] - c2 * u2[col] for col in cols}
+            for r, col, val in entries:
+                if s := combo.get(col):
+                    part_p[r] += val * s
+    return part_l, tuple(part_p)
+
+
+def projected_bracket(rbo, a, b, c):
+    """x - Tp for (x, p) the semidirect bracket of three (x, u) pairs."""
+    x, p = semidirect_bracket(rbo.action, rbo.weight, *a, *b, *c)
+    return vec_sub(x, rbo.T.apply(p))
+
+
+def induced_theta(rbo):
+    """theta_T as first built: theta_T(u, v) has the column x the
+    projected bracket of (x,0), (Tu,u), (Tv,v), one triple at a time."""
+    T, d, dp = rbo.T, rbo.ambient.dim, rbo.source.dim
+    graph = [(T.column(u), basis_vector(dp, u)) for u in range(dp)]
+    plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
+    return tuple(
+        tuple(
+            Matrix.from_columns([projected_bracket(rbo, ex, graph[u], graph[v]) for ex in plain], d)
+            for v in range(dp)
+        )
+        for u in range(dp)
+    )
+
+
+def verify_action(a):
+    """The action conditions on every theta(e_i, e_j) and every column,
+    over the dense matrices: each column lies in the target's center and
+    each nonzero bracket of the target is killed."""
+    out = []
+    d, dp = a.rep.algebra.dim, a.target.dim
+    ctr = center(a.target)
+    for i, j in product(range(d), repeat=2):
+        mat = a.rep.theta[i][j]
+        for u in range(dp):
+            if not ctr.contains(mat.column(u)):
+                out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))
+        for u, v, w, vec in a.target.nonzero:
+            if any(mat.apply(vec)):
+                out.append(Violation("kills-brackets", (i + 1, j + 1, u + 1, v + 1, w + 1)))
+    return tuple(out)
+
+
 def d_t_gaps(rbo):
     """{(u, v): direct - derived} for every basis pair of L', as dense
     matrices over the ambient space: ``direct`` is the projected bracket
@@ -264,18 +335,11 @@ def d_t_gaps(rbo):
     T, d, dp = rbo.T, rbo.ambient.dim, rbo.source.dim
     graph = [(T.column(u), basis_vector(dp, u)) for u in range(dp)]
     plain = [(basis_vector(d, x), zero_vector(dp)) for x in range(d)]
-
-    def projected(a, b, c):
-        x, p = semidirect_bracket(rbo.action, rbo.weight, *a, *b, *c)
-        return vec_sub(x, T.apply(p))
-
-    def theta_t(u, v):
-        return Matrix.from_columns([projected(ex, graph[u], graph[v]) for ex in plain], d)
-
+    theta_t = induced_theta(rbo)
     gaps = {}
     for u, v in product(range(dp), repeat=2):
-        direct = Matrix.from_columns([projected(graph[u], graph[v], ex) for ex in plain], d)
-        gaps[u, v] = direct - (theta_t(v, u) - theta_t(u, v))
+        direct = Matrix.from_columns([projected_bracket(rbo, graph[u], graph[v], ex) for ex in plain], d)
+        gaps[u, v] = direct - (theta_t[v][u] - theta_t[u][v])
     return gaps
 
 

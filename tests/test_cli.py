@@ -256,6 +256,9 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
     bool_weight["weight"] = True
     bool_entry = json.loads(fixture_path("rbo3_P").read_text())
     bool_entry["T"][0][0] = True
+    # theta(e1, e1) given twice, the second time as zero
+    repeated_theta = json.loads(fixture_path("rbo4_P").read_text())
+    repeated_theta["action"]["representation"]["theta"].append({"args": [1, 1], "matrix": [["0"] * 4] * 4})
     cases = (
         (lts_verify, {"dim": 3, "brackets": [{"args": [1, 2, 1], "value": ["1"]}]}),
         (lts_verify, {"dim": 3, "basis": 5}),
@@ -295,6 +298,7 @@ def test_malformed_input_is_reported_not_raised(tmp_path):
         }),
         (("coh", "group", "--degree", "1"), bool_weight),
         (("coh", "group", "--degree", "1"), bool_entry),
+        (("rbo", "check"), repeated_theta),
     )
     for n, (argv, doc) in enumerate(cases):
         if doc is not None:

@@ -47,7 +47,6 @@ from triplekit.representations import (
     ActionData,
     RepresentationData,
     adjoint_representation,
-    semidirect_bracket,
 )
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
@@ -100,7 +99,7 @@ def rb_defect(action, weight, T, u, v, w):
     """LHS - RHS of (RB) at one basis triple, straight from the semidirect
     bracket of the graph vectors (Tu,u), (Tv,v), (Tw,w)."""
     graph = [(T.column(a), basis_vector(T.cols, a)) for a in (u, v, w)]
-    x, p = semidirect_bracket(action, weight, *graph[0], *graph[1], *graph[2])
+    x, p = dense_oracle.semidirect_bracket(action, weight, *graph[0], *graph[1], *graph[2])
     return vec_sub(x, T.apply(p))
 
 

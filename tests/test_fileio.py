@@ -14,6 +14,7 @@ from triplekit.fileio import (
     load_rbo,
     load_representation,
     rbo_to_json,
+    representation_from_json,
     representation_to_json,
     subspace_from_json,
     subspace_to_json,
@@ -95,6 +96,18 @@ def test_representation_round_trip(tmp_path, lts3):
     path.write_text(dump_json(representation_to_json(rep)), encoding="utf-8")
     again = load_representation(path)
     assert again == rep
+
+
+def test_representation_repeats_must_agree(lts3):
+    # a theta entry may be given twice only with the same matrix, as a
+    # bracket may; a zero second copy would otherwise erase the first
+    data = representation_to_json(adjoint_representation(lts3))
+    first = data["theta"][0]
+    data["theta"].append({"args": first["args"], "matrix": [r[:] for r in first["matrix"]]})
+    assert representation_from_json(data) == adjoint_representation(lts3)
+    data["theta"].append({"args": first["args"], "matrix": [["0"] * 3] * 3})
+    with pytest.raises(StructureError, match="contradictory entries for theta"):
+        representation_from_json(data)
 
 
 def test_representation_path_reference(tmp_path, lts3):

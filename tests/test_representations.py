@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,9 @@ from triplekit.representations import (
     verify_representation,
     zero_representation,
 )
+
+import dense_oracle
+from conftest import SEEDS, ladder
 
 F = Fraction
 
@@ -136,3 +140,42 @@ def test_semidirect_requires_verified_action(sl2_lts):
 def test_action_dimension_mismatch(lts3):
     with pytest.raises(StructureError):
         ActionData(zero_representation(lts3, 2), lts3)
+
+
+def perturbed(a, i, j, r, c):
+    """The action with 1 added at (r, c) of theta(e_i, e_j)."""
+    table = [[m.entries for m in row] for row in a.rep.theta]
+    rows = [list(x) for x in table[i][j]]
+    rows[r][c] += 1
+    table[i][j] = tuple(map(tuple, rows))
+    theta = tuple(tuple(Matrix(a.target.dim, a.target.dim, m) for m in row) for row in table)
+    return ActionData(RepresentationData(a.rep.algebra, a.target.dim, theta), a.target)
+
+
+def random_theta_action(rng, L, target):
+    """Random sparse theta matrices on the target, with no identity
+    asked of them: only the action conditions are under test."""
+    n = target.dim
+    theta = tuple(
+        tuple(
+            Matrix.from_rows([[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)])
+            for _ in range(L.dim)
+        )
+        for _ in range(L.dim)
+    )
+    return ActionData(RepresentationData(L, n, theta), target)
+
+
+def test_verify_action_matches_dense_oracle(lts3, lts4, rbo3, rbo4, sl2_lts):
+    # the scan over the nonzero theta(e_i, e_j) reports what the dense
+    # loop over every matrix and column reports, in the same order
+    rng = random.Random(SEEDS["identities"])
+    actions = [self_action(lts3), self_action(lts4), rbo3.action, rbo4.action, ladder(5).action]
+    actions += [perturbed(a, 0, 0, 0, 0) for a in actions] + [perturbed(actions[1], 1, 0, 3, 2)]
+    actions += [self_action(sl2_lts), ActionData(zero_representation(lts3, 2), zero_system(2))]
+    actions += [random_theta_action(rng, L, target) for L in (lts3, sl2_lts) for target in (lts3, lts4, zero_system(2))]
+    reports = []
+    for a in actions:
+        reports.append(verify_action(a))
+        assert reports[-1] == dense_oracle.verify_action(a)
+    assert {v.rule for report in reports for v in report} == {"image-in-center", "kills-brackets"}

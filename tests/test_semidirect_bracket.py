@@ -8,12 +8,14 @@ They read only the dense ``theta`` tensor of the representation.
 """
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from triplekit import rota_baxter
+from triplekit import cohomology, representations, rota_baxter
 from triplekit.cli import main
 from triplekit.cohomology import zero_cochain
 from triplekit.fileio import cochain_to_json, dump_json, matrix_to_json, rbo_to_json
@@ -23,12 +25,14 @@ from triplekit.lts import LieTripleSystem
 from triplekit.representations import (
     RepresentationData,
     self_action,
-    semidirect_bracket,
+    semidirect_brackets,
     semidirect_product,
+    vector_family,
     verify_action,
 )
 from triplekit.rota_baxter import RelativeRBO
 
+import dense_oracle
 from conftest import SEEDS, ladder
 
 F = Fraction
@@ -89,8 +93,15 @@ def random_vector(rng, n):
     return tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
 
 
+def one_member(a, x, u):
+    """The family whose only member is (x, u)."""
+    return vector_family(Matrix.from_columns([x], a.algebra.dim), Matrix.from_columns([u], a.target.dim))
+
+
 @pytest.mark.parametrize("name", ACTIONS)
 def test_bracket_matches_dense_oracle(name, request):
+    # the kernel on one-member families, and the per-triple bracket the
+    # tests keep as an oracle, against the dense formula
     a = action(name, request)
     d, dp = a.algebra.dim, a.target.dim
     rng = random.Random(SEEDS["semidirect"])
@@ -101,7 +112,10 @@ def test_bracket_matches_dense_oracle(name, request):
                 xs = [random_vector(rng, d) for _ in range(3)]
                 us = [(F(0),) * dp if z else random_vector(rng, dp) for z in zeros]
                 args = [v for pair in zip(xs, us) for v in pair]
-                assert semidirect_bracket(a, weight, *args) == oracle_bracket(a, weight, *args), (weight, zeros)
+                want = oracle_bracket(a, weight, *args)
+                table = semidirect_brackets(a, weight, *(one_member(a, x, u) for x, u in zip(xs, us)))
+                assert table.get((0, 0, 0), ((F(0),) * d, (F(0),) * dp)) == want, (weight, zeros)
+                assert dense_oracle.semidirect_bracket(a, weight, *args) == want, (weight, zeros)
 
 
 @pytest.mark.parametrize("name", ACTIONS)
@@ -190,17 +204,44 @@ def test_cohomology_of_a_non_operator_checks_rb_once(monkeypatch, tmp_path, caps
         want = '{\n  "error": "%s",\n  "kind": "verification"\n}\n' % expected[argv[:2]]
         assert capsys.readouterr().out == want, argv
 
-    # on an operator, (RB) is read off the d'^3 brackets of the
-    # descendent system alone; induced_rep adds d d'^2 more for
-    # theta_T, and its D_T check reads ambient brackets only
-    brackets = []
-    inner = rota_baxter.semidirect_bracket
+    # on an operator, (RB) is read off one bracket pass over the graph
+    # family; induced_rep adds two, one for theta_T and one for the
+    # ambient brackets its D_T check reads
+    assert bracket_passes(monkeypatch, capsys, "coh", "group", str(fixture_path("rbo4_P")), "--degree", "1") == {
+        "_rb_defects": 1, "induced_rep": 2,
+    }
+
+
+def bracket_passes(monkeypatch, capsys, *argv):
+    """{calling function: number of semidirect_brackets passes} for one
+    command, which must succeed."""
+    passes = Counter()
+    inner = representations.semidirect_brackets
 
     def counting(*args):
-        brackets.append(args)
+        passes[sys._getframe(1).f_code.co_name] += 1
         return inner(*args)
 
-    monkeypatch.setattr(rota_baxter, "semidirect_bracket", counting)
-    assert main(["coh", "group", str(fixture_path("rbo4_P")), "--degree", "1"]) == 0
+    with monkeypatch.context() as patch:
+        for module in (representations, rota_baxter, cohomology):
+            patch.setattr(module, "semidirect_brackets", counting)
+        assert main(list(argv)) == 0, argv
     capsys.readouterr()
-    assert len(brackets) == 4**3 + 4 * 4**2
+    return dict(passes)
+
+
+def test_deformation_check_adds_two_coefficient_passes(monkeypatch, tmp_path, capsys):
+    # the operator complex's three passes, then the (RB) defects of S
+    # alone and of T + S, from which the t^2 and t^3 coefficients come
+    zero = tmp_path / "zero.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    assert bracket_passes(monkeypatch, capsys, "def", "check", str(fixture_path("rbo4_P")), str(zero)) == {
+        "_rb_defects": 3, "induced_rep": 2,
+    }
+
+
+@pytest.mark.parametrize("trials", [0, 1, 5])
+def test_equivalence_sweep_is_one_product_and_one_pass_per_trial(monkeypatch, capsys, trials):
+    argv = ("rbo", "equivalence", str(fixture_path("rbo4_P")), "--trials", str(trials))
+    want = {"semidirect_product": 1, "_rb_defects": trials} if trials else {"semidirect_product": 1}
+    assert bracket_passes(monkeypatch, capsys, *argv) == want
