@@ -403,7 +403,7 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     the projected bracket x' - Tp of (x', p) = [(x,0), (Tu,u), (Tv,v)].
     One :func:`triplekit.representations.semidirect_brackets` pass over
     the families (plain, graph, graph) yields every such bracket, and
-    the matrices of theta_T are written from its entries.  Its derived
+    its nonzero coordinates are the entries of theta_T.  Its derived
     D_T is the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when
     the ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since
     the L' parts of the two agree identically; that identity is checked
@@ -417,11 +417,12 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     graph = _graph_family(T)
     plain = vector_family(Matrix.identity(d), Matrix.zeros(dp, d))
     table = semidirect_brackets(action, rbo.weight, plain, graph, graph)
-    theta = [[[[ZERO] * d for _ in range(d)] for _ in range(dp)] for _ in range(dp)]
-    for (x, u, v), (part, p) in table.items():
-        rows = theta[u][v]
-        for l, c in enumerate(vec_sub(part, T.apply(p))):
-            rows[l][x] = c
+    theta = {
+        (u, v, l, x): c
+        for (x, u, v), (part, p) in table.items()
+        for l, c in enumerate(vec_sub(part, T.apply(p)))
+        if c
+    }
     mixed = semidirect_brackets(action, rbo.weight, graph, graph, plain)
     zero = zero_vector(d)
 
@@ -434,8 +435,7 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
             raise VerificationError(
                 "derived D_T disagrees with its closed formula; input is not a valid operator"
             )
-    theta_t = tuple(tuple(Matrix(d, d, tuple(map(tuple, m))) for m in row) for row in theta)
-    return RepresentationData(desc, d, theta_t)
+    return RepresentationData.from_entries(desc, d, theta)
 
 
 def _assemble_delta(rbo: RelativeRBO) -> dict:

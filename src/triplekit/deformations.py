@@ -50,6 +50,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
+from .lts import bracket_operator
 from .reporting import Report, Violation
 from .representations import _theta_equivariance_rows
 from .rota_baxter import RelativeRBO, _rb_defects
@@ -99,16 +100,19 @@ class EquivalenceWitness:
 
 def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
     """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
-    L, d = rbo.ambient, rbo.ambient.dim
-    terms = zip(wedge_pairs(d), wedge.coeffs)
-    return sum((Matrix.from_columns(L.bracket[i][j], d).scale(co) for (i, j), co in terms if co), Matrix.zeros(d, d))
+    return bracket_operator(rbo.ambient, dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)))
 
 
 def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action."""
-    rep, dp = rbo.action.rep, rbo.source.dim
-    terms = zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)
-    return sum((rep.d_basis(i, j).scale(co) for (i, j), co in terms if co), Matrix.zeros(dp, dp))
+    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action,
+    where theta(e_i, e_j) enters D(e_j, e_i) and, negated, D(e_i, e_j)."""
+    coeffs, dp = dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)), rbo.source.dim
+    acc = [[ZERO] * dp for _ in range(dp)]
+    for i, j, entries in rbo.action.rep.nonzero:
+        if co := coeffs.get((j, i), ZERO) - coeffs.get((i, j), ZERO):
+            for r, c, a in entries:
+                acc[r][c] += co * a
+    return Matrix(dp, dp, tuple(map(tuple, acc)))
 
 
 def _coefficients(d: InfinitesimalDeformation):

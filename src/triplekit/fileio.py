@@ -25,6 +25,7 @@ from .linalg import (
     Scalar,
     StructureError,
     SubspaceBasis,
+    ZERO,
     format_scalar,
     parse_scalar,
     vec_is_zero,
@@ -178,12 +179,9 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
                 )
             continue
         for key_idx, value in ((( i, j, k), tuple(vec)), ((j, i, k), tuple(-x for x in vec))):
-            if key_idx in entries:
-                if entries[key_idx] != value:
-                    one = tuple(a + 1 for a in key_idx)
-                    raise StructureError(f"algebra: contradictory entries for bracket {one}")
-            else:
-                entries[key_idx] = value
+            if entries.setdefault(key_idx, value) != value:
+                one = tuple(a + 1 for a in key_idx)
+                raise StructureError(f"algebra: contradictory entries for bracket {one}")
     return LieTripleSystem.from_entries(dim, entries, names)
 
 
@@ -194,7 +192,6 @@ def algebra_to_json(L: LieTripleSystem) -> dict:
             continue  # skew partner is implied
         value = {str(l + 1): format_scalar(x) for l, x in enumerate(vec) if x}
         brackets.append({"args": [i + 1, j + 1, k + 1], "value": value})
-    brackets.sort(key=lambda b: b["args"])
     return {"dim": L.dim, "basis": list(L.basis_names), "brackets": brackets}
 
 
@@ -209,9 +206,7 @@ def load_algebra(path) -> LieTripleSystem:
 def representation_from_json(data: dict, base_dir: Path | None = None) -> RepresentationData:
     algebra = algebra_from_json(_resolve(_require(data, "algebra", "representation"), base_dir, _read_json))
     space_dim = _dim(_require(data, "space_dim", "representation"), "representation: space_dim")
-    zero = Matrix.zeros(space_dim, space_dim)
-    table = [[zero for _ in range(algebra.dim)] for _ in range(algebra.dim)]
-    given = set()
+    given, entries = {}, {}
     for item in _require_list(data.get("theta", []), "representation theta"):
         args = _require_list(_require(item, "args", "theta entry"), "representation theta args")
         if len(args) != 2 or not all(_is_int(a) and 1 <= a <= algebra.dim for a in args):
@@ -221,29 +216,20 @@ def representation_from_json(data: dict, base_dir: Path | None = None) -> Repres
         if mat.rows != space_dim or mat.cols != space_dim:
             raise StructureError(f"representation: theta matrix at {args} has wrong shape")
         i, j = args[0] - 1, args[1] - 1
-        if (i, j) in given and table[i][j] != mat:
+        if given.setdefault((i, j), mat) != mat:
             raise StructureError(f"representation: contradictory entries for theta {tuple(args)}")
-        given.add((i, j))
-        table[i][j] = mat
-    return RepresentationData(algebra, space_dim, tuple(tuple(row) for row in table))
+        entries.update(((i, j, r, c), a) for r, row in enumerate(mat.entries) for c, a in enumerate(row))
+    return RepresentationData.from_entries(algebra, space_dim, entries)
 
 
 def representation_to_json(rep: RepresentationData) -> dict:
-    theta = []
-    for i in range(rep.algebra.dim):
-        for j in range(rep.algebra.dim):
-            mat = rep.theta[i][j]
-            if mat.is_zero():
-                continue
-            theta.append({
-                "args": [i + 1, j + 1],
-                "matrix": [[format_scalar(x) for x in row] for row in mat.entries],
-            })
-    return {
-        "algebra": algebra_to_json(rep.algebra),
-        "space_dim": rep.space_dim,
-        "theta": theta,
-    }
+    n, theta = rep.space_dim, []
+    for i, j, entries in rep.nonzero:
+        rows = [[format_scalar(ZERO)] * n for _ in range(n)]
+        for r, c, a in entries:
+            rows[r][c] = format_scalar(a)
+        theta.append({"args": [i + 1, j + 1], "matrix": rows})
+    return {"algebra": algebra_to_json(rep.algebra), "space_dim": n, "theta": theta}
 
 
 def load_representation(path) -> RepresentationData:

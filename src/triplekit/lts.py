@@ -1,7 +1,9 @@
 """Finite-dimensional Lie triple systems given by structure constants.
 
-A system of dimension d is the tensor c[i][j][k] in F^d with
-``[e_i, e_j, e_k] = sum_l c[i][j][k][l] e_l``.  The defining axioms:
+A system of dimension d is stored as its nonzero brackets of basis
+vectors, ``(i, j, k, c)`` with ``[e_i, e_j, e_k] = sum_l c[l] e_l``, in
+lexicographic (i, j, k) order; every unlisted bracket is zero, and no
+dense table is kept beside the list.  The defining axioms:
 
   (A1)  [a,a,b] = 0
   (A2)  [a,b,c] + [b,c,a] + [c,a,b] = 0
@@ -14,7 +16,7 @@ so checking all basis tuples decides them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .linalg import (
@@ -24,65 +26,42 @@ from .linalg import (
     Vector,
     ZERO,
     basis_vector,
-    kernel_basis,
+    sparse_kernel,
     vec_is_zero,
     zero_vector,
 )
 from .reporting import Report, Violation
-
-BracketTensor = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 
 @dataclass(frozen=True)
 class LieTripleSystem:
     dim: int
     basis_names: tuple[str, ...]
-    bracket: BracketTensor
-    # (i, j, k, value-vector) for every nonzero bracket[i][j][k]; the
-    # evaluation loops run over this instead of the dense tensor.
-    nonzero: tuple[tuple[int, int, int, Vector], ...] = field(repr=False, default=())
-
-    def __post_init__(self):
-        d = self.dim
-        if len(self.basis_names) != d:
-            raise StructureError("basis name count differs from dimension")
-        if len(self.bracket) != d or any(
-            len(plane) != d or any(len(line) != d for line in plane) for plane in self.bracket
-        ):
-            raise StructureError("bracket tensor is not dim x dim x dim")
-        for plane in self.bracket:
-            for line in plane:
-                for vec in line:
-                    if len(vec) != d:
-                        raise StructureError("bracket value length differs from dimension")
-        if not self.nonzero:
-            nz = tuple(
-                (i, j, k, self.bracket[i][j][k])
-                for i, j, k in product(range(d), repeat=3)
-                if not vec_is_zero(self.bracket[i][j][k])
-            )
-            object.__setattr__(self, "nonzero", nz)
+    # (i, j, k, value-vector) for every nonzero [e_i, e_j, e_k], in
+    # lexicographic (i, j, k) order; build through from_entries.
+    nonzero: tuple[tuple[int, int, int, Vector], ...]
 
     @classmethod
     def from_entries(cls, dim, entries, basis_names=None) -> "LieTripleSystem":
-        """Build from a {(i, j, k): vector} dict of 0-based nonzero brackets.
+        """Build from a {(i, j, k): vector} dict of 0-based brackets.
 
-        Unlisted triples are zero.  Skew pairs are NOT completed here;
-        use :func:`triplekit.fileio.load_algebra` for sparse input files.
+        Unlisted triples are zero, and so are listed all-zero vectors,
+        which are not stored.  Skew pairs are NOT completed here; use
+        :func:`triplekit.fileio.load_algebra` for sparse input files.
         """
         names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
-        table = [[[zero_vector(dim) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        if len(names) != dim:
+            raise StructureError("basis name count differs from dimension")
         for (i, j, k), vec in entries.items():
             if not all(0 <= t < dim for t in (i, j, k)):
                 raise StructureError(f"bracket index out of range: {(i, j, k)}")
             if len(vec) != dim:
                 raise StructureError(f"bracket value at {(i, j, k)} has wrong length")
-            table[i][j][k] = tuple(vec)
-        tensor = tuple(tuple(tuple(line) for line in plane) for plane in table)
-        return cls(dim, names, tensor)
+        nonzero = sorted((*key, tuple(vec)) for key, vec in entries.items() if not vec_is_zero(vec))
+        return cls(dim, names, tuple(nonzero))
 
     def bracket_eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        """Trilinear extension of the structure tensor to arbitrary vectors."""
+        """Trilinear extension of the brackets to arbitrary vectors."""
         for v in (x, y, z):
             if len(v) != self.dim:
                 raise StructureError("bracket argument length differs from dimension")
@@ -108,39 +87,33 @@ def verify_lts(L: LieTripleSystem) -> Report:
     """All axiom violations, with 1-based witness tuples.
 
     (A1) is checked in polarized form: c[i][i][k] = 0 together with
-    full skew-symmetry c[i][j][k] = -c[j][i][k].  (A3) only needs the
-    pairs (a, b) whose left-multiplication operator is nonzero, since
-    every term of the identity applies that operator to something.
+    full skew-symmetry c[i][j][k] = -c[j][i][k].  These and (A2) can
+    fail only at permutations of a nonzero bracket's triple, so only
+    those are visited.  (A3) only needs the pairs (a, b) whose
+    left-multiplication operator is nonzero, since every term of the
+    identity applies that operator to something.
     """
-    d = L.dim
-    out = []
-    for i, k in product(range(d), repeat=2):
-        if not vec_is_zero(L.bracket[i][i][k]):
-            out.append(Violation("alternating", (i + 1, i + 1, k + 1), "[a,a,b] != 0"))
-    for i, j, k in product(range(d), repeat=3):
-        if i < j and not vec_is_zero(
-            tuple(a + b for a, b in zip(L.bracket[i][j][k], L.bracket[j][i][k]))
-        ):
+    d, br, zero = L.dim, {(i, j, k): vec for i, j, k, vec in L.nonzero}, zero_vector(L.dim)
+
+    def at(i, j, k):
+        return br.get((i, j, k), zero)
+
+    out = [Violation("alternating", (i + 1, i + 1, k + 1), "[a,a,b] != 0") for i, j, k, _v in L.nonzero if i == j]
+    for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in br if i != j}):
+        if not vec_is_zero(tuple(a + b for a, b in zip(at(i, j, k), at(j, i, k)))):
             out.append(Violation("skew-symmetry", (i + 1, j + 1, k + 1), "[a,b,c] != -[b,a,c]"))
-    for i, j, k in product(range(d), repeat=3):
-        s = tuple(
-            a + b + c
-            for a, b, c in zip(L.bracket[i][j][k], L.bracket[j][k][i], L.bracket[k][i][j])
-        )
-        if not vec_is_zero(s):
+    for i, j, k in sorted({t for i, j, k in br for t in ((i, j, k), (j, k, i), (k, i, j))}):
+        if not vec_is_zero(tuple(map(sum, zip(at(i, j, k), at(j, k, i), at(k, i, j))))):
             out.append(Violation("cyclic-sum", (i + 1, j + 1, k + 1)))
-    active_pairs = sorted({(i, j) for i, j, _k, _v in L.nonzero})
     E = L.basis()
-    for a, b in active_pairs:
+    for a, b in sorted({(i, j) for i, j, _k in br}):
         for c, dd, e in product(range(d), repeat=3):
-            lhs = L.bracket_eval(E[a], E[b], L.bracket[c][dd][e])
-            r1 = L.bracket_eval(L.bracket[a][b][c], E[dd], E[e])
-            r2 = L.bracket_eval(E[c], L.bracket[a][b][dd], E[e])
-            r3 = L.bracket_eval(E[c], E[dd], L.bracket[a][b][e])
+            lhs = L.bracket_eval(E[a], E[b], at(c, dd, e))
+            r1 = L.bracket_eval(at(a, b, c), E[dd], E[e])
+            r2 = L.bracket_eval(E[c], at(a, b, dd), E[e])
+            r3 = L.bracket_eval(E[c], E[dd], at(a, b, e))
             if any(lhs[l] != r1[l] + r2[l] + r3[l] for l in range(d)):
-                out.append(
-                    Violation("derivation", (a + 1, b + 1, c + 1, dd + 1, e + 1))
-                )
+                out.append(Violation("derivation", (a + 1, b + 1, c + 1, dd + 1, e + 1)))
     return tuple(out)
 
 
@@ -150,12 +123,25 @@ def derived_algebra(L: LieTripleSystem) -> SubspaceBasis:
 
 
 def center(L: LieTripleSystem) -> SubspaceBasis:
-    """{x : [x, y, z] = 0 for all y, z}, as the kernel of a stacked matrix."""
-    d = L.dim
-    rows = []
-    for j, k, l in product(range(d), repeat=3):
-        rows.append(tuple(L.bracket[i][j][k][l] for i in range(d)))
-    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zeros(0, d))
+    """{x : [x, y, z] = 0 for all y, z}: the kernel of the rows, one per
+    (j, k, l), whose entry i is coordinate l of [e_i, e_j, e_k]."""
+    rows = {}
+    for i, j, k, vec in L.nonzero:
+        for l, c in enumerate(vec):
+            if c:
+                rows.setdefault((j, k, l), {})[i] = c
+    return sparse_kernel(rows.values(), L.dim)
+
+
+def bracket_operator(L: LieTripleSystem, coeffs: dict) -> Matrix:
+    """x -> sum c_ij [e_i, e_j, x] as a matrix, for {(i, j): c_ij}."""
+    acc = [[ZERO] * L.dim for _ in range(L.dim)]
+    for i, j, k, vec in L.nonzero:
+        if co := coeffs.get((i, j)):
+            for l, v in enumerate(vec):
+                if v:
+                    acc[l][k] += co * v
+    return Matrix(L.dim, L.dim, tuple(map(tuple, acc)))
 
 
 def _brackets_of_basis(L: LieTripleSystem, S: SubspaceBasis):
@@ -191,9 +177,9 @@ class HomomorphismCandidate:
 def is_homomorphism(h: HomomorphismCandidate) -> bool:
     """phi[x,y,z]_source == [phi x, phi y, phi z]_target on all basis triples."""
     src, dst, phi = h.source, h.target, h.map
-    cols = [phi.column(i) for i in range(src.dim)]
+    E, cols = src.basis(), [phi.column(i) for i in range(src.dim)]
     for i, j, k in product(range(src.dim), repeat=3):
-        lhs = phi.apply(src.bracket[i][j][k])
+        lhs = phi.apply(src.bracket_eval(E[i], E[j], E[k]))
         rhs = dst.bracket_eval(cols[i], cols[j], cols[k])
         if lhs != rhs:
             return False

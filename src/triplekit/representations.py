@@ -8,11 +8,12 @@ subject to the two compatibility identities
   (R2) theta(c,d) D(a,b) - D(a,b) theta(c,d)
          + theta([a,b,c], d) + theta(c, [a,b,d]) = 0
 
-with D(a,b) = theta(b,a) - theta(a,b).  D is always derived on the
-fly, never stored.  Besides the dense matrices, a representation keeps
-the nonzero entries of each theta(e_i, e_j), built once, and every
-contraction with arbitrary arguments runs over that list, as do the
-one evaluator of (R2), which deformations share, and the action check.
+with D(a,b) = theta(b,a) - theta(a,b).  A representation is stored as
+the nonzero entries of its matrices theta(e_i, e_j), pair by pair, and
+nothing else: every contraction with arbitrary arguments, both
+identities, the action check and D, which is derived on the fly and
+never stored, run over that list, and a caller that needs a matrix
+builds it from the entries.
 An action is a representation on a space that is itself a Lie triple
 system, landing in its center and killing its brackets; actions are
 exactly what semidirect products need.  The semidirect bracket is
@@ -24,51 +25,51 @@ representation of an operator are all tables of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass
 from itertools import product
 
 from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, vec_is_zero
-from .lts import LieTripleSystem, center
+from .lts import LieTripleSystem, bracket_operator, center
 from .reporting import Report, Violation
-
-ThetaTensor = tuple[tuple[Matrix, ...], ...]
 
 
 @dataclass(frozen=True)
 class RepresentationData:
-    """theta[i][j] is the matrix of theta(e_i, e_j) acting on F^space_dim."""
+    """The representation theta of ``algebra`` on F^space_dim."""
 
     algebra: LieTripleSystem
     space_dim: int
-    theta: ThetaTensor
-    # (i, j, ((row, col, value), ...)) for every nonzero theta[i][j],
-    # listing its nonzero entries; the contractions run over this
-    # instead of the dense matrices.
-    nonzero: tuple = field(init=False, repr=False, compare=False)
+    # (i, j, ((row, col, value), ...)) for every nonzero theta(e_i, e_j),
+    # in (i, j) order, its nonzero entries row-major; build through
+    # from_entries.
+    nonzero: tuple
 
-    def __post_init__(self):
-        d = self.algebra.dim
-        if len(self.theta) != d or any(len(row) != d for row in self.theta):
-            raise StructureError("theta tensor is not dim x dim")
-        for row in self.theta:
-            for mat in row:
-                if mat.rows != self.space_dim or mat.cols != self.space_dim:
-                    raise StructureError("theta matrix shape differs from space_dim")
-        nz = []
-        for i, j in product(range(d), repeat=2):
-            entries = tuple(
-                (r, c, a)
-                for r, row in enumerate(self.theta[i][j].entries)
-                for c, a in enumerate(row)
-                if a
-            )
-            if entries:
-                nz.append((i, j, entries))
-        object.__setattr__(self, "nonzero", tuple(nz))
+    @classmethod
+    def from_entries(cls, algebra: LieTripleSystem, space_dim: int, entries) -> "RepresentationData":
+        """Build from a {(i, j, row, col): value} dict of 0-based entries
+        of the theta(e_i, e_j); unlisted and zero entries are zero."""
+        d, n = algebra.dim, space_dim
+        for i, j, r, c in entries:
+            if not (0 <= i < d and 0 <= j < d and 0 <= r < n and 0 <= c < n):
+                raise StructureError(f"theta entry index out of range: {(i, j, r, c)}")
+        pairs = {}
+        for (i, j, r, c), value in sorted(entries.items()):
+            if value:
+                pairs.setdefault((i, j), []).append((r, c, value))
+        return cls(algebra, space_dim, tuple((i, j, tuple(e)) for (i, j), e in pairs.items()))
 
     def d_basis(self, i: int, j: int) -> Matrix:
-        """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), recomputed on demand."""
-        return self.theta[j][i] - self.theta[i][j]
+        """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), from the
+        entries of the two pairs, each found by bisection."""
+        n, nz = self.space_dim, self.nonzero
+        acc = [[ZERO] * n for _ in range(n)]
+        for pair, sign in (((j, i), 1), ((i, j), -1)):
+            at = bisect_left(nz, pair, key=lambda item: item[:2])
+            for r, c, a in nz[at][2] if at < len(nz) and nz[at][:2] == pair else ():
+                acc[r][c] += sign * a
+        return Matrix(n, n, tuple(map(tuple, acc)))
 
     def theta_vec(self, x: Vector, y: Vector) -> Matrix:
         """Bilinear extension of theta to arbitrary arguments, summed in one pass."""
@@ -88,45 +89,64 @@ class RepresentationData:
 
 
 def zero_representation(L: LieTripleSystem, space_dim: int) -> RepresentationData:
-    z = Matrix.zeros(space_dim, space_dim)
-    return RepresentationData(L, space_dim, tuple(tuple(z for _ in range(L.dim)) for _ in range(L.dim)))
+    return RepresentationData(L, space_dim, ())
 
 
 def adjoint_representation(L: LieTripleSystem) -> RepresentationData:
     """theta(a,b)c = [c,a,b]; the induced D(a,b) is c -> [a,b,c]."""
-    d = L.dim
-    theta = tuple(
-        tuple(
-            Matrix.from_columns([L.bracket[x][i][j] for x in range(d)], d)
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    return RepresentationData(L, d, theta)
+    entries = {(a, b, l, c): v for c, a, b, vec in L.nonzero for l, v in enumerate(vec) if v}
+    return RepresentationData.from_entries(L, L.dim, entries)
 
 
 def verify_representation(r: RepresentationData) -> Report:
-    """Check (R1) and (R2) on all basis 4-tuples of the acting algebra;
-    (R2) is read off :func:`_theta_equivariance_rows`, one call per pair."""
-    d = r.algebra.dim
-    out = []
-    th, br, E = r.theta, r.algebra.bracket, r.algebra.basis()
-    dm = [[r.d_basis(i, j) for j in range(d)] for i in range(d)]
-    for a, b, c, dd in product(range(d), repeat=4):
-        lhs = (
-            th[c][dd] @ th[a][b]
-            - th[b][dd] @ th[a][c]
-            - r.theta_vec(E[a], br[b][c][dd])
-            + dm[b][c] @ th[a][dd]
-        )
-        if not lhs.is_zero():
-            out.append(Violation("module-identity-1", (a + 1, b + 1, c + 1, dd + 1)))
-    for a, b in product(range(d), repeat=2):
-        rows = _theta_equivariance_rows(r, Matrix.from_columns(br[a][b], d), dm[a][b])
-        for c, dd in product(range(d), repeat=2):
+    """Check (R1) and (R2) on all basis 4-tuples of the acting algebra:
+    (R1) is read off :func:`_module_identity_rows`, (R2) off
+    :func:`_theta_equivariance_rows`, one call per pair."""
+    L, rows = r.algebra, _module_identity_rows(r)
+    out = [Violation("module-identity-1", tuple(t + 1 for t in key)) for key in sorted(rows) if any(rows[key].values())]
+    for a, b in product(range(L.dim), repeat=2):
+        rows = _theta_equivariance_rows(r, bracket_operator(L, {(a, b): 1}), r.d_basis(a, b))
+        for c, dd in product(range(L.dim), repeat=2):
             if any(rows[c][dd]):
                 out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))
     return tuple(out)
+
+
+def _module_identity_rows(rep: RepresentationData) -> dict:
+    """{(a, b, c, d): {row * n + col: value}}: the left side of (R1),
+
+      theta(c,d) theta(a,b) - theta(b,d) theta(a,c)
+        - theta(a, [b,c,d]) + D(b,c) theta(a,d),
+
+    for every basis 4-tuple that receives a term; (R1) holds at every
+    other.  Each product theta(e_p, e_q) theta(e_s, e_t) of two nonzero
+    pairs enters four terms: at (s, t, p, q), at (s, p, t, q) negated,
+    and through D(b,c) = theta(c,b) - theta(b,c) at (s, q, p, t) and,
+    negated, at (s, p, q, t).  Each coordinate v at l of a bracket
+    [e_b,e_c,e_d] adds -v theta(e_a, e_l) at (a, b, c, d).
+    """
+    dp, acc = rep.space_dim, defaultdict(dict)
+
+    def add(key, sign, entries):
+        row = acc[key]
+        for pos, v in entries:
+            row[pos] = row.get(pos, ZERO) + sign * v
+
+    by_row, by_second = defaultdict(list), defaultdict(list)
+    for s, t, entries in rep.nonzero:
+        for r, c, a in entries:
+            by_row[s, t, r].append((c, a))
+        by_second[t].append((s, [(r * dp + c, a) for r, c, a in entries]))
+    for p, q, first in rep.nonzero:
+        for s, t, _ in rep.nonzero:
+            if prod := [(r * dp + c, a * b) for r, m, a in first for c, b in by_row.get((s, t, m), ())]:
+                for key, sign in (((s, t, p, q), 1), ((s, p, t, q), -1), ((s, q, p, t), 1), ((s, p, q, t), -1)):
+                    add(key, sign, prod)
+    for b, c, dd, vec in rep.algebra.nonzero:
+        for l, v in enumerate(vec):
+            for a, entries in by_second[l] if v else ():
+                add((a, b, c, dd), -v, entries)
+    return acc
 
 
 def _theta_equivariance_rows(rep: RepresentationData, bx: Matrix, dx: Matrix):
@@ -190,9 +210,11 @@ def verify_action(a: ActionData) -> Report:
     out = []
     ctr = center(a.target)
     for i, j, entries in a.rep.nonzero:
-        mat = a.rep.theta[i][j]
-        for u in sorted({c for _r, c, _x in entries}):
-            if not ctr.contains(mat.column(u)):
+        columns = {}
+        for r, c, x in entries:
+            columns.setdefault(c, [ZERO] * a.target.dim)[r] = x
+        for u in sorted(columns):
+            if not ctr.contains(tuple(columns[u])):
                 out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))
         for u, v, w, vec in a.target.nonzero:
             image = {}

@@ -120,11 +120,11 @@ def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
     lambda = 0 and the lambda-coefficient is T applied to the source
     bracket, so both parts are checked independently.
     """
-    out = []
+    out, br = [], {(u, v, w): vec for u, v, w, vec in action.target.nonzero}
     for (u, v, w), defect, _ in _rb_defects(action, ZERO, T):
         if not vec_is_zero(defect):
             out.append(Violation("rota-baxter-constant-part", (u + 1, v + 1, w + 1)))
-        if not vec_is_zero(T.apply(action.target.bracket[u][v][w])):
+        if (u, v, w) in br and not vec_is_zero(T.apply(br[u, v, w])):
             out.append(Violation("rota-baxter-weight-part", (u + 1, v + 1, w + 1)))
     return tuple(out)
 
@@ -223,7 +223,7 @@ def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> V
     br = L.bracket_eval
     two = tuple(map(sum, zip(br(Nx, Ny, ez), br(Nx, ey, Nz), br(ex, Ny, Nz))))
     one = tuple(map(sum, zip(br(Nx, ey, ez), br(ex, Ny, ez), br(ex, ey, Nz))))
-    inner = N.apply(vec_sub(one, N.apply(L.bracket[x][y][z])))
+    inner = N.apply(vec_sub(one, N.apply(br(ex, ey, ez))))
     return vec_sub(br(Nx, Ny, Nz), N.apply(vec_sub(two, inner)))
 
 
@@ -303,11 +303,11 @@ def check_rbo_homomorphism(h: RBOHomomorphism) -> Report:
     rhs = h.target.T @ h.psi_Lprime
     if lhs != rhs:
         out.append(Violation("intertwining", (), "psi_L T != T' psi_Lprime"))
-    d, dp = L.dim, Lp.dim
+    d, E = L.dim, L.basis()
     psiL_cols = [h.psi_L.column(i) for i in range(d)]
     for x, y in product(range(d), repeat=2):
         th_push = rep.theta_vec(psiL_cols[x], psiL_cols[y]) @ h.psi_Lprime
-        th_pull = h.psi_Lprime @ rep.theta[x][y]
+        th_pull = h.psi_Lprime @ rep.theta_vec(E[x], E[y])
         if th_push != th_pull:
             out.append(Violation("theta-equivariance", (x + 1, y + 1)))
         d_push = rep.d_vec(psiL_cols[x], psiL_cols[y]) @ h.psi_Lprime

@@ -20,16 +20,59 @@ a walk over every output argument tuple, with the sign audit as the
 product of each d_3 with d_1.  Last, it keeps the nested ``coeffs`` of
 a cochain file built as they first were, one recursive call per
 argument prefix.
+
+The package stores a system and a representation only as their nonzero
+entries; :func:`bracket_tensor` and :func:`theta_tensor` build the dense
+views the oracles and the tests index, and :func:`representation`
+builds a representation from such a dense table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from triplekit.cohomology import SIGN_CONVENTIONS, _apply, _columns, cochain_space_basis, flat_arg_index
 from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
 from triplekit.lts import center
 from triplekit.reporting import Violation
+from triplekit.representations import RepresentationData
+
+
+# the oracles rebuild these views once per call, often once per triple;
+# the views are tuples, so a cached one cannot be changed by a caller
+@lru_cache(maxsize=32)
+def bracket_tensor(L):
+    """The dense table c[i][j][k] = [e_i, e_j, e_k] of the system."""
+    given = {(i, j, k): vec for i, j, k, vec in L.nonzero}
+    zero, d = zero_vector(L.dim), L.dim
+    return tuple(
+        tuple(tuple(given.get((i, j, k), zero) for k in range(d)) for j in range(d))
+        for i in range(d)
+    )
+
+
+@lru_cache(maxsize=32)
+def theta_tensor(rep):
+    """The dense table th[i][j] = theta(e_i, e_j) of the representation."""
+    n, d = rep.space_dim, rep.algebra.dim
+    table = [[[[ZERO] * n for _ in range(n)] for _ in range(d)] for _ in range(d)]
+    for i, j, entries in rep.nonzero:
+        for r, c, a in entries:
+            table[i][j][r][c] = a
+    return tuple(tuple(Matrix(n, n, tuple(map(tuple, m))) for m in row) for row in table)
+
+
+def representation(L, n, theta):
+    """The representation of L on F^n with the dense table theta[i][j]
+    of matrices."""
+    return RepresentationData.from_entries(L, n, {
+        (i, j, r, c): a
+        for i, row in enumerate(theta)
+        for j, mat in enumerate(row)
+        for r, line in enumerate(mat.entries)
+        for c, a in enumerate(line)
+    })
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -171,7 +214,7 @@ def assemble(rep, degree: int, convention: str = "definition") -> dict:
     reads f at one argument tuple and writes the entries of the matrix
     it applies there (theta, the two theta terms of D, or a bracket
     coefficient)."""
-    d, m, L = rep.algebra.dim, rep.space_dim, rep.algebra
+    d, m, bracket = rep.algebra.dim, rep.space_dim, bracket_tensor(rep.algebra)
     theta = [[()] * d for _ in range(d)]
     for i, j, entries in rep.nonzero:
         theta[i][j] = entries
@@ -189,7 +232,7 @@ def assemble(rep, degree: int, convention: str = "definition") -> dict:
                 # D(a, b) = theta(b, a) - theta(a, b)
                 terms += [(reduced, theta[b][a], d_sign), (reduced, theta[a][b], -d_sign)]
                 for slot in range(2 * i - 2, degree):
-                    for lsrc, c in enumerate(L.bracket[a][b][reduced[slot]]):
+                    for lsrc, c in enumerate(bracket[a][b][reduced[slot]]):
                         if c:
                             terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))
             for args_in, mat, sign in terms:
@@ -208,6 +251,30 @@ def audit(rep) -> dict[str, bool]:
     return {c: not any(_apply(d3[c], col) for col in images) for c in SIGN_CONVENTIONS}
 
 
+def r1_violations(rep):
+    """Witnesses (a, b, c, d), 1-based and in lexicographic order, where
+    the dense (R1) matrix
+
+      theta(c,d) theta(a,b) - theta(b,d) theta(a,c)
+        - theta(a, [b,c,d]) + D(b,c) theta(a,d)
+
+    is not zero, with each D(b, c) read off ``d_basis``."""
+    d = rep.algebra.dim
+    th, br, E = theta_tensor(rep), bracket_tensor(rep.algebra), rep.algebra.basis()
+    dm = [[rep.d_basis(i, j) for j in range(d)] for i in range(d)]
+    out = []
+    for a, b, c, dd in product(range(d), repeat=4):
+        lhs = (
+            th[c][dd] @ th[a][b]
+            - th[b][dd] @ th[a][c]
+            - rep.theta_vec(E[a], br[b][c][dd])
+            + dm[b][c] @ th[a][dd]
+        )
+        if not lhs.is_zero():
+            out.append((a + 1, b + 1, c + 1, dd + 1))
+    return out
+
+
 def r2_violations(rep):
     """Witnesses (a, b, c, d), 1-based and in lexicographic order, where
     the dense (R2) matrix
@@ -217,7 +284,7 @@ def r2_violations(rep):
 
     is not zero."""
     d = rep.algebra.dim
-    th, br, E = rep.theta, rep.algebra.bracket, rep.algebra.basis()
+    th, br, E = theta_tensor(rep), bracket_tensor(rep.algebra), rep.algebra.basis()
     dm = [[th[j][i] - th[i][j] for j in range(d)] for i in range(d)]
     out = []
     for a, b, c, dd in product(range(d), repeat=4):
@@ -252,7 +319,8 @@ def nijenhuis_defect(L, N, x, y, z):
         t = N.apply(N.apply(term))
         for l in range(L.dim):
             acc[l] -= t[l]
-    t = N.apply(N.apply(N.apply(L.bracket[x][y][z])))
+    given = {(i, j, k): vec for i, j, k, vec in L.nonzero}
+    t = N.apply(N.apply(N.apply(given.get((x, y, z), zero_vector(L.dim)))))
     for l in range(L.dim):
         acc[l] += t[l]
     return vec_sub(lhs, tuple(acc))
@@ -313,9 +381,9 @@ def verify_action(a):
     each nonzero bracket of the target is killed."""
     out = []
     d, dp = a.rep.algebra.dim, a.target.dim
-    ctr = center(a.target)
+    ctr, th = center(a.target), theta_tensor(a.rep)
     for i, j in product(range(d), repeat=2):
-        mat = a.rep.theta[i][j]
+        mat = th[i][j]
         for u in range(dp):
             if not ctr.contains(mat.column(u)):
                 out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))

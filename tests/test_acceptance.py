@@ -65,6 +65,7 @@ from triplekit.rota_baxter import (
     nijenhuis_lift,
 )
 
+import dense_oracle
 from conftest import SEEDS, known_operator_pool
 from test_deformations import interpolated_coefficients
 
@@ -137,13 +138,14 @@ def test_criterion_03_projection_operators(rbo3, rbo4):
 def test_criterion_04_semidirect_products(lts3, lts4):
     with criterion(4, "semidirect products verify at 0, 1, -1 and restrict to the originals"):
         for L in (lts3, lts4):
-            action = self_action(L)
+            action, base = self_action(L), dense_oracle.bracket_tensor(L)
             for lam in (F(0), F(1), F(-1)):
                 sd = semidirect_product(action, lam)
                 assert verify_lts(sd) == ()
+                got = dense_oracle.bracket_tensor(sd)
                 for i, j, k in product(range(L.dim), repeat=3):
-                    assert sd.bracket[i][j][k][: L.dim] == L.bracket[i][j][k]
-                    assert all(x == 0 for x in sd.bracket[i][j][k][L.dim:])
+                    assert got[i][j][k][: L.dim] == base[i][j][k]
+                    assert all(x == 0 for x in got[i][j][k][L.dim:])
 
 
 def test_criterion_05_three_way_equivalence(sweep):

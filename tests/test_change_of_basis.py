@@ -31,9 +31,10 @@ from triplekit.deformations import InfinitesimalDeformation, is_trivial_deformat
 from triplekit.linalg import Matrix, basis_vector, invert
 from triplekit.lts import LieTripleSystem
 from triplekit.properties import random_integer_matrix
-from triplekit.representations import ActionData, RepresentationData
+from triplekit.representations import ActionData
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
+import dense_oracle
 from conftest import F, SEEDS
 
 
@@ -73,7 +74,7 @@ def transport(rbo, P, Q):
         for i in range(L.dim)
     )
     action = ActionData(
-        RepresentationData(transport_system(L, P, P_inv), rep.space_dim, theta),
+        dense_oracle.representation(transport_system(L, P, P_inv), rep.space_dim, theta),
         transport_system(rbo.source, Q, Q_inv),
     )
     return RelativeRBO(action, rbo.weight, P_inv @ rbo.T @ Q), lambda S: P_inv @ S @ Q

@@ -43,6 +43,7 @@ from triplekit.representations import (
 )
 from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, check_rbo_homomorphism, descendent_lts
 
+import dense_oracle
 from conftest import SEEDS, cochain_satisfies_constraints, make_sln_lts
 
 F = Fraction
@@ -181,13 +182,14 @@ def test_degree_1_formula_explicit(sl2_lts):
     rng = random.Random(SEEDS["fuzz"])
     f = random_cochain(rng, 1, 3, 3)
     g = coboundary(adj, f)
+    th, bracket = dense_oracle.theta_tensor(adj), dense_oracle.bracket_tensor(sl2_lts)
     for a, b, c in product(range(3), repeat=3):
-        want = list(adj.theta[b][c].apply(f.value((a,))))
-        t = adj.theta[a][c].apply(f.value((b,)))
+        want = list(th[b][c].apply(f.value((a,))))
+        t = th[a][c].apply(f.value((b,)))
         want = [want[l] - t[l] for l in range(3)]
         t = adj.d_basis(a, b).apply(f.value((c,)))
         want = [want[l] + t[l] for l in range(3)]
-        br = sl2_lts.bracket[a][b][c]
+        br = bracket[a][b][c]
         for lsrc in range(3):
             if br[lsrc]:
                 fv = f.value((lsrc,))
@@ -261,13 +263,14 @@ def test_operator_complex_closes_on_fixtures(rbo3, rbo4):
 def test_induced_rep_worked_value(rbo3):
     rep_t = induced_rep(rbo3)
     # theta_T(e1, e2) applied to e1 expands to zero term by term
-    assert rep_t.theta[0][1].apply(basis_vector(3, 0)) == (F(0),) * 3
+    assert dense_oracle.theta_tensor(rep_t)[0][1].apply(basis_vector(3, 0)) == (F(0),) * 3
 
 
 def test_induced_rep_zero_operator(rbo3):
     zero = RelativeRBO(rbo3.action, F(0), Matrix.zeros(3, 3))
     rep_t = induced_rep(zero)
-    assert all(rep_t.theta[u][v].is_zero() for u in range(3) for v in range(3))
+    th = dense_oracle.theta_tensor(rep_t)
+    assert all(th[u][v].is_zero() for u in range(3) for v in range(3))
 
 
 def test_delta_wedge_worked_example(rbo3):

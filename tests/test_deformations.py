@@ -45,7 +45,6 @@ from triplekit.properties import random_integer_matrix
 from triplekit.reporting import Violation
 from triplekit.representations import (
     ActionData,
-    RepresentationData,
     adjoint_representation,
 )
 from triplekit.rota_baxter import RelativeRBO, check_rbo
@@ -398,7 +397,7 @@ def test_coefficient_rules_match_sympy_expansion(rbo3, rbo4):
     for rbo in (rbo3, rbo4):
         L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
         d, dp = L.dim, Lp.dim
-        theta = [[sym(rep.theta[i][j]) for j in range(d)] for i in range(d)]
+        theta = [[sym(m) for m in row] for row in dense_oracle.theta_tensor(rep)]
         E = sympy.eye(dp)
         unit = Cochain(-1, dp, d, tuple(F(k == 0) for k in range(d * (d - 1) // 2)))
         directions = [rbo.T, cochain_to_map(delta_wedge(rbo, unit))]
@@ -459,9 +458,9 @@ def reference_check_equivalence(d1, d2, w, strict=False):
         if lhs != rhs:
             out.append(Violation("compatibility-order-t", (u + 1,)))
     if strict:
-        d = L.dim
+        d, table = L.dim, dense_oracle.theta_tensor(rep)
         for x, y in product(range(d), repeat=2):
-            th = rep.theta[x][y]
+            th = table[x][y]
             dm = rep.d_basis(x, y)
             ex, ey = basis_vector(d, x), basis_vector(d, y)
             th_var = rep.theta_vec(bx.apply(ex), ey) + rep.theta_vec(ex, bx.apply(ey))
@@ -502,11 +501,11 @@ def perturbed_adjoint_operator(L, T):
     """L's adjoint with theta(e1,e3) also sending e2 to e1, which breaks
     (R2), acting on the abelian system of the same dimension; with T it
     is not an operator, which the equivalence conditions do not need."""
-    theta = [list(row) for row in adjoint_representation(L).theta]
+    theta = [list(row) for row in dense_oracle.theta_tensor(adjoint_representation(L))]
     bump = [[F(0)] * L.dim for _ in range(L.dim)]
     bump[0][1] = F(1)
     theta[0][2] = theta[0][2] + Matrix.from_rows(bump)
-    rep = RepresentationData(L, L.dim, tuple(map(tuple, theta)))
+    rep = dense_oracle.representation(L, L.dim, theta)
     return RelativeRBO(ActionData(rep, zero_system(L.dim)), F(1), T)
 
 
@@ -562,11 +561,11 @@ def oracle_strict_rows(rbo, X):
     dense D(X) with @, each row flattened row by row."""
     rep, d = rbo.action.rep, rbo.ambient.dim
     bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
-    E = rbo.ambient.basis()
+    E, theta = rbo.ambient.basis(), dense_oracle.theta_tensor(rep)
     out = []
     for x, y in product(range(d), repeat=2):
         for rule, m, op in (
-            ("theta-equivariance-order-t", rep.theta[x][y], rep.theta_vec),
+            ("theta-equivariance-order-t", theta[x][y], rep.theta_vec),
             ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
         ):
             var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx

@@ -23,6 +23,8 @@ from triplekit.fixtures import FIXTURES, fixture_path, list_fixtures
 from triplekit.linalg import StructureError, SubspaceBasis, basis_vector
 from triplekit.representations import adjoint_representation
 
+import dense_oracle
+
 F = Fraction
 
 
@@ -32,8 +34,8 @@ def test_loader_completes_skew_pairs():
         "brackets": [{"args": [1, 2, 1], "value": {"3": "1"}}],
     }
     L = algebra_from_json(data)
-    assert L.bracket[0][1][0] == (F(0), F(0), F(1))
-    assert L.bracket[1][0][0] == (F(0), F(0), F(-1))
+    assert dense_oracle.bracket_tensor(L)[0][1][0] == (F(0), F(0), F(1))
+    assert dense_oracle.bracket_tensor(L)[1][0][0] == (F(0), F(0), F(-1))
 
 
 def test_loader_accepts_consistent_redundancy():
@@ -45,7 +47,7 @@ def test_loader_accepts_consistent_redundancy():
         ],
     }
     L = algebra_from_json(data)
-    assert L.bracket[0][1][0] == (F(0), F(0), F(1))
+    assert dense_oracle.bracket_tensor(L)[0][1][0] == (F(0), F(0), F(1))
 
 
 def test_loader_rejects_contradiction():
@@ -120,7 +122,8 @@ def test_representation_path_reference(tmp_path, lts3):
     )
     rep = load_representation(rep_path)
     assert rep.algebra == lts3
-    assert all(rep.theta[i][j].is_zero() for i in range(3) for j in range(3))
+    th = dense_oracle.theta_tensor(rep)
+    assert all(th[i][j].is_zero() for i in range(3) for j in range(3))
 
 
 def test_cochain_json_round_trip():
@@ -163,6 +166,6 @@ def test_scalar_normalization_in_files(tmp_path):
         "brackets": [{"args": [1, 2, 1], "value": {"1": "2/4"}}],
     }
     L = algebra_from_json(data)
-    assert L.bracket[0][1][0] == (F(1, 2), F(0))
+    assert dense_oracle.bracket_tensor(L)[0][1][0] == (F(1, 2), F(0))
     out = algebra_to_json(L)
     assert out["brackets"][0]["value"]["1"] == "1/2"

@@ -40,7 +40,7 @@ D_T_ERROR = "derived D_T disagrees with its closed formula; input is not a valid
 
 def random_theta(rng, L, n, density=0.3):
     """Seeded random theta(e_i, e_j) on F^n, most of them zero."""
-    return RepresentationData(L, n, tuple(
+    return dense_oracle.representation(L, n, tuple(
         tuple(random_integer_matrix(rng, n, n) if rng.random() < density else Matrix.zeros(n, n)
               for _ in range(L.dim))
         for _ in range(L.dim)
@@ -202,6 +202,6 @@ def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
         cx.differential(3, convention)
     complex_audit(adjoint_representation(sl2_lts))
     assert calls == []
-    # the counter is live: the dense (R1) loop reads D matrices
+    # the counter is live: the (R2) rows of the report read D matrices
     verify_representation(cx.rep)
     assert calls

@@ -3,7 +3,8 @@
 Scalars that enter through ``parse_scalar`` are ints when integral, so
 integral operators run on int arithmetic.  The oracle here rebuilds each
 operator with every scalar a ``Fraction`` through the raw constructors
-(``Matrix``, ``LieTripleSystem.from_entries``, ``RepresentationData``),
+(``Matrix``, ``LieTripleSystem.from_entries``,
+``RepresentationData.from_entries``),
 which bypass ``parse_scalar``, and requires every answer to be equal to
 the one the int build gives.  Ints and Fractions compare and hash equal,
 so equal answers are equal tuples.  No value anywhere may be a float or
@@ -57,9 +58,9 @@ def fraction_operator(rbo: RelativeRBO, weight) -> RelativeRBO:
     """rbo at ``weight`` with every scalar a Fraction, built without
     parse_scalar."""
     rep = rbo.action.rep
-    theta = tuple(tuple(fraction_matrix(m) for m in row) for row in rep.theta)
+    theta = {(i, j, r, c): F(a) for i, j, entries in rep.nonzero for r, c, a in entries}
     action = ActionData(
-        RepresentationData(fraction_system(rep.algebra), rep.space_dim, theta),
+        RepresentationData.from_entries(fraction_system(rep.algebra), rep.space_dim, theta),
         fraction_system(rbo.action.target),
     )
     return RelativeRBO(action, F(weight), fraction_matrix(rbo.T))

@@ -18,6 +18,7 @@ from triplekit.lts import (
 )
 from triplekit.representations import semidirect_product
 
+import dense_oracle
 from conftest import SEEDS, make_sln_lts
 
 F = Fraction
@@ -36,16 +37,18 @@ def test_sln_tables():
     # sl2 in the basis E, F, H: [[E,F],E] = [H,E] = 2E, [[E,F],F] = -2F,
     # [[H,E],F] = 2H and [[F,E],H] = -[H,H] = 0
     sl2 = make_sln_lts(2)
-    assert sl2.bracket[0][1][0] == (2, 0, 0)
-    assert sl2.bracket[0][1][1] == (0, -2, 0)
-    assert sl2.bracket[2][0][1] == (0, 0, 2)
-    assert sl2.bracket[1][0][2] == (0, 0, 0)
+    c2 = dense_oracle.bracket_tensor(sl2)
+    assert c2[0][1][0] == (2, 0, 0)
+    assert c2[0][1][1] == (0, -2, 0)
+    assert c2[2][0][1] == (0, 0, 2)
+    assert c2[1][0][2] == (0, 0, 0)
     assert len(sl2.nonzero) == 12
     sl3 = make_sln_lts(3)
     assert sl3.dim == 8 and verify_lts(sl3) == ()
     # [[E_01, E_10], E_01] = [H_0, E_01] = 2 E_01; [[E_12, E_21], E_01] = [H_1, E_01] = -E_01
-    assert sl3.bracket[0][2][0] == (2,) + (0,) * 7
-    assert sl3.bracket[3][5][0] == (-1,) + (0,) * 7
+    c3 = dense_oracle.bracket_tensor(sl3)
+    assert c3[0][2][0] == (2,) + (0,) * 7
+    assert c3[3][5][0] == (-1,) + (0,) * 7
 
 
 def test_verify_accepts_zero_bracket():
@@ -120,9 +123,9 @@ def test_bracket_eval_examples(lts3):
 
 def dense_bracket_eval(L, x, y, z):
     """sum x_i y_j z_k c[i][j][k] over all d^3 triples of the dense tensor."""
-    out = [F(0)] * L.dim
+    out, c = [F(0)] * L.dim, dense_oracle.bracket_tensor(L)
     for i, j, k in product(range(L.dim), repeat=3):
-        for l, val in enumerate(L.bracket[i][j][k]):
+        for l, val in enumerate(c[i][j][k]):
             out[l] += x[i] * y[j] * z[k] * val
     return tuple(out)
 

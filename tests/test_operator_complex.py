@@ -32,10 +32,11 @@ from triplekit.fileio import cochain_to_json, dump_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
-from triplekit.representations import ActionData, RepresentationData, adjoint_representation
+from triplekit.representations import ActionData, adjoint_representation
 from triplekit.rota_baxter import RelativeRBO
 
 from conftest import SEEDS, ladder
+import dense_oracle
 from dense_oracle import d_sum_sign
 from test_deformations import perturbed_adjoint_operator
 
@@ -47,7 +48,7 @@ def evaluate(rep, f, sign_convention="definition"):
     d, m = rep.algebra.dim, rep.space_dim
     n = (f.degree + 1) // 2
     L = rep.algebra
-    theta = rep.theta
+    theta, bracket = dense_oracle.theta_tensor(rep), dense_oracle.bracket_tensor(L)
     dmat = [[rep.d_basis(i, j) for j in range(d)] for i in range(d)]
     out = []
     for args in product(range(d), repeat=f.degree + 2):
@@ -67,7 +68,7 @@ def evaluate(rep, f, sign_convention="definition"):
                     acc[l] -= t[l]
             ins_sgn = -1 if (i + n + 1) % 2 else 1
             for jpos in range(2 * i, f.degree + 2):
-                w = L.bracket[args[2 * i - 2]][args[2 * i - 1]][args[jpos]]
+                w = bracket[args[2 * i - 2]][args[2 * i - 1]][args[jpos]]
                 if vec_is_zero(w):
                     continue
                 red = list(reduced)
@@ -176,7 +177,7 @@ def test_delta_matches_evaluator_on_random_maps(name, source_dim, request):
         theta = tuple(
             tuple(random_matrix(rng, source_dim, source_dim, 0.5) for _ in range(L.dim)) for _ in range(L.dim)
         )
-        action = ActionData(RepresentationData(L, source_dim, theta), zero_system(source_dim))
+        action = ActionData(dense_oracle.representation(L, source_dim, theta), zero_system(source_dim))
         rbo = RelativeRBO(action, F(1), T)
     X = generic(-1, source_dim, L.dim)
     assert OperatorComplex(rbo).apply(X) == evaluate_delta(rbo, X)

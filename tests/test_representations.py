@@ -4,11 +4,11 @@ from itertools import product
 
 import pytest
 
+from triplekit.cohomology import induced_rep
 from triplekit.linalg import Matrix, StructureError, basis_vector
 from triplekit.lts import verify_lts, zero_system
 from triplekit.representations import (
     ActionData,
-    RepresentationData,
     adjoint_representation,
     self_action,
     semidirect_product,
@@ -18,7 +18,7 @@ from triplekit.representations import (
 )
 
 import dense_oracle
-from conftest import SEEDS, ladder
+from conftest import SEEDS, ladder, make_sln_lts
 
 F = Fraction
 
@@ -36,10 +36,10 @@ def test_zero_representation_passes(lts3):
 
 def test_adjoint_read_off(lts3):
     adj = adjoint_representation(lts3)
-    e1 = basis_vector(3, 0)
+    e1, th = basis_vector(3, 0), dense_oracle.theta_tensor(adj)
     # theta(e2, e1) sends e1 to e3; theta(e1, e2) kills e1
-    assert adj.theta[1][0].apply(e1) == basis_vector(3, 2)
-    assert adj.theta[0][1].apply(e1) == (F(0),) * 3
+    assert th[1][0].apply(e1) == basis_vector(3, 2)
+    assert th[0][1].apply(e1) == (F(0),) * 3
     # derived D(e1,e2) acts as the left bracket [e1,e2,-]
     assert adj.d_basis(0, 1).apply(e1) == basis_vector(3, 2)
 
@@ -57,20 +57,40 @@ def test_adjoint_d_matches_left_bracket(lts3, lts4, sl2_lts):
 
 
 def test_adjoint_zero_bracket_is_zero():
-    adj = adjoint_representation(zero_system(3))
+    th = dense_oracle.theta_tensor(adjoint_representation(zero_system(3)))
     assert all(
-        adj.theta[i][j].is_zero() for i in range(3) for j in range(3)
+        th[i][j].is_zero() for i in range(3) for j in range(3)
     )
 
 
-def test_perturbed_adjoint_fails(lts3):
-    adj = adjoint_representation(lts3)
-    rows = [list(r) for r in adj.theta[0][0].entries]
+def perturbed_adjoint(lts3):
+    """lts3's adjoint with 1 added at (1, 1) of theta(e1, e1)."""
+    adj = dense_oracle.theta_tensor(adjoint_representation(lts3))
+    rows = [list(r) for r in adj[0][0].entries]
     rows[0][0] += 1
-    table = [list(row) for row in adj.theta]
+    table = [list(row) for row in adj]
     table[0][0] = Matrix.from_rows(rows)
-    perturbed = RepresentationData(lts3, 3, tuple(tuple(r) for r in table))
-    assert verify_representation(perturbed) != ()
+    return dense_oracle.representation(lts3, 3, table)
+
+
+def test_perturbed_adjoint_fails(lts3):
+    assert verify_representation(perturbed_adjoint(lts3)) != ()
+
+
+def test_report_matches_dense_r1_and_r2(lts3, lts4, rbo3, rbo4):
+    # the sparse (R1) rows and the (R2) rows report what the dense
+    # loops over basis 4-tuples report, in the same order
+    reps = [adjoint_representation(L) for L in (lts3, lts4, make_sln_lts(3))]
+    reps += [rep for rbo in (rbo3, rbo4) for rep in (rbo.action.rep, induced_rep(rbo))]
+    reps.append(perturbed_adjoint(lts3))
+    rules = set()
+    for rep in reps:
+        want = [("module-identity-1", w) for w in dense_oracle.r1_violations(rep)]
+        want += [("module-identity-2", w) for w in dense_oracle.r2_violations(rep)]
+        got = [(v.rule, v.witness) for v in verify_representation(rep)]
+        assert got == want, rep.algebra.dim
+        rules.update(rule for rule, _ in got)
+    assert rules == {"module-identity-1", "module-identity-2"}
 
 
 def test_d_recomputed_identically(lts3):
@@ -107,10 +127,11 @@ def test_semidirect_is_lts_for_probe_weights(lts3, lts4):
 
 def test_semidirect_restricts_to_original(lts3):
     action = self_action(lts3)
-    sd = semidirect_product(action, F(1))
+    sd = dense_oracle.bracket_tensor(semidirect_product(action, F(1)))
+    base = dense_oracle.bracket_tensor(lts3)
     for i, j, k in product(range(3), repeat=3):
-        assert sd.bracket[i][j][k][:3] == lts3.bracket[i][j][k]
-        assert all(x == 0 for x in sd.bracket[i][j][k][3:])
+        assert sd[i][j][k][:3] == base[i][j][k]
+        assert all(x == 0 for x in sd[i][j][k][3:])
 
 
 def test_semidirect_worked_example(lts3):
@@ -144,12 +165,12 @@ def test_action_dimension_mismatch(lts3):
 
 def perturbed(a, i, j, r, c):
     """The action with 1 added at (r, c) of theta(e_i, e_j)."""
-    table = [[m.entries for m in row] for row in a.rep.theta]
+    table = [[m.entries for m in row] for row in dense_oracle.theta_tensor(a.rep)]
     rows = [list(x) for x in table[i][j]]
     rows[r][c] += 1
     table[i][j] = tuple(map(tuple, rows))
     theta = tuple(tuple(Matrix(a.target.dim, a.target.dim, m) for m in row) for row in table)
-    return ActionData(RepresentationData(a.rep.algebra, a.target.dim, theta), a.target)
+    return ActionData(dense_oracle.representation(a.rep.algebra, a.target.dim, theta), a.target)
 
 
 def random_theta_action(rng, L, target):
@@ -163,7 +184,7 @@ def random_theta_action(rng, L, target):
         )
         for _ in range(L.dim)
     )
-    return ActionData(RepresentationData(L, n, theta), target)
+    return ActionData(dense_oracle.representation(L, n, theta), target)
 
 
 def test_verify_action_matches_dense_oracle(lts3, lts4, rbo3, rbo4, sl2_lts):

@@ -24,7 +24,7 @@ from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, StructureError, SubspaceBasis
 from triplekit.lts import LieTripleSystem
-from triplekit.representations import RepresentationData, adjoint_representation, self_action, zero_representation
+from triplekit.representations import adjoint_representation, self_action, zero_representation
 from triplekit.rota_baxter import RelativeRBO
 
 from conftest import SEEDS, ladder, make_sln_lts
@@ -94,7 +94,7 @@ def two_dim_system():
     top = (F(0), F(1))
     L = LieTripleSystem.from_entries(2, {(0, 1, 0): top, (1, 0, 0): (F(0), F(-1))})
     theta = tuple(tuple(random_matrix(rng, 2, 2, 0.7) for _ in range(2)) for _ in range(2))
-    return RepresentationData(L, 2, theta)
+    return dense_oracle.representation(L, 2, theta)
 
 
 @pytest.mark.parametrize("rep", [two_dim_system(), adjoint_representation(make_sln_lts(2))], ids=["dim2", "sl2"])

@@ -4,7 +4,8 @@
 written before the action was contracted sparsely: build theta(x, y)
 as the dense sum of the matrices x_i y_j theta(e_i, e_j), D(x, y) as a
 difference of two of them, and only then apply each to its vector.
-They read only the dense ``theta`` tensor of the representation.
+They read only the dense table of the theta(e_i, e_j), built by
+``dense_oracle.theta_tensor``.
 """
 
 import random
@@ -39,24 +40,24 @@ F = Fraction
 WEIGHTS = (F(0), F(1), F(-2), F(1, 2))
 
 
-def dense_theta(rep, x, y):
-    """theta(x, y) = sum_ij x_i y_j theta(e_i, e_j) over the dense tensor."""
-    n, d = rep.space_dim, rep.algebra.dim
+def dense_theta(th, x, y):
+    """theta(x, y) = sum_ij x_i y_j theta(e_i, e_j) over the dense table th."""
+    n, d = th[0][0].rows, len(th)
     out = Matrix.zeros(n, n)
     for i, j in product(range(d), repeat=2):
         if x[i] * y[j]:
-            out = out + rep.theta[i][j].scale(x[i] * y[j])
+            out = out + th[i][j].scale(x[i] * y[j])
     return out
 
 
 def oracle_bracket(a, weight, x1, u1, x2, u2, x3, u3):
     """[(x1,u1),(x2,u2),(x3,u3)]: the L' part is
     D(x1,x2)u3 + theta(x2,x3)u1 - theta(x1,x3)u2 + weight [u1,u2,u3]'."""
-    rep = a.rep
+    th = dense_oracle.theta_tensor(a.rep)
     # a mixed term whose L' argument is zero is that zero vector
-    t1 = (dense_theta(rep, x2, x1) - dense_theta(rep, x1, x2)).apply(u3) if any(u3) else u3
-    t2 = dense_theta(rep, x2, x3).apply(u1) if any(u1) else u1
-    t3 = dense_theta(rep, x1, x3).apply(u2) if any(u2) else u2
+    t1 = (dense_theta(th, x2, x1) - dense_theta(th, x1, x2)).apply(u3) if any(u3) else u3
+    t2 = dense_theta(th, x2, x3).apply(u1) if any(u1) else u1
+    t3 = dense_theta(th, x1, x3).apply(u2) if any(u2) else u2
     lam = a.target.bracket_eval(u1, u2, u3)
     part_p = tuple(p + q - r + weight * s for p, q, r, s in zip(t1, t2, t3, lam))
     return a.algebra.bracket_eval(x1, x2, x3), part_p
@@ -121,11 +122,12 @@ def test_bracket_matches_dense_oracle(name, request):
 @pytest.mark.parametrize("name", ACTIONS)
 def test_theta_vec_matches_dense_oracle(name, request):
     rep = action(name, request).rep
+    th = dense_oracle.theta_tensor(rep)
     rng = random.Random(SEEDS["semidirect"])
     for _ in range(5):
         x, y = random_vector(rng, rep.algebra.dim), random_vector(rng, rep.algebra.dim)
-        assert rep.theta_vec(x, y) == dense_theta(rep, x, y)
-        assert rep.d_vec(x, y) == dense_theta(rep, y, x) - dense_theta(rep, x, y)
+        assert rep.theta_vec(x, y) == dense_theta(th, x, y)
+        assert rep.d_vec(x, y) == dense_theta(th, y, x) - dense_theta(th, x, y)
 
 
 @pytest.mark.parametrize("name", ACTIONS)
