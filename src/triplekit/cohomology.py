@@ -93,7 +93,9 @@ class Cochain:
 
     degree >= 1: ``coeffs`` is a flat tuple of target vectors, one per
     argument index tuple in row-major order (degree many arguments,
-    each ranging over source_dim).
+    each ranging over source_dim).  The zero value vectors of a
+    coboundary are all one shared tuple, so callers compare value
+    vectors by value, never by identity.
 
     degree -1: ``coeffs`` is the wedge coordinate vector of an element
     of (target algebra) wedge (target algebra), over the ordered pairs
@@ -252,12 +254,23 @@ def _apply(columns, vec: dict) -> dict:
 
 
 def _image(columns, f: Cochain) -> Cochain:
-    """The cochain that a differential maps f to."""
+    """The cochain that a differential maps f to, built from the sparse
+    image alone: each flat coordinate i of a nonzero is slot i mod
+    target_dim of value vector i // target_dim, and every value vector
+    that receives nothing is one shared zero tuple, so the cost follows
+    the nonzeros of d f and not the size of its cochain space."""
     ds, dt, degree = f.source_dim, f.target_dim, 1 if f.degree == -1 else f.degree + 2
-    flat = [ZERO] * (ds**degree * dt)
+    written = {}
     for i, x in _apply(columns, {j: x for j, x in enumerate(flatten_cochain(f)) if x}).items():
-        flat[i] = x
-    return unflatten_cochain(degree, ds, dt, tuple(flat))
+        p, l = divmod(i, dt)
+        vec = written.get(p)
+        if vec is None:
+            vec = written[p] = [ZERO] * dt
+        vec[l] = x
+    coeffs = [zero_vector(dt)] * ds**degree
+    for p, vec in written.items():
+        coeffs[p] = tuple(vec)
+    return Cochain(degree, ds, dt, tuple(coeffs))
 
 
 def _p_sign(convention: str, n: int) -> int:

@@ -17,6 +17,7 @@ contradictions, matching how such tables are usually written down
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
 
 from .cohomology import Cochain
@@ -45,7 +46,7 @@ def dump_json(data) -> str:
     atoms to the C encoders, about three times faster on a large
     cochain.  The tests hold it to ``json.dumps`` as the oracle."""
     out: list[str] = []
-    _write_json(data, "\n", out)
+    _write_json(data, "\n", out, defaultdict(dict))
     out.append("\n")
     return "".join(out)
 
@@ -53,9 +54,17 @@ def dump_json(data) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write_json(node, newline: str, out: list[str]) -> None:
+def _write_json(node, newline: str, out: list[str], seen: dict) -> None:
     """Append the JSON text of ``node`` to ``out``; ``newline`` is a line
-    break and the indent of the line that ``node`` starts on."""
+    break and the indent of the line that ``node`` starts on.
+
+    A list of lists that comes back at the same indent, such as a shared
+    zero block of a cochain, is written once: ``seen`` maps each indent
+    to the lists met at it, by identity, and each of those to the bounds
+    of its pieces in ``out``, joined into one string when it first
+    repeats, so a list that never repeats is not copied.  The document
+    holds every list alive, so no identity is reused.  A list of strings
+    is one join, cheaper than looking it up, so it is not kept."""
     if isinstance(node, str):
         out.append(_encode_str(node))
     elif isinstance(node, (list, tuple)):
@@ -75,13 +84,22 @@ def _write_json(node, newline: str, out: list[str]) -> None:
             else:
                 out += ("[", inner, body, newline, "]")
                 return
+        memo, key = seen[len(newline)], id(node)
+        text = memo.get(key)
+        if text is not None:
+            if type(text) is tuple:
+                text = memo[key] = "".join(out[text[0]:text[1]])
+            out.append(text)
+            return
+        start = len(out)
         items = iter(node)
         out.append("[" + inner)
-        _write_json(next(items), inner, out)
+        _write_json(next(items), inner, out, seen)
         for item in items:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, seen)
         out.append(newline + "]")
+        memo[key] = (start, len(out))
     elif isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -92,7 +110,7 @@ def _write_json(node, newline: str, out: list[str]) -> None:
             if key is None or isinstance(key, (int, float)):
                 key = json.dumps(key)  # the stdlib's text for a number, boolean or None key
             out.append(sep + _encode_str(key) + ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, seen)
             sep = "," + inner
         out.append(newline + "}")
     else:
@@ -375,15 +393,23 @@ def cochain_from_json(data: dict) -> Cochain:
 
 
 def cochain_to_json(f: Cochain) -> dict:
+    """The cochain's document.  Only its nonzero value vectors are
+    formatted: every zero vector is one shared list of ``"0"``, and
+    every all-zero argument block one shared list per nesting depth,
+    which ``dump_json`` writes once and then repeats."""
     if f.degree == -1:
         coeffs = list(map(format_scalar, f.coeffs))
     else:
         # the value vectors in row-major order, nested one list per
         # argument: group degree - 1 times into runs of source_dim
-        coeffs = [list(map(format_scalar, v)) for v in f.coeffs]
+        zero = [format_scalar(ZERO)] * f.target_dim
+        coeffs = [list(map(format_scalar, v)) if any(v) else zero for v in f.coeffs]
         step = f.source_dim or 1  # no vectors at all when source_dim is 0
         for _ in range(f.degree - 1):
-            coeffs = [coeffs[i:i + step] for i in range(0, len(coeffs), step)]
+            block = [zero] * step
+            runs = (coeffs[i:i + step] for i in range(0, len(coeffs), step))
+            coeffs = [block if run == block else run for run in runs]
+            zero = block
     return {
         "degree": f.degree,
         "source_dim": f.source_dim,

@@ -44,12 +44,8 @@ def _normal(q: Fraction) -> Scalar:
 def parse_scalar(text) -> Scalar:
     """Parse ``"p/q"`` or ``"p"`` (also accepts ints and Fractions) into a
     scalar: an int when the value is integral, else a Fraction."""
-    if isinstance(text, bool):
-        raise StructureError(f"not a rational scalar: {text!r}")
-    if isinstance(text, int):
-        return int(text)
-    if isinstance(text, Fraction):
-        return _normal(text)
+    # text, the common case, is tested first: isinstance with Fraction,
+    # an ABC, costs a metaclass call
     if isinstance(text, str):
         try:
             # an ASCII integer, the common case, skips Fraction's regex
@@ -59,6 +55,12 @@ def parse_scalar(text) -> Scalar:
             return _normal(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"not a rational scalar: {text!r}") from exc
+    if isinstance(text, bool):
+        raise StructureError(f"not a rational scalar: {text!r}")
+    if isinstance(text, int):
+        return int(text)
+    if isinstance(text, Fraction):
+        return _normal(text)
     raise StructureError(f"not a rational scalar: {text!r}")
 
 

@@ -91,7 +91,10 @@ def verify_lts(L: LieTripleSystem) -> Report:
     fail only at permutations of a nonzero bracket's triple, so only
     those are visited.  (A3) only needs the pairs (a, b) whose
     left-multiplication operator is nonzero, since every term of the
-    identity applies that operator to something.
+    identity applies that operator to something.  For such a pair only
+    the triples (c, d, e) that are a nonzero bracket's key, or that hold
+    in some slot a k with [e_a, e_b, e_k] != 0, can carry a term; they
+    are visited in lexicographic order.
     """
     d, br, zero = L.dim, {(i, j, k): vec for i, j, k, vec in L.nonzero}, zero_vector(L.dim)
 
@@ -107,7 +110,11 @@ def verify_lts(L: LieTripleSystem) -> Report:
             out.append(Violation("cyclic-sum", (i + 1, j + 1, k + 1)))
     E = L.basis()
     for a, b in sorted({(i, j) for i, j, _k in br}):
-        for c, dd, e in product(range(d), repeat=3):
+        triples = set(br)
+        for k in {k for i, j, k in br if (i, j) == (a, b)}:
+            for x, y in product(range(d), repeat=2):
+                triples.update(((k, x, y), (x, k, y), (x, y, k)))
+        for c, dd, e in sorted(triples):
             lhs = L.bracket_eval(E[a], E[b], at(c, dd, e))
             r1 = L.bracket_eval(at(a, b, c), E[dd], E[e])
             r2 = L.bracket_eval(E[c], at(a, b, dd), E[e])

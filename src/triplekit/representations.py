@@ -101,11 +101,17 @@ def adjoint_representation(L: LieTripleSystem) -> RepresentationData:
 def verify_representation(r: RepresentationData) -> Report:
     """Check (R1) and (R2) on all basis 4-tuples of the acting algebra:
     (R1) is read off :func:`_module_identity_rows`, (R2) off
-    :func:`_theta_equivariance_rows`, one call per pair."""
+    :func:`_theta_equivariance_rows`, one call per pair (a, b) with
+    [e_a, e_b, -] or D(a, b) nonzero; every (R2) row of any other pair
+    is zero."""
     L, rows = r.algebra, _module_identity_rows(r)
     out = [Violation("module-identity-1", tuple(t + 1 for t in key)) for key in sorted(rows) if any(rows[key].values())]
+    bracketing, zero = {(i, j) for i, j, _k, _v in L.nonzero}, Matrix.zeros(r.space_dim, r.space_dim)
     for a, b in product(range(L.dim), repeat=2):
-        rows = _theta_equivariance_rows(r, bracket_operator(L, {(a, b): 1}), r.d_basis(a, b))
+        dx = r.d_basis(a, b)
+        if (a, b) not in bracketing and dx == zero:
+            continue
+        rows = _theta_equivariance_rows(r, bracket_operator(L, {(a, b): 1}), dx)
         for c, dd in product(range(L.dim), repeat=2):
             if any(rows[c][dd]):
                 out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))

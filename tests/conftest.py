@@ -33,6 +33,7 @@ SEEDS = {
     "nijenhuis": 2719,
     "identities": 6053,
     "serialization": 7411,
+    "sparse_output": 1931,
 }
 
 F = Fraction

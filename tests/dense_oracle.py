@@ -17,9 +17,11 @@ theta_T built column by column from it, and the action conditions
 checked on every dense theta matrix and column.  It keeps the
 coboundary assembled as it first was, one sign convention at a time by
 a walk over every output argument tuple, with the sign audit as the
-product of each d_3 with d_1.  Last, it keeps the nested ``coeffs`` of
-a cochain file built as they first were, one recursive call per
-argument prefix.
+product of each d_3 with d_1, and the image of a cochain under a
+differential written into a dense flat vector and unflattened.  It
+keeps the nested ``coeffs`` of a cochain file built as they first were,
+one recursive call per argument prefix.  Last, it keeps the derivation
+axiom (A3) of a system checked at every basis triple of each pair.
 
 The package stores a system and a representation only as their nonzero
 entries; :func:`bracket_tensor` and :func:`theta_tensor` build the dense
@@ -32,7 +34,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from triplekit.cohomology import SIGN_CONVENTIONS, _apply, _columns, cochain_space_basis, flat_arg_index
+from triplekit.cohomology import (
+    SIGN_CONVENTIONS,
+    _apply,
+    _columns,
+    cochain_space_basis,
+    flat_arg_index,
+    flatten_cochain,
+    unflatten_cochain,
+)
 from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
 from triplekit.lts import center
 from triplekit.reporting import Violation
@@ -249,6 +259,34 @@ def audit(rep) -> dict[str, bool]:
     images = assemble(rep, 1).values()
     d3 = {c: assemble(rep, 3, c) for c in SIGN_CONVENTIONS}
     return {c: not any(_apply(d3[c], col) for col in images) for c in SIGN_CONVENTIONS}
+
+
+def image(columns, f):
+    """The cochain that the differential with these sparse columns maps
+    f to: every coordinate of a dense flat vector, unflattened."""
+    ds, dt, degree = f.source_dim, f.target_dim, 1 if f.degree == -1 else f.degree + 2
+    flat = [ZERO] * (ds**degree * dt)
+    for i, x in _apply(columns, {j: x for j, x in enumerate(flatten_cochain(f)) if x}).items():
+        flat[i] = x
+    return unflatten_cochain(degree, ds, dt, tuple(flat))
+
+
+def derivation_violations(L):
+    """The (A3) witnesses (a, b, c, d, e), 1-based and in lexicographic
+    order, where [a,b,[c,d,e]] != [[a,b,c],d,e] + [c,[a,b,d],e] +
+    [c,d,[a,b,e]], checked at every basis triple (c, d, e) of each
+    pair (a, b) with a nonzero bracket."""
+    d, br, E = L.dim, bracket_tensor(L), L.basis()
+    out = []
+    for a, b in sorted({(i, j) for i, j, _k, _v in L.nonzero}):
+        for c, dd, e in product(range(d), repeat=3):
+            lhs = L.bracket_eval(E[a], E[b], br[c][dd][e])
+            r1 = L.bracket_eval(br[a][b][c], E[dd], E[e])
+            r2 = L.bracket_eval(E[c], br[a][b][dd], E[e])
+            r3 = L.bracket_eval(E[c], E[dd], br[a][b][e])
+            if any(lhs[l] != r1[l] + r2[l] + r3[l] for l in range(d)):
+                out.append((a + 1, b + 1, c + 1, dd + 1, e + 1))
+    return out
 
 
 def r1_violations(rep):

@@ -193,15 +193,20 @@ def test_cochain_layout_and_round_trip():
     for degree in (-1, 1, 3):
         for source_dim in range(5):
             for target_dim in range(5):
-                f = random_cochain(rng, degree, source_dim, target_dim)
-                data = cochain_to_json(f)
-                assert data == {
-                    "degree": degree,
-                    "source_dim": source_dim,
-                    "target_dim": target_dim,
-                    "coeffs": dense_oracle.cochain_coeffs(f),
-                }, (degree, source_dim, target_dim)
-                assert cochain_from_json(json.loads(dump_json(data))) == f, (degree, source_dim, target_dim)
+                # the zero cochain's value vectors and argument blocks
+                # are each one shared list
+                drawn = random_cochain(rng, degree, source_dim, target_dim)
+                for f in (drawn, zero_cochain(degree, source_dim, target_dim)):
+                    data = cochain_to_json(f)
+                    assert data == {
+                        "degree": degree,
+                        "source_dim": source_dim,
+                        "target_dim": target_dim,
+                        "coeffs": dense_oracle.cochain_coeffs(f),
+                    }, (degree, source_dim, target_dim)
+                    text = dump_json(data)
+                    assert text == stdlib(data), (degree, source_dim, target_dim)
+                    assert cochain_from_json(json.loads(text)) == f, (degree, source_dim, target_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,43 @@ def _axioms_hold_bruteforce(L):
     return True
 
 
+def perturbed_sl2():
+    """sl2 with [E,F,E] doubled (and its skew partner): still skew and
+    cyclic, but (A3) fails."""
+    L = make_sln_lts(2)
+    entries = {(i, j, k): tuple(2 * x for x in vec) if (i, j, k) in ((0, 1, 0), (1, 0, 0)) else vec
+               for i, j, k, vec in L.nonzero}
+    return LieTripleSystem.from_entries(L.dim, entries)
+
+
+@pytest.mark.parametrize("name", ["lts3", "lts4", "sl2_lts", "sl3", "perturbed", "flips"])
+def test_derivation_witnesses_match_dense_oracle(name, request):
+    # (A3) visits only the triples that a nonzero bracket or K_ab can
+    # reach; the oracle checks every basis triple of each pair
+    if name == "sl3":
+        systems = [make_sln_lts(3)]
+    elif name == "perturbed":
+        systems = [perturbed_sl2()]
+    elif name == "flips":
+        rng, lts4 = random.Random(SEEDS["fuzz"]), request.getfixturevalue("lts4")
+        systems = []
+        for _ in range(10):
+            entries = {(i, j, k): vec for i, j, k, vec in lts4.nonzero}
+            key = tuple(rng.randrange(4) for _ in range(3))
+            vec = list(entries.get(key, (0,) * 4))
+            vec[rng.randrange(4)] += rng.choice((1, -1, 2))
+            entries[key] = tuple(vec)
+            systems.append(LieTripleSystem.from_entries(4, entries))
+    else:
+        systems = [request.getfixturevalue(name)]
+    found = []
+    for L in systems:
+        got = [v.witness for v in verify_lts(L) if v.rule == "derivation"]
+        assert got == dense_oracle.derivation_violations(L)
+        found += got
+    assert bool(found) == (name in ("perturbed", "flips"))
+
+
 def test_bracket_eval_examples(lts3):
     e = lts3.basis()
     assert lts3.bracket_eval(e[0], e[1], e[0]) == basis_vector(3, 2)

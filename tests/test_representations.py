@@ -9,6 +9,7 @@ from triplekit.linalg import Matrix, StructureError, basis_vector
 from triplekit.lts import verify_lts, zero_system
 from triplekit.representations import (
     ActionData,
+    RepresentationData,
     adjoint_representation,
     self_action,
     semidirect_product,
@@ -83,6 +84,16 @@ def test_report_matches_dense_r1_and_r2(lts3, lts4, rbo3, rbo4):
     reps = [adjoint_representation(L) for L in (lts3, lts4, make_sln_lts(3))]
     reps += [rep for rbo in (rbo3, rbo4) for rep in (rbo.action.rep, induced_rep(rbo))]
     reps.append(perturbed_adjoint(lts3))
+    # (R2) at a pair (a, b) whose bracket [e_a, e_b, -] or D(a, b) is
+    # zero: random theta on the zero system, where only D can fail it,
+    # and random theta symmetric in its arguments, so D = 0, on the zero
+    # system and on lts3, where only the bracket can
+    rng = random.Random(SEEDS["identities"])
+    for L, symmetric in ((zero_system(2), False), (zero_system(2), True), (lts3, True)):
+        theta = {(i, j, r, c): rng.randint(-2, 2) for i, j in product(range(L.dim), repeat=2) if i <= j
+                 for r, c in product(range(2), repeat=2)}
+        theta.update(((j, i, r, c), a if symmetric else rng.randint(-2, 2)) for (i, j, r, c), a in list(theta.items()))
+        reps.append(RepresentationData.from_entries(L, 2, theta))
     rules = set()
     for rep in reps:
         want = [("module-identity-1", w) for w in dense_oracle.r1_violations(rep)]
