@@ -31,8 +31,10 @@ The operator complex reads its coefficients theta_T off the projected
 semidirect brackets of the basis of L with graph vectors, all built in
 one pass; its degree -1 map is
 delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
-of T and of the bracket.  Each differential is written once, by one
-pass that scatters its entries into sparse columns from those nonzeros:
+of T and of the bracket by the assembly of left D(X) - [X,-] right at
+(T, T), which the equivalence of deformations also calls with two
+directions.  Each differential is written once, by one pass that
+scatters its entries into sparse columns from those nonzeros:
 each entry of theta (read off ``RepresentationData.nonzero``, each
 D(a, b) as the two entries theta(b, a) - theta(a, b), so no D matrix is
 built) and each nonzero bracket coefficient writes its terms over every
@@ -74,7 +76,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .representations import RepresentationData, semidirect_brackets, vector_family
+from .representations import ActionData, RepresentationData, semidirect_brackets, vector_family
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
@@ -157,7 +159,7 @@ def cochain_from_map(matrix: Matrix) -> Cochain:
 def cochain_to_map(f: Cochain) -> Matrix:
     if f.degree != 1:
         raise StructureError("only degree-1 cochains are linear maps")
-    return Matrix.from_columns(list(f.coeffs), f.target_dim)
+    return Matrix(f.source_dim, f.target_dim, f.coeffs).transpose()
 
 
 def flatten_cochain(f: Cochain) -> Vector:
@@ -228,16 +230,6 @@ def cochain_space_basis(
 
 # ---------------------------------------------------------------------------
 # the coboundary operator
-
-
-def _columns(entries) -> dict:
-    """Sum (column, row, value) entries into a differential: sparse
-    columns, the j-th the image of the j-th flat basis cochain."""
-    columns = {}
-    for j, i, x in entries:
-        col = columns.setdefault(j, {})
-        col[i] = col.get(i, ZERO) + x
-    return _without_zeros(columns)
 
 
 def _without_zeros(columns: dict) -> dict:
@@ -451,31 +443,31 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     return RepresentationData.from_entries(desc, d, theta)
 
 
-def _assemble_delta(rbo: RelativeRBO) -> dict:
-    """delta X = T D(X) - [X,-] T, one column per unit wedge e_i ^ e_j:
-    (delta X)(v) = T D(e_i, e_j) v - [e_i, e_j, Tv].  Every entry is a
-    product of nonzeros: of theta, since D(e_i, e_j) = theta(e_j, e_i)
-    - theta(e_i, e_j), of T, and of the bracket."""
-    d, dp = rbo.ambient.dim, rbo.source.dim
+def _assemble_delta(action: ActionData, left: Matrix, right: Matrix) -> dict:
+    """left D(X) - [X,-] right, for maps left, right : L' -> L, one
+    column per unit wedge e_i ^ e_j: at v it is left D(e_i, e_j) v -
+    [e_i, e_j, right v].  delta is the call with (T, T).  Every entry is
+    a product of nonzeros: of theta, since D(e_i, e_j) = theta(e_j, e_i)
+    - theta(e_i, e_j), of left, and of the bracket and right."""
+    d, dp = action.algebra.dim, action.target.dim
     wedge = {pair: k for k, pair in enumerate(wedge_pairs(d))}
-    T_cols = [[(l, t) for l, t in enumerate(rbo.T.column(w)) if t] for w in range(dp)]
-    T_rows = [[(v, t) for v, t in enumerate(row) if t] for row in rbo.T.entries]
-
-    def entries():
-        for i, j, theta in rbo.action.rep.nonzero:
-            if i != j:
-                k, sign = (wedge[i, j], -1) if i < j else (wedge[j, i], 1)
-                for w, v, a in theta:
-                    for l, t in T_cols[w]:
-                        yield k, v * d + l, sign * t * a
-        for i, j, x, vec in rbo.ambient.nonzero:
-            if i < j:
-                for v, t in T_rows[x]:
-                    for l, c in enumerate(vec):
-                        if c:
-                            yield wedge[i, j], v * d + l, -t * c
-
-    return _columns(entries())
+    left_cols = [[(l, t) for l, t in enumerate(left.column(w)) if t] for w in range(dp)]
+    right_rows = [[(v, t) for v, t in enumerate(row) if t] for row in right.entries]
+    columns = {}
+    for i, j, theta in action.rep.nonzero:
+        if i != j:
+            k, sign = (wedge[i, j], -1) if i < j else (wedge[j, i], 1)
+            col = columns.setdefault(k, {})
+            for w, v, a in theta:
+                for l, t in left_cols[w]:
+                    col[v * d + l] = col.get(v * d + l, ZERO) + sign * t * a
+    for i, j, x, vec in action.algebra.nonzero:
+        if i < j and right_rows[x]:
+            col, terms = columns.setdefault(wedge[i, j], {}), [(l, c) for l, c in enumerate(vec) if c]
+            for v, t in right_rows[x]:
+                for l, c in terms:
+                    col[v * d + l] = col.get(v * d + l, ZERO) - t * c
+    return _without_zeros(columns)
 
 
 class OperatorComplex:
@@ -504,8 +496,9 @@ class OperatorComplex:
         sign = _p_sign(convention, (degree + 1) // 2)
         key = (degree, sign if degree > 0 else 1)
         if key not in self._built:
+            rbo = self.rbo
             self._built[key] = (
-                _assemble_delta(self.rbo) if degree == -1 else _combine(*self._blocks(degree), sign)
+                _assemble_delta(rbo.action, rbo.T, rbo.T) if degree == -1 else _combine(*self._blocks(degree), sign)
             )
         return self._built[key]
 
@@ -552,7 +545,8 @@ class OperatorComplex:
 
 def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     """Degree -1 coboundary: delta X = T D(X) - [X,-] T, that is
-    (delta X)(v) = T D(X) v - [X, Tv]."""
+    (delta X)(v) = T D(X) v - [X, Tv]: the operator complex's
+    differential(-1), the two-map assembly at (T, T), applied to X."""
     if wedge.degree != -1:
         raise StructureError("delta_wedge expects a degree -1 cochain")
     return OperatorComplex(rbo).apply(wedge)

@@ -19,16 +19,20 @@ conditions on X:
   (E1)  S1(u) - S2(u) = T D(X) u - [X, Tu]
   (E2)  [X, S1(u)] = S2( D(X) u )
 
-Both are linear in the wedge coordinates, so witnesses are found by
-one exact linear solve.  Strict mode additionally demands the
-first-order parts of the theta- and D-equivariance conditions of an
-operator homomorphism.  The theta rows come from the one (R2)
-evaluator of :mod:`triplekit.representations`, a pass over the nonzero
-entries of the theta(e_i, e_j), [X,-] and D(X) with no matrix built;
-D is theta(b,a) - theta(a,b) and every term is linear in theta, so each
-D row is a difference of two theta rows.  Each condition
-is written once: the check evaluates it at the witness, the solve
-stacks it at the unit wedges.
+Both are linear in the wedge coordinates and both are read off the
+operator complex: (E1) is delta X = T D(X) - [X,-] T itself, and (E2)
+is the same two-map assembly with S2 and S1 in place of T,
+S2 D(X) - [X,-] S1, compared against zero.  Strict mode additionally
+demands the first-order parts of the theta- and D-equivariance
+conditions of an operator homomorphism; at the unit wedge e_a ^ e_b the
+theta rows are minus (R2) of the action at (a, b, -, -), the pair rows
+of the one (R2) evaluator of :mod:`triplekit.representations`, and
+since D is theta(b,a) - theta(a,b) and every term is linear in theta,
+each D row is a difference of two theta rows.  All of them form one
+sparse linear system, built once per question: the search builds it
+in the coordinates of the unit wedges, eliminates its rows with
+:func:`triplekit.linalg.echelon` and checks the solution against the
+same system, and the check builds it at the given witness.
 """
 
 from __future__ import annotations
@@ -36,21 +40,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .cohomology import Cochain, OperatorComplex, cochain_to_map, flatten_cochain, wedge_pairs, zero_cochain
+from .cohomology import (
+    Cochain,
+    OperatorComplex,
+    _apply,
+    _assemble_delta,
+    cochain_to_map,
+    flatten_cochain,
+    wedge_pairs,
+    zero_cochain,
+)
 from .linalg import (
     Matrix,
     StructureError,
     VerificationError,
     ZERO,
-    basis_vector,
+    _solve_rows,
     echelon,
-    solve,
     sparse_transpose,
     vec_is_zero,
     vec_sub,
     zero_vector,
 )
-from .lts import bracket_operator
 from .reporting import Report, Violation
 from .representations import _theta_equivariance_rows
 from .rota_baxter import RelativeRBO, _rb_defects
@@ -63,9 +74,9 @@ __all__ = [
     "check_equivalence",
     "find_equivalence_witness",
     "is_trivial_deformation",
-    "wedge_bracket_operator",
-    "wedge_d_operator",
 ]
+
+STRICT_RULES = ("theta-equivariance-order-t", "D-equivariance-order-t")
 
 
 @dataclass(frozen=True)
@@ -96,23 +107,6 @@ class EquivalenceWitness:
     def __post_init__(self):
         if self.wedge.degree != -1:
             raise StructureError("equivalence witness must be a degree -1 cochain")
-
-
-def wedge_bracket_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
-    return bracket_operator(rbo.ambient, dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)))
-
-
-def wedge_d_operator(rbo: RelativeRBO, wedge: Cochain) -> Matrix:
-    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action,
-    where theta(e_i, e_j) enters D(e_j, e_i) and, negated, D(e_i, e_j)."""
-    coeffs, dp = dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)), rbo.source.dim
-    acc = [[ZERO] * dp for _ in range(dp)]
-    for i, j, entries in rbo.action.rep.nonzero:
-        if co := coeffs.get((j, i), ZERO) - coeffs.get((i, j), ZERO):
-            for r, c, a in entries:
-                acc[r][c] += co * a
-    return Matrix(dp, dp, tuple(map(tuple, acc)))
 
 
 def _coefficients(d: InfinitesimalDeformation):
@@ -158,55 +152,55 @@ def deformation_cocycle_class(d: InfinitesimalDeformation) -> tuple:
     return tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
 
 
-def _equivalence_conditions(cx: OperatorComplex, S1: Matrix, S2: Matrix, X: Cochain, strict: bool):
-    """(rule, witness, value, target) for every first-order condition on
-    the pair (id + t[X,-], id + t D(X)) carrying T + t S1 onto T + t S2,
-    in report order; a condition holds when its value equals its target.
-
-    Values are linear in X and targets do not depend on it.  At a unit
-    wedge e_a ^ e_b the theta rows are minus (R2) of the action at
-    (a, b, x, y).  Since D(x, y) = theta(y, x) - theta(x, y) and every
-    term is linear in theta, the D row at (x, y) is the theta row at
-    (y, x) minus the one at (x, y).
+def _equivalence_system(d1: InfinitesimalDeformation, d2: InfinitesimalDeformation, strict: bool, wedges):
+    """The first-order conditions on (id + t[X,-], id + t D(X)) carrying
+    T + t S1 onto T + t S2, as one sparse linear system in the
+    coordinates of the given wedges ({wedge coordinate: value} each):
+    (conditions, columns, targets).  ``conditions`` lists the (rule,
+    witness) of each in report order; column j, the values at the j-th
+    wedge, and ``targets`` are keyed by (condition, coordinate) and hold
+    no zeros.  (E1) reads delta with target S1 - S2, (E2) the two-map delta
+    at (S2, S1) with target 0, and the D row at (x, y) is the theta row
+    at (y, x) less the one at (x, y).
     """
-    rbo = cx.rbo
-    d = rbo.ambient.dim
-    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
-    delta = cx.apply(X)
-    out = []
-    for u in range(rbo.source.dim):
-        s1 = S1.column(u)
-        out.append(("intertwining-order-t", (u + 1,), delta.coeffs[u], vec_sub(s1, S2.column(u))))
-        e2 = vec_sub(bx.apply(s1), S2.apply(dx.column(u)))
-        out.append(("compatibility-order-t", (u + 1,), e2, zero_vector(d)))
-    if strict:
-        theta = _theta_equivariance_rows(rbo.action.rep, bx, dx)
-        zero = zero_vector(rbo.source.dim ** 2)
-        for x, y in product(range(d), repeat=2):
-            row = tuple(theta[x][y])
-            out.append(("theta-equivariance-order-t", (x + 1, y + 1), row, zero))
-            # theta[y][x] - row, skipping the zero entries that make up most of row
-            d_row = tuple(a - b if b else a for a, b in zip(theta[y][x], row))
-            out.append(("D-equivariance-order-t", (x + 1, y + 1), d_row, zero))
-    return out
-
-
-def _equivalence_system(
-    d1: InfinitesimalDeformation, d2: InfinitesimalDeformation, strict: bool = False
-):
-    """Stack every condition of :func:`_equivalence_conditions` as one
-    linear system over wedge coordinates: column k holds the values at
-    the k-th unit wedge, the right-hand side the targets."""
+    if d1.base != d2.base:
+        raise StructureError("equivalence is defined for deformations of one operator")
     rbo = d1.base
-    dp, dd = rbo.source.dim, rbo.ambient.dim
+    d, dp, pairs = rbo.ambient.dim, rbo.source.dim, wedge_pairs(rbo.ambient.dim)
     S1, S2 = d1.direction_map(), d2.direction_map()
-    n = len(wedge_pairs(dd))
-    # with no wedge coordinates the zero wedge still yields the targets
-    units = [Cochain(-1, dp, dd, basis_vector(n, k)) for k in range(n)] or [zero_cochain(-1, dp, dd)]
-    evaluated = [_equivalence_conditions(d1.complex, S1, S2, X, strict) for X in units]
-    rhs = tuple(x for _, _, _, target in evaluated[0] for x in target)
-    cols = [tuple(x for _, _, value, _ in blocks for x in value) for blocks in evaluated[:n]]
-    return Matrix.from_columns(cols, len(rhs)), rhs
+    conditions = [(rule, (u + 1,)) for u in range(dp) for rule in ("intertwining-order-t", "compatibility-order-t")]
+    if strict:
+        conditions += [(rule, (x + 1, y + 1)) for x, y in product(range(d), repeat=2) for rule in STRICT_RULES]
+    targets = {(2 * u, l): x for u in range(dp) for l, x in enumerate(vec_sub(S1.column(u), S2.column(u))) if x}
+    blocks = (d1.complex.differential(-1), _assemble_delta(rbo.action, S2, S1))
+    zero = zero_vector(dp * dp)
+    columns = {}
+    for j, wedge in enumerate(wedges):
+        out = columns[j] = {}
+        for block, delta in enumerate(blocks):
+            for i, x in _apply(delta, wedge).items():
+                u, l = divmod(i, d)
+                out[2 * u + block, l] = x
+        r2 = _theta_equivariance_rows(rbo.action.rep, {pairs[k]: c for k, c in wedge.items()}) if strict else {}
+        for x, y in r2.keys() | {(y, x) for x, y in r2}:
+            # the theta and D conditions at (x, y) follow those of u, in (x, y) order
+            at, plus, minus = 2 * (dp + x * d + y), r2.get((y, x), zero), r2.get((x, y), zero)
+            for pos, m in enumerate(minus) if any(minus) else ():
+                if m:
+                    out[at, pos] = m
+            for pos, (p, m) in enumerate(zip(plus, minus)) if plus != minus else ():
+                if p != m:
+                    out[at + 1, pos] = p - m
+    return conditions, columns, targets
+
+
+def _failed(system, coords) -> Report:
+    """The conditions that the combination of the system's wedges with
+    these coefficients fails, in report order."""
+    conditions, columns, targets = system
+    image = _apply(columns, {k: c for k, c in enumerate(coords) if c})
+    failed = {key[0] for key in image.keys() | targets.keys() if image.get(key, ZERO) != targets.get(key, ZERO)}
+    return tuple(Violation(*conditions[c]) for c in sorted(failed))
 
 
 def check_equivalence(
@@ -216,17 +210,14 @@ def check_equivalence(
     """Do (E1) and (E2) hold for the given witness, on all basis vectors?
 
     Strict mode also checks the first-order parts of theta- and
-    D-equivariance for the pair (id + t[X,-], id + t D(X)).
+    D-equivariance for the pair (id + t[X,-], id + t D(X)).  The system
+    is taken in the one coordinate of the witness itself, so each
+    condition is contracted once, at the witness.
     """
-    if d1.base != d2.base:
-        raise StructureError("equivalence is defined for deformations of one operator")
-    return tuple(
-        Violation(rule, witness)
-        for rule, witness, value, target in _equivalence_conditions(
-            d1.complex, d1.direction_map(), d2.direction_map(), w.wedge, strict
-        )
-        if value != target
-    )
+    X, rbo = w.wedge, d1.base
+    if X.source_dim != rbo.source.dim or X.target_dim != rbo.ambient.dim:
+        raise StructureError("wedge coordinates sized for a different operator")
+    return _failed(_equivalence_system(d1, d2, strict, [{k: c for k, c in enumerate(X.coeffs) if c}]), (1,))
 
 
 def find_equivalence_witness(
@@ -234,19 +225,19 @@ def find_equivalence_witness(
 ):
     """A wedge witness making d1 and d2 equivalent, or None.
 
-    Any returned witness has already passed :func:`check_equivalence`.
+    The system in the coordinates of the unit wedges is eliminated as
+    sparse rows, the targets in the column after the last wedge
+    coordinate, and any returned witness has already satisfied that
+    same system.
     """
-    if d1.base != d2.base:
-        raise StructureError("equivalence is defined for deformations of one operator")
-    m, rhs = _equivalence_system(d1, d2, strict=strict)
-    x = solve(m, rhs)
-    if x is None:
-        return None
     rbo = d1.base
-    w = EquivalenceWitness(Cochain(-1, rbo.source.dim, rbo.ambient.dim, tuple(x)))
-    if check_equivalence(d1, d2, w, strict=strict):
+    n = len(wedge_pairs(rbo.ambient.dim))
+    system = _equivalence_system(d1, d2, strict, [{k: 1} for k in range(n)])
+    _, columns, targets = system
+    x = _solve_rows(sparse_transpose([*(columns.get(k, {}).items() for k in range(n)), targets.items()]), n)
+    if x is None or _failed(system, x):
         return None
-    return w
+    return EquivalenceWitness(Cochain(-1, rbo.source.dim, rbo.ambient.dim, x))
 
 
 def is_trivial_deformation(d: InfinitesimalDeformation, strict: bool = False):

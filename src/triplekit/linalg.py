@@ -383,14 +383,16 @@ def solve(m: Matrix, rhs: Vector):
     that is zero in every free column of the reduced echelon form."""
     if len(rhs) != m.rows:
         raise StructureError("right-hand side length differs from row count")
-    n = m.cols
-    pivots = echelon({**_nonzero(row), n: b} if b else _nonzero(row) for row, b in zip(m.entries, rhs))
+    return _solve_rows(({**_nonzero(row), m.cols: b} if b else _nonzero(row) for row, b in zip(m.entries, rhs)), m.cols)
+
+
+def _solve_rows(rows, n: int):
+    """:func:`solve` on sparse rows in the unknowns 0..n-1 that hold the
+    right-hand side in column n."""
+    pivots = echelon(rows)
     if n in pivots:
         return None
-    x = [ZERO] * n
-    for p, tail in pivots.items():
-        x[p] = tail.get(n, ZERO)
-    return tuple(x)
+    return tuple(pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n))
 
 
 def invert(m: Matrix):

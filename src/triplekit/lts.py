@@ -89,12 +89,13 @@ def verify_lts(L: LieTripleSystem) -> Report:
     (A1) is checked in polarized form: c[i][i][k] = 0 together with
     full skew-symmetry c[i][j][k] = -c[j][i][k].  These and (A2) can
     fail only at permutations of a nonzero bracket's triple, so only
-    those are visited.  (A3) only needs the pairs (a, b) whose
-    left-multiplication operator is nonzero, since every term of the
-    identity applies that operator to something.  For such a pair only
-    the triples (c, d, e) that are a nonzero bracket's key, or that hold
-    in some slot a k with [e_a, e_b, e_k] != 0, can carry a term; they
-    are visited in lexicographic order.
+    those are visited.  (A3) only needs the pairs (a, b) with K =
+    [e_a, e_b, -] nonzero, since every term applies K to something, and
+    its two sides' difference is scattered from the nonzeros: coordinate
+    m of [e_c, e_d, e_e] meets K e_m at (c, d, e), and coordinate m of
+    K e_k meets, negated, each bracket with m in a slot, at its triple
+    with k in that slot.  Only the triples that receive a term are
+    checked, in lexicographic order.
     """
     d, br, zero = L.dim, {(i, j, k): vec for i, j, k, vec in L.nonzero}, zero_vector(L.dim)
 
@@ -108,19 +109,25 @@ def verify_lts(L: LieTripleSystem) -> Report:
     for i, j, k in sorted({t for i, j, k in br for t in ((i, j, k), (j, k, i), (k, i, j))}):
         if not vec_is_zero(tuple(map(sum, zip(at(i, j, k), at(j, k, i), at(k, i, j))))):
             out.append(Violation("cyclic-sum", (i + 1, j + 1, k + 1)))
-    E = L.basis()
-    for a, b in sorted({(i, j) for i, j, _k in br}):
-        triples = set(br)
-        for k in {k for i, j, k in br if (i, j) == (a, b)}:
-            for x, y in product(range(d), repeat=2):
-                triples.update(((k, x, y), (x, k, y), (x, y, k)))
-        for c, dd, e in sorted(triples):
-            lhs = L.bracket_eval(E[a], E[b], at(c, dd, e))
-            r1 = L.bracket_eval(at(a, b, c), E[dd], E[e])
-            r2 = L.bracket_eval(E[c], at(a, b, dd), E[e])
-            r3 = L.bracket_eval(E[c], E[dd], at(a, b, e))
-            if any(lhs[l] != r1[l] + r2[l] + r3[l] for l in range(d)):
-                out.append(Violation("derivation", (a + 1, b + 1, c + 1, dd + 1, e + 1)))
+    terms = {key: [(l, v) for l, v in enumerate(vec) if v] for key, vec in br.items()}
+    by_slot, left = ({}, {}, {}), {}
+    for key, kv in terms.items():
+        for s in range(3):
+            by_slot[s].setdefault(key[s], []).append((key, kv))
+        left.setdefault(key[:2], {})[key[2]] = kv
+    for (a, b), K in sorted(left.items()):
+        # [a, b, [c, d, e]], then less [[a, b, c], d, e] + [c, [a, b, d], e] + [c, d, [a, b, e]]
+        parts = [(key, c, K[m]) for key, kv in terms.items() for m, c in kv if m in K]
+        parts += [
+            (key[:s] + (k,) + key[s + 1:], -c, mv)
+            for k, kv in K.items() for m, c in kv for s in range(3) for key, mv in by_slot[s].get(m, ())
+        ]
+        acc = {}
+        for key, c, vec in parts:
+            row = acc.setdefault(key, [ZERO] * d)
+            for l, v in vec:
+                row[l] += c * v
+        out += [Violation("derivation", (a + 1, b + 1, *(t + 1 for t in key))) for key in sorted(acc) if any(acc[key])]
     return tuple(out)
 
 
@@ -138,17 +145,6 @@ def center(L: LieTripleSystem) -> SubspaceBasis:
             if c:
                 rows.setdefault((j, k, l), {})[i] = c
     return sparse_kernel(rows.values(), L.dim)
-
-
-def bracket_operator(L: LieTripleSystem, coeffs: dict) -> Matrix:
-    """x -> sum c_ij [e_i, e_j, x] as a matrix, for {(i, j): c_ij}."""
-    acc = [[ZERO] * L.dim for _ in range(L.dim)]
-    for i, j, k, vec in L.nonzero:
-        if co := coeffs.get((i, j)):
-            for l, v in enumerate(vec):
-                if v:
-                    acc[l][k] += co * v
-    return Matrix(L.dim, L.dim, tuple(map(tuple, acc)))
 
 
 def _brackets_of_basis(L: LieTripleSystem, S: SubspaceBasis):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, vec_is_zero
-from .lts import LieTripleSystem, bracket_operator, center
+from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
 
@@ -101,20 +101,12 @@ def adjoint_representation(L: LieTripleSystem) -> RepresentationData:
 def verify_representation(r: RepresentationData) -> Report:
     """Check (R1) and (R2) on all basis 4-tuples of the acting algebra:
     (R1) is read off :func:`_module_identity_rows`, (R2) off
-    :func:`_theta_equivariance_rows`, one call per pair (a, b) with
-    [e_a, e_b, -] or D(a, b) nonzero; every (R2) row of any other pair
-    is zero."""
-    L, rows = r.algebra, _module_identity_rows(r)
-    out = [Violation("module-identity-1", tuple(t + 1 for t in key)) for key in sorted(rows) if any(rows[key].values())]
-    bracketing, zero = {(i, j) for i, j, _k, _v in L.nonzero}, Matrix.zeros(r.space_dim, r.space_dim)
-    for a, b in product(range(L.dim), repeat=2):
-        dx = r.d_basis(a, b)
-        if (a, b) not in bracketing and dx == zero:
-            continue
-        rows = _theta_equivariance_rows(r, bracket_operator(L, {(a, b): 1}), dx)
-        for c, dd in product(range(L.dim), repeat=2):
-            if any(rows[c][dd]):
-                out.append(Violation("module-identity-2", (a + 1, b + 1, c + 1, dd + 1)))
+    :func:`_theta_equivariance_rows` at each pair (a, b) alone."""
+    r1 = _module_identity_rows(r)
+    out = [Violation("module-identity-1", tuple(t + 1 for t in key)) for key in sorted(r1) if any(r1[key].values())]
+    for a, b in product(range(r.algebra.dim), repeat=2):
+        r2 = _theta_equivariance_rows(r, {(a, b): 1})
+        out += [Violation("module-identity-2", (a + 1, b + 1, x + 1, y + 1)) for x, y in sorted(r2) if any(r2[x, y])]
     return tuple(out)
 
 
@@ -155,34 +147,51 @@ def _module_identity_rows(rep: RepresentationData) -> dict:
     return acc
 
 
-def _theta_equivariance_rows(rep: RepresentationData, bx: Matrix, dx: Matrix):
-    """rows[x][y] = dx theta(e_x,e_y) - theta(bx e_x, e_y) - theta(e_x, bx e_y)
-    - theta(e_x,e_y) dx, flattened row by row, for every basis pair: at
-    bx = [e_a, e_b, -] and dx = D(a, b), minus (R2) at (a, b, x, y).
+def _theta_equivariance_rows(rep: RepresentationData, wedge: dict) -> dict:
+    """{(x, y): row}: minus (R2) at (a, b, x, y),
+    D(a,b) theta(x,y) - theta([a,b,x], y) - theta(x, [a,b,y]) - theta(x,y) D(a,b),
+    flattened row by row into a list and summed over the pairs (a, b) of
+    ``wedge``, a {(a, b): coefficient} dict, at every (x, y) that receives
+    a term.
 
-    One pass over the nonzero entries of the theta(e_i, e_j): the entry
-    (r, c, a) of theta(e_i, e_j) meets the nonzeros of column r and
-    row c of dx in row (i, j), and adds -bx[i][x] a to row (x, j) and
-    -bx[j][y] a to row (i, y).  No matrix is built.
+    The sums [X, -] of the [e_a, e_b, -] and D(X) of the D(a, b) are
+    kept sparse: [X, -] is read off the nonzero brackets, and D(X) off the
+    theta entries, theta(i, j) entering D(j, i) and, negated, D(i, j).
+    When both are zero nothing else is visited.  Otherwise the entry
+    (r, c, v) of each nonzero theta(e_i, e_j) meets column r and row c of
+    D(X) at (i, j), and adds -[X, e_x]_i v at (x, j) and -[X, e_y]_j v at
+    (i, y).
     """
-    d, dp = rep.algebra.dim, rep.space_dim
-    rows = [[[ZERO] * (dp * dp) for _ in range(d)] for _ in range(d)]
-    dx_cols = [[(s, b) for s, b in enumerate(dx.column(k)) if b] for k in range(dp)]
-    dx_rows = [[(s, b) for s, b in enumerate(row) if b] for row in dx.entries]
-    bx_rows = [[(t, b) for t, b in enumerate(row) if b] for row in bx.entries]
+    n, d, dx, kx, d_cols, d_rows, k_rows = rep.space_dim, rep.algebra.dim, {}, {}, {}, {}, {}
     for i, j, entries in rep.nonzero:
-        own = rows[i][j]
-        for r, c, a in entries:
-            for s, b in dx_cols[r]:
-                own[s * dp + c] += b * a
-            for s, b in dx_rows[c]:
-                own[r * dp + s] -= a * b
-        # theta(bx e_x, e_y) and theta(e_x, bx e_y), over the nonzeros of bx
-        middle = [(rows[x][j], b) for x, b in bx_rows[i]] + [(rows[i][y], b) for y, b in bx_rows[j]]
-        for row, b in middle:
-            for r, c, a in entries:
-                row[r * dp + c] -= b * a
-    return rows
+        if co := wedge.get((j, i), ZERO) - wedge.get((i, j), ZERO):
+            for r, c, v in entries:
+                dx[r, c] = dx.get((r, c), ZERO) + co * v
+    for i, j, k, vec in rep.algebra.nonzero:
+        if co := wedge.get((i, j)):
+            for l, v in enumerate(vec):
+                if v:
+                    kx[l, k] = kx.get((l, k), ZERO) + co * v
+    for (r, c), v in dx.items():
+        if v:  # d_cols[c] lists (r * n, D(X)[r][c]), d_rows[r] lists (c, D(X)[r][c])
+            d_cols.setdefault(c, []).append((r * n, v))
+            d_rows.setdefault(r, []).append((c, v))
+    for (l, k), v in kx.items():
+        if v:  # k_rows[l] lists (k, [X, e_k]_l)
+            k_rows.setdefault(l, []).append((k, v))
+    rows = [[None] * d for _ in range(d)]
+    for i, j, entries in rep.nonzero if d_cols or k_rows else ():
+        own = rows[i][j] = rows[i][j] or [ZERO] * (n * n)
+        for r, c, v in entries:
+            for sn, w in d_cols.get(r, ()):
+                own[sn + c] += w * v
+            for s, w in d_rows.get(c, ()):
+                own[r * n + s] -= v * w
+        for x, y, w in [(x, j, w) for x, w in k_rows.get(i, ())] + [(i, y, w) for y, w in k_rows.get(j, ())]:
+            row = rows[x][y] = rows[x][y] or [ZERO] * (n * n)
+            for r, c, v in entries:
+                row[r * n + c] -= w * v
+    return {(x, y): row for x, line in enumerate(rows) for y, row in enumerate(line) if row}
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,14 @@ def make_sln_lts(n: int) -> LieTripleSystem:
     return LieTripleSystem.from_entries(dim, entries)
 
 
+def sl3_cartan_projection():
+    """sl3 with [x,y,z] = [[x,y],z] and T the projection onto its Cartan
+    subalgebra, at weight 0."""
+    L = make_sln_lts(3)
+    T = Matrix(8, 8, tuple(tuple(int(i == j and i >= 6) for j in range(8)) for i in range(8)))
+    return RelativeRBO(self_action(L), 0, T)
+
+
 @pytest.fixture(scope="session")
 def sl2_lts() -> LieTripleSystem:
     return make_sln_lts(2)

@@ -20,8 +20,11 @@ a walk over every output argument tuple, with the sign audit as the
 product of each d_3 with d_1, and the image of a cochain under a
 differential written into a dense flat vector and unflattened.  It
 keeps the nested ``coeffs`` of a cochain file built as they first were,
-one recursive call per argument prefix.  Last, it keeps the derivation
+one recursive call per argument prefix.  It keeps the derivation
 axiom (A3) of a system checked at every basis triple of each pair.
+Last, it keeps the first-order equivalence conditions of two
+deformation directions evaluated at one wedge at a time, through the
+dense operators [X,-] and D(X) and dense theta and D matrices.
 
 The package stores a system and a representation only as their nonzero
 entries; :func:`bracket_tensor` and :func:`theta_tensor` build the dense
@@ -37,11 +40,12 @@ from itertools import product
 from triplekit.cohomology import (
     SIGN_CONVENTIONS,
     _apply,
-    _columns,
+    _without_zeros,
     cochain_space_basis,
     flat_arg_index,
     flatten_cochain,
     unflatten_cochain,
+    wedge_pairs,
 )
 from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_scalar, vec_sub, zero_vector
 from triplekit.lts import center
@@ -207,6 +211,16 @@ def cocycle_class(cocycles, coboundaries, direction):
     if len(columns) - 1 in pivots:
         return None
     return tuple(rows[r][-1] for r in range(len(coboundaries), len(pivots)))
+
+
+def _columns(entries) -> dict:
+    """Sum (column, row, value) entries into a differential: sparse
+    columns, the j-th the image of the j-th flat basis cochain."""
+    columns = {}
+    for j, i, x in entries:
+        col = columns.setdefault(j, {})
+        col[i] = col.get(i, ZERO) + x
+    return _without_zeros(columns)
 
 
 def d_sum_sign(convention: str, n: int, i: int) -> int:
@@ -463,3 +477,67 @@ def cochain_coeffs(f):
         return [build(prefix + (i,)) for i in range(f.source_dim)]
 
     return build(())
+
+
+def bracket_operator(L, coeffs):
+    """x -> sum c_ij [e_i, e_j, x] as a matrix, for {(i, j): c_ij}."""
+    acc = [[ZERO] * L.dim for _ in range(L.dim)]
+    for i, j, k, vec in L.nonzero:
+        if co := coeffs.get((i, j)):
+            for l, v in enumerate(vec):
+                if v:
+                    acc[l][k] += co * v
+    return Matrix(L.dim, L.dim, tuple(map(tuple, acc)))
+
+
+def wedge_bracket_operator(rbo, wedge):
+    """[X, -] on the ambient system: x -> sum a_ij [e_i, e_j, x]."""
+    return bracket_operator(rbo.ambient, dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)))
+
+
+def wedge_d_operator(rbo, wedge):
+    """D(X) on the source space: sum a_ij D(e_i, e_j) through the action,
+    where theta(e_i, e_j) enters D(e_j, e_i) and, negated, D(e_i, e_j)."""
+    coeffs, dp = dict(zip(wedge_pairs(rbo.ambient.dim), wedge.coeffs)), rbo.source.dim
+    acc = [[ZERO] * dp for _ in range(dp)]
+    for i, j, entries in rbo.action.rep.nonzero:
+        if co := coeffs.get((j, i), ZERO) - coeffs.get((i, j), ZERO):
+            for r, c, a in entries:
+                acc[r][c] += co * a
+    return Matrix(dp, dp, tuple(map(tuple, acc)))
+
+
+def strict_rows(rbo, X):
+    """(rule, witness, value) of the strict equivalence rows at the wedge
+    X: dense theta and D matrices from theta_vec / d_vec, multiplied by
+    the dense D(X) with @, each row flattened row by row."""
+    rep, d = rbo.action.rep, rbo.ambient.dim
+    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
+    E, theta = rbo.ambient.basis(), theta_tensor(rep)
+    out = []
+    for x, y in product(range(d), repeat=2):
+        for rule, m, op in (
+            ("theta-equivariance-order-t", theta[x][y], rep.theta_vec),
+            ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
+        ):
+            var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx
+            out.append((rule, (x + 1, y + 1), tuple(a for row in var.entries for a in row)))
+    return out
+
+
+def equivalence_conditions(rbo, S1, S2, X, strict):
+    """(rule, witness, value, target) for every first-order condition on
+    (id + t[X,-], id + t D(X)) carrying T + t S1 onto T + t S2, in report
+    order, evaluated at the one wedge X: (E1) T D(X) u - [X, T u] against
+    S1 u - S2 u and (E2) [X, S1 u] - S2 D(X) u against 0 at each basis
+    vector u, then the strict rows against 0."""
+    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
+    delta = rbo.T @ dx - bx @ rbo.T
+    out = []
+    for u in range(rbo.source.dim):
+        s1 = S1.column(u)
+        out.append(("intertwining-order-t", (u + 1,), delta.column(u), vec_sub(s1, S2.column(u))))
+        e2 = vec_sub(bx.apply(s1), (S2 @ dx).column(u))
+        out.append(("compatibility-order-t", (u + 1,), e2, zero_vector(rbo.ambient.dim)))
+    zero = zero_vector(rbo.source.dim ** 2)
+    return out + [(rule, witness, value, zero) for rule, witness, value in (strict_rows(rbo, X) if strict else ())]

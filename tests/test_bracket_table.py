@@ -30,8 +30,7 @@ from triplekit.representations import (
 from triplekit.rota_baxter import RelativeRBO, _rb_defects
 
 import dense_oracle
-from conftest import SEEDS, ladder
-from test_scatter_assembly import sl3_cartan_projection
+from conftest import SEEDS, ladder, sl3_cartan_projection
 from test_semidirect_bracket import ACTIONS, WEIGHTS, action, oracle_bracket, random_vector
 
 F = Fraction

@@ -390,3 +390,18 @@ def test_negative_weight_reads_as_the_attached_form(tmp_path, capsys):
     assert json.loads(run(["coh", "group", rbo3, "--weight", "-2/3", "--degree", "1"])[1]) == {
         "degree": 1, "dim_B": 1, "dim_H": 5, "dim_Z": 6,
     }
+
+
+def test_equiv_witness_sized_for_another_operator_exits_2(tmp_path, capsys):
+    # a 3-dim wedge (3 coordinates) given for the 4-dim rbo4_P, whose
+    # wedges have 6, is malformed input under both modes
+    rbo4 = str(fixture_path("rbo4_P"))
+    zero, wedge = tmp_path / "zero.json", tmp_path / "w3.json"
+    zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    wedge.write_text(dump_json(cochain_to_json(zero_cochain(-1, 3, 3))))
+    for strict in ((), ("--strict",)):
+        argv = ["def", "equiv", rbo4, str(zero), str(zero), "--witness", str(wedge), *strict]
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "wedge coordinates sized for a different operator", "kind": "input",
+        }

@@ -7,6 +7,8 @@ import pytest
 from triplekit.cohomology import (
     Cochain,
     OperatorComplex,
+    _apply,
+    _assemble_delta,
     cochain_from_map,
     cochain_to_map,
     delta_wedge,
@@ -20,15 +22,12 @@ from triplekit.deformations import (
     EquivalenceWitness,
     InfinitesimalDeformation,
     _coefficients,
-    _equivalence_conditions,
     _equivalence_system,
     check_deformation,
     check_equivalence,
     deformation_cocycle_class,
     find_equivalence_witness,
     is_trivial_deformation,
-    wedge_bracket_operator,
-    wedge_d_operator,
 )
 from triplekit.linalg import (
     Matrix,
@@ -50,7 +49,7 @@ from triplekit.representations import (
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
 import dense_oracle
-from conftest import SEEDS, ladder
+from conftest import SEEDS, ladder, sl3_cartan_projection
 
 F = Fraction
 
@@ -225,8 +224,8 @@ def test_check_equivalence_constructed_pair(rbo3):
     # build S1 = S2 + (T D(X) - [X, T-]) so the first condition holds
     # by construction, then verify the second by evaluation
     x = wedge(rbo3, 1, 0, 0)
-    dx = wedge_d_operator(rbo3, x)
-    bx = wedge_bracket_operator(rbo3, x)
+    dx = dense_oracle.wedge_d_operator(rbo3, x)
+    bx = dense_oracle.wedge_bracket_operator(rbo3, x)
     s2 = Matrix.zeros(3, 3)
     shift = (rbo3.T @ dx) - (bx @ rbo3.T)
     s1 = s2 + shift
@@ -253,8 +252,8 @@ def test_find_witness_identical_pair(rbo3):
 
 def test_find_witness_constructed_pair(rbo3):
     x = wedge(rbo3, 1, 0, 0)
-    dx = wedge_d_operator(rbo3, x)
-    bx = wedge_bracket_operator(rbo3, x)
+    dx = dense_oracle.wedge_d_operator(rbo3, x)
+    bx = dense_oracle.wedge_bracket_operator(rbo3, x)
     shift = (rbo3.T @ dx) - (bx @ rbo3.T)
     d1 = InfinitesimalDeformation(rbo3, cochain_from_map(shift))
     d2 = InfinitesimalDeformation(rbo3, zero_cochain(1, 3, 3))
@@ -342,8 +341,8 @@ def test_trivial_witness_matches_delta_sign(rbo3):
     # condition says the direction equals the wedge coboundary exactly
     x = wedge(rbo3, 1, 0, 0)
     f = delta_wedge(rbo3, x)
-    dx = wedge_d_operator(rbo3, x)
-    bx = wedge_bracket_operator(rbo3, x)
+    dx = dense_oracle.wedge_d_operator(rbo3, x)
+    bx = dense_oracle.wedge_bracket_operator(rbo3, x)
     direct = (rbo3.T @ dx) - (bx @ rbo3.T)
     from triplekit.cohomology import cochain_to_map, flatten_cochain
 
@@ -446,8 +445,8 @@ def reference_check_equivalence(d1, d2, w, strict=False):
     L, Lp, rep = rbo.ambient, rbo.source, rbo.action.rep
     dp = Lp.dim
     S1, S2 = d1.direction_map(), d2.direction_map()
-    bx = wedge_bracket_operator(rbo, w.wedge)
-    dx = wedge_d_operator(rbo, w.wedge)
+    bx = dense_oracle.wedge_bracket_operator(rbo, w.wedge)
+    dx = dense_oracle.wedge_d_operator(rbo, w.wedge)
     delta = (rbo.T @ dx) - (bx @ rbo.T)
     out = []
     for u in range(dp):
@@ -555,22 +554,32 @@ def test_equivalence_conditions_match_hand_expansion(rbo3, rbo4, sl2_lts):
 STRICT_RULES = ("theta-equivariance-order-t", "D-equivariance-order-t")
 
 
-def oracle_strict_rows(rbo, X):
-    """The strict rows as written before they were contracted sparsely:
-    dense theta and D matrices from theta_vec / d_vec, multiplied by the
-    dense D(X) with @, each row flattened row by row."""
-    rep, d = rbo.action.rep, rbo.ambient.dim
-    bx, dx = wedge_bracket_operator(rbo, X), wedge_d_operator(rbo, X)
-    E, theta = rbo.ambient.basis(), dense_oracle.theta_tensor(rep)
+def unit_wedges(n):
+    return [{k: 1} for k in range(n)]
+
+
+def system_conditions(system, rbo, X):
+    """(rule, witness, value, target) for every condition of a sparse
+    equivalence system in the unit wedges at the wedge X, in report
+    order, with the value and the target of each condition as dense
+    tuples."""
+    conditions, columns, targets = system
+    image = _apply(columns, {k: c for k, c in enumerate(X.coeffs) if c})
     out = []
-    for x, y in product(range(d), repeat=2):
-        for rule, m, op in (
-            ("theta-equivariance-order-t", theta[x][y], rep.theta_vec),
-            ("D-equivariance-order-t", rep.d_basis(x, y), rep.d_vec),
-        ):
-            var = dx @ m - op(bx.column(x), E[y]) - op(E[x], bx.column(y)) - m @ dx
-            out.append((rule, (x + 1, y + 1), tuple(a for row in var.entries for a in row)))
+    for c, (rule, witness) in enumerate(conditions):
+        size = rbo.source.dim ** 2 if rule in STRICT_RULES else rbo.ambient.dim
+        value = tuple(image.get((c, i), 0) for i in range(size))
+        out.append((rule, witness, value, tuple(targets.get((c, i), 0) for i in range(size))))
     return out
+
+
+def oracle_conditions(rbo, S1, S2, X, strict):
+    """The dense oracle's conditions at X, with (E2) negated to the
+    sign of the sparse system, S2 D(X) - [X, S1 -]."""
+    return [
+        (rule, witness, tuple(-a for a in value) if rule == "compatibility-order-t" else value, target)
+        for rule, witness, value, target in dense_oracle.equivalence_conditions(rbo, S1, S2, X, strict)
+    ]
 
 
 def strict_row_operators(rbo3, rbo4, sl2_lts, lts4):
@@ -590,39 +599,114 @@ def test_strict_rows_match_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
         wedges = [Cochain(-1, dp, d, basis_vector(n, k)) for k in range(n)]
         wedges += [random_wedge(rng, rbo) for _ in range(3)]
         wedges += [Cochain(-1, dp, d, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))]
-        cx = OperatorComplex(rbo)
-        S = Matrix.zeros(d, dp)
+        S = InfinitesimalDeformation(rbo, zero_cochain(1, dp, d))
+        system = _equivalence_system(S, S, True, unit_wedges(n))
         for X in wedges:
             rows = [
                 (rule, witness, value)
-                for rule, witness, value, _target in _equivalence_conditions(cx, S, S, X, True)
+                for rule, witness, value, _target in system_conditions(system, rbo, X)
                 if rule in STRICT_RULES
             ]
-            want = oracle_strict_rows(rbo, X)
+            want = dense_oracle.strict_rows(rbo, X)
             assert rows == want, (d, X.coeffs)
             fired += sum(any(value) for _rule, _witness, value in want)
     assert fired
 
 
+def equivalence_operators(rbo3, rbo4, sl2_lts, lts4):
+    """Every operator the sparse system is checked on: the fixtures, the
+    ladders, the sl3 Cartan projection, the perturbed actions where the
+    strict rows fire, and a one-dimensional operator with no wedge
+    coordinates."""
+    line = zero_system(1)
+    point = RelativeRBO(ActionData(adjoint_representation(line), line), F(1), Matrix.identity(1))
+    return {
+        "rbo3_P": rbo3, "rbo4_P": rbo4, **{f"ladder{n}": ladder(n) for n in (4, 5, 6)},
+        "sl3": sl3_cartan_projection(), "sl2 perturbed": perturbed_adjoint_operator(sl2_lts, Matrix.zeros(3, 3)),
+        "lts4 perturbed": perturbed_adjoint_operator(lts4, Matrix.zeros(4, 4)), "dim 1": point,
+    }
+
+
 def test_strict_system_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
+    # the system's columns are its values at the unit wedges, so comparing
+    # them with the dense evaluation at each unit wedge compares every
+    # column and the right-hand side; a random wedge checks the product
     rng = random.Random(SEEDS["deformation"])
-    for rbo in strict_row_operators(rbo3, rbo4, sl2_lts, lts4):
+    for name, rbo in equivalence_operators(rbo3, rbo4, sl2_lts, lts4).items():
         d, dp = rbo.ambient.dim, rbo.source.dim
         n = len(wedge_pairs(d))
-        d1 = InfinitesimalDeformation(rbo, cochain_from_map(random_integer_matrix(rng, d, dp)))
-        d2 = InfinitesimalDeformation(rbo, cochain_from_map(random_integer_matrix(rng, d, dp)))
-        S1, S2 = d1.direction_map(), d2.direction_map()
-        # the non-strict rows of each unit wedge, then the oracle's strict rows
-        cols = []
+        S1, S2 = (random_integer_matrix(rng, d, dp) for _ in range(2))
+        d1, d2 = (InfinitesimalDeformation(rbo, cochain_from_map(S)) for S in (S1, S2))
+        for strict in (False, True):
+            system = _equivalence_system(d1, d2, strict, unit_wedges(n))
+            assert bool(system[1]) == (n > 0), name
+            for X in [Cochain(-1, dp, d, basis_vector(n, k)) for k in range(n)] + [random_wedge(rng, rbo)]:
+                assert system_conditions(system, rbo, X) == oracle_conditions(rbo, S1, S2, X, strict), (name, X.coeffs)
+
+
+def test_check_equivalence_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
+    # unit, random integral and p/q wedges; S1 is S2 shifted by the delta
+    # of one of them, so (E1) both holds and fails
+    rng = random.Random(SEEDS["deformation"])
+    held = failed = 0
+    for name, rbo in equivalence_operators(rbo3, rbo4, sl2_lts, lts4).items():
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        n = len(wedge_pairs(d))
+        units = [Cochain(-1, dp, d, basis_vector(n, k)) for k in range(min(n, 3))]
+        wedges = units + [random_wedge(rng, rbo), random_wedge(rng, rbo, -1, 1)]
+        wedges += [Cochain(-1, dp, d, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))]
+        S2 = random_integer_matrix(rng, d, dp)
+        for X in wedges[-3:]:
+            S1 = S2 + cochain_to_map(OperatorComplex(rbo).apply(X))
+            d1, d2 = (InfinitesimalDeformation(rbo, cochain_from_map(S)) for S in (S1, S2))
+            for w in wedges:
+                for strict in (False, True):
+                    want = tuple(
+                        Violation(rule, witness)
+                        for rule, witness, value, target in dense_oracle.equivalence_conditions(rbo, S1, S2, w, strict)
+                        if value != target
+                    )
+                    assert check_equivalence(d1, d2, EquivalenceWitness(w), strict) == want, (name, w.coeffs)
+                    held += not want
+                    failed += bool(want)
+    assert held and failed
+
+
+def test_assemble_delta_with_two_maps(rbo3, rbo4, sl2_lts, lts4):
+    # (T, T) is delta; (S2, S1) is the dense oracle's (E2) at each unit wedge, negated
+    rng = random.Random(SEEDS["deformation"])
+    for name, rbo in equivalence_operators(rbo3, rbo4, sl2_lts, lts4).items():
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        n = len(wedge_pairs(d))
+        assert _assemble_delta(rbo.action, rbo.T, rbo.T) == OperatorComplex(rbo).differential(-1)
+        S1, S2 = (random_integer_matrix(rng, d, dp) for _ in range(2))
+        columns = _assemble_delta(rbo.action, S2, S1)
         for k in range(n):
             X = Cochain(-1, dp, d, basis_vector(n, k))
-            plain = _equivalence_conditions(d1.complex, S1, S2, X, False)
-            values = [value for _rule, _witness, value, _target in plain]
-            values += [value for _rule, _witness, value in oracle_strict_rows(rbo, X)]
-            cols.append(tuple(x for value in values for x in value))
-        targets = [target for _rule, _witness, _value, target in plain] + [(F(0),) * (dp * dp)] * (2 * d * d)
-        rhs = tuple(x for target in targets for x in target)
-        assert _equivalence_system(d1, d2, strict=True) == (Matrix.from_columns(cols, len(rhs)), rhs)
+            want = {}
+            for rule, (u,), value, _ in dense_oracle.equivalence_conditions(rbo, S1, S2, X, False):
+                if rule == "compatibility-order-t":
+                    want.update({(u - 1) * d + l: -x for l, x in enumerate(value) if x})
+            assert columns.get(k, {}) == want, (name, k)
+
+
+def test_d1_delta_vanishes(rbo3, rbo4):
+    # every column of delta is a 1-cocycle: the (E1) block lands in Z^1
+    columns = 0
+    for rbo in (rbo3, rbo4, *(ladder(n) for n in (4, 5, 6)), sl3_cartan_projection()):
+        cx = OperatorComplex(rbo)
+        assert all(_apply(cx.differential(1), col) == {} for col in cx.differential(-1).values())
+        columns += len(cx.differential(-1))
+    assert columns
+
+
+def test_wedge_sized_for_another_operator_is_rejected(rbo4):
+    zero = InfinitesimalDeformation(rbo4, zero_cochain(1, 4, 4))
+    for source_dim, target_dim in ((4, 3), (4, 5), (3, 4)):
+        w = EquivalenceWitness(zero_cochain(-1, source_dim, target_dim))
+        for strict in (False, True):
+            with pytest.raises(StructureError, match="sized for a different operator"):
+                check_equivalence(zero, zero, w, strict)
 
 
 def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):

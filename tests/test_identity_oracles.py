@@ -186,8 +186,9 @@ def test_d_t_self_check_agrees_with_bracket_comparison(rbo3, rbo4):
 
 
 def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
-    # d_1 and d_3 read D(a, b) as two theta entries off rep.nonzero, and
-    # the induced representation checks D_T on ambient brackets
+    # d_1 and d_3 read D(a, b) as two theta entries off rep.nonzero, the
+    # induced representation checks D_T on ambient brackets, and the
+    # (R2) rows read D(a, b) off the same entries
     calls = []
     inner = RepresentationData.d_basis
 
@@ -201,7 +202,8 @@ def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
     for convention in ("definition", "complex"):
         cx.differential(3, convention)
     complex_audit(adjoint_representation(sl2_lts))
-    assert calls == []
-    # the counter is live: the (R2) rows of the report read D matrices
     verify_representation(cx.rep)
+    assert calls == []
+    # the counter is live: the dense (R1) oracle reads D matrices
+    dense_oracle.r1_violations(cx.rep)
     assert calls

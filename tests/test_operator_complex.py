@@ -11,13 +11,14 @@ in one evaluation.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from triplekit import cli, cohomology, deformations, linalg, representations
 from triplekit.cli import main
-from triplekit import cohomology
 from triplekit.cohomology import (
     Cochain,
     OperatorComplex,
@@ -27,8 +28,7 @@ from triplekit.cohomology import (
     induced_rep,
     zero_cochain,
 )
-from triplekit.deformations import wedge_bracket_operator, wedge_d_operator
-from triplekit.fileio import cochain_to_json, dump_json
+from triplekit.fileio import cochain_to_json, dump_json, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
@@ -87,7 +87,8 @@ def evaluate(rep, f, sign_convention="definition"):
 def evaluate_delta(rbo, wedge):
     """delta X = T D(X) - [X,-] T through the wedge operators."""
     T = rbo.T
-    return cochain_from_map(T @ wedge_d_operator(rbo, wedge) - wedge_bracket_operator(rbo, wedge) @ T)
+    bx, dx = dense_oracle.wedge_bracket_operator(rbo, wedge), dense_oracle.wedge_d_operator(rbo, wedge)
+    return cochain_from_map(T @ dx - bx @ T)
 
 
 class Form:
@@ -219,41 +220,94 @@ def test_audit_is_the_product_of_the_assembled_differentials(sl2_lts):
 
 
 def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, capsys):
-    built = []
+    op = str(fixture_path("rbo4_P"))
+    T = load_rbo(op).T
+    built, pair_rows, dense, witness_search, searches = [], Counter(), [], [], []
 
-    def counting(name):
-        inner = getattr(cohomology, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args):
-            built.append((name, *args[1:]))
+            if name == "_assemble":
+                built.append((name, *args[1:]))
+            else:
+                # delta is the two-map assembly at (T, T); (E2) puts in the directions
+                built.append(("delta",) if args[1:] == (T, T) else ("E2",))
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def pair_counting(module):
+        inner = module._theta_equivariance_rows
+
+        def wrapper(rep, wedge):
+            pair_rows.update(wedge.keys())
+            return inner(rep, wedge)
+
+        monkeypatch.setattr(module, "_theta_equivariance_rows", wrapper)
+
+    def dense_calls(name, inner):
+        def wrapper(*args):
+            if witness_search:
+                dense.append(name)
             return inner(*args)
 
         return wrapper
 
-    for name in ("_assemble", "_assemble_delta"):
-        monkeypatch.setattr(cohomology, name, counting(name))
-    op = str(fixture_path("rbo4_P"))
-    zero, ident = tmp_path / "zero.json", tmp_path / "ident.json"
+    def searching(inner):
+        def wrapper(*args, **kwargs):
+            witness_search.append(True)
+            searches.append(args)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                witness_search.pop()
+
+        return wrapper
+
+    counting(cohomology, "_assemble")
+    # deformations reads _assemble_delta and the (R2) pair rows under its own names
+    for module in (cohomology, deformations):
+        counting(module, "_assemble_delta")
+    for module in (representations, deformations):
+        pair_counting(module)
+    for module in (linalg, deformations, cli):
+        if hasattr(module, "solve"):
+            monkeypatch.setattr(module, "solve", dense_calls("solve", module.solve))
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(dense_calls("from_columns", Matrix.from_columns.__func__)))
+    for module in (deformations, cli):
+        monkeypatch.setattr(module, "find_equivalence_witness", searching(module.find_equivalence_witness))
+    zero, ident, wedge = tmp_path / "zero.json", tmp_path / "ident.json", tmp_path / "wedge.json"
     zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
     # the identity direction is not closed on rbo4_P
     ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
+    wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
     # d_3 is assembled once, as the two blocks that both sign
-    # conventions combine
-    delta, d1, d3 = ("_assemble_delta",), ("_assemble", 1), ("_assemble", 3)
+    # conventions combine; the equivalence system reads delta and
+    # assembles (E2) once
+    delta, e2, d1, d3 = ("delta",), ("E2",), ("_assemble", 1), ("_assemble", 3)
     commands = [
         (("coh", "group", op, "--degree", "3"), [d1, d3], 0),
         (("coh", "group", op, "--degree", "1"), [delta, d1], 0),
         (("coh", "cocycle", op, s), [d1], 0),
         (("coh", "coboundary", op, s), [d1], 0),
-        (("def", "check", op, s, "--strict"), [delta, d1], 0),
+        (("def", "check", op, s, "--strict"), [delta, e2, d1], 0),
         (("def", "check", op, str(ident)), [d1], 1),
         (("def", "class", op, s), [delta, d1], 0),
-        (("def", "trivial", op, s), [delta], 0),
-        (("def", "equiv", op, s, s, "--strict"), [delta], 0),
+        (("def", "trivial", op, s), [delta, e2], 0),
+        (("def", "trivial", op, s, "--strict"), [delta, e2], 0),
+        (("def", "equiv", op, s, s, "--strict"), [delta, e2], 0),
+        (("def", "equiv", op, s, s, "--witness", str(wedge), "--strict"), [delta, e2], 0),
     ]
     for argv, want, code in commands:
         built.clear()
+        pair_rows.clear()
         assert main(list(argv)) == code, argv
         capsys.readouterr()
         assert sorted(built) == sorted(want), argv
+        # strict commands contract the (R2) rows of each wedge pair at most once
+        assert set(pair_rows) <= set(cohomology.wedge_pairs(4)) and max(pair_rows.values(), default=1) == 1, argv
+        assert bool(pair_rows) == ("--strict" in argv), argv
+    # the witness search is sparse from end to end: no dense matrix, no dense solve
+    assert len(searches) == 4 and dense == []

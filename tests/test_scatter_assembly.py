@@ -24,21 +24,12 @@ from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, StructureError, SubspaceBasis
 from triplekit.lts import LieTripleSystem
-from triplekit.representations import adjoint_representation, self_action, zero_representation
-from triplekit.rota_baxter import RelativeRBO
+from triplekit.representations import adjoint_representation, zero_representation
 
-from conftest import SEEDS, ladder, make_sln_lts
+from conftest import SEEDS, ladder, make_sln_lts, sl3_cartan_projection
 from test_operator_complex import generic, random_matrix
 
 F = Fraction
-
-
-def sl3_cartan_projection():
-    """sl3 with [x,y,z] = [[x,y],z] and T the projection onto its Cartan
-    subalgebra, at weight 0."""
-    L = make_sln_lts(3)
-    T = Matrix(8, 8, tuple(tuple(int(i == j and i >= 6) for j in range(8)) for i in range(8)))
-    return RelativeRBO(self_action(L), 0, T)
 
 
 OPERATORS = {
