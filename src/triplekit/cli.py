@@ -31,7 +31,7 @@ from .deformations import (
     is_trivial_deformation,
 )
 from .fixtures import fixture_path, list_fixtures
-from .linalg import StructureError, VerificationError, format_scalar, parse_scalar
+from .linalg import VerificationError, format_scalar, parse_scalar
 from .lts import center, derived_algebra, is_abelian_subsystem, is_subsystem, verify_lts
 from .properties import equivalence_sweep
 from .reporting import Report, summarize
@@ -52,9 +52,13 @@ def _emit(data) -> None:
     sys.stdout.write(fileio.dump_json(data))
 
 
-def _report_result(report: Report) -> int:
-    _emit({"violations": [v.to_json() for v in report], **summarize(report)})
+def _report_result(report: Report, **extra) -> int:
+    _emit({"violations": [v.to_json() for v in report], **summarize(report), **extra})
     return 1 if report else 0
+
+
+def _witness(w: EquivalenceWitness | None) -> list[str] | None:
+    return [format_scalar(x) for x in w.wedge.coeffs] if w else None
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +134,8 @@ def cmd_rbo_descendent(args) -> int:
 def cmd_rbo_nijenhuis(args) -> int:
     rbo = args.rbo
     lift = nijenhuis_lift(rbo.action, rbo.T)
-    ambient = semidirect_product(rbo.action, rbo.weight)
-    report = nijenhuis_check(ambient, lift)
-    _emit({
-        "lift": fileio.matrix_to_json(lift),
-        "violations": [v.to_json() for v in report],
-        **summarize(report),
-    })
-    return 1 if report else 0
+    report = nijenhuis_check(semidirect_product(rbo.action, rbo.weight), lift)
+    return _report_result(report, lift=fileio.matrix_to_json(lift))
 
 
 def cmd_rbo_hom(args) -> int:
@@ -201,19 +199,15 @@ def cmd_def_check(args) -> int:
     rules = {v.rule for v in report}
     # the order-t equation is the closedness identity of the direction
     cocycle = "order-t" not in rules
-    data = {
+    _emit({
         "order_t": cocycle,
         "order_t2": "order-t2" not in rules,
         "order_t3": "order-t3" not in rules,
         "cocycle": cocycle,
         "violations": [v.to_json() for v in report],
         "class": [format_scalar(x) for x in deformation_cocycle_class(d)] if cocycle else None,
-    }
-    witness = is_trivial_deformation(d, strict=args.strict) if not report else None
-    data["trivial_witness"] = (
-        [format_scalar(x) for x in witness.wedge.coeffs] if witness else None
-    )
-    _emit(data)
+        "trivial_witness": None if report else _witness(is_trivial_deformation(d, strict=args.strict)),
+    })
     return 1 if report else 0
 
 
@@ -230,20 +224,14 @@ def cmd_def_equiv(args) -> int:
         w = EquivalenceWitness(fileio.load_cochain(args.witness))
         return _report_result(check_equivalence(d1, d2, w, strict=args.strict))
     w = find_equivalence_witness(d1, d2, strict=args.strict)
-    _emit({
-        "equivalent": w is not None,
-        "witness": [format_scalar(x) for x in w.wedge.coeffs] if w else None,
-    })
+    _emit({"equivalent": w is not None, "witness": _witness(w)})
     return 0
 
 
 def cmd_def_trivial(args) -> int:
     d = _load_deformation(args)
     w = is_trivial_deformation(d, strict=args.strict)
-    _emit({
-        "trivial": w is not None,
-        "witness": [format_scalar(x) for x in w.wedge.coeffs] if w else None,
-    })
+    _emit({"trivial": w is not None, "witness": _witness(w)})
     return 0
 
 
@@ -260,146 +248,78 @@ def cmd_fixtures_path(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Every command, once: (group, group help, its commands), each command
+# as (name, handler, argument...) with the arguments in the order
+# argparse lists them.  An argument is a bare flag or (flag, options).
+_FLAG = {"action": "store_true"}
+_STRICT = ("--strict", _FLAG)
+COMMANDS = (
+    ("lts", "structure-constant systems", (
+        ("verify", cmd_lts_verify, "algebra"),
+        ("center", cmd_lts_center, "algebra"),
+        ("derived", cmd_lts_derived, "algebra"),
+        ("subsystem", cmd_lts_subsystem, "algebra", "span"),
+    )),
+    ("rep", "representations and actions", (
+        ("verify", cmd_rep_verify, "representation"),
+        ("adjoint", cmd_rep_adjoint, "algebra"),
+        ("action", cmd_rep_action, "action"),
+    )),
+    ("sd", "semidirect products", (
+        ("build", cmd_sd_build, "action", ("--weight", {"required": True})),
+    )),
+    ("rbo", "relative Rota-Baxter operators", (
+        ("check", cmd_rbo_check, "operator", "--weight", ("--all-weights", _FLAG)),
+        ("graph", cmd_rbo_graph, "operator", "--weight"),
+        ("descendent", cmd_rbo_descendent, "operator", "--weight"),
+        ("nijenhuis", cmd_rbo_nijenhuis, "operator", "--weight"),
+        ("hom", cmd_rbo_hom, "homomorphism"),
+        ("equivalence", cmd_rbo_equivalence, "operator", "--weight",
+         ("--trials", {"type": int, "default": 100}), ("--seed", {"type": int, "default": 20260808})),
+    )),
+    ("coh", "operator cohomology", (
+        ("group", cmd_coh_group, "operator", "--weight",
+         ("--degree", {"type": int, "required": True, "choices": (1, 3)})),
+        ("cocycle", cmd_coh_cocycle, "operator", "cochain", "--weight"),
+        ("coboundary", cmd_coh_coboundary, "operator", "cochain", "--weight"),
+        ("map", cmd_coh_map, "homomorphism", "cochain"),
+        ("basis", cmd_coh_basis,
+         ("--degree", {"type": int, "required": True, "choices": (-1, 1, 3, 5)}),
+         ("--source-dim", {"type": int, "required": True}), ("--target-dim", {"type": int, "required": True}),
+         ("--max-degree-override", _FLAG)),
+    )),
+    ("def", "infinitesimal deformations", (
+        ("check", cmd_def_check, "operator", "direction", "--weight", _STRICT),
+        ("class", cmd_def_class, "operator", "direction", "--weight"),
+        ("equiv", cmd_def_equiv, "operator", "direction1", "direction2", "--witness", "--weight", _STRICT),
+        ("trivial", cmd_def_trivial, "operator", "direction", "--weight", _STRICT),
+    )),
+    ("fixtures", "bundled examples", (
+        ("list", cmd_fixtures_list),
+        ("path", cmd_fixtures_path, "name"),
+    )),
+)
+
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and shared by
-    every later one: it depends on no input, and parsing leaves it
-    unchanged."""
+    """The command line parser, built from ``COMMANDS`` on the first call
+    and shared by every later one: it depends on no input, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="triplekit",
         description="exact computations with Lie triple systems and relative Rota-Baxter operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lts = parser_group(sub, "lts", "structure-constant systems")
-    p = lts.add_parser("verify")
-    p.add_argument("algebra")
-    p.set_defaults(handler=cmd_lts_verify)
-    p = lts.add_parser("center")
-    p.add_argument("algebra")
-    p.set_defaults(handler=cmd_lts_center)
-    p = lts.add_parser("derived")
-    p.add_argument("algebra")
-    p.set_defaults(handler=cmd_lts_derived)
-    p = lts.add_parser("subsystem")
-    p.add_argument("algebra")
-    p.add_argument("span")
-    p.set_defaults(handler=cmd_lts_subsystem)
-
-    rep = parser_group(sub, "rep", "representations and actions")
-    p = rep.add_parser("verify")
-    p.add_argument("representation")
-    p.set_defaults(handler=cmd_rep_verify)
-    p = rep.add_parser("adjoint")
-    p.add_argument("algebra")
-    p.set_defaults(handler=cmd_rep_adjoint)
-    p = rep.add_parser("action")
-    p.add_argument("action")
-    p.set_defaults(handler=cmd_rep_action)
-
-    sd = parser_group(sub, "sd", "semidirect products")
-    p = sd.add_parser("build")
-    p.add_argument("action")
-    p.add_argument("--weight", required=True)
-    p.set_defaults(handler=cmd_sd_build)
-
-    rbo = parser_group(sub, "rbo", "relative Rota-Baxter operators")
-    p = rbo.add_parser("check")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.add_argument("--all-weights", action="store_true")
-    p.set_defaults(handler=cmd_rbo_check)
-    p = rbo.add_parser("graph")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_rbo_graph)
-    p = rbo.add_parser("descendent")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_rbo_descendent)
-    p = rbo.add_parser("nijenhuis")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_rbo_nijenhuis)
-    p = rbo.add_parser("hom")
-    p.add_argument("homomorphism")
-    p.set_defaults(handler=cmd_rbo_hom)
-    p = rbo.add_parser("equivalence")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20260808)
-    p.set_defaults(handler=cmd_rbo_equivalence)
-
-    coh = parser_group(sub, "coh", "operator cohomology")
-    p = coh.add_parser("group")
-    p.add_argument("operator")
-    p.add_argument("--weight")
-    p.add_argument("--degree", type=int, required=True, choices=(1, 3))
-    p.set_defaults(handler=cmd_coh_group)
-    p = coh.add_parser("cocycle")
-    p.add_argument("operator")
-    p.add_argument("cochain")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_coh_cocycle)
-    p = coh.add_parser("coboundary")
-    p.add_argument("operator")
-    p.add_argument("cochain")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_coh_coboundary)
-    p = coh.add_parser("map")
-    p.add_argument("homomorphism")
-    p.add_argument("cochain")
-    p.set_defaults(handler=cmd_coh_map)
-    p = coh.add_parser("basis")
-    p.add_argument("--degree", type=int, required=True, choices=(-1, 1, 3, 5))
-    p.add_argument("--source-dim", type=int, required=True)
-    p.add_argument("--target-dim", type=int, required=True)
-    p.add_argument("--max-degree-override", action="store_true")
-    p.set_defaults(handler=cmd_coh_basis)
-
-    deff = parser_group(sub, "def", "infinitesimal deformations")
-    p = deff.add_parser("check")
-    p.add_argument("operator")
-    p.add_argument("direction")
-    p.add_argument("--weight")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(handler=cmd_def_check)
-    p = deff.add_parser("class")
-    p.add_argument("operator")
-    p.add_argument("direction")
-    p.add_argument("--weight")
-    p.set_defaults(handler=cmd_def_class)
-    p = deff.add_parser("equiv")
-    p.add_argument("operator")
-    p.add_argument("direction1")
-    p.add_argument("direction2")
-    p.add_argument("--witness")
-    p.add_argument("--weight")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(handler=cmd_def_equiv)
-    p = deff.add_parser("trivial")
-    p.add_argument("operator")
-    p.add_argument("direction")
-    p.add_argument("--weight")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(handler=cmd_def_trivial)
-
-    fx = parser_group(sub, "fixtures", "bundled examples")
-    p = fx.add_parser("list")
-    p.set_defaults(handler=cmd_fixtures_list)
-    p = fx.add_parser("path")
-    p.add_argument("name")
-    p.set_defaults(handler=cmd_fixtures_path)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, help_text, commands in COMMANDS:
+        sub = groups.add_parser(group, help=help_text).add_subparsers(dest="subcommand", required=True)
+        for name, handler, *arguments in commands:
+            p = sub.add_parser(name)
+            for argument in arguments:
+                flag, options = (argument, {}) if isinstance(argument, str) else argument
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=handler)
     return parser
-
-
-def parser_group(sub, name, help_text):
-    return sub.add_parser(name, help=help_text).add_subparsers(
-        dest="subcommand", required=True
-    )
 
 
 def _attach_weight(argv) -> list[str]:
@@ -436,9 +356,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         _emit({"error": str(exc), "kind": "verification"})
         return 1
-    except StructureError as exc:
-        _emit({"error": str(exc), "kind": "input"})
-        return 2
     except (OSError, ValueError) as exc:
         _emit({"error": str(exc), "kind": "input"})
         return 2

@@ -67,7 +67,6 @@ from .linalg import (
     Vector,
     VerificationError,
     ZERO,
-    basis_vector,
     invert,
     quotient_dim,
     sparse_kernel,
@@ -141,14 +140,6 @@ def flat_arg_index(args: tuple[int, ...], d: int) -> int:
 def zero_cochain(degree: int, source_dim: int, target_dim: int) -> Cochain:
     size = target_dim * (target_dim - 1) // 2 if degree == -1 else source_dim**degree * target_dim
     return unflatten_cochain(degree, source_dim, target_dim, zero_vector(size))
-
-
-def elementary_cochain(degree: int, source_dim: int, target_dim: int, flat: int) -> Cochain:
-    """Basis cochain with a single 1 at flattened coordinate ``flat``."""
-    total = source_dim**degree * target_dim
-    if not 0 <= flat < total:
-        raise StructureError("flat coordinate out of range")
-    return unflatten_cochain(degree, source_dim, target_dim, basis_vector(total, flat))
 
 
 def cochain_from_map(matrix: Matrix) -> Cochain:

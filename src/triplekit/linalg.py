@@ -258,12 +258,6 @@ def sparse_transpose(columns) -> list[dict]:
     return list(rows.values())
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    basis = SubspaceBasis.from_spanning(m.entries, m.cols)
-    zeros = ((ZERO,) * m.cols,) * (m.rows - basis.dim)
-    return Matrix(m.rows, m.cols, basis.vectors + zeros), tuple(row[0][0] for row in basis.rows)
-
-
 def rank(m: Matrix) -> int:
     """Rank over the rationals, exact."""
     return len(echelon(map(_nonzero, m.entries)))

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from triplekit.cohomology import Cochain
+from triplekit.cohomology import Cochain, unflatten_cochain
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
@@ -142,6 +142,11 @@ def known_operator_pool(name: str, rng, count: int):
     for _ in range(count):
         pool.append(center_valued_operator(dim, image, killed, rng))
     return pool
+
+
+def elementary_cochain(degree: int, source_dim: int, target_dim: int, flat: int) -> Cochain:
+    """Basis cochain with a single 1 at flattened coordinate ``flat``."""
+    return unflatten_cochain(degree, source_dim, target_dim, basis_vector(source_dim**degree * target_dim, flat))
 
 
 def cochain_satisfies_constraints(f: Cochain) -> bool:

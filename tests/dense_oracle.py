@@ -21,7 +21,9 @@ product of each d_3 with d_1, and the image of a cochain under a
 differential written into a dense flat vector and unflattened.  It
 keeps the nested ``coeffs`` of a cochain file built as they first were,
 one recursive call per argument prefix.  It keeps the derivation
-axiom (A3) of a system checked at every basis triple of each pair.
+axiom (A3) of a system checked at every basis triple of each pair, and
+the theta- and D-equivariance of an operator homomorphism as two
+separate checks.
 Last, it keeps the first-order equivalence conditions of two
 deformation directions evaluated at one wedge at a time, through the
 dense operators [X,-] and D(X) and dense theta and D matrices.
@@ -461,6 +463,25 @@ def d_t_gaps(rbo):
         direct = Matrix.from_columns([projected_bracket(rbo, graph[u], graph[v], ex) for ex in plain], d)
         gaps[u, v] = direct - (theta_t[v][u] - theta_t[u][v])
     return gaps
+
+
+def equivariance_violations(h):
+    """The theta- and D-equivariance rows of the operator homomorphism
+    h, each checked on its own as they were first written: D(e_i, e_j)
+    is theta(e_j, e_i) - theta(e_i, e_j) from the dense table, and the
+    pushed side expands each over the columns of psi_L."""
+    theta, d, n = theta_tensor(h.source.action.rep), h.source.ambient.dim, h.source.source.dim
+    dtab = [[theta[j][i] - theta[i][j] for j in range(d)] for i in range(d)]
+    pl, pp = h.psi_L.entries, h.psi_Lprime
+    out = []
+    for x, y in product(range(d), repeat=2):
+        for rule, table in (("theta-equivariance", theta), ("D-equivariance", dtab)):
+            pushed = Matrix.zeros(n, n)
+            for i, j in product(range(d), repeat=2):
+                pushed = pushed + table[i][j].scale(pl[i][x] * pl[j][y])
+            if pushed @ pp != pp @ table[x][y]:
+                out.append(Violation(rule, (x + 1, y + 1)))
+    return out
 
 
 def cochain_coeffs(f):

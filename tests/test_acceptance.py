@@ -66,7 +66,7 @@ from triplekit.rota_baxter import (
 )
 
 import dense_oracle
-from conftest import SEEDS, known_operator_pool
+from conftest import SEEDS, elementary_cochain, known_operator_pool
 from test_deformations import interpolated_coefficients
 
 F = Fraction
@@ -419,8 +419,6 @@ def test_criterion_10_functoriality(rbo3):
         cx = OperatorComplex(rbo3)
         for h in (identity, nonidentity):
             for flat in range(9):
-                from triplekit.cohomology import elementary_cochain
-
                 f = elementary_cochain(1, 3, 3, flat)
                 left = cochain_map_p(h, cx.apply(f))
                 right = cx.apply(cochain_map_p(h, f))

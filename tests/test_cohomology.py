@@ -17,7 +17,6 @@ from triplekit.cohomology import (
     cohomology_group,
     complex_audit,
     delta_wedge,
-    elementary_cochain,
     flat_arg_index,
     flatten_cochain,
     induced_rep,
@@ -44,7 +43,7 @@ from triplekit.representations import (
 from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, check_rbo_homomorphism, descendent_lts
 
 import dense_oracle
-from conftest import SEEDS, cochain_satisfies_constraints, make_sln_lts
+from conftest import SEEDS, cochain_satisfies_constraints, elementary_cochain, make_sln_lts
 
 F = Fraction
 

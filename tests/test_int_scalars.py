@@ -33,7 +33,6 @@ from triplekit.linalg import (
     invert,
     kernel_basis,
     parse_scalar,
-    rref,
     solve,
 )
 from triplekit.lts import LieTripleSystem
@@ -196,14 +195,14 @@ def test_elimination_on_ints_matches_fractions():
             rhs = tuple(parse_scalar(scalar(rng, rng.random() < 0.3)) for _ in range(rows))
             # a consistent right-hand side too: the image of a mixed vector
             image = m.apply(tuple(parse_scalar(scalar(rng, True)) for _ in range(cols)))
-            got = (rref(m), kernel_basis(m), solve(m, rhs), solve(m, image))
+            got = (kernel_basis(m), solve(m, rhs), solve(m, image))
             want = (
-                rref(m_frac), kernel_basis(m_frac),
+                kernel_basis(m_frac),
                 solve(m_frac, tuple(F(x) for x in rhs)), solve(m_frac, tuple(F(x) for x in image)),
             )
             assert got == want
-            assert got[3] is not None
-            assert_exact(got[0][0], got[1], got[2], got[3])
+            assert got[2] is not None
+            assert_exact(*got)
             if rows == cols:
                 inv = invert(m)
                 assert inv == invert(m_frac)

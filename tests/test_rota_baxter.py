@@ -12,7 +12,8 @@ from triplekit.lts import (
     verify_lts,
 )
 from triplekit.properties import equivalence_sweep, random_integer_matrix
-from triplekit.representations import self_action, semidirect_product
+from triplekit.reporting import Violation
+from triplekit.representations import RepresentationData, self_action, semidirect_product
 from triplekit.rota_baxter import (
     RBOHomomorphism,
     RelativeRBO,
@@ -239,6 +240,46 @@ def test_homomorphism_diagonal_sign_search(rbo3):
     ]
     assert found == expected
     assert ((1, -1, -1), (1, -1, -1)) in found
+
+
+def test_homomorphism_report_matches_dense_formula(rbo3, rbo4, monkeypatch):
+    # the whole report, rules, witnesses and order, against the two
+    # equivariance checks written out densely, on the diagonal sign
+    # pairs of rbo3 and on random pairs; the D rows are read off the
+    # theta gaps, so no D matrix is built
+    built = []
+    for name in ("d_vec", "d_basis"):
+        inner = getattr(RepresentationData, name)
+        monkeypatch.setattr(RepresentationData, name, lambda *a, inner=inner: built.append(a) or inner(*a))
+    rng = random.Random(SEEDS["identities"])
+    cases = [
+        (rbo3, Matrix.from_rows([[sa[0], 0, 0], [0, sa[1], 0], [0, 0, sa[2]]]),
+         Matrix.from_rows([[sb[0], 0, 0], [0, sb[1], 0], [0, 0, sb[2]]]))
+        for sa in product((1, -1), repeat=3) for sb in product((1, -1), repeat=3)
+    ]
+    for rbo in (rbo3, rbo4):
+        d, dp = rbo.ambient.dim, rbo.source.dim
+        cases += [(rbo, random_integer_matrix(rng, d, d), random_integer_matrix(rng, dp, dp)) for _ in range(4)]
+    fired = set()
+    for rbo, psi_l, psi_p in cases:
+        h = RBOHomomorphism(rbo, rbo, psi_l, psi_p)
+        L, Lp = rbo.ambient, rbo.source
+        want = [Violation(rule) for rule, ok in (
+            ("psi_L-not-system-homomorphism", is_homomorphism(HomomorphismCandidate(L, L, psi_l))),
+            ("psi_Lprime-not-system-homomorphism", is_homomorphism(HomomorphismCandidate(Lp, Lp, psi_p))),
+        ) if not ok]
+        if psi_l @ rbo.T != rbo.T @ psi_p:
+            want.append(Violation("intertwining", (), "psi_L T != T' psi_Lprime"))
+        rows = dense_oracle.equivariance_violations(h)
+        assert check_rbo_homomorphism(h) == tuple(want + rows)
+        theta_at = {v.witness for v in rows if v.rule == "theta-equivariance"}
+        d_at = {v.witness for v in rows if v.rule == "D-equivariance"}
+        fired |= {("both", bool(theta_at & d_at)), ("theta only", bool(theta_at - d_at)),
+                  ("D only", bool(d_at - theta_at))}
+    # a pair where both rules fire at one witness, and pairs where
+    # each fires without the other
+    assert {("both", True), ("theta only", True), ("D only", True)} <= fired
+    assert built == []
 
 
 def test_weight_mismatch_rejected(rbo3):

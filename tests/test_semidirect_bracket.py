@@ -179,13 +179,15 @@ def test_operator_commands_build_no_theta_matrix(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert calls == [], argv
     # the counter is live: the homomorphism check contracts theta with
-    # the columns of psi_L, arbitrary arguments, on purpose
+    # the columns of psi_L, arbitrary arguments, on purpose.  It reads
+    # its D rows off the theta gaps, and d_vec goes through theta_vec,
+    # so the theta_vec count would see any D matrix built as well
     identity = matrix_to_json(Matrix.identity(4))
     hom = tmp_path / "hom.json"
     hom.write_text(dump_json({"source": op, "target": op, "psi_L": identity, "psi_Lprime": identity}))
     assert main(["rbo", "hom", str(hom)]) == 0
     capsys.readouterr()
-    assert "theta_vec" in calls and "d_vec" in calls
+    assert "theta_vec" in calls and "d_vec" not in calls
 
 
 def test_cohomology_of_a_non_operator_checks_rb_once(monkeypatch, tmp_path, capsys, rbo4):
