@@ -54,6 +54,7 @@ elimination kept there as the oracle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -71,7 +72,6 @@ from .linalg import (
     quotient_dim,
     sparse_kernel,
     sparse_transpose,
-    vec_is_zero,
     vec_sub,
     zero_vector,
 )
@@ -86,6 +86,8 @@ from .rota_baxter import (
 )
 
 SIGN_CONVENTIONS = ("definition", "complex")
+# every degree of a representation's complex, which has no wedge piece
+POSITIVE_DEGREES = range(1, sys.maxsize, 2)
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,20 @@ def wedge_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(d) for j in range(i + 1, d))
 
 
+def cochain_coordinates(f: Cochain, degrees, source_dim: int, target_dim: int) -> dict:
+    """The nonzero flat coordinates {i: value} of f, checked to be a
+    cochain of one of ``degrees`` from source_dim to target_dim; the one
+    door for cochain values into a complex.  A wedge lies in the wedge
+    square of the target alone, so its source_dim is not read."""
+    if f.degree not in degrees:
+        want = f">= {degrees.start}" if isinstance(degrees, range) else "/".join(map(str, degrees))
+        raise StructureError(f"cochain of degree {f.degree}, expected degree {want}")
+    if f.target_dim != target_dim or (f.degree > 0 and f.source_dim != source_dim):
+        raise StructureError("wedge coordinates sized for a different operator" if f.degree == -1 else
+                             f"cochain dims {f.source_dim} -> {f.target_dim}, expected {source_dim} -> {target_dim}")
+    return {i: x for i, x in enumerate(flatten_cochain(f)) if x}
+
+
 # ---------------------------------------------------------------------------
 # constrained cochain spaces
 
@@ -236,15 +252,15 @@ def _apply(columns, vec: dict) -> dict:
     return {i: x for i, x in out.items() if x}
 
 
-def _image(columns, f: Cochain) -> Cochain:
-    """The cochain that a differential maps f to, built from the sparse
-    image alone: each flat coordinate i of a nonzero is slot i mod
-    target_dim of value vector i // target_dim, and every value vector
-    that receives nothing is one shared zero tuple, so the cost follows
-    the nonzeros of d f and not the size of its cochain space."""
-    ds, dt, degree = f.source_dim, f.target_dim, 1 if f.degree == -1 else f.degree + 2
+def _image(columns, coords: dict, degree: int, ds: int, dt: int) -> Cochain:
+    """The cochain of this degree and shape that a differential maps the
+    flat coordinates ``coords`` to, built from the sparse image alone:
+    each flat coordinate i of a nonzero is slot i mod dt of value vector
+    i // dt, and every value vector that receives nothing is one shared
+    zero tuple, so the cost follows the nonzeros of d f and not the size
+    of its cochain space."""
     written = {}
-    for i, x in _apply(columns, {j: x for j, x in enumerate(flatten_cochain(f)) if x}).items():
+    for i, x in _apply(columns, coords).items():
         p, l = divmod(i, dt)
         vec = written.get(p)
         if vec is None:
@@ -355,12 +371,10 @@ def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "defi
     """Coboundary of a degree >= 1 cochain over the given coefficients,
     whose algebra is the source of the arguments and whose space is the
     target: the assembled differential applied to f."""
-    if f.degree < 1:
-        raise StructureError("coboundary of the wedge piece is operator-specific; use delta_wedge")
-    if f.source_dim != rep.algebra.dim or f.target_dim != rep.space_dim:
-        raise StructureError("cochain dimensions differ from the coefficient system")
+    ds, dt = rep.algebra.dim, rep.space_dim
+    coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
     sign = _p_sign(sign_convention, (f.degree + 1) // 2)
-    return _image(_combine(*_assemble(rep, f.degree), sign), f)
+    return _image(_combine(*_assemble(rep, f.degree), sign), coords, f.degree + 2, ds, dt)
 
 
 def _audit(d1: dict, a3: dict, p3: dict) -> dict[str, bool]:
@@ -499,14 +513,9 @@ class OperatorComplex:
 
     def apply(self, f: Cochain, convention: str = "definition") -> Cochain:
         """Coboundary of f in degree -1, 1 or 3."""
-        if f.degree not in (-1, 1, 3):
-            raise StructureError(f"unsupported cochain degree {f.degree}")
-        if f.source_dim != self.rbo.source.dim or f.target_dim != self.rbo.ambient.dim:
-            raise StructureError(
-                "wedge coordinates sized for a different operator" if f.degree == -1
-                else "cochain dimensions differ from the coefficient system"
-            )
-        return _image(self.differential(f.degree, convention), f)
+        dp, d = self.rbo.source.dim, self.rbo.ambient.dim
+        coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
+        return _image(self.differential(f.degree, convention), coords, 1 if f.degree == -1 else f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
@@ -538,9 +547,8 @@ def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     """Degree -1 coboundary: delta X = T D(X) - [X,-] T, that is
     (delta X)(v) = T D(X) v - [X, Tv]: the operator complex's
     differential(-1), the two-map assembly at (T, T), applied to X."""
-    if wedge.degree != -1:
-        raise StructureError("delta_wedge expects a degree -1 cochain")
-    return OperatorComplex(rbo).apply(wedge)
+    dp, d = rbo.source.dim, rbo.ambient.dim
+    return _image(OperatorComplex(rbo).differential(-1), cochain_coordinates(wedge, (-1,), dp, d), 1, dp, d)
 
 
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
@@ -549,17 +557,14 @@ def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
 
     d_1 f at (u, v, w) is the t-coefficient of the Rota-Baxter defect
     of T + t f at that triple, so the witnesses are also those of the
-    order-t rule of :func:`triplekit.deformations.check_deformation`.
+    order-t rule of :func:`triplekit.deformations.check_deformation`,
+    read off the nonzero flat coordinates of d_1 f.
     """
-    if f.degree != 1:
-        raise StructureError("cocycle check expects a degree-1 cochain")
-    if f.source_dim != rbo.source.dim or f.target_dim != rbo.ambient.dim:
-        raise StructureError("cochain dimensions differ from the operator's spaces")
-    df = OperatorComplex(rbo).apply(f)
+    dp, d = rbo.source.dim, rbo.ambient.dim
+    image = _apply(OperatorComplex(rbo).differential(1), cochain_coordinates(f, (1,), dp, d))
     return tuple(
-        Violation("one-cocycle", tuple(a + 1 for a in args))
-        for args, vec in zip(product(range(f.source_dim), repeat=3), df.coeffs)
-        if not vec_is_zero(vec)
+        Violation("one-cocycle", (p // dp**2 + 1, p // dp % dp + 1, p % dp + 1))
+        for p in sorted({i // d for i in image})
     )
 
 
@@ -610,14 +615,13 @@ def cochain_map_p(h, f: Cochain) -> Cochain:
     Requires an invertible psi_Lprime and a verified homomorphism;
     then p intertwines the two operator coboundaries.
     """
-    if f.degree < 1:
-        raise StructureError("cochain transport is defined in degrees >= 1")
+    dp, d = h.source.source.dim, h.source.ambient.dim
+    cochain_coordinates(f, POSITIVE_DEGREES, dp, d)
     psi_inv = invert(h.psi_Lprime)
     if psi_inv is None:
         raise VerificationError("psi_Lprime is singular; cochain transport undefined")
     if check_rbo_homomorphism(h):
         raise VerificationError("cochain transport requires a verified operator homomorphism")
-    dp, d = f.source_dim, f.target_dim
     # psi'^-1 u_a = sum_s psi_inv[s][a] u_s: the nonzero (s, coefficient) pairs per a
     pulls = [[(s, c) for s, row in enumerate(psi_inv.entries) if (c := row[a])] for a in range(dp)]
     coeffs = []

@@ -37,7 +37,8 @@ same system, and the check builds it at the given witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .cohomology import (
@@ -45,8 +46,8 @@ from .cohomology import (
     OperatorComplex,
     _apply,
     _assemble_delta,
+    cochain_coordinates,
     cochain_to_map,
-    flatten_cochain,
     wedge_pairs,
     zero_cochain,
 )
@@ -83,18 +84,14 @@ STRICT_RULES = ("theta-equivariance-order-t", "D-equivariance-order-t")
 class InfinitesimalDeformation:
     base: RelativeRBO
     direction: Cochain  # degree 1, source L', target L
-    # the base's complex, shared by the questions on this deformation
-    complex: OperatorComplex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.direction.degree != 1:
-            raise StructureError("deformation direction must be a degree-1 cochain")
-        if (
-            self.direction.source_dim != self.base.source.dim
-            or self.direction.target_dim != self.base.ambient.dim
-        ):
-            raise StructureError("deformation direction dimensions differ from the operator")
-        object.__setattr__(self, "complex", OperatorComplex(self.base))
+        cochain_coordinates(self.direction, (1,), self.base.source.dim, self.base.ambient.dim)
+
+    @cached_property
+    def complex(self) -> OperatorComplex:
+        """The base's complex, shared by the questions on this deformation."""
+        return OperatorComplex(self.base)
 
     def direction_map(self) -> Matrix:
         return cochain_to_map(self.direction)
@@ -142,10 +139,10 @@ def deformation_cocycle_class(d: InfinitesimalDeformation) -> tuple:
     deterministic for a given operator; they are the direction
     column's entries on the rows of those pivots.
     """
-    data = d.complex.cohomology(1)
+    data, rbo = d.complex.cohomology(1), d.base
     zb, bb = data.cocycles, data.coboundaries
-    direction = tuple((i, x) for i, x in enumerate(flatten_cochain(d.direction)) if x)
-    pivots = echelon(sparse_transpose(bb.rows + zb.rows + (direction,)))
+    direction = cochain_coordinates(d.direction, (1,), rbo.source.dim, rbo.ambient.dim)
+    pivots = echelon(sparse_transpose(bb.rows + zb.rows + (direction.items(),)))
     last = bb.dim + zb.dim
     if last in pivots:
         raise VerificationError("direction is not a 1-cocycle; no cohomology class")
@@ -214,10 +211,9 @@ def check_equivalence(
     is taken in the one coordinate of the witness itself, so each
     condition is contracted once, at the witness.
     """
-    X, rbo = w.wedge, d1.base
-    if X.source_dim != rbo.source.dim or X.target_dim != rbo.ambient.dim:
-        raise StructureError("wedge coordinates sized for a different operator")
-    return _failed(_equivalence_system(d1, d2, strict, [{k: c for k, c in enumerate(X.coeffs) if c}]), (1,))
+    rbo = d1.base
+    X = cochain_coordinates(w.wedge, (-1,), rbo.source.dim, rbo.ambient.dim)
+    return _failed(_equivalence_system(d1, d2, strict, [X]), (1,))
 
 
 def find_equivalence_witness(
@@ -242,7 +238,5 @@ def find_equivalence_witness(
 
 def is_trivial_deformation(d: InfinitesimalDeformation, strict: bool = False):
     """Witness equating d with the zero-direction deformation, or None."""
-    zero = InfinitesimalDeformation(
-        d.base, zero_cochain(1, d.base.source.dim, d.base.ambient.dim)
-    )
+    zero = InfinitesimalDeformation(d.base, zero_cochain(1, d.base.source.dim, d.base.ambient.dim))
     return find_equivalence_witness(d, zero, strict=strict)

@@ -28,7 +28,6 @@ from itertools import product
 
 from .linalg import (
     Matrix,
-    ONE,
     Scalar,
     StructureError,
     SubspaceBasis,
@@ -160,16 +159,10 @@ def projection_rbo(
         raise StructureError("complement ambient dimension differs from system dimension")
     if complement.dim + Lprime.dim != L.dim or sum_dim(complement, Lprime) != L.dim:
         raise VerificationError("projection requires complement (+) target = whole space")
-    cols = list(complement.vectors) + list(Lprime.vectors)
-    B = Matrix.from_columns(cols, L.dim)
-    Binv = invert(B)
-    sel = Matrix.from_rows(
-        [
-            [ONE if (r == c and r >= complement.dim) else ZERO for c in range(L.dim)]
-            for r in range(L.dim)
-        ]
-    )
-    P = B @ sel @ Binv
+    # with B = [complement | Lprime], P = B diag(0, id) B^-1: the
+    # columns of Lprime times the last rows of B^-1
+    Binv = invert(Matrix.from_columns(complement.vectors + Lprime.vectors, L.dim))
+    P = Matrix.from_columns(Lprime.vectors, L.dim) @ Matrix(Lprime.dim, L.dim, Binv.entries[complement.dim:])
     if check_rbo_all_weights(act, P):
         raise VerificationError(
             "projection is not an operator of every weight: complement does not absorb the derived algebra"
@@ -178,7 +171,7 @@ def projection_rbo(
 
 
 def sum_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
-    return SubspaceBasis.from_spanning(list(a.vectors) + list(b.vectors), a.ambient_dim).dim
+    return SubspaceBasis.from_sparse(a.rows + b.rows, a.ambient_dim).dim
 
 
 def graph_subsystem(rbo: RelativeRBO) -> SubspaceBasis:
@@ -251,16 +244,9 @@ def is_nijenhuis(L: LieTripleSystem, N: Matrix) -> bool:
 def nijenhuis_lift(action: ActionData, T: LinearMap) -> Matrix:
     """Block map (x, u) -> (x + Tu, 0) on L (+) L'; idempotent by shape."""
     _check_dims(action, T)
-    d, dp = action.algebra.dim, action.target.dim
-    n = d + dp
-    rows = []
-    for r in range(d):
-        rows.append(
-            tuple(ONE if c == r else ZERO for c in range(d)) + tuple(T.entries[r])
-        )
-    for _ in range(dp):
-        rows.append(zero_vector(n))
-    return Matrix.from_rows(rows)
+    d, n = action.algebra.dim, action.algebra.dim + action.target.dim
+    rows = tuple(basis_vector(d, r) + T.entries[r] for r in range(d))
+    return Matrix(n, n, rows + (zero_vector(n),) * action.target.dim)
 
 
 @dataclass(frozen=True)

@@ -701,12 +701,16 @@ def test_d1_delta_vanishes(rbo3, rbo4):
 
 
 def test_wedge_sized_for_another_operator_is_rejected(rbo4):
+    # a wedge lies in the wedge square of L alone: a wrong target_dim is
+    # rejected, and its source_dim is not read
     zero = InfinitesimalDeformation(rbo4, zero_cochain(1, 4, 4))
-    for source_dim, target_dim in ((4, 3), (4, 5), (3, 4)):
-        w = EquivalenceWitness(zero_cochain(-1, source_dim, target_dim))
-        for strict in (False, True):
+    for strict in (False, True):
+        for source_dim, target_dim in ((4, 3), (4, 5)):
+            w = EquivalenceWitness(zero_cochain(-1, source_dim, target_dim))
             with pytest.raises(StructureError, match="sized for a different operator"):
                 check_equivalence(zero, zero, w, strict)
+        w = EquivalenceWitness(zero_cochain(-1, 3, 4))
+        assert check_equivalence(zero, zero, w, strict) == ()
 
 
 def test_cocycle_class_matches_greedy_complement(rbo3, rbo4):

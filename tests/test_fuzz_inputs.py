@@ -4,6 +4,8 @@ Whatever JSON a file holds, a loader either returns or raises
 ``StructureError``, and ``main`` exits 0, 1 or 2 without a traceback,
 printing ``"kind": "input"`` on exit 2.  Inputs are whole drawn
 documents and bundled fixtures with one node replaced by a drawn value.
+The command fuzzers also start from well-formed cochains of the wrong
+shape for their command (``test_cochain_shape.MISSHAPED``).
 
 Drawn integers stay in -2..4: no cost model bounds the work of a job
 yet, so a large dimension would stall it.  The example database is off
@@ -23,6 +25,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from test_cochain_shape import MISSHAPED
 from triplekit import fileio
 from triplekit.cli import main
 from triplekit.fixtures import fixture_path
@@ -165,7 +168,7 @@ def run_command(command, docs):
 
 
 def draw_command(data):
-    command = data.draw(st.sampled_from(COMMANDS))
+    command = data.draw(st.sampled_from(COMMANDS + MISSHAPED))
     docs = inputs(command)
     return command, docs, data.draw(st.integers(0, len(docs) - 1))
 

@@ -96,7 +96,8 @@ def test_degree_5_coboundary_matches_tuple_walk(rep):
     d, m = rep.algebra.dim, rep.space_dim
     f = generic(5, d, m)
     for convention in SIGN_CONVENTIONS:
-        want = cohomology._image(dense_oracle.assemble(rep, 5, convention), f)
+        coords = cohomology.cochain_coordinates(f, (5,), d, m)
+        want = cohomology._image(dense_oracle.assemble(rep, 5, convention), coords, 7, d, m)
         assert coboundary(rep, f, convention) == want, convention
 
 
