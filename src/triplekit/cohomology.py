@@ -20,36 +20,31 @@ The coboundary of f in C^{2n-1} is
 
 Two printed sources disagree on the D-sum sign s(n,i): one uses
 (-1)^(i+1), the other (-1)^(n+i); they coincide for n = 1 and differ
-by the parity of n otherwise.  Only one can square to zero.  This
-module implements both ("definition" and "complex"), audits d(d(f)) = 0
-on a generating basis, and surfaces which convention closes the
-complex instead of silently picking one; see
-:func:`complex_audit` and :attr:`OperatorComplex.audit`, whose closing
-convention :meth:`OperatorComplex.cohomology` reports.
+by the parity of n otherwise.  Only one can square to zero.  Each
+differential is written once, by one pass that scatters its entries
+into sparse columns from the nonzeros of theta (each D(a, b) as the two
+entries theta(b, a) - theta(a, b), so no D matrix is built) and of the
+bracket, visiting no empty output tuple.  The pass keeps the D-sum
+apart, as a block P with the "definition" signs, from the rest A; the
+"complex" signs differ from those by (-1)^(n+1), so d_3 is A + P under
+one convention and A - P under the other.  The audit is the two sparse
+products A d_1 and P d_1.  :class:`OperatorComplex` alone decides which
+d_3 it builds: A when P is empty, with no audit, and otherwise the
+convention the audit finds closing, the one
+:meth:`OperatorComplex.cohomology` reports; when none closes it raises.
+Only the bare :func:`coboundary` over a coefficient system takes a
+convention, and :func:`complex_audit` audits one.
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect brackets of the basis of L with graph vectors, all built in
-one pass; its degree -1 map is
-delta X = T D(X) - [X,-] T, written over the nonzero entries of theta,
-of T and of the bracket by the assembly of left D(X) - [X,-] right at
-(T, T), which the equivalence of deformations also calls with two
-directions.  Each differential is written once, by one pass that
-scatters its entries into sparse columns from those nonzeros:
-each entry of theta (read off ``RepresentationData.nonzero``, each
-D(a, b) as the two entries theta(b, a) - theta(a, b), so no D matrix is
-built) and each nonzero bracket coefficient writes its terms over every
-value of the free arguments, and no empty output tuple is visited.  The
-pass keeps the D-sum apart, as a block P with the "definition" signs,
-from the rest A; the "complex" signs differ from those by (-1)^(n+1),
-so d_3 is A + P under one convention and A - P under the other, and one
-pass serves both.  :class:`OperatorComplex` assembles each at most once
-per operator; the audit is the two sparse products A d_1 and P d_1, and
-a degree-1 cochain is closed exactly when d_1 f = 0.  Cocycles,
-coboundaries and their quotient come from the sparse elimination of
-:func:`triplekit.linalg.echelon` on the images of the constrained
-basis and on the incoming columns, so no dense matrix stands between
-the constrained basis and H; the tests check them against a dense
-elimination kept there as the oracle.
+one pass.  Its degree -1 map delta X = T D(X) - [X,-] T is the
+evaluation at (T, T) of left D(X) - [X,-] right, read off the one
+contraction :func:`triplekit.representations._wedge_maps` of a wedge,
+at each unit wedge; the equivalence of deformations evaluates it at its
+own wedges.  Cocycles, coboundaries and their quotient come from the
+sparse elimination of :func:`triplekit.linalg.echelon` on the images of
+the constrained basis and on the incoming columns, checked in the tests
+against a dense elimination.
 """
 
 from __future__ import annotations
@@ -75,7 +70,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .representations import ActionData, RepresentationData, semidirect_brackets, vector_family
+from .representations import RepresentationData, _wedge_maps, semidirect_brackets, vector_family
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
@@ -448,74 +443,71 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
     return RepresentationData.from_entries(desc, d, theta)
 
 
-def _assemble_delta(action: ActionData, left: Matrix, right: Matrix) -> dict:
-    """left D(X) - [X,-] right, for maps left, right : L' -> L, one
-    column per unit wedge e_i ^ e_j: at v it is left D(e_i, e_j) v -
-    [e_i, e_j, right v].  delta is the call with (T, T).  Every entry is
-    a product of nonzeros: of theta, since D(e_i, e_j) = theta(e_j, e_i)
-    - theta(e_i, e_j), of left, and of the bracket and right."""
-    d, dp = action.algebra.dim, action.target.dim
-    wedge = {pair: k for k, pair in enumerate(wedge_pairs(d))}
-    left_cols = [[(l, t) for l, t in enumerate(left.column(w)) if t] for w in range(dp)]
+def _wedge_delta(left: Matrix, right: Matrix):
+    """left D(X) - [X,-] right, for maps left, right : L' -> L, as the
+    function of a wedge's (D(X), [X,-]) that gives its flat degree-1
+    coordinates {v * d + l: value} without zeros, column v holding
+    left D(X) v - [X, right v]."""
+    d = left.rows
+    left_cols = [[(l, t) for l, t in enumerate(col) if t] for col in zip(*left.entries)]
     right_rows = [[(v, t) for v, t in enumerate(row) if t] for row in right.entries]
-    columns = {}
-    for i, j, theta in action.rep.nonzero:
-        if i != j:
-            k, sign = (wedge[i, j], -1) if i < j else (wedge[j, i], 1)
-            col = columns.setdefault(k, {})
-            for w, v, a in theta:
-                for l, t in left_cols[w]:
-                    col[v * d + l] = col.get(v * d + l, ZERO) + sign * t * a
-    for i, j, x, vec in action.algebra.nonzero:
-        if i < j and right_rows[x]:
-            col, terms = columns.setdefault(wedge[i, j], {}), [(l, c) for l, c in enumerate(vec) if c]
+
+    def at(maps: tuple[dict, dict]) -> dict:
+        dx, kx, out = *maps, {}
+        for (w, v), a in dx.items():
+            for l, t in left_cols[w]:
+                out[v * d + l] = out.get(v * d + l, ZERO) + t * a
+        for (l, x), c in kx.items():
             for v, t in right_rows[x]:
-                for l, c in terms:
-                    col[v * d + l] = col.get(v * d + l, ZERO) - t * c
-    return _without_zeros(columns)
+                out[v * d + l] = out.get(v * d + l, ZERO) - c * t
+        return {i: x for i, x in out.items() if x}
+
+    return at
 
 
 class OperatorComplex:
     """The complex of one operator: its induced representation, delta,
-    d_1, the two blocks of d_3 and the audit, each built on first use
-    and kept.  A command builds one and pays only for what it reads."""
+    d_1, d_3 and the audit, each built on first use and kept.  A command
+    builds one and pays only for what it reads.  d_3 is A when P is
+    empty and otherwise A + P or A - P under the audited convention."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
         self._built = {}
-        self._parts = {}
 
     @cached_property
     def rep(self) -> RepresentationData:
         return induced_rep(self.rbo)
 
-    def _blocks(self, degree: int) -> tuple[dict, dict]:
-        """A and P of the differential out of degree 1 or 3, assembled once."""
-        if degree not in self._parts:
-            self._parts[degree] = _assemble(self.rep, degree)
-        return self._parts[degree]
+    @cached_property
+    def _degree_3_blocks(self) -> tuple[dict, dict]:
+        return _assemble(self.rep, 3)
 
-    def differential(self, degree: int, convention: str = "definition") -> dict:
-        """delta (degree -1), d_1 or d_3 as sparse columns; d_3 is A + P
-        under "definition" and A - P under "complex"."""
-        sign = _p_sign(convention, (degree + 1) // 2)
-        key = (degree, sign if degree > 0 else 1)
-        if key not in self._built:
-            rbo = self.rbo
-            self._built[key] = (
-                _assemble_delta(rbo.action, rbo.T, rbo.T) if degree == -1 else _combine(*self._blocks(degree), sign)
-            )
-        return self._built[key]
+    def differential(self, degree: int) -> dict:
+        """delta (degree -1), d_1 or d_3 as sparse columns."""
+        if degree not in self._built:
+            if degree == -1:
+                rep, delta = self.rbo.action.rep, _wedge_delta(self.rbo.T, self.rbo.T)
+                self._built[-1] = _without_zeros({k: delta(_wedge_maps(rep, {pair: 1}))
+                                                  for k, pair in enumerate(wedge_pairs(self.rbo.ambient.dim))})
+            elif degree == 1:
+                self._built[1] = _combine(*_assemble(self.rep, 1), 1)
+            elif degree == 3:
+                a, p = self._degree_3_blocks
+                self._built[3] = _combine(a, p, _p_sign(_closing_convention(self.audit), 2)) if p else a
+            else:
+                raise StructureError(f"unsupported differential degree {degree}")
+        return self._built[degree]
 
     @cached_property
     def audit(self) -> dict[str, bool]:
-        return _audit(self.differential(1), *self._blocks(3))
+        return _audit(self.differential(1), *self._degree_3_blocks)
 
-    def apply(self, f: Cochain, convention: str = "definition") -> Cochain:
+    def apply(self, f: Cochain) -> Cochain:
         """Coboundary of f in degree -1, 1 or 3."""
         dp, d = self.rbo.source.dim, self.rbo.ambient.dim
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
-        return _image(self.differential(f.degree, convention), coords, 1 if f.degree == -1 else f.degree + 2, dp, d)
+        return _image(self.differential(f.degree), coords, 1 if f.degree == -1 else f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
@@ -527,9 +519,9 @@ class OperatorComplex:
         d, dp = self.rbo.ambient.dim, self.rbo.source.dim
         size = dp**degree * d
         audit = self.audit if degree == 3 else {}
-        convention = _closing_convention(audit) if audit else "definition"
+        convention = _closing_convention(audit) if audit else None
         basis = dict(enumerate(map(dict, cochain_space_basis(degree, dp, d).rows)))
-        images = [_apply(self.differential(degree, convention), vec).items() for vec in basis.values()]
+        images = [_apply(self.differential(degree), vec).items() for vec in basis.values()]
         kernel = sparse_kernel(sparse_transpose(images), len(images))
         # the constrained basis is in reduced echelon form, so its
         # combinations along the echelon kernel basis are too
@@ -539,14 +531,14 @@ class OperatorComplex:
         coboundaries = SubspaceBasis.from_sparse(self.differential(degree - 2).values(), size)
         return CohomologyData(CohomologyResult(
             degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
-            convention if audit else None, tuple(sorted(audit.items())),
+            convention, tuple(sorted(audit.items())),
         ), cocycles, coboundaries)
 
 
 def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     """Degree -1 coboundary: delta X = T D(X) - [X,-] T, that is
     (delta X)(v) = T D(X) v - [X, Tv]: the operator complex's
-    differential(-1), the two-map assembly at (T, T), applied to X."""
+    differential(-1) applied to X."""
     dp, d = rbo.source.dim, rbo.ambient.dim
     return _image(OperatorComplex(rbo).differential(-1), cochain_coordinates(wedge, (-1,), dp, d), 1, dp, d)
 

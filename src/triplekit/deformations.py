@@ -20,19 +20,18 @@ conditions on X:
   (E2)  [X, S1(u)] = S2( D(X) u )
 
 Both are linear in the wedge coordinates and both are read off the
-operator complex: (E1) is delta X = T D(X) - [X,-] T itself, and (E2)
-is the same two-map assembly with S2 and S1 in place of T,
-S2 D(X) - [X,-] S1, compared against zero.  Strict mode additionally
-demands the first-order parts of the theta- and D-equivariance
-conditions of an operator homomorphism; at the unit wedge e_a ^ e_b the
-theta rows are minus (R2) of the action at (a, b, -, -), the pair rows
-of the one (R2) evaluator of :mod:`triplekit.representations`, and
-since D is theta(b,a) - theta(a,b) and every term is linear in theta,
-each D row is a difference of two theta rows.  All of them form one
+operator complex's left D(X) - [X,-] right: (E1) at (T, T) is
+delta X, and (E2) at (S2, S1) is compared against zero.  Strict mode
+additionally demands the first-order parts of the theta- and
+D-equivariance conditions of an operator homomorphism: the theta rows
+are minus (R2) of the action summed over the wedge, and since D is
+theta(b,a) - theta(a,b) and every term is linear in theta, each D row
+is a difference of two theta rows.  All three read the one contraction
+of :mod:`triplekit.representations` at each wedge, and they form one
 sparse linear system, built once per question: the search builds it
 in the coordinates of the unit wedges, eliminates its rows with
 :func:`triplekit.linalg.echelon` and checks the solution against the
-same system, and the check builds it at the given witness.
+same system, and the check builds it at the given witness alone.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .cohomology import (
     Cochain,
     OperatorComplex,
     _apply,
-    _assemble_delta,
+    _wedge_delta,
     cochain_coordinates,
     cochain_to_map,
     wedge_pairs,
@@ -64,7 +63,7 @@ from .linalg import (
     zero_vector,
 )
 from .reporting import Report, Violation
-from .representations import _theta_equivariance_rows
+from .representations import _theta_equivariance_rows, _wedge_maps
 from .rota_baxter import RelativeRBO, _rb_defects
 
 __all__ = [
@@ -156,9 +155,10 @@ def _equivalence_system(d1: InfinitesimalDeformation, d2: InfinitesimalDeformati
     (conditions, columns, targets).  ``conditions`` lists the (rule,
     witness) of each in report order; column j, the values at the j-th
     wedge, and ``targets`` are keyed by (condition, coordinate) and hold
-    no zeros.  (E1) reads delta with target S1 - S2, (E2) the two-map delta
-    at (S2, S1) with target 0, and the D row at (x, y) is the theta row
-    at (y, x) less the one at (x, y).
+    no zeros.  Each wedge is contracted once: (E1) is left D(X) - [X,-]
+    right at (T, T) with target S1 - S2, (E2) the same at (S2, S1) with
+    target 0, and the D row at (x, y) is the theta row at (y, x) less
+    the one at (x, y).
     """
     if d1.base != d2.base:
         raise StructureError("equivalence is defined for deformations of one operator")
@@ -169,16 +169,16 @@ def _equivalence_system(d1: InfinitesimalDeformation, d2: InfinitesimalDeformati
     if strict:
         conditions += [(rule, (x + 1, y + 1)) for x, y in product(range(d), repeat=2) for rule in STRICT_RULES]
     targets = {(2 * u, l): x for u in range(dp) for l, x in enumerate(vec_sub(S1.column(u), S2.column(u))) if x}
-    blocks = (d1.complex.differential(-1), _assemble_delta(rbo.action, S2, S1))
-    zero = zero_vector(dp * dp)
-    columns = {}
+    rep, zero, columns = rbo.action.rep, zero_vector(dp * dp), {}
+    blocks = (_wedge_delta(rbo.T, rbo.T), _wedge_delta(S2, S1))
     for j, wedge in enumerate(wedges):
         out = columns[j] = {}
-        for block, delta in enumerate(blocks):
-            for i, x in _apply(delta, wedge).items():
+        maps = _wedge_maps(rep, {pairs[k]: c for k, c in wedge.items()})
+        for block, at in enumerate(blocks):
+            for i, x in at(maps).items():
                 u, l = divmod(i, d)
                 out[2 * u + block, l] = x
-        r2 = _theta_equivariance_rows(rbo.action.rep, {pairs[k]: c for k, c in wedge.items()}) if strict else {}
+        r2 = _theta_equivariance_rows(rep, maps) if strict else {}
         for x, y in r2.keys() | {(y, x) for x, y in r2}:
             # the theta and D conditions at (x, y) follow those of u, in (x, y) order
             at, plus, minus = 2 * (dp + x * d + y), r2.get((y, x), zero), r2.get((x, y), zero)
@@ -208,8 +208,8 @@ def check_equivalence(
 
     Strict mode also checks the first-order parts of theta- and
     D-equivariance for the pair (id + t[X,-], id + t D(X)).  The system
-    is taken in the one coordinate of the witness itself, so each
-    condition is contracted once, at the witness.
+    is taken in the one coordinate of the witness itself, so it is
+    contracted at the witness alone, with no delta and no unit wedge.
     """
     rbo = d1.base
     X = cochain_coordinates(w.wedge, (-1,), rbo.source.dim, rbo.ambient.dim)

@@ -13,7 +13,9 @@ the nonzero entries of its matrices theta(e_i, e_j), pair by pair, and
 nothing else: every contraction with arbitrary arguments, both
 identities, the action check and D, which is derived on the fly and
 never stored, run over that list, and a caller that needs a matrix
-builds it from the entries.
+builds it from the entries.  D(X) and [X, -] of a wedge are formed in
+one place, :func:`_wedge_maps`; ``d_basis``, the (R2) rows, delta and
+the equivalence of deformations all read it.
 An action is a representation on a space that is itself a Lie triple
 system, landing in its center and killing its brackets; actions are
 exactly what semidirect products need.  The semidirect bracket is
@@ -61,15 +63,10 @@ class RepresentationData:
         return cls(algebra, space_dim, tuple((i, j, tuple(e)) for (i, j), e in pairs.items()))
 
     def d_basis(self, i: int, j: int) -> Matrix:
-        """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), from the
-        entries of the two pairs, each found by bisection."""
-        n, nz = self.space_dim, self.nonzero
-        acc = [[ZERO] * n for _ in range(n)]
-        for pair, sign in (((j, i), 1), ((i, j), -1)):
-            at = bisect_left(nz, pair, key=lambda item: item[:2])
-            for r, c, a in nz[at][2] if at < len(nz) and nz[at][:2] == pair else ():
-                acc[r][c] += sign * a
-        return Matrix(n, n, tuple(map(tuple, acc)))
+        """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j), the D part of
+        :func:`_wedge_maps` at the unit wedge e_i ^ e_j."""
+        n, dx = self.space_dim, _wedge_maps(self, {(i, j): 1})[0]
+        return Matrix(n, n, tuple(tuple(dx.get((r, c), ZERO) for c in range(n)) for r in range(n)))
 
     def theta_vec(self, x: Vector, y: Vector) -> Matrix:
         """Bilinear extension of theta to arbitrary arguments, summed in one pass."""
@@ -105,7 +102,7 @@ def verify_representation(r: RepresentationData) -> Report:
     r1 = _module_identity_rows(r)
     out = [Violation("module-identity-1", tuple(t + 1 for t in key)) for key in sorted(r1) if any(r1[key].values())]
     for a, b in product(range(r.algebra.dim), repeat=2):
-        r2 = _theta_equivariance_rows(r, {(a, b): 1})
+        r2 = _theta_equivariance_rows(r, _wedge_maps(r, {(a, b): 1}))
         out += [Violation("module-identity-2", (a + 1, b + 1, x + 1, y + 1)) for x, y in sorted(r2) if any(r2[x, y])]
     return tuple(out)
 
@@ -147,38 +144,47 @@ def _module_identity_rows(rep: RepresentationData) -> dict:
     return acc
 
 
-def _theta_equivariance_rows(rep: RepresentationData, wedge: dict) -> dict:
+def _wedge_maps(rep: RepresentationData, wedge: dict) -> tuple[dict, dict]:
+    """(D(X), [X, -]) for X = sum c e_a ^ e_b over the {(a, b): c} of
+    ``wedge``, as {(row, col): value} without zeros: D(X) on the space,
+    [X, e_k]_l at (l, k) on the algebra.  Each D(a, b) = theta(b, a) -
+    theta(a, b) and [e_a, e_b, -] is found by bisection, so over all unit
+    wedges each nonzero of theta and of the bracket is visited once."""
+    # a pair sorts just before the entries it prefixes, so it is its own key
+    nz, brackets, dx, kx = rep.nonzero, rep.algebra.nonzero, {}, {}
+    for (a, b), co in wedge.items():
+        for pair, sign in (((b, a), co), ((a, b), -co)):
+            at = bisect_left(nz, pair)
+            for r, c, v in nz[at][2] if at < len(nz) and nz[at][:2] == pair else ():
+                dx[r, c] = dx.get((r, c), ZERO) + sign * v
+        at = bisect_left(brackets, (a, b))
+        while at < len(brackets) and brackets[at][:2] == (a, b):
+            _, _, k, vec = brackets[at]
+            for l, v in enumerate(vec):
+                if v:
+                    kx[l, k] = kx.get((l, k), ZERO) + co * v
+            at += 1
+    return {key: v for key, v in dx.items() if v}, {key: v for key, v in kx.items() if v}
+
+
+def _theta_equivariance_rows(rep: RepresentationData, maps: tuple[dict, dict]) -> dict:
     """{(x, y): row}: minus (R2) at (a, b, x, y),
     D(a,b) theta(x,y) - theta([a,b,x], y) - theta(x, [a,b,y]) - theta(x,y) D(a,b),
     flattened row by row into a list and summed over the pairs (a, b) of
-    ``wedge``, a {(a, b): coefficient} dict, at every (x, y) that receives
-    a term.
+    a wedge, at every (x, y) that receives a term; ``maps`` is that
+    wedge's (D(X), [X, -]) from :func:`_wedge_maps`.
 
-    The sums [X, -] of the [e_a, e_b, -] and D(X) of the D(a, b) are
-    kept sparse: [X, -] is read off the nonzero brackets, and D(X) off the
-    theta entries, theta(i, j) entering D(j, i) and, negated, D(i, j).
     When both are zero nothing else is visited.  Otherwise the entry
     (r, c, v) of each nonzero theta(e_i, e_j) meets column r and row c of
     D(X) at (i, j), and adds -[X, e_x]_i v at (x, j) and -[X, e_y]_j v at
     (i, y).
     """
-    n, d, dx, kx, d_cols, d_rows, k_rows = rep.space_dim, rep.algebra.dim, {}, {}, {}, {}, {}
-    for i, j, entries in rep.nonzero:
-        if co := wedge.get((j, i), ZERO) - wedge.get((i, j), ZERO):
-            for r, c, v in entries:
-                dx[r, c] = dx.get((r, c), ZERO) + co * v
-    for i, j, k, vec in rep.algebra.nonzero:
-        if co := wedge.get((i, j)):
-            for l, v in enumerate(vec):
-                if v:
-                    kx[l, k] = kx.get((l, k), ZERO) + co * v
-    for (r, c), v in dx.items():
-        if v:  # d_cols[c] lists (r * n, D(X)[r][c]), d_rows[r] lists (c, D(X)[r][c])
-            d_cols.setdefault(c, []).append((r * n, v))
-            d_rows.setdefault(r, []).append((c, v))
-    for (l, k), v in kx.items():
-        if v:  # k_rows[l] lists (k, [X, e_k]_l)
-            k_rows.setdefault(l, []).append((k, v))
+    n, d, (dx, kx), d_cols, d_rows, k_rows = rep.space_dim, rep.algebra.dim, maps, {}, {}, {}
+    for (r, c), v in dx.items():  # d_cols[c] lists (r * n, D(X)[r][c]), d_rows[r] lists (c, D(X)[r][c])
+        d_cols.setdefault(c, []).append((r * n, v))
+        d_rows.setdefault(r, []).append((c, v))
+    for (l, k), v in kx.items():  # k_rows[l] lists (k, [X, e_k]_l)
+        k_rows.setdefault(l, []).append((k, v))
     rows = [[None] * d for _ in range(d)]
     for i, j, entries in rep.nonzero if d_cols or k_rows else ():
         own = rows[i][j] = rows[i][j] or [ZERO] * (n * n)

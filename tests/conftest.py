@@ -15,8 +15,8 @@ from triplekit.cohomology import Cochain, unflatten_cochain
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
-from triplekit.lts import LieTripleSystem
-from triplekit.representations import self_action
+from triplekit.lts import LieTripleSystem, zero_system
+from triplekit.representations import ActionData, adjoint_representation, self_action
 from triplekit.rota_baxter import RelativeRBO, projection_rbo
 
 SEEDS = {
@@ -107,10 +107,25 @@ def make_sln_lts(n: int) -> LieTripleSystem:
 
 def sl3_cartan_projection():
     """sl3 with [x,y,z] = [[x,y],z] and T the projection onto its Cartan
-    subalgebra, at weight 0."""
+    subalgebra, at weight 0.  The self-action fails ``verify_action``, so
+    this operator lies outside the paper's hypotheses; see
+    :func:`sln_abelian_cartan_projection` for the one inside them."""
     L = make_sln_lts(3)
     T = Matrix(8, 8, tuple(tuple(int(i == j and i >= 6) for j in range(8)) for i in range(8)))
     return RelativeRBO(self_action(L), 0, T)
+
+
+def sln_abelian_cartan_projection(n: int):
+    """The adjoint representation of sl_n acting on an abelian copy of
+    itself (``zero_system``), with T the projection onto the Cartan
+    subalgebra, at weight 0.  The action verifies, and T is an operator
+    of every weight.  At weight 0 neither theta_T nor the descendent
+    bracket reads the bracket of L', so its complex is that of the
+    self-action's Cartan projection."""
+    L = make_sln_lts(n)
+    d, cartan = L.dim, n * (n - 1)
+    T = Matrix(d, d, tuple(tuple(int(i == j and i >= cartan) for j in range(d)) for i in range(d)))
+    return RelativeRBO(ActionData(adjoint_representation(L), zero_system(d)), 0, T)
 
 
 @pytest.fixture(scope="session")

@@ -173,7 +173,7 @@ def quotient_dim(sub, total, n: int):
     return len(total) - len(sub)
 
 
-def cohomology(cx, degree: int, convention: str):
+def cohomology(cx, degree: int):
     """(Z, B) of an operator complex as dense reduced echelon bases: Z
     from the kernel of the dense matrix of the images of the constrained
     basis, on their nonzero rows; B from the dense span of the incoming
@@ -181,7 +181,7 @@ def cohomology(cx, degree: int, convention: str):
     d, dp = cx.rbo.ambient.dim, cx.rbo.source.dim
     size = dp**degree * d
     basis = cochain_space_basis(degree, dp, d).vectors
-    differential = cx.differential(degree, convention)
+    differential = cx.differential(degree)
     images = []
     for vec in basis:
         out = {}

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -5,7 +6,9 @@ from itertools import product
 
 import pytest
 
+from triplekit.cli import main
 from triplekit.cohomology import (
+    SIGN_CONVENTIONS,
     Cochain,
     OperatorComplex,
     _closing_convention,
@@ -24,6 +27,7 @@ from triplekit.cohomology import (
     unflatten_cochain,
     zero_cochain,
 )
+from triplekit.fileio import cochain_to_json, dump_json, rbo_to_json
 from triplekit.linalg import (
     Matrix,
     StructureError,
@@ -37,13 +41,20 @@ from triplekit.properties import random_integer_matrix
 from triplekit.representations import (
     adjoint_representation,
     self_action,
+    verify_action,
     verify_representation,
     zero_representation,
 )
 from triplekit.rota_baxter import RBOHomomorphism, RelativeRBO, check_rbo_homomorphism, descendent_lts
 
 import dense_oracle
-from conftest import SEEDS, cochain_satisfies_constraints, elementary_cochain, make_sln_lts
+from conftest import (
+    SEEDS,
+    cochain_satisfies_constraints,
+    elementary_cochain,
+    make_sln_lts,
+    sln_abelian_cartan_projection,
+)
 
 F = Fraction
 
@@ -371,6 +382,48 @@ def test_sl3_cartan_projection_needs_the_complex_convention():
     assert (h3.dim_cocycles, h3.dim_coboundaries, h3.dim_H) == (96, 51, 45)
     assert h3.sign_convention == "complex"
     assert dict(h3.sign_audit) == {"complex": True, "definition": False}
+
+
+def test_in_theory_sl3_prints_the_complex_convention_in_every_command(tmp_path, capsys):
+    # the adjoint of sl3 on an abelian copy of itself satisfies the
+    # paper's hypotheses, and P is not zero on it; coh group and coh
+    # coboundary both build d_3 under the convention the audit finds closing
+    rbo = sln_abelian_cartan_projection(3)
+    assert verify_action(rbo.action) == ()
+    op = tmp_path / "op.json"
+    op.write_text(dump_json(rbo_to_json(rbo)))
+    assert main(["coh", "group", str(op), "--degree", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "degree": 3, "dim_Z": 96, "dim_B": 51, "dim_H": 45,
+        "sign_convention": "complex", "sign_audit": {"complex": True, "definition": False},
+    }
+    cx = OperatorComplex(rbo)
+    # the first constrained basis cochain whose image tells the two conventions apart
+    for row in cochain_space_basis(3, 8, 8).rows:
+        f = unflatten_cochain(3, 8, 8, tuple(dict(row).get(i, 0) for i in range(8**4)))
+        images = {c: coboundary(cx.rep, f, c) for c in SIGN_CONVENTIONS}
+        if images["complex"] != images["definition"]:
+            break
+    path = tmp_path / "f.json"
+    path.write_text(dump_json(cochain_to_json(f)))
+    assert main(["coh", "coboundary", str(op), str(path)]) == 0
+    assert capsys.readouterr().out == dump_json(cochain_to_json(images["complex"]))
+
+
+def test_degree_3_coboundary_exits_1_when_no_convention_closes(tmp_path, capsys):
+    # T = id on sl2 at weight -2 passes (RB), but its self-action fails
+    # verify_action and neither convention closes; P is not zero there,
+    # so d_3 has no convention to take, while d_1 needs none
+    rbo = RelativeRBO(self_action(make_sln_lts(2)), -2, Matrix.identity(3))
+    op = tmp_path / "op.json"
+    op.write_text(dump_json(rbo_to_json(rbo)))
+    for degree, code in ((3, 1), (1, 0)):
+        path = tmp_path / "f.json"
+        path.write_text(dump_json(cochain_to_json(elementary_cochain(degree, 3, 3, 1))))
+        assert main(["coh", "coboundary", str(op), str(path)]) == code
+        out = json.loads(capsys.readouterr().out)
+        if code:
+            assert out == {"error": "no sign convention closes the cochain complex", "kind": "verification"}
 
 
 def test_cohomology_requires_operator(rbo3):

@@ -8,7 +8,7 @@ from triplekit.cohomology import (
     Cochain,
     OperatorComplex,
     _apply,
-    _assemble_delta,
+    _wedge_delta,
     cochain_from_map,
     cochain_to_map,
     delta_wedge,
@@ -44,6 +44,7 @@ from triplekit.properties import random_integer_matrix
 from triplekit.reporting import Violation
 from triplekit.representations import (
     ActionData,
+    _wedge_maps,
     adjoint_representation,
 )
 from triplekit.rota_baxter import RelativeRBO, check_rbo
@@ -672,22 +673,33 @@ def test_check_equivalence_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
     assert held and failed
 
 
-def test_assemble_delta_with_two_maps(rbo3, rbo4, sl2_lts, lts4):
-    # (T, T) is delta; (S2, S1) is the dense oracle's (E2) at each unit wedge, negated
+def test_wedge_delta_with_two_maps(rbo3, rbo4, sl2_lts, lts4):
+    # at (T, T) it is the dense delta, and over the unit wedges the
+    # complex's differential(-1); at (S2, S1) it is the dense oracle's
+    # (E2), negated; each at the unit wedges and at a random wedge
     rng = random.Random(SEEDS["deformation"])
     for name, rbo in equivalence_operators(rbo3, rbo4, sl2_lts, lts4).items():
         d, dp = rbo.ambient.dim, rbo.source.dim
-        n = len(wedge_pairs(d))
-        assert _assemble_delta(rbo.action, rbo.T, rbo.T) == OperatorComplex(rbo).differential(-1)
+        pairs = wedge_pairs(d)
         S1, S2 = (random_integer_matrix(rng, d, dp) for _ in range(2))
-        columns = _assemble_delta(rbo.action, S2, S1)
-        for k in range(n):
-            X = Cochain(-1, dp, d, basis_vector(n, k))
+        wedges = [basis_vector(len(pairs), k) for k in range(len(pairs))]
+        wedges.append(tuple(F(rng.randint(-3, 3)) for _ in pairs))
+        unit_columns = {}
+        for k, coords in enumerate(wedges):
+            X = Cochain(-1, dp, d, coords)
+            maps = _wedge_maps(rbo.action.rep, {pair: c for pair, c in zip(pairs, coords) if c})
+            delta = cochain_from_map(rbo.T @ dense_oracle.wedge_d_operator(rbo, X)
+                                     - dense_oracle.wedge_bracket_operator(rbo, X) @ rbo.T)
+            got = _wedge_delta(rbo.T, rbo.T)(maps)
+            assert got == {i: x for i, x in enumerate(flatten_cochain(delta)) if x}, (name, k)
+            if k < len(pairs) and got:
+                unit_columns[k] = got
             want = {}
             for rule, (u,), value, _ in dense_oracle.equivalence_conditions(rbo, S1, S2, X, False):
                 if rule == "compatibility-order-t":
                     want.update({(u - 1) * d + l: -x for l, x in enumerate(value) if x})
-            assert columns.get(k, {}) == want, (name, k)
+            assert _wedge_delta(S2, S1)(maps) == want, (name, k)
+        assert unit_columns == OperatorComplex(rbo).differential(-1), name
 
 
 def test_d1_delta_vanishes(rbo3, rbo4):

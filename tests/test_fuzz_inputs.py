@@ -5,7 +5,9 @@ Whatever JSON a file holds, a loader either returns or raises
 printing ``"kind": "input"`` on exit 2.  Inputs are whole drawn
 documents and bundled fixtures with one node replaced by a drawn value.
 The command fuzzers also start from well-formed cochains of the wrong
-shape for their command (``test_cochain_shape.MISSHAPED``).
+shape for their command (``test_cochain_shape.MISSHAPED``), and one
+fuzzer changes only the shape of a command's cochain, which must then
+exit 2 with ``"kind": "input"`` and nothing on stderr.
 
 Drawn integers stay in -2..4: no cost model bounds the work of a job
 yet, so a large dimension would stall it.  The example database is off
@@ -25,7 +27,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from test_cochain_shape import MISSHAPED
+from test_cochain_shape import MISSHAPED, ones
 from triplekit import fileio
 from triplekit.cli import main
 from triplekit.fixtures import fixture_path
@@ -153,17 +155,24 @@ def inputs(command):
     return [arg for arg in command if isinstance(arg, dict)]
 
 
-def run_command(command, docs):
-    """Exit code of ``main`` on ``command`` with its input files holding ``docs``."""
+def run_main(command, docs):
+    """(exit code, stdout, stderr) of ``main`` on ``command`` with its
+    input files holding ``docs``."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = iter(write_inputs(tmp, docs))
         argv = [str(next(paths)) if isinstance(arg, dict) else arg for arg in command]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2), argv
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_command(command, docs):
+    """Exit code of ``main`` on ``command`` with its input files holding ``docs``."""
+    code, out, _ = run_main(command, docs)
+    assert code in (0, 1, 2), command
     if code == 2:
-        assert json.loads(out.getvalue())["kind"] == "input", argv
+        assert json.loads(out)["kind"] == "input", command
     return code
 
 
@@ -176,6 +185,38 @@ def draw_command(data):
 def draw_mutation(data, doc):
     path = data.draw(st.sampled_from(list(node_paths(doc))))
     return replaced(doc, path, data.draw(JSON))
+
+
+# (command, slot) of every cochain among the commands' input files
+COCHAIN_SLOTS = tuple(
+    (command, slot) for command in COMMANDS for slot, doc in enumerate(inputs(command)) if "degree" in doc
+)
+
+
+def misshape(data, doc):
+    """The well-formed cochain document ``doc`` with only its shape
+    changed: one value vector (a coordinate, for a wedge) dropped or
+    repeated, one value vector lengthened, or source_dim or target_dim
+    moved by one with every coordinate 1, a nesting that still parses.
+    A wedge's source_dim is not part of its shape."""
+    f = fileio.cochain_from_json(doc)
+    kinds = ("drop", "repeat", "target_dim") + (("lengthen", "source_dim") if f.degree > 0 else ())
+    kind = data.draw(st.sampled_from(kinds))
+    if kind.endswith("_dim"):
+        step = data.draw(st.sampled_from((-1, 1)))
+        return ones(f.degree, f.source_dim + step * (kind == "source_dim"), f.target_dim + step * (kind == "target_dim"))
+    path = data.draw(st.sampled_from([p for p in node_paths(doc["coeffs"]) if len(p) == max(f.degree, 1)]))
+    doc = copy.deepcopy(doc)
+    parent = doc["coeffs"]
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "repeat":
+        parent.insert(path[-1], parent[path[-1]])
+    else:
+        parent[path[-1]].append("0")
+    return doc
 
 
 def test_every_loader_and_command_has_a_valid_input():
@@ -216,3 +257,13 @@ def test_commands_on_mutated_inputs(data):
     command, docs, slot = draw_command(data)
     docs[slot] = draw_mutation(data, docs[slot])
     run_command(command, docs)
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_commands_on_misshaped_cochains(data):
+    command, slot = data.draw(st.sampled_from(COCHAIN_SLOTS))
+    docs = inputs(command)
+    docs[slot] = misshape(data, docs[slot])
+    code, out, err = run_main(command, docs)
+    assert (code, json.loads(out)["kind"], err) == (2, "input", ""), (command[:2], docs[slot])

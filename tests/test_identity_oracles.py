@@ -187,8 +187,8 @@ def test_d_t_self_check_agrees_with_bracket_comparison(rbo3, rbo4):
 
 def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
     # d_1 and d_3 read D(a, b) as two theta entries off rep.nonzero, the
-    # induced representation checks D_T on ambient brackets, and the
-    # (R2) rows read D(a, b) off the same entries
+    # induced representation checks D_T on ambient brackets, and delta
+    # and the (R2) rows read D(X) off the wedge contraction
     calls = []
     inner = RepresentationData.d_basis
 
@@ -198,9 +198,8 @@ def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
 
     monkeypatch.setattr(RepresentationData, "d_basis", counting)
     cx = OperatorComplex(rbo4)
-    cx.differential(1)
-    for convention in ("definition", "complex"):
-        cx.differential(3, convention)
+    for degree in (-1, 1, 3):
+        cx.differential(degree)
     complex_audit(adjoint_representation(sl2_lts))
     verify_representation(cx.rep)
     assert calls == []

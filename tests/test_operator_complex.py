@@ -11,7 +11,6 @@ in one evaluation.
 """
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,8 +19,10 @@ import pytest
 from triplekit import cli, cohomology, deformations, linalg, representations
 from triplekit.cli import main
 from triplekit.cohomology import (
+    SIGN_CONVENTIONS,
     Cochain,
     OperatorComplex,
+    _closing_convention,
     cochain_from_map,
     coboundary,
     complex_audit,
@@ -150,8 +151,9 @@ def test_operator_differentials_match_evaluator(name, request):
     assert cx.apply(generic(-1, dp, d)) == evaluate_delta(rbo, generic(-1, dp, d))
     for degree in (1, 3):
         f = generic(degree, dp, d)
-        for convention in ("definition", "complex"):
-            assert cx.apply(f, convention) == evaluate(cx.rep, f, convention), (degree, convention)
+        for convention in SIGN_CONVENTIONS:
+            assert coboundary(cx.rep, f, convention) == evaluate(cx.rep, f, convention), (degree, convention)
+        assert cx.apply(f) == evaluate(cx.rep, f, _closing_convention(cx.audit)), degree
 
 
 def random_matrix(rng, rows, cols, density):
@@ -222,29 +224,16 @@ def test_audit_is_the_product_of_the_assembled_differentials(sl2_lts):
 def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, capsys):
     op = str(fixture_path("rbo4_P"))
     T = load_rbo(op).T
-    built, pair_rows, dense, witness_search, searches = [], Counter(), [], [], []
+    built, dense, witness_search, searches = [], [], [], []
 
-    def counting(module, name):
+    def counting(module, name, event):
         inner = getattr(module, name)
 
         def wrapper(*args):
-            if name == "_assemble":
-                built.append((name, *args[1:]))
-            else:
-                # delta is the two-map assembly at (T, T); (E2) puts in the directions
-                built.append(("delta",) if args[1:] == (T, T) else ("E2",))
+            built.append(event(*args))
             return inner(*args)
 
         monkeypatch.setattr(module, name, wrapper)
-
-    def pair_counting(module):
-        inner = module._theta_equivariance_rows
-
-        def wrapper(rep, wedge):
-            pair_rows.update(wedge.keys())
-            return inner(rep, wedge)
-
-        monkeypatch.setattr(module, "_theta_equivariance_rows", wrapper)
 
     def dense_calls(name, inner):
         def wrapper(*args):
@@ -265,12 +254,19 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
 
         return wrapper
 
-    counting(cohomology, "_assemble")
-    # deformations reads _assemble_delta and the (R2) pair rows under its own names
+    counting(cohomology, "_assemble", lambda rep, degree: ("d", degree))
+    # one event per wedge contraction, named by its number of wedge
+    # coordinates, and per left D(X) - [X,-] right set up at (T, T) for
+    # delta or at the directions for (E2); the strict rows read (R2) off
+    # the contraction.  deformations and cohomology read these under
+    # their own names.
+    for module in (representations, cohomology, deformations):
+        if hasattr(module, "_wedge_maps"):
+            counting(module, "_wedge_maps", lambda rep, wedge: ("X", len(wedge)))
     for module in (cohomology, deformations):
-        counting(module, "_assemble_delta")
+        counting(module, "_wedge_delta", lambda left, right: "delta" if (left, right) == (T, T) else "E2")
     for module in (representations, deformations):
-        pair_counting(module)
+        counting(module, "_theta_equivariance_rows", lambda rep, maps: "R2")
     for module in (linalg, deformations, cli):
         if hasattr(module, "solve"):
             monkeypatch.setattr(module, "solve", dense_calls("solve", module.solve))
@@ -283,31 +279,32 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
-    # d_3 is assembled once, as the two blocks that both sign
-    # conventions combine; the equivalence system reads delta and
-    # assembles (E2) once
-    delta, e2, d1, d3 = ("delta",), ("E2",), ("_assemble", 1), ("_assemble", 3)
+    # d_1 and d_3 are assembled once each, d_3 as the two blocks the
+    # audit reads; delta is one contraction per unit wedge of rbo4_P's
+    # six, and the equivalence system contracts each of its wedges once
+    # for (E1), (E2) and, in strict mode, the (R2) rows
+    d1, d3 = ("d", 1), ("d", 3)
+    delta = ["delta"] + [("X", 1)] * 6
+    search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
     commands = [
         (("coh", "group", op, "--degree", "3"), [d1, d3], 0),
-        (("coh", "group", op, "--degree", "1"), [delta, d1], 0),
+        (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
         (("coh", "cocycle", op, s), [d1], 0),
         (("coh", "coboundary", op, s), [d1], 0),
-        (("def", "check", op, s, "--strict"), [delta, e2, d1], 0),
+        (("def", "check", op, s, "--strict"), [*delta, *strict_search, d1], 0),
         (("def", "check", op, str(ident)), [d1], 1),
-        (("def", "class", op, s), [delta, d1], 0),
-        (("def", "trivial", op, s), [delta, e2], 0),
-        (("def", "trivial", op, s, "--strict"), [delta, e2], 0),
-        (("def", "equiv", op, s, s, "--strict"), [delta, e2], 0),
-        (("def", "equiv", op, s, s, "--witness", str(wedge), "--strict"), [delta, e2], 0),
+        (("def", "class", op, s), [*delta, d1], 0),
+        (("def", "trivial", op, s), search, 0),
+        (("def", "trivial", op, s, "--strict"), strict_search, 0),
+        (("def", "equiv", op, s, s, "--strict"), strict_search, 0),
+        # a given witness is contracted alone: no delta, no unit wedge
+        (("def", "equiv", op, s, s, "--witness", str(wedge)), [("X", 6), "delta", "E2"], 0),
+        (("def", "equiv", op, s, s, "--witness", str(wedge), "--strict"), [("X", 6), "delta", "E2", "R2"], 0),
     ]
     for argv, want, code in commands:
         built.clear()
-        pair_rows.clear()
         assert main(list(argv)) == code, argv
         capsys.readouterr()
-        assert sorted(built) == sorted(want), argv
-        # strict commands contract the (R2) rows of each wedge pair at most once
-        assert set(pair_rows) <= set(cohomology.wedge_pairs(4)) and max(pair_rows.values(), default=1) == 1, argv
-        assert bool(pair_rows) == ("--strict" in argv), argv
+        assert sorted(built, key=repr) == sorted(want, key=repr), argv
     # the witness search is sparse from end to end: no dense matrix, no dense solve
     assert len(searches) == 4 and dense == []

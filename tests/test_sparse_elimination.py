@@ -143,8 +143,7 @@ def test_cohomology_matches_dense_oracle(name, weight, request):
     cx = OperatorComplex(rbo)
     for degree in (1, 3):
         data = cx.cohomology(degree)
-        convention = data.result.sign_convention or "definition"
-        cocycles, coboundaries = oracle.cohomology(cx, degree, convention)
+        cocycles, coboundaries = oracle.cohomology(cx, degree)
         assert data.cocycles.vectors == cocycles
         assert data.coboundaries.vectors == coboundaries
         result = data.result

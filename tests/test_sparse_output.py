@@ -18,9 +18,18 @@ import pytest
 
 import dense_oracle
 from conftest import SEEDS, ladder, make_sln_lts
+from test_scatter_assembly import scattered
 from triplekit import fileio
 from triplekit.cli import main
-from triplekit.cohomology import Cochain, OperatorComplex, cochain_space_basis, unflatten_cochain, zero_cochain
+from triplekit.cohomology import (
+    SIGN_CONVENTIONS,
+    Cochain,
+    OperatorComplex,
+    coboundary,
+    cochain_space_basis,
+    unflatten_cochain,
+    zero_cochain,
+)
 from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix
@@ -75,11 +84,14 @@ def test_apply_matches_dense_image(name):
         cochains = [zero_cochain(degree, dp, d)]
         cochains += [random_cochain(rng, degree, dp, d, fractions) for fractions in (False, True)]
         for f in cochains:
-            for convention in ("definition", "complex"):
-                got = cx.apply(f, convention)
-                assert got == dense_oracle.image(cx.differential(degree, convention), f), (degree, convention)
-                # the zero value vectors are one shared tuple
-                assert len({id(v) for v in got.coeffs if not any(v)}) <= 1
+            got = cx.apply(f)
+            assert got == dense_oracle.image(cx.differential(degree), f), degree
+            # the zero value vectors are one shared tuple
+            assert len({id(v) for v in got.coeffs if not any(v)}) <= 1
+            # each convention through the bare coboundary over theta_T
+            for convention in SIGN_CONVENTIONS if degree > 0 else ():
+                want = dense_oracle.image(scattered(cx.rep, degree, convention), f)
+                assert coboundary(cx.rep, f, convention) == want, (degree, convention)
 
 
 def test_dump_json_writes_repeated_lists_as_json_dumps_does():
