@@ -39,9 +39,13 @@ The operator complex reads its coefficients theta_T off the projected
 semidirect brackets of the basis of L with graph vectors, all built in
 one pass.  Its degree -1 map delta X = T D(X) - [X,-] T is the
 evaluation at (T, T) of left D(X) - [X,-] right, read off the one
-contraction :func:`triplekit.representations._wedge_maps` of a wedge,
-at each unit wedge; the equivalence of deformations evaluates it at its
-own wedges.  Cocycles, coboundaries and their quotient come from the
+contraction :func:`triplekit.representations._wedge_maps` of a wedge.
+:class:`OperatorComplex` alone turns wedge coordinates into that
+contraction and keeps delta and the unit-wedge contractions: the
+assembled delta, whose columns B^1 needs, is delta at each unit wedge,
+the coboundary of one wedge is delta at its own contraction, and the
+equivalence of deformations reads (E1) off the same delta at the same
+contractions.  Cocycles, coboundaries and their quotient come from the
 sparse elimination of :func:`triplekit.linalg.echelon` on the images of
 the constrained basis and on the incoming columns, checked in the tests
 against a dense elimination.
@@ -172,13 +176,16 @@ def cochain_coordinates(f: Cochain, degrees, source_dim: int, target_dim: int) -
     """The nonzero flat coordinates {i: value} of f, checked to be a
     cochain of one of ``degrees`` from source_dim to target_dim; the one
     door for cochain values into a complex.  A wedge lies in the wedge
-    square of the target alone, so its source_dim is not read."""
+    square of the target alone, so it is checked by its number of
+    coordinates: neither of its dims is read, and a file with none
+    cannot tell target_dim 0 from 1."""
     if f.degree not in degrees:
         want = f">= {degrees.start}" if isinstance(degrees, range) else "/".join(map(str, degrees))
         raise StructureError(f"cochain of degree {f.degree}, expected degree {want}")
-    if f.target_dim != target_dim or (f.degree > 0 and f.source_dim != source_dim):
-        raise StructureError("wedge coordinates sized for a different operator" if f.degree == -1 else
-                             f"cochain dims {f.source_dim} -> {f.target_dim}, expected {source_dim} -> {target_dim}")
+    if f.degree == -1 and len(f.coeffs) != target_dim * (target_dim - 1) // 2:
+        raise StructureError("wedge coordinates sized for a different operator")
+    if f.degree > 0 and (f.source_dim, f.target_dim) != (source_dim, target_dim):
+        raise StructureError(f"cochain dims {f.source_dim} -> {f.target_dim}, expected {source_dim} -> {target_dim}")
     return {i: x for i, x in enumerate(flatten_cochain(f)) if x}
 
 
@@ -247,15 +254,15 @@ def _apply(columns, vec: dict) -> dict:
     return {i: x for i, x in out.items() if x}
 
 
-def _image(columns, coords: dict, degree: int, ds: int, dt: int) -> Cochain:
-    """The cochain of this degree and shape that a differential maps the
-    flat coordinates ``coords`` to, built from the sparse image alone:
-    each flat coordinate i of a nonzero is slot i mod dt of value vector
+def _image(image: dict, degree: int, ds: int, dt: int) -> Cochain:
+    """The cochain of this degree and shape with the sparse flat
+    coordinates ``image``, a differential's image of a cochain: each
+    flat coordinate i of a nonzero is slot i mod dt of value vector
     i // dt, and every value vector that receives nothing is one shared
     zero tuple, so the cost follows the nonzeros of d f and not the size
     of its cochain space."""
     written = {}
-    for i, x in _apply(columns, coords).items():
+    for i, x in image.items():
         p, l = divmod(i, dt)
         vec = written.get(p)
         if vec is None:
@@ -369,7 +376,7 @@ def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "defi
     ds, dt = rep.algebra.dim, rep.space_dim
     coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
     sign = _p_sign(sign_convention, (f.degree + 1) // 2)
-    return _image(_combine(*_assemble(rep, f.degree), sign), coords, f.degree + 2, ds, dt)
+    return _image(_apply(_combine(*_assemble(rep, f.degree), sign), coords), f.degree + 2, ds, dt)
 
 
 def _audit(d1: dict, a3: dict, p3: dict) -> dict[str, bool]:
@@ -483,13 +490,30 @@ class OperatorComplex:
     def _degree_3_blocks(self) -> tuple[dict, dict]:
         return _assemble(self.rep, 3)
 
+    @cached_property
+    def delta(self):
+        """delta X = T D(X) - [X,-] T as the function of X's contraction
+        that gives its flat degree-1 coordinates."""
+        return _wedge_delta(self.rbo.T, self.rbo.T)
+
+    @cached_property
+    def contraction(self):
+        """The function from a wedge's flat coordinates {k: value} to its
+        (D(X), [X,-]) under the action."""
+        rep, pairs = self.rbo.action.rep, wedge_pairs(self.rbo.ambient.dim)
+        return lambda coords: _wedge_maps(rep, {pairs[k]: c for k, c in coords.items()})
+
+    @cached_property
+    def unit_contractions(self) -> tuple:
+        """The contraction of each unit wedge, in wedge-coordinate order."""
+        d = self.rbo.ambient.dim
+        return tuple(self.contraction({k: 1}) for k in range(d * (d - 1) // 2))
+
     def differential(self, degree: int) -> dict:
         """delta (degree -1), d_1 or d_3 as sparse columns."""
         if degree not in self._built:
             if degree == -1:
-                rep, delta = self.rbo.action.rep, _wedge_delta(self.rbo.T, self.rbo.T)
-                self._built[-1] = _without_zeros({k: delta(_wedge_maps(rep, {pair: 1}))
-                                                  for k, pair in enumerate(wedge_pairs(self.rbo.ambient.dim))})
+                self._built[-1] = {k: col for k, col in enumerate(map(self.delta, self.unit_contractions)) if col}
             elif degree == 1:
                 self._built[1] = _combine(*_assemble(self.rep, 1), 1)
             elif degree == 3:
@@ -504,10 +528,13 @@ class OperatorComplex:
         return _audit(self.differential(1), *self._degree_3_blocks)
 
     def apply(self, f: Cochain) -> Cochain:
-        """Coboundary of f in degree -1, 1 or 3."""
+        """Coboundary of f in degree -1, 1 or 3; delta is evaluated at
+        the wedge's own contraction, with no delta column built."""
         dp, d = self.rbo.source.dim, self.rbo.ambient.dim
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
-        return _image(self.differential(f.degree), coords, 1 if f.degree == -1 else f.degree + 2, dp, d)
+        if f.degree == -1:
+            return _image(self.delta(self.contraction(coords)), 1, dp, d)
+        return _image(_apply(self.differential(f.degree), coords), f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
@@ -537,10 +564,11 @@ class OperatorComplex:
 
 def delta_wedge(rbo: RelativeRBO, wedge: Cochain) -> Cochain:
     """Degree -1 coboundary: delta X = T D(X) - [X,-] T, that is
-    (delta X)(v) = T D(X) v - [X, Tv]: the operator complex's
-    differential(-1) applied to X."""
-    dp, d = rbo.source.dim, rbo.ambient.dim
-    return _image(OperatorComplex(rbo).differential(-1), cochain_coordinates(wedge, (-1,), dp, d), 1, dp, d)
+    (delta X)(v) = T D(X) v - [X, Tv]: the operator complex's apply
+    restricted to wedges."""
+    if wedge.degree != -1:
+        raise StructureError(f"cochain of degree {wedge.degree}, expected degree -1")
+    return OperatorComplex(rbo).apply(wedge)
 
 
 def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:

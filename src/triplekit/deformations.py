@@ -26,12 +26,14 @@ additionally demands the first-order parts of the theta- and
 D-equivariance conditions of an operator homomorphism: the theta rows
 are minus (R2) of the action summed over the wedge, and since D is
 theta(b,a) - theta(a,b) and every term is linear in theta, each D row
-is a difference of two theta rows.  All three read the one contraction
-of :mod:`triplekit.representations` at each wedge, and they form one
-sparse linear system, built once per question: the search builds it
-in the coordinates of the unit wedges, eliminates its rows with
+is a difference of two theta rows.  All three read one contraction
+(D(X), [X,-]) per wedge, formed by the base's operator complex, and
+they form one sparse linear system, built once per question, with
+(E1) the complex's own delta.  The search builds it at the complex's
+unit-wedge contractions, the ones B^1 reads, eliminates its rows with
 :func:`triplekit.linalg.echelon` and checks the solution against the
-same system, and the check builds it at the given witness alone.
+same system; the check builds it at the given witness's contraction
+alone.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .cohomology import (
     _wedge_delta,
     cochain_coordinates,
     cochain_to_map,
-    wedge_pairs,
     zero_cochain,
 )
 from .linalg import (
@@ -63,7 +64,7 @@ from .linalg import (
     zero_vector,
 )
 from .reporting import Report, Violation
-from .representations import _theta_equivariance_rows, _wedge_maps
+from .representations import _theta_equivariance_rows
 from .rota_baxter import RelativeRBO, _rb_defects
 
 __all__ = [
@@ -148,32 +149,36 @@ def deformation_cocycle_class(d: InfinitesimalDeformation) -> tuple:
     return tuple(pivots[p].get(last, ZERO) for p in sorted(pivots)[bb.dim:])
 
 
-def _equivalence_system(d1: InfinitesimalDeformation, d2: InfinitesimalDeformation, strict: bool, wedges):
+def _shared_complex(d1: InfinitesimalDeformation, d2: InfinitesimalDeformation) -> OperatorComplex:
+    """The complex of the one operator that both directions deform;
+    directions of two operators raise before any wedge is contracted."""
+    if d1.base != d2.base:
+        raise StructureError("equivalence is defined for deformations of one operator")
+    return d1.complex
+
+
+def _equivalence_system(d1: InfinitesimalDeformation, d2: InfinitesimalDeformation, strict: bool, contractions):
     """The first-order conditions on (id + t[X,-], id + t D(X)) carrying
     T + t S1 onto T + t S2, as one sparse linear system in the
-    coordinates of the given wedges ({wedge coordinate: value} each):
+    coordinates of the wedges with the given contractions (D(X), [X,-]):
     (conditions, columns, targets).  ``conditions`` lists the (rule,
     witness) of each in report order; column j, the values at the j-th
     wedge, and ``targets`` are keyed by (condition, coordinate) and hold
-    no zeros.  Each wedge is contracted once: (E1) is left D(X) - [X,-]
-    right at (T, T) with target S1 - S2, (E2) the same at (S2, S1) with
-    target 0, and the D row at (x, y) is the theta row at (y, x) less
-    the one at (x, y).
+    no zeros.  (E1) is d1's complex's delta, with target S1 - S2, (E2)
+    left D(X) - [X,-] right at (S2, S1) with target 0, and the D row at
+    (x, y) is the theta row at (y, x) less the one at (x, y).
     """
-    if d1.base != d2.base:
-        raise StructureError("equivalence is defined for deformations of one operator")
     rbo = d1.base
-    d, dp, pairs = rbo.ambient.dim, rbo.source.dim, wedge_pairs(rbo.ambient.dim)
+    d, dp = rbo.ambient.dim, rbo.source.dim
     S1, S2 = d1.direction_map(), d2.direction_map()
     conditions = [(rule, (u + 1,)) for u in range(dp) for rule in ("intertwining-order-t", "compatibility-order-t")]
     if strict:
         conditions += [(rule, (x + 1, y + 1)) for x, y in product(range(d), repeat=2) for rule in STRICT_RULES]
     targets = {(2 * u, l): x for u in range(dp) for l, x in enumerate(vec_sub(S1.column(u), S2.column(u))) if x}
     rep, zero, columns = rbo.action.rep, zero_vector(dp * dp), {}
-    blocks = (_wedge_delta(rbo.T, rbo.T), _wedge_delta(S2, S1))
-    for j, wedge in enumerate(wedges):
+    blocks = (d1.complex.delta, _wedge_delta(S2, S1))
+    for j, maps in enumerate(contractions):
         out = columns[j] = {}
-        maps = _wedge_maps(rep, {pairs[k]: c for k, c in wedge.items()})
         for block, at in enumerate(blocks):
             for i, x in at(maps).items():
                 u, l = divmod(i, d)
@@ -209,11 +214,12 @@ def check_equivalence(
     Strict mode also checks the first-order parts of theta- and
     D-equivariance for the pair (id + t[X,-], id + t D(X)).  The system
     is taken in the one coordinate of the witness itself, so it is
-    contracted at the witness alone, with no delta and no unit wedge.
+    contracted at the witness alone, with no delta column and no unit
+    wedge.
     """
     rbo = d1.base
     X = cochain_coordinates(w.wedge, (-1,), rbo.source.dim, rbo.ambient.dim)
-    return _failed(_equivalence_system(d1, d2, strict, [X]), (1,))
+    return _failed(_equivalence_system(d1, d2, strict, [_shared_complex(d1, d2).contraction(X)]), (1,))
 
 
 def find_equivalence_witness(
@@ -221,14 +227,13 @@ def find_equivalence_witness(
 ):
     """A wedge witness making d1 and d2 equivalent, or None.
 
-    The system in the coordinates of the unit wedges is eliminated as
-    sparse rows, the targets in the column after the last wedge
+    The system at the complex's unit-wedge contractions, shared with
+    its B^1, is eliminated as sparse rows, the targets in the column after the last wedge
     coordinate, and any returned witness has already satisfied that
     same system.
     """
-    rbo = d1.base
-    n = len(wedge_pairs(rbo.ambient.dim))
-    system = _equivalence_system(d1, d2, strict, [{k: 1} for k in range(n)])
+    rbo, units = d1.base, _shared_complex(d1, d2).unit_contractions
+    system, n = _equivalence_system(d1, d2, strict, units), len(units)
     _, columns, targets = system
     x = _solve_rows(sparse_transpose([*(columns.get(k, {}).items() for k in range(n)), targets.items()]), n)
     if x is None or _failed(system, x):

@@ -281,6 +281,9 @@ def load_action(path) -> ActionData:
 
 def matrix_from_json(rows, rows_expected=None, cols_expected=None, context="matrix") -> Matrix:
     mat = Matrix.from_rows(_matrix_rows(rows, context))
+    if rows_expected == 0 and mat.rows == 0:
+        # a matrix with no rows is written [], which carries no width
+        mat = Matrix(0, cols_expected, ())
     if rows_expected is not None and mat.rows != rows_expected:
         raise StructureError(f"{context}: expected {rows_expected} rows, found {mat.rows}")
     if cols_expected is not None and mat.cols != cols_expected:

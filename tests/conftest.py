@@ -16,7 +16,7 @@ from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
-from triplekit.representations import ActionData, adjoint_representation, self_action
+from triplekit.representations import ActionData, adjoint_representation, self_action, zero_representation
 from triplekit.rota_baxter import RelativeRBO, projection_rbo
 
 SEEDS = {
@@ -126,6 +126,15 @@ def sln_abelian_cartan_projection(n: int):
     d, cartan = L.dim, n * (n - 1)
     T = Matrix(d, d, tuple(tuple(int(i == j and i >= cartan) for j in range(d)) for i in range(d)))
     return RelativeRBO(ActionData(adjoint_representation(L), zero_system(d)), 0, T)
+
+
+def relative_rbo():
+    """lts3 acting by zero on a 2-dim zero system, T sending the first
+    basis vector of L' to e1: dim L' = 2 != 3 = dim L, an operator of
+    every weight, with delta not zero."""
+    L = load_algebra(fixture_path("lts3"))
+    T = Matrix(3, 2, ((1, 0), (0, 0), (0, 0)))
+    return RelativeRBO(ActionData(zero_representation(L, 2), zero_system(2)), 1, T)
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,11 @@ import json
 
 import pytest
 
+from conftest import relative_rbo
 from test_cli import run_cli
 from triplekit.cli import main
 from triplekit.cohomology import Cochain, delta_wedge, unflatten_cochain, zero_cochain
-from triplekit.fileio import cochain_to_json, dump_json, load_algebra, rbo_to_json
+from triplekit.fileio import cochain_to_json, dump_json, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix
 from triplekit.lts import zero_system
@@ -103,15 +104,6 @@ def test_misshaped_transport_exits_2_from_the_module_entry(tmp_path):
     assert json.loads(out.stdout)["kind"] == "input"
 
 
-def relative_rbo():
-    """lts3 acting by zero on a 2-dim zero system, T sending the first
-    basis vector of L' to e1: dim L' = 2 != 3 = dim L, an operator of
-    every weight, with delta not zero."""
-    L = load_algebra(fixture_path("lts3"))
-    T = Matrix(3, 2, ((1, 0), (0, 0), (0, 0)))
-    return RelativeRBO(ActionData(zero_representation(L, 2), zero_system(2)), 1, T)
-
-
 @pytest.mark.parametrize("strict", [(), ("--strict",)])
 def test_wedge_of_a_relative_operator_needs_no_source_dim(tmp_path, strict):
     rbo = relative_rbo()
@@ -127,6 +119,26 @@ def test_wedge_of_a_relative_operator_needs_no_source_dim(tmp_path, strict):
         coboundary = run_main(["coh", "coboundary", op, str(path)])
         assert coboundary == (0, dump_json(cochain_to_json(dX)), "")
         equiv = run_main(["def", "equiv", op, s1, s2, "--witness", str(path), *strict])
+        assert equiv[0] == 0 and json.loads(equiv[1])["ok"] is True
+        outputs.append((coboundary, equiv))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("strict", [(), ("--strict",)])
+def test_wedge_of_a_one_dim_system_needs_no_target_dim(tmp_path, strict):
+    # a wedge file with no coordinates reads as target_dim 0, the first
+    # triangular root of 0, so a wedge is checked by its coordinate count
+    L = zero_system(1)
+    rbo = RelativeRBO(ActionData(zero_representation(L, 2), zero_system(2)), 1, Matrix(1, 2, ((1, 0),)))
+    zero = cochain_to_json(zero_cochain(1, 2, 1))
+    op, s = write_argv(tmp_path, (rbo_to_json(rbo), zero))
+    outputs = []
+    for doc in ({"degree": -1, "coeffs": []}, {"degree": -1, "coeffs": [], "target_dim": 1}):
+        path = tmp_path / "wedge.json"
+        path.write_text(dump_json(doc))
+        coboundary = run_main(["coh", "coboundary", op, str(path)])
+        assert coboundary == (0, dump_json(zero), "")
+        equiv = run_main(["def", "equiv", op, s, s, "--witness", str(path), *strict])
         assert equiv[0] == 0 and json.loads(equiv[1])["ok"] is True
         outputs.append((coboundary, equiv))
     assert outputs[0] == outputs[1]

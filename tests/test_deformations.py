@@ -50,7 +50,7 @@ from triplekit.representations import (
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
 import dense_oracle
-from conftest import SEEDS, ladder, sl3_cartan_projection
+from conftest import SEEDS, ladder, relative_rbo, sl3_cartan_projection, sln_abelian_cartan_projection
 
 F = Fraction
 
@@ -555,10 +555,6 @@ def test_equivalence_conditions_match_hand_expansion(rbo3, rbo4, sl2_lts):
 STRICT_RULES = ("theta-equivariance-order-t", "D-equivariance-order-t")
 
 
-def unit_wedges(n):
-    return [{k: 1} for k in range(n)]
-
-
 def system_conditions(system, rbo, X):
     """(rule, witness, value, target) for every condition of a sparse
     equivalence system in the unit wedges at the wedge X, in report
@@ -601,7 +597,7 @@ def test_strict_rows_match_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
         wedges += [random_wedge(rng, rbo) for _ in range(3)]
         wedges += [Cochain(-1, dp, d, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))]
         S = InfinitesimalDeformation(rbo, zero_cochain(1, dp, d))
-        system = _equivalence_system(S, S, True, unit_wedges(n))
+        system = _equivalence_system(S, S, True, S.complex.unit_contractions)
         for X in wedges:
             rows = [
                 (rule, witness, value)
@@ -616,14 +612,17 @@ def test_strict_rows_match_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
 
 def equivalence_operators(rbo3, rbo4, sl2_lts, lts4):
     """Every operator the sparse system is checked on: the fixtures, the
-    ladders, the sl3 Cartan projection, the perturbed actions where the
-    strict rows fire, and a one-dimensional operator with no wedge
+    ladders, the sl3 Cartan projection on its self-action (outside the
+    paper's hypotheses) and on an abelian copy (inside them), the
+    relative operator with dim L' != dim L, the perturbed actions where
+    the strict rows fire, and a one-dimensional operator with no wedge
     coordinates."""
     line = zero_system(1)
     point = RelativeRBO(ActionData(adjoint_representation(line), line), F(1), Matrix.identity(1))
     return {
         "rbo3_P": rbo3, "rbo4_P": rbo4, **{f"ladder{n}": ladder(n) for n in (4, 5, 6)},
-        "sl3": sl3_cartan_projection(), "sl2 perturbed": perturbed_adjoint_operator(sl2_lts, Matrix.zeros(3, 3)),
+        "sl3 self-action": sl3_cartan_projection(), "sl3": sln_abelian_cartan_projection(3),
+        "relative": relative_rbo(), "sl2 perturbed": perturbed_adjoint_operator(sl2_lts, Matrix.zeros(3, 3)),
         "lts4 perturbed": perturbed_adjoint_operator(lts4, Matrix.zeros(4, 4)), "dim 1": point,
     }
 
@@ -639,7 +638,7 @@ def test_strict_system_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
         S1, S2 = (random_integer_matrix(rng, d, dp) for _ in range(2))
         d1, d2 = (InfinitesimalDeformation(rbo, cochain_from_map(S)) for S in (S1, S2))
         for strict in (False, True):
-            system = _equivalence_system(d1, d2, strict, unit_wedges(n))
+            system = _equivalence_system(d1, d2, strict, d1.complex.unit_contractions)
             assert bool(system[1]) == (n > 0), name
             for X in [Cochain(-1, dp, d, basis_vector(n, k)) for k in range(n)] + [random_wedge(rng, rbo)]:
                 assert system_conditions(system, rbo, X) == oracle_conditions(rbo, S1, S2, X, strict), (name, X.coeffs)
@@ -676,11 +675,14 @@ def test_check_equivalence_matches_dense_oracle(rbo3, rbo4, sl2_lts, lts4):
 def test_wedge_delta_with_two_maps(rbo3, rbo4, sl2_lts, lts4):
     # at (T, T) it is the dense delta, and over the unit wedges the
     # complex's differential(-1); at (S2, S1) it is the dense oracle's
-    # (E2), negated; each at the unit wedges and at a random wedge
+    # (E2), negated; each at the unit wedges and at a random wedge.  The
+    # matrix-free coboundary of a wedge, apply and delta_wedge, equals
+    # both the dense delta and the assembled differential(-1) applied to
+    # the wedge's coordinates
     rng = random.Random(SEEDS["deformation"])
     for name, rbo in equivalence_operators(rbo3, rbo4, sl2_lts, lts4).items():
         d, dp = rbo.ambient.dim, rbo.source.dim
-        pairs = wedge_pairs(d)
+        cx, pairs = OperatorComplex(rbo), wedge_pairs(d)
         S1, S2 = (random_integer_matrix(rng, d, dp) for _ in range(2))
         wedges = [basis_vector(len(pairs), k) for k in range(len(pairs))]
         wedges.append(tuple(F(rng.randint(-3, 3)) for _ in pairs))
@@ -694,18 +696,24 @@ def test_wedge_delta_with_two_maps(rbo3, rbo4, sl2_lts, lts4):
             assert got == {i: x for i, x in enumerate(flatten_cochain(delta)) if x}, (name, k)
             if k < len(pairs) and got:
                 unit_columns[k] = got
+            assert cx.apply(X) == delta_wedge(rbo, X) == delta, (name, k)
+            assembled = _apply(cx.differential(-1), {j: c for j, c in enumerate(coords) if c})
+            assert assembled == got, (name, k)
             want = {}
             for rule, (u,), value, _ in dense_oracle.equivalence_conditions(rbo, S1, S2, X, False):
                 if rule == "compatibility-order-t":
                     want.update({(u - 1) * d + l: -x for l, x in enumerate(value) if x})
             assert _wedge_delta(S2, S1)(maps) == want, (name, k)
-        assert unit_columns == OperatorComplex(rbo).differential(-1), name
+        assert unit_columns == cx.differential(-1), name
 
 
 def test_d1_delta_vanishes(rbo3, rbo4):
-    # every column of delta is a 1-cocycle: the (E1) block lands in Z^1
+    # every column of delta is a 1-cocycle: the (E1) block lands in Z^1;
+    # on the in-theory sl3 and on the sl3 self-action, which fails
+    # verify_action and so lies outside the paper's hypotheses
     columns = 0
-    for rbo in (rbo3, rbo4, *(ladder(n) for n in (4, 5, 6)), sl3_cartan_projection()):
+    operators = (rbo3, rbo4, *(ladder(n) for n in (4, 5, 6)), sln_abelian_cartan_projection(3))
+    for rbo in (*operators, sl3_cartan_projection()):
         cx = OperatorComplex(rbo)
         assert all(_apply(cx.differential(1), col) == {} for col in cx.differential(-1).values())
         columns += len(cx.differential(-1))

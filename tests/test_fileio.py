@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplekit.cli import main
 from triplekit.cohomology import Cochain, zero_cochain
 from triplekit.fileio import (
     algebra_from_json,
@@ -20,8 +21,10 @@ from triplekit.fileio import (
     subspace_to_json,
 )
 from triplekit.fixtures import FIXTURES, fixture_path, list_fixtures
-from triplekit.linalg import StructureError, SubspaceBasis, basis_vector
-from triplekit.representations import adjoint_representation
+from triplekit.linalg import Matrix, StructureError, SubspaceBasis, basis_vector
+from triplekit.lts import zero_system
+from triplekit.representations import ActionData, adjoint_representation, zero_representation
+from triplekit.rota_baxter import RelativeRBO
 
 import dense_oracle
 
@@ -84,6 +87,20 @@ def test_fixture_files_round_trip_bytes():
         else:
             again = dump_json(rbo_to_json(load_rbo(path)))
         assert again == raw, name
+
+
+def test_operator_on_a_dim_0_system_round_trips(tmp_path, capsys):
+    # with dim L = 0, T : L' -> L has no rows and is written [], which
+    # carries no width: it reads back as 0 x dim L', and the CLI prints
+    # the 0/0/0 cohomology the library computes
+    rbo = RelativeRBO(ActionData(zero_representation(zero_system(0), 2), zero_system(2)), 1, Matrix(0, 2, ()))
+    path = tmp_path / "op.json"
+    path.write_text(dump_json(rbo_to_json(rbo)))
+    assert load_rbo(path) == rbo
+    for degree in (1, 3):
+        assert main(["coh", "group", str(path), "--degree", str(degree)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["degree"], out["dim_Z"], out["dim_B"], out["dim_H"]) == (degree, 0, 0, 0)
 
 
 def test_fixture_listing():

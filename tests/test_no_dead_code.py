@@ -7,6 +7,8 @@ its own definition.  Strings do not count, so a name that is only
 listed, looked up or documented is dead.  Private helpers are held to
 the same rule as public functions, so a helper whose last caller goes
 is caught; dunder methods, which Python calls by protocol, are not.
+Likewise every name a module imports is named in that module, so an
+import whose last use goes is caught.
 """
 
 import ast
@@ -68,3 +70,20 @@ def test_every_public_callable_has_a_caller():
 
 def test_every_private_callable_has_a_caller():
     assert dead(private=True) == [], "private functions nobody names"
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in imports if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(bound - used)]
+    assert unused == [], "imported names the module never uses"

@@ -280,9 +280,10 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
     # d_1 and d_3 are assembled once each, d_3 as the two blocks the
-    # audit reads; delta is one contraction per unit wedge of rbo4_P's
-    # six, and the equivalence system contracts each of its wedges once
-    # for (E1), (E2) and, in strict mode, the (R2) rows
+    # audit reads; delta is set up once and the complex contracts each
+    # unit wedge of rbo4_P's six once, for B^1 and for the equivalence
+    # system's (E1), (E2) and, in strict mode, (R2) rows alike; a single
+    # wedge is contracted alone
     d1, d3 = ("d", 1), ("d", 3)
     delta = ["delta"] + [("X", 1)] * 6
     search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
@@ -291,7 +292,8 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
         (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
         (("coh", "cocycle", op, s), [d1], 0),
         (("coh", "coboundary", op, s), [d1], 0),
-        (("def", "check", op, s, "--strict"), [*delta, *strict_search, d1], 0),
+        (("coh", "coboundary", op, str(wedge)), [("X", 6), "delta"], 0),
+        (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1], 0),
         (("def", "check", op, str(ident)), [d1], 1),
         (("def", "class", op, s), [*delta, d1], 0),
         (("def", "trivial", op, s), search, 0),

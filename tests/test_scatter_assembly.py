@@ -100,7 +100,7 @@ def test_degree_5_coboundary_matches_tuple_walk(rep):
     f = generic(5, d, m)
     for convention in SIGN_CONVENTIONS:
         coords = cohomology.cochain_coordinates(f, (5,), d, m)
-        want = cohomology._image(dense_oracle.assemble(rep, 5, convention), coords, 7, d, m)
+        want = cohomology._image(cohomology._apply(dense_oracle.assemble(rep, 5, convention), coords), 7, d, m)
         assert coboundary(rep, f, convention) == want, convention
 
 
