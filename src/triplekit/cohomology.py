@@ -21,25 +21,31 @@ The coboundary of f in C^{2n-1} is
 Two printed sources disagree on the D-sum sign s(n,i): one uses
 (-1)^(i+1), the other (-1)^(n+i); they coincide for n = 1 and differ
 by the parity of n otherwise.  Only one can square to zero.  Each
-differential is written once, by one pass that scatters its entries
-into sparse columns from the nonzeros of theta (each D(a, b) as the two
-entries theta(b, a) - theta(a, b), so no D matrix is built) and of the
-bracket, visiting no empty output tuple.  The pass keeps the D-sum
+differential is written once, as the list of its terms
+(:func:`_terms`) read off the nonzeros of theta (each D(a, b) as the
+two entries theta(b, a) - theta(a, b), so no D matrix is built) and of
+the bracket, visiting no empty output tuple.  The list keeps the D-sum
 apart, as a block P with the "definition" signs, from the rest A; the
 "complex" signs differ from those by (-1)^(n+1), so d_3 is A + P under
-one convention and A - P under the other.  The audit is the two sparse
-products A d_1 and P d_1.  :class:`OperatorComplex` alone decides which
-d_3 it builds: A when P is empty, with no audit, and otherwise the
-convention the audit finds closing, the one
+one convention and A - P under the other.  Two readers scatter the
+terms.  :func:`_assemble` builds sparse columns, and runs only where
+every column is read: Z, B and the audit, which is the two sparse
+products A d_1 and P d_1.  The coboundary of one cochain,
+:meth:`OperatorComplex.apply` and :func:`coboundary`, scatters the
+cochain's nonzeros through the terms and builds no column.
+:class:`OperatorComplex` alone decides which d_3 it applies: A when
+D_T = 0, which is exactly when P is empty, with no audit, and
+otherwise the convention the audit finds closing, the one
 :meth:`OperatorComplex.cohomology` reports; when none closes it raises.
 Only the bare :func:`coboundary` over a coefficient system takes a
 convention, and :func:`complex_audit` audits one.
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect brackets of the basis of L with graph vectors, all built in
-one pass.  Its degree -1 map delta X = T D(X) - [X,-] T is the
-evaluation at (T, T) of left D(X) - [X,-] right, read off the one
-contraction :func:`triplekit.representations._wedge_maps` of a wedge.
+one pass and projected as the (RB) defects are.  Its degree -1 map
+delta X = T D(X) - [X,-] T is the evaluation at (T, T) of
+left D(X) - [X,-] right, read off the one contraction
+:func:`triplekit.representations._wedge_maps` of a wedge.
 :class:`OperatorComplex` alone turns wedge coordinates into that
 contraction and keeps delta and the unit-wedge contractions: the
 assembled delta, whose columns B^1 needs, is delta at each unit wedge,
@@ -80,6 +86,7 @@ from .rota_baxter import (
     RelativeRBO,
     RotaBaxterError,
     _graph_family,
+    _graph_projection,
     check_rbo_homomorphism,
     descendent_lts,
 )
@@ -296,35 +303,27 @@ def _offsets(d: int, m: int, degree: int, slots) -> list[tuple[int, int]]:
     return offsets
 
 
-def _scatter(columns: dict, offsets, col: int, row: int, sign: int, entries) -> None:
-    """Add sign * a at column col + c and row row + r of ``columns``,
-    shifted by each (input, output) offset, for each entry (r, c, a)."""
-    for r, c, a in entries:
-        x, j0, i0 = sign * a, col + c, row + r
-        for i, o in offsets:
-            column = columns.get(i + j0)
-            if column is None:
-                columns[i + j0] = {o + i0: x}
-            else:
-                column[o + i0] = column.get(o + i0, ZERO) + x
-
-
-def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
-    """The coboundary out of degree ``degree`` as two blocks of sparse
-    columns: P, the D-sum with the signs of "definition", and A, the
-    rest; under a convention it is A + _p_sign(convention, n) P.
+def _terms(rep: RepresentationData, degree: int):
+    """The terms of the coboundary out of degree ``degree``, as
+    (in_p, offsets, col, row, sign, entries): each entry (r, c, a) puts
+    sign * a at column col + c + i and row row + r + o for every (i, o)
+    of ``offsets``.  ``in_p`` marks the terms of the D-sum block P,
+    written with the signs of "definition"; the others make up A, and
+    under a convention the coboundary is A + _p_sign(convention, n) P.
 
     Each term of the formula above fixes some output arguments and
-    passes the others through, so its entries are scattered from the
-    nonzeros of the matrix it applies, over the free arguments: theta
-    (x_{2n}, x_{2n+1}) and -theta(x_{2n-1}, x_{2n+1}) from each theta
-    entry; D(x_{2i-1}, x_{2i}) = theta(x_{2i}, x_{2i-1}) - theta(x_{2i-1},
+    passes the others through, so its entries come from the nonzeros of
+    the matrix it applies, over the free arguments: theta(x_{2n},
+    x_{2n+1}) and -theta(x_{2n-1}, x_{2n+1}) from each theta entry;
+    D(x_{2i-1}, x_{2i}) = theta(x_{2i}, x_{2i-1}) - theta(x_{2i-1},
     x_{2i}) from each theta entry twice; and each insertion of
     [x_{2i-1}, x_{2i}, x_j] from each nonzero bracket coefficient, as an
-    identity block.  No output tuple that receives nothing is visited."""
+    identity block.  No output tuple that receives nothing is visited.
+    This is the one place the formula is written: :func:`_assemble`
+    scatters the terms into columns, :func:`_scatter_image` a cochain's
+    nonzeros through them."""
     d, m, k = rep.algebra.dim, rep.space_dim, degree
     n = (k + 1) // 2
-    A, P = {}, {}
 
     def around(s, fixed=None):
         """Offsets for a term whose output holds a fixed pair in slots
@@ -334,16 +333,16 @@ def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
     ends = around(k)
     split = _offsets(d, m, k, [(t, t) for t in range(k - 1)] + [(k - 1, k)])
     for a, b, entries in rep.nonzero:
-        _scatter(A, ends, 0, (a * d + b) * m, 1, entries)
-        _scatter(A, split, 0, (a * d * d + b) * m, -1, entries)
+        yield False, ends, 0, (a * d + b) * m, 1, entries
+        yield False, split, 0, (a * d * d + b) * m, -1, entries
     for i in range(1, n + 1):
         s, w = 2 * i - 2, d ** (k + 2 - 2 * i) * m  # the pair's slots, its second one's weight
         d_sign, ins_sign = -1 if i % 2 == 0 else 1, -1 if (i + n + 1) % 2 else 1
         offsets = around(s)
         for a, b, entries in rep.nonzero:
             if a != b:  # theta(a, b) enters D(b, a) and, negated, D(a, b)
-                _scatter(P, offsets, 0, (b * d + a) * w, d_sign, entries)
-                _scatter(P, offsets, 0, (a * d + b) * w, -d_sign, entries)
+                yield True, offsets, 0, (b * d + a) * w, d_sign, entries
+                yield True, offsets, 0, (a * d + b) * w, -d_sign, entries
         for slot in range(s, k):
             wz = d ** (k - 1 - slot) * m
             offsets = around(s, slot)
@@ -351,8 +350,44 @@ def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
                 for src, c in enumerate(vec):
                     if c:
                         ident = [(l, l, c) for l in range(m)]
-                        _scatter(A, offsets, src * wz, (a * d + b) * w + z * wz, ins_sign, ident)
-    return _without_zeros(A), _without_zeros(P)
+                        yield False, offsets, src * wz, (a * d + b) * w + z * wz, ins_sign, ident
+
+
+def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
+    """The coboundary out of degree ``degree`` as two blocks of sparse
+    columns, A and P, scattered from :func:`_terms`; for the callers
+    that read every column: Z, B and the audit."""
+    blocks = {False: {}, True: {}}
+    for in_p, offsets, col, row, sign, entries in _terms(rep, degree):
+        columns = blocks[in_p]
+        for r, c, a in entries:
+            x, j0, i0 = sign * a, col + c, row + r
+            for i, o in offsets:
+                column = columns.get(i + j0)
+                if column is None:
+                    columns[i + j0] = {o + i0: x}
+                else:
+                    column[o + i0] = column.get(o + i0, ZERO) + x
+    return _without_zeros(blocks[False]), _without_zeros(blocks[True])
+
+
+def _scatter_image(rep: RepresentationData, degree: int, coords: dict, p_sign: int) -> dict:
+    """(A + p_sign P) applied to the cochain with the sparse flat
+    coordinates ``coords``, as sparse flat coordinates: each term of
+    :func:`_terms` reads the cochain at its input positions, and no
+    column is built.  p_sign 0 skips P's terms."""
+    out, get = {}, coords.get
+    for in_p, offsets, col, row, sign, entries in _terms(rep, degree):
+        if in_p:
+            if not p_sign:
+                continue
+            sign *= p_sign
+        for r, c, a in entries:
+            x, j0, i0 = sign * a, col + c, row + r
+            for i, o in offsets:
+                if v := get(i + j0):
+                    out[o + i0] = out.get(o + i0, ZERO) + x * v
+    return {i: x for i, x in out.items() if x}
 
 
 def _combine(a: dict, p: dict, sign: int) -> dict:
@@ -372,11 +407,11 @@ def _combine(a: dict, p: dict, sign: int) -> dict:
 def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "definition") -> Cochain:
     """Coboundary of a degree >= 1 cochain over the given coefficients,
     whose algebra is the source of the arguments and whose space is the
-    target: the assembled differential applied to f."""
+    target, scattered from f's nonzeros with no column built."""
     ds, dt = rep.algebra.dim, rep.space_dim
     coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
     sign = _p_sign(sign_convention, (f.degree + 1) // 2)
-    return _image(_apply(_combine(*_assemble(rep, f.degree), sign), coords), f.degree + 2, ds, dt)
+    return _image(_scatter_image(rep, f.degree, coords, sign), f.degree + 2, ds, dt)
 
 
 def _audit(d1: dict, a3: dict, p3: dict) -> dict[str, bool]:
@@ -412,29 +447,25 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
 
       theta_T(u,v)x = [x,Tu,Tv] - T( D(x,Tu)v - theta(x,Tv)u ),
 
-    the projected bracket x' - Tp of (x', p) = [(x,0), (Tu,u), (Tv,v)].
-    One :func:`triplekit.representations.semidirect_brackets` pass over
-    the families (plain, graph, graph) yields every such bracket, and
-    its nonzero coordinates are the entries of theta_T.  Its derived
-    D_T is the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when
-    the ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since
-    the L' parts of the two agree identically; that identity is checked
-    on all basis pairs and vectors before returning, reading the L
-    parts of a second pass over (graph, graph, plain) against the L
-    parts of the first.
+    the projected bracket x' - Tp of (x', p) = [(x,0), (Tu,u), (Tv,v)],
+    by the same projection as the (RB) defects.  One
+    :func:`triplekit.representations.semidirect_brackets` pass over the
+    families (plain, graph, graph) yields every such bracket, and its
+    nonzero coordinates are the entries of theta_T.  Its derived D_T is
+    the projected bracket of (Tu,u), (Tv,v), (x,0) exactly when the
+    ambient identity [Tu,Tv,x] = [x,Tv,Tu] - [x,Tu,Tv] holds, since the
+    L' parts of the two agree identically; that identity is checked
+    before returning, reading the L parts of a second pass over (graph,
+    graph, plain) against the L parts of the first, at every key that
+    receives a term from either pass: both sides are zero at the rest.
     """
     desc = descendent_lts(rbo)
     action, T = rbo.action, rbo.T
     d, dp = rbo.ambient.dim, rbo.source.dim
-    graph = _graph_family(T)
+    graph, project = _graph_family(T), _graph_projection(T)
     plain = vector_family(Matrix.identity(d), Matrix.zeros(dp, d))
     table = semidirect_brackets(action, rbo.weight, plain, graph, graph)
-    theta = {
-        (u, v, l, x): c
-        for (x, u, v), (part, p) in table.items()
-        for l, c in enumerate(vec_sub(part, T.apply(p)))
-        if c
-    }
+    theta = {(u, v, l, x): c for (x, u, v), got in table.items() for l, c in enumerate(project(*got)) if c}
     mixed = semidirect_brackets(action, rbo.weight, graph, graph, plain)
     zero = zero_vector(d)
 
@@ -442,7 +473,7 @@ def induced_rep(rbo: RelativeRBO) -> RepresentationData:
         got = tab.get(key)
         return zero if got is None else got[0]
 
-    for u, v, x in product(range(dp), range(dp), range(d)):
+    for u, v, x in mixed.keys() | {(u, v, x) for x, v, u in table} | {(u, v, x) for x, u, v in table}:
         if ambient(mixed, (u, v, x)) != vec_sub(ambient(table, (x, v, u)), ambient(table, (x, u, v))):
             raise VerificationError(
                 "derived D_T disagrees with its closed formula; input is not a valid operator"
@@ -475,8 +506,12 @@ def _wedge_delta(left: Matrix, right: Matrix):
 class OperatorComplex:
     """The complex of one operator: its induced representation, delta,
     d_1, d_3 and the audit, each built on first use and kept.  A command
-    builds one and pays only for what it reads.  d_3 is A when P is
-    empty and otherwise A + P or A - P under the audited convention."""
+    builds one and pays only for what it reads.  d_3 is A when D_T = 0,
+    which is exactly when P is empty, and otherwise A + P or A - P under
+    the audited convention.  :meth:`apply` builds no column: it
+    scatters a cochain's nonzeros through the differential's terms, with
+    no audit when D_T = 0.  The assembled d_1 and d_3 are built only
+    where every column is read: by :meth:`cohomology` and the audit."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
@@ -509,6 +544,16 @@ class OperatorComplex:
         d = self.rbo.ambient.dim
         return tuple(self.contraction({k: 1}) for k in range(d * (d - 1) // 2))
 
+    @cached_property
+    def _d3_p_sign(self) -> int:
+        """The sign of P in d_3: 0 when D_T = 0, that is when theta_T is
+        symmetric and P is empty, with no audit; otherwise that of the
+        audited convention."""
+        theta = {(a, b): entries for a, b, entries in self.rep.nonzero}
+        if all(theta.get((b, a)) == entries for (a, b), entries in theta.items()):
+            return 0
+        return _p_sign(_closing_convention(self.audit), 2)
+
     def differential(self, degree: int) -> dict:
         """delta (degree -1), d_1 or d_3 as sparse columns."""
         if degree not in self._built:
@@ -518,7 +563,7 @@ class OperatorComplex:
                 self._built[1] = _combine(*_assemble(self.rep, 1), 1)
             elif degree == 3:
                 a, p = self._degree_3_blocks
-                self._built[3] = _combine(a, p, _p_sign(_closing_convention(self.audit), 2)) if p else a
+                self._built[3] = _combine(a, p, self._d3_p_sign) if p else a
             else:
                 raise StructureError(f"unsupported differential degree {degree}")
         return self._built[degree]
@@ -528,13 +573,15 @@ class OperatorComplex:
         return _audit(self.differential(1), *self._degree_3_blocks)
 
     def apply(self, f: Cochain) -> Cochain:
-        """Coboundary of f in degree -1, 1 or 3; delta is evaluated at
-        the wedge's own contraction, with no delta column built."""
+        """Coboundary of f in degree -1, 1 or 3, with no column built:
+        delta is evaluated at the wedge's own contraction, and d_1 and
+        d_3 scatter f's nonzeros through their terms."""
         dp, d = self.rbo.source.dim, self.rbo.ambient.dim
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
         if f.degree == -1:
             return _image(self.delta(self.contraction(coords)), 1, dp, d)
-        return _image(_apply(self.differential(f.degree), coords), f.degree + 2, dp, d)
+        p_sign = 1 if f.degree == 1 else self._d3_p_sign
+        return _image(_scatter_image(self.rep, f.degree, coords, p_sign), f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
@@ -578,13 +625,14 @@ def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
     d_1 f at (u, v, w) is the t-coefficient of the Rota-Baxter defect
     of T + t f at that triple, so the witnesses are also those of the
     order-t rule of :func:`triplekit.deformations.check_deformation`,
-    read off the nonzero flat coordinates of d_1 f.
+    read off the nonzero value vectors of d_1 f as
+    :meth:`OperatorComplex.apply` gives it.
     """
-    dp, d = rbo.source.dim, rbo.ambient.dim
-    image = _apply(OperatorComplex(rbo).differential(1), cochain_coordinates(f, (1,), dp, d))
+    dp = rbo.source.dim
+    cochain_coordinates(f, (1,), dp, rbo.ambient.dim)  # apply also takes degrees -1 and 3
     return tuple(
         Violation("one-cocycle", (p // dp**2 + 1, p // dp % dp + 1, p % dp + 1))
-        for p in sorted({i // d for i in image})
+        for p, vec in enumerate(OperatorComplex(rbo).apply(f).coeffs) if any(vec)
     )
 
 

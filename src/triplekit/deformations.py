@@ -109,12 +109,15 @@ class EquivalenceWitness:
 def _coefficients(d: InfinitesimalDeformation):
     """((u, v, w), (c1, c2, c3)) for every basis triple, in lexicographic
     order, where c_k is the t^k coefficient of the (RB) defect of
-    T + t*S at (u, v, w)."""
+    T + t*S at (u, v, w).  The two defect tables hold only the triples
+    their bracket passes reach, so they are read by key."""
     rbo, S = d.base, d.direction_map()
     order_t = d.complex.apply(d.direction).coeffs
-    alone = _rb_defects(rbo.action, ZERO, S)
-    combined = _rb_defects(rbo.action, rbo.weight, rbo.T + S)
-    for c1, (triple, c3, _), (_, full, _) in zip(order_t, alone, combined):
+    alone = {triple: c for triple, c, _ in _rb_defects(rbo.action, ZERO, S)}
+    combined = {triple: c for triple, c, _ in _rb_defects(rbo.action, rbo.weight, rbo.T + S)}
+    zero = zero_vector(rbo.ambient.dim)
+    for triple, c1 in zip(product(range(rbo.source.dim), repeat=3), order_t):
+        c3, full = alone.get(triple, zero), combined.get(triple, zero)
         yield triple, (c1, tuple(x - a - b for x, a, b in zip(full, c1, c3)), c3)
 
 

@@ -37,7 +37,8 @@ ZERO = 0
 ONE = 1
 
 
-def _normal(q: Fraction) -> Scalar:
+def _normal(q: Scalar) -> Scalar:
+    """q as an int when it is integral; an int is returned as it is."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -199,10 +200,11 @@ def _nonzero(vec) -> dict:
 
 
 def _subtract(row: dict, f: Scalar, other: dict) -> None:
-    """row -= f * other, in place, keeping only nonzero entries."""
+    """row -= f * other, in place, keeping only nonzero entries, each an
+    int when it is integral."""
     for j, x in other.items():
         if y := row.get(j, ZERO) - f * x:
-            row[j] = y
+            row[j] = y if type(y) is int else _normal(y)
         else:
             del row[j]
 
@@ -240,7 +242,7 @@ def echelon(rows) -> dict:
         p = min(row)
         if (a := row.pop(p)) != 1:
             inv = exact_div(ONE, a)
-            row = {j: x * inv for j, x in row.items()}
+            row = {j: _normal(x * inv) for j, x in row.items()}
         for tail in pivots.values():
             if f := tail.pop(p, ZERO):
                 _subtract(tail, f, row)

@@ -11,9 +11,14 @@ of the graph vectors (Tu,u), (Tv,v), (Tw,w): the defect of (RB) is that
 bracket projected by (x, u) -> x - Tu, so (RB) says the graph {Tu + u}
 is a subsystem of the semidirect product.  One scatter pass of
 :func:`triplekit.representations.semidirect_brackets` over the family
-of graph vectors builds all these brackets at once, and the defect and
-the L' part are read off it per basis triple; the operator checks, the
-descendent bracket and the deformation coefficients all read it.  The
+of graph vectors builds all these brackets at once.  The defects are
+sparse: :func:`_rb_defects` yields, in lexicographic order, only the
+basis triples that receive a term from that pass, each with its defect
+and its L' part; the bracket, and so both, is zero at every other
+triple.  Tu is applied through T's nonzero columns, by
+:func:`_graph_projection`, which the induced representation shares.
+The operator checks and the descendent bracket read the defects as
+they come, and the deformation coefficients by key.  The
 block lift (x,u) -> (x + Tu, 0) being a Nijenhuis operator is an equivalent
 characterization; the Nijenhuis torsion is evaluated nested, with three
 applications of N per triple.  The identity (RB) is affine in lambda,
@@ -76,22 +81,36 @@ def _graph_family(T: LinearMap) -> tuple:
     return vector_family(T, Matrix.identity(T.cols))
 
 
+def _graph_projection(T: LinearMap):
+    """The map (x, p) -> x - Tp from L (+) L' to L, which sends a graph
+    vector (Tu, u) to zero; Tp is summed over T's nonzero columns, built
+    once here."""
+    columns = [[(l, row[u]) for l, row in enumerate(T.entries) if row[u]] for u in range(T.cols)]
+
+    def project(x: Vector, p: Vector) -> Vector:
+        out = list(x)
+        for u, c in enumerate(p):
+            if c:
+                for l, t in columns[u]:
+                    out[l] -= c * t
+        return tuple(out)
+
+    return project
+
+
 def _rb_defects(action: ActionData, weight: Scalar, T: LinearMap):
-    """((u, v, w), x - Tp, p) for every basis triple of L' in
-    lexicographic order, where (x, p) is the semidirect bracket of the
-    graph vectors of u, v and w: x - Tp is LHS - RHS of (RB), the zero
-    vector exactly where (RB) holds, and p is the L' part.  One
-    :func:`semidirect_brackets` pass builds every bracket."""
+    """((u, v, w), x - Tp, p) for every basis triple of L' that receives
+    a term from the one :func:`semidirect_brackets` pass over the graph
+    vectors, in lexicographic order, where (x, p) is the semidirect
+    bracket of the graph vectors of u, v and w: x - Tp is LHS - RHS of
+    (RB), the zero vector exactly where (RB) holds, and p is the L'
+    part.  Both are zero at every triple not yielded."""
     _check_dims(action, T)
     graph = _graph_family(T)
     table = semidirect_brackets(action, weight, graph, graph, graph)
-    zero_x, zero_p = zero_vector(T.rows), zero_vector(T.cols)
-    for triple in product(range(T.cols), repeat=3):
-        if (got := table.get(triple)) is None:
-            yield triple, zero_x, zero_p
-        else:
-            x, p = got
-            yield triple, vec_sub(x, T.apply(p)), p
+    project = _graph_projection(T)
+    for triple, (x, p) in sorted(table.items()):
+        yield triple, project(x, p), p
 
 
 def _rbo_violations(action: ActionData, weight: Scalar, T: LinearMap):
@@ -120,8 +139,9 @@ def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
     bracket, so both parts are checked independently.
     """
     out, br = [], {(u, v, w): vec for u, v, w, vec in action.target.nonzero}
-    for (u, v, w), defect, _ in _rb_defects(action, ZERO, T):
-        if not vec_is_zero(defect):
+    defects = {triple: defect for triple, defect, _ in _rb_defects(action, ZERO, T)}
+    for u, v, w in sorted(defects.keys() | br.keys()):
+        if not vec_is_zero(defects.get((u, v, w), ())):
             out.append(Violation("rota-baxter-constant-part", (u + 1, v + 1, w + 1)))
         if (u, v, w) in br and not vec_is_zero(T.apply(br[u, v, w])):
             out.append(Violation("rota-baxter-weight-part", (u + 1, v + 1, w + 1)))

@@ -34,6 +34,7 @@ SEEDS = {
     "identities": 6053,
     "serialization": 7411,
     "sparse_output": 1931,
+    "scatter_apply": 3307,
 }
 
 F = Fraction

@@ -1,11 +1,16 @@
 """The benchmark's traced run (``perfbench/layertrace.py``) wraps names
 of triplekit from outside; a refactor must keep every name it relies on
-and every call shape it measures.  These tests read the benchmark's
-files and run its traced run; they change none of them."""
+and every call shape it measures, and every job the benchmark draws
+must keep the exit code and stdout recorded in
+``perfbench/expected.json``.  These tests read the benchmark's files
+and run its jobs; they change none of them."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -15,6 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+RUN = ROOT / "perfbench" / "run.py"
 
 # Functions whose calls or inclusive time the benchmark reports by name.
 COUNTED = (
@@ -66,3 +72,27 @@ def test_traced_run_stays_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
+
+
+@pytest.mark.parametrize("workload", ["cohomology", "deformations"])
+def test_every_recorded_job_variant_prints_the_same_bytes(workload, tmp_path, monkeypatch):
+    # every job any seed can draw, run in-process as the benchmark runs
+    # it, against its recorded exit code and stdout digest, keyed as the
+    # benchmark keys them
+    from triplekit import cli
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    expected = json.loads(run.EXPECTED.read_text(encoding="utf-8"))["jobs"]
+    jobs = run.workloads.build_all_variants(workload, tmp_path)
+    assert jobs
+    for job in jobs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(job.argv))
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        assert [code, digest] == expected.get(run.job_key(job)), job.label
+        assert run.independent_check(job, buf.getvalue()), job.label

@@ -142,3 +142,15 @@ def test_wedge_of_a_one_dim_system_needs_no_target_dim(tmp_path, strict):
         assert equiv[0] == 0 and json.loads(equiv[1])["ok"] is True
         outputs.append((coboundary, equiv))
     assert outputs[0] == outputs[1]
+
+
+def test_shape_is_checked_before_the_operator(tmp_path, rbo4):
+    # on a non-operator, a cochain of the wrong degree is malformed input
+    # for coh cocycle as for def check, before (RB) is checked
+    bad = RelativeRBO(rbo4.action, 1, Matrix.identity(4))
+    op, f = write_argv(tmp_path, (rbo_to_json(bad), ones(3, 4, 4)))
+    for sub in (("coh", "cocycle"), ("def", "check")):
+        code, out, err = run_main([*sub, op, f])
+        assert (code, json.loads(out), err) == (
+            2, {"error": "cochain of degree 3, expected degree 1", "kind": "input"}, ""
+        ), sub

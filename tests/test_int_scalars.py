@@ -30,6 +30,7 @@ from triplekit.linalg import (
     Matrix,
     SubspaceBasis,
     VerificationError,
+    echelon,
     invert,
     kernel_basis,
     parse_scalar,
@@ -91,9 +92,14 @@ def exact_values(obj):
         yield obj
 
 
-def assert_exact(*objs):
+def assert_exact(*objs, eliminated=True):
+    """No value is a float or a bool; in the outputs of an elimination
+    (``eliminated``), no integral value is a Fraction either."""
     bad = {type(x).__name__ for obj in objs for x in exact_values(obj) if type(x) not in (int, Fraction)}
     assert not bad, bad
+    if eliminated:
+        integral = [x for obj in objs for x in exact_values(obj) if type(x) is Fraction and x.denominator == 1]
+        assert not integral, integral
 
 
 def scalar(rng, fractional):
@@ -169,7 +175,8 @@ def test_int_build_matches_fraction_build(name, weight, request):
         got = answers(rbo_int, as_ints(direction))
         assert got == answers(rbo_frac, as_fractions(direction)), n
         coords = got["class"] if got["class"] != "not a cocycle" else ()
-        assert_exact(got["coefficients"], coords, got["trivial"], got["trivial_strict"])
+        assert_exact(coords, got["trivial"], got["trivial_strict"])
+        assert_exact(got["coefficients"], eliminated=False)
 
     # on integral data at an integral weight the int build stays on ints
     if weight == "1":
@@ -184,6 +191,15 @@ def mixed_matrix(rng, rows, cols):
     return Matrix(rows, cols, tuple(
         tuple(parse_scalar(scalar(rng, rng.random() < 0.3)) for _ in range(cols)) for _ in range(rows)
     ))
+
+
+def test_echelon_scales_and_subtracts_to_ints():
+    # the pivots 2 and 3 scale their rows by 1/2 and 1/3, and clearing
+    # the second pivot from the first row subtracts 2 times it, yet all
+    # values but -3/2 come out integral
+    span = SubspaceBasis.from_spanning([(2, 4, 6, 1), (0, 3, 9, 3)], 4)
+    assert span.rows == (((0, 1), (2, -3), (3, F(-3, 2))), ((1, 1), (2, 3), (3, 1)))
+    assert_exact(span)
 
 
 def test_elimination_on_ints_matches_fractions():
@@ -202,7 +218,9 @@ def test_elimination_on_ints_matches_fractions():
             )
             assert got == want
             assert got[2] is not None
-            assert_exact(*got)
+            span = SubspaceBasis.from_spanning(m.entries, cols)
+            pivots = echelon({j: x for j, x in enumerate(row) if x} for row in m.entries)
+            assert_exact(*got, span, [tuple(tail.values()) for tail in pivots.values()])
             if rows == cols:
                 inv = invert(m)
                 assert inv == invert(m_frac)

@@ -275,26 +275,35 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
         monkeypatch.setattr(module, "find_equivalence_witness", searching(module.find_equivalence_witness))
     zero, ident, wedge = tmp_path / "zero.json", tmp_path / "ident.json", tmp_path / "wedge.json"
     zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
+    three = tmp_path / "three.json"
+    three.write_text(dump_json(cochain_to_json(zero_cochain(3, 4, 4))))
     # the identity direction is not closed on rbo4_P
     ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
     # d_1 and d_3 are assembled once each, d_3 as the two blocks the
-    # audit reads; delta is set up once and the complex contracts each
-    # unit wedge of rbo4_P's six once, for B^1 and for the equivalence
-    # system's (E1), (E2) and, in strict mode, (R2) rows alike; a single
-    # wedge is contracted alone
+    # audit reads, and only where every column is read: Z, B and the
+    # audit.  The coboundary of one cochain, and so the cocycle check and
+    # the order-t coefficients of def check, assembles nothing.  delta is
+    # set up once and the complex contracts each unit wedge of rbo4_P's
+    # six once, for B^1 and for the equivalence system's (E1), (E2) and,
+    # in strict mode, (R2) rows alike; a single wedge is contracted alone
     d1, d3 = ("d", 1), ("d", 3)
     delta = ["delta"] + [("X", 1)] * 6
     search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
     commands = [
         (("coh", "group", op, "--degree", "3"), [d1, d3], 0),
         (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
-        (("coh", "cocycle", op, s), [d1], 0),
-        (("coh", "coboundary", op, s), [d1], 0),
+        (("coh", "cocycle", op, s), [], 0),
+        (("coh", "coboundary", op, s), [], 0),
         (("coh", "coboundary", op, str(wedge)), [("X", 6), "delta"], 0),
+        # D_T = 0 on rbo4_P, so d_3 is A alone: no audit, no d_1
+        (("coh", "coboundary", op, str(three)), [], 0),
+        # the zero direction is closed, so its class reads Z^1, whose
+        # elimination reads every column of d_1
         (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1], 0),
-        (("def", "check", op, str(ident)), [d1], 1),
+        (("def", "check", op, str(ident)), [], 1),
+        (("def", "check", op, str(ident), "--strict"), [], 1),
         (("def", "class", op, s), [*delta, d1], 0),
         (("def", "trivial", op, s), search, 0),
         (("def", "trivial", op, s, "--strict"), strict_search, 0),

@@ -2,7 +2,10 @@
 bracket, as the two blocks A and P, against the walk over every output
 argument tuple that assembled it one sign convention at a time
 (``dense_oracle.assemble``), and the sign audit read off A d_1 and
-P d_1 against the product of each convention's d_3 with d_1."""
+P d_1 against the product of each convention's d_3 with d_1.  The
+coboundary of one cochain, scattered from its nonzeros through the same
+terms with no column built, is compared with the assembled
+differential applied to it."""
 
 import random
 from fractions import Fraction
@@ -14,6 +17,7 @@ import dense_oracle
 from triplekit import cohomology
 from triplekit.cohomology import (
     SIGN_CONVENTIONS,
+    Cochain,
     OperatorComplex,
     _closing_convention,
     coboundary,
@@ -24,10 +28,18 @@ from triplekit.cohomology import (
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, StructureError, SubspaceBasis
-from triplekit.lts import LieTripleSystem
-from triplekit.representations import adjoint_representation, zero_representation
+from triplekit.lts import LieTripleSystem, zero_system
+from triplekit.representations import ActionData, adjoint_representation, self_action, zero_representation
+from triplekit.rota_baxter import RelativeRBO
 
-from conftest import SEEDS, ladder, make_sln_lts, sl3_cartan_projection
+from conftest import (
+    SEEDS,
+    ladder,
+    make_sln_lts,
+    relative_rbo,
+    sl3_cartan_projection,
+    sln_abelian_cartan_projection,
+)
 from test_operator_complex import generic, random_matrix
 
 F = Fraction
@@ -151,3 +163,103 @@ def test_d1_lands_in_the_constrained_cochains(name):
     image = SubspaceBasis.from_sparse(cx.differential(1).values(), dp**3 * d)
     assert image.dim > 0
     assert image.is_subspace_of(cochain_space_basis(3, dp, d))
+
+
+def sl2_cartan_projection():
+    """sl2 on itself with T the projection onto span{H}, at weight 0:
+    outside the paper's hypotheses, like ``sl3_cartan_projection``."""
+    T = Matrix(3, 3, tuple(tuple(int(i == j == 2) for j in range(3)) for i in range(3)))
+    return RelativeRBO(self_action(make_sln_lts(2)), 0, T)
+
+
+def source_dim_0():
+    L = load_algebra(fixture_path("lts3"))
+    return RelativeRBO(ActionData(zero_representation(L, 0), zero_system(0)), 1, Matrix(3, 0, ((),) * 3))
+
+
+def ambient_dim_0():
+    L = zero_system(0)
+    return RelativeRBO(ActionData(zero_representation(L, 2), zero_system(2)), 1, Matrix(0, 2, ()))
+
+
+APPLIED = {
+    "rbo3_P": OPERATORS["rbo3_P"],
+    "rbo4_P": OPERATORS["rbo4_P"],
+    **{f"ladder{n}": (lambda n=n: ladder(n)) for n in range(4, 7)},
+    "sl3 abelian": lambda: sln_abelian_cartan_projection(3),
+    "relative": relative_rbo,
+    "source dim 0": source_dim_0,
+    "ambient dim 0": ambient_dim_0,
+}
+# the operators, in the theory and outside it, on which P is pinned
+# against D_T; the self-actions fail verify_action
+D_SUM = {
+    **APPLIED,
+    "sl2 abelian": lambda: sln_abelian_cartan_projection(2),
+    "sl2 self-action": sl2_cartan_projection,
+    "sl3 self-action": sl3_cartan_projection,
+}
+
+
+@cache
+def applied_complex(name):
+    return OperatorComplex(D_SUM[name]())
+
+
+def random_cochains(degree, ds, dt, rng):
+    """A dense random cochain and one with a few nonzero value vectors."""
+    def value():
+        return tuple(F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for _ in range(dt))
+
+    count = ds**degree
+    dense = Cochain(degree, ds, dt, tuple(value() for _ in range(count)))
+    sparse = [(F(0),) * dt] * count
+    for p in rng.sample(range(count), min(count, 5)):
+        sparse[p] = value()
+    return dense, Cochain(degree, ds, dt, tuple(sparse))
+
+
+def assembled_image(columns, f):
+    ds, dt = f.source_dim, f.target_dim
+    coords = cohomology.cochain_coordinates(f, (f.degree,), ds, dt)
+    return cohomology._image(cohomology._apply(columns, coords), f.degree + 2, ds, dt)
+
+
+@pytest.mark.parametrize("name", APPLIED)
+def test_scatter_apply_matches_the_assembled_differential(name):
+    cx = applied_complex(name)
+    rep, rng = cx.rep, random.Random(SEEDS["scatter_apply"])
+    dp, d = cx.rbo.source.dim, cx.rbo.ambient.dim
+    for degree in (1, 3):
+        dense, sparse = random_cochains(degree, dp, d, rng)
+        # on sl3 in degree 3 the sparse cochain alone keeps the test short
+        for f in (sparse,) if name == "sl3 abelian" and degree == 3 else (dense, sparse):
+            for convention in SIGN_CONVENTIONS:
+                want = assembled_image(scattered(rep, degree, convention), f)
+                assert coboundary(rep, f, convention) == want, (degree, convention)
+            assert cx.apply(f) == assembled_image(cx.differential(degree), f), degree
+
+
+@pytest.mark.parametrize("name", ["rbo3_P", "ladder4", "relative", "source dim 0", "ambient dim 0"])
+def test_degree_5_scatter_apply_matches_tuple_walk(name):
+    rep, rng = applied_complex(name).rep, random.Random(SEEDS["scatter_apply"])
+    for f in random_cochains(5, rep.algebra.dim, rep.space_dim, rng):
+        for convention in SIGN_CONVENTIONS:
+            want = assembled_image(dense_oracle.assemble(rep, 5, convention), f)
+            assert coboundary(rep, f, convention) == want, convention
+
+
+@pytest.mark.parametrize("name", D_SUM)
+def test_d_sum_block_is_empty_exactly_when_d_t_vanishes(name):
+    cx = applied_complex(name)
+    rep, dp = cx.rep, cx.rbo.source.dim
+    d_t = any(not rep.d_basis(a, b).is_zero() for a in range(dp) for b in range(dp))
+    assert bool(cohomology._assemble(rep, 3)[1]) == d_t
+    in_theory_p = ("sl3 abelian", "sl2 abelian")
+    assert d_t == (name in in_theory_p or "self-action" in name)
+    # a degree-3 coboundary builds no d_3; with D_T = 0 it runs no audit
+    # either, and so builds no d_1, which only the audit reads then
+    fresh = OperatorComplex(cx.rbo)
+    fresh.apply(zero_cochain(3, dp, cx.rbo.ambient.dim))
+    assert ("audit" in vars(fresh)) == d_t
+    assert set(fresh._built) == ({1} if d_t else set())
