@@ -10,35 +10,40 @@ elimination builds it.  Degree-1
 cochains are unconstrained linear maps, and the operator complex has
 an extra degree -1 piece, the wedge square of the target system.
 
-The coboundary of f in C^{2n-1} is
+The coboundary of f in C^{2n-1} is Yamaguti's ("On the cohomology
+space of Lie triple system", Kumamoto J. Sci. A 5, 1960; restated by
+Kubo and Taniguchi, J. Algebra 278, 2004):
 
   (d f)(x_1..x_{2n+1}) =
       theta(x_{2n}, x_{2n+1}) f(x_1..x_{2n-1})
     - theta(x_{2n-1}, x_{2n+1}) f(x_1..x_{2n-2}, x_{2n})
-    + sum_i s(n,i) D(x_{2i-1}, x_{2i}) f(.. omit 2i-1, 2i ..)
-    + sum_i sum_{j>2i} (-1)^{i+n+1} f(.. [x_{2i-1}, x_{2i}, x_j] in slot j ..)
+    + sum_i (-1)^{n+i} D(x_{2i-1}, x_{2i}) f(.. omit 2i-1, 2i ..)
+    + sum_i sum_{j>2i} (-1)^{n+i+1} f(.. [x_{2i-1}, x_{2i}, x_j] in slot j ..)
 
-Two printed sources disagree on the D-sum sign s(n,i): one uses
-(-1)^(i+1), the other (-1)^(n+i); they coincide for n = 1 and differ
-by the parity of n otherwise.  Only one can square to zero.  Each
-differential is written once, as the list of its terms
-(:func:`_terms`) read off the nonzeros of theta (each D(a, b) as the
-two entries theta(b, a) - theta(a, b), so no D matrix is built) and of
-the bracket, visiting no empty output tuple.  The list keeps the D-sum
-apart, as a block P with the "definition" signs, from the rest A; the
-"complex" signs differ from those by (-1)^(n+1), so d_3 is A + P under
-one convention and A - P under the other.  Two readers scatter the
-terms.  :func:`_assemble` builds sparse columns, and runs only where
-every column is read: Z, B and the audit, which is the two sparse
-products A d_1 and P d_1.  The coboundary of one cochain,
-:meth:`OperatorComplex.apply` and :func:`coboundary`, scatters the
-cochain's nonzeros through the terms and builds no column.
-:class:`OperatorComplex` alone decides which d_3 it applies: A when
-D_T = 0, which is exactly when P is empty, with no audit, and
-otherwise the convention the audit finds closing, the one
-:meth:`OperatorComplex.cohomology` reports; when none closes it raises.
-Only the bare :func:`coboundary` over a coefficient system takes a
-convention, and :func:`complex_audit` audits one.
+It is written once, as the list of its terms (:func:`_terms`) read off
+the nonzeros of theta (each D(a, b) as the two entries theta(b, a) -
+theta(a, b), so no D matrix is built) and of the bracket, visiting no
+empty output tuple.  Two readers scatter the terms.  :func:`_assemble`
+builds sparse columns, and runs only where every column is read: Z, B
+and the audit d_3 d_1 = 0, which checks every degree-3 cohomology.  The
+coboundary of one cochain, :meth:`OperatorComplex.apply` and
+:func:`coboundary`, scatters the cochain's nonzeros through the terms,
+builds no column and runs no audit.
+
+Another printed form puts (-1)^(i+1) on the D-sum.  It agrees with
+Yamaguti's out of degrees 1 and 5, and out of degree 3 it fails
+d d = 0 on the adjoint of sl2; ``tests/dense_oracle.py`` keeps it as
+the oracle that shows this.  A degree-3 cohomology still prints a
+convention name and its audit, by a rule that names one d_3 either
+way: "definition", audited under both names, when D_T = 0, where
+theta_T is symmetric, the D-sum vanishes and the two forms agree;
+otherwise "complex" alone.
+
+At a nonzero weight the complex needs the paper's hypothesis that the
+action passes :func:`triplekit.representations.verify_action`;
+:class:`OperatorComplex` checks it once, on the first degree-3 use, and
+raises when it fails.  At weight 0 neither theta_T nor the descendent
+bracket reads the bracket of L', so nothing is checked.
 
 The operator complex reads its coefficients theta_T off the projected
 semidirect brackets of the basis of L with graph vectors, all built in
@@ -80,7 +85,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .representations import RepresentationData, _wedge_maps, semidirect_brackets, vector_family
+from .representations import RepresentationData, _wedge_maps, semidirect_brackets, vector_family, verify_action
 from .reporting import Report, Violation
 from .rota_baxter import (
     RelativeRBO,
@@ -91,7 +96,6 @@ from .rota_baxter import (
     descendent_lts,
 )
 
-SIGN_CONVENTIONS = ("definition", "complex")
 # every degree of a representation's complex, which has no wedge piece
 POSITIVE_DEGREES = range(1, sys.maxsize, 2)
 
@@ -281,16 +285,6 @@ def _image(image: dict, degree: int, ds: int, dt: int) -> Cochain:
     return Cochain(degree, ds, dt, tuple(coeffs))
 
 
-def _p_sign(convention: str, n: int) -> int:
-    """The sign of the D-sum block P in the differential out of degree
-    2n - 1.  P is written with the signs (-1)^(i+1) of "definition";
-    the (-1)^(n+i) of "complex" differ from them by (-1)^(n+1), the same
-    factor for every i."""
-    if convention not in SIGN_CONVENTIONS:
-        raise StructureError(f"unknown sign convention {convention!r}")
-    return -1 if convention == "complex" and n % 2 == 0 else 1
-
-
 def _offsets(d: int, m: int, degree: int, slots) -> list[tuple[int, int]]:
     """The flat (input, output) positions, times m, of every assignment
     of the free arguments of one term: ``slots`` pairs the input slot of
@@ -305,11 +299,9 @@ def _offsets(d: int, m: int, degree: int, slots) -> list[tuple[int, int]]:
 
 def _terms(rep: RepresentationData, degree: int):
     """The terms of the coboundary out of degree ``degree``, as
-    (in_p, offsets, col, row, sign, entries): each entry (r, c, a) puts
+    (offsets, col, row, sign, entries): each entry (r, c, a) puts
     sign * a at column col + c + i and row row + r + o for every (i, o)
-    of ``offsets``.  ``in_p`` marks the terms of the D-sum block P,
-    written with the signs of "definition"; the others make up A, and
-    under a convention the coboundary is A + _p_sign(convention, n) P.
+    of ``offsets``.
 
     Each term of the formula above fixes some output arguments and
     passes the others through, so its entries come from the nonzeros of
@@ -333,16 +325,16 @@ def _terms(rep: RepresentationData, degree: int):
     ends = around(k)
     split = _offsets(d, m, k, [(t, t) for t in range(k - 1)] + [(k - 1, k)])
     for a, b, entries in rep.nonzero:
-        yield False, ends, 0, (a * d + b) * m, 1, entries
-        yield False, split, 0, (a * d * d + b) * m, -1, entries
+        yield ends, 0, (a * d + b) * m, 1, entries
+        yield split, 0, (a * d * d + b) * m, -1, entries
     for i in range(1, n + 1):
         s, w = 2 * i - 2, d ** (k + 2 - 2 * i) * m  # the pair's slots, its second one's weight
-        d_sign, ins_sign = -1 if i % 2 == 0 else 1, -1 if (i + n + 1) % 2 else 1
+        d_sign = -1 if (n + i) % 2 else 1  # (-1)^(n+i), and the insertions take its negative
         offsets = around(s)
         for a, b, entries in rep.nonzero:
             if a != b:  # theta(a, b) enters D(b, a) and, negated, D(a, b)
-                yield True, offsets, 0, (b * d + a) * w, d_sign, entries
-                yield True, offsets, 0, (a * d + b) * w, -d_sign, entries
+                yield offsets, 0, (b * d + a) * w, d_sign, entries
+                yield offsets, 0, (a * d + b) * w, -d_sign, entries
         for slot in range(s, k):
             wz = d ** (k - 1 - slot) * m
             offsets = around(s, slot)
@@ -350,16 +342,15 @@ def _terms(rep: RepresentationData, degree: int):
                 for src, c in enumerate(vec):
                     if c:
                         ident = [(l, l, c) for l in range(m)]
-                        yield False, offsets, src * wz, (a * d + b) * w + z * wz, ins_sign, ident
+                        yield offsets, src * wz, (a * d + b) * w + z * wz, -d_sign, ident
 
 
-def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
-    """The coboundary out of degree ``degree`` as two blocks of sparse
-    columns, A and P, scattered from :func:`_terms`; for the callers
-    that read every column: Z, B and the audit."""
-    blocks = {False: {}, True: {}}
-    for in_p, offsets, col, row, sign, entries in _terms(rep, degree):
-        columns = blocks[in_p]
+def _assemble(rep: RepresentationData, degree: int) -> dict:
+    """The coboundary out of degree ``degree`` as sparse columns,
+    scattered from :func:`_terms`; for the callers that read every
+    column: Z, B and the audit."""
+    columns = {}
+    for offsets, col, row, sign, entries in _terms(rep, degree):
         for r, c, a in entries:
             x, j0, i0 = sign * a, col + c, row + r
             for i, o in offsets:
@@ -368,20 +359,15 @@ def _assemble(rep: RepresentationData, degree: int) -> tuple[dict, dict]:
                     columns[i + j0] = {o + i0: x}
                 else:
                     column[o + i0] = column.get(o + i0, ZERO) + x
-    return _without_zeros(blocks[False]), _without_zeros(blocks[True])
+    return _without_zeros(columns)
 
 
-def _scatter_image(rep: RepresentationData, degree: int, coords: dict, p_sign: int) -> dict:
-    """(A + p_sign P) applied to the cochain with the sparse flat
-    coordinates ``coords``, as sparse flat coordinates: each term of
-    :func:`_terms` reads the cochain at its input positions, and no
-    column is built.  p_sign 0 skips P's terms."""
+def _scatter_image(rep: RepresentationData, degree: int, coords: dict) -> dict:
+    """The coboundary of the cochain with the sparse flat coordinates
+    ``coords``, as sparse flat coordinates: each term of :func:`_terms`
+    reads the cochain at its input positions, and no column is built."""
     out, get = {}, coords.get
-    for in_p, offsets, col, row, sign, entries in _terms(rep, degree):
-        if in_p:
-            if not p_sign:
-                continue
-            sign *= p_sign
+    for offsets, col, row, sign, entries in _terms(rep, degree):
         for r, c, a in entries:
             x, j0, i0 = sign * a, col + c, row + r
             for i, o in offsets:
@@ -390,51 +376,24 @@ def _scatter_image(rep: RepresentationData, degree: int, coords: dict, p_sign: i
     return {i: x for i, x in out.items() if x}
 
 
-def _combine(a: dict, p: dict, sign: int) -> dict:
-    """The columns of A + sign P.  Columns that P leaves alone are A's own."""
-    out = dict(a)
-    for j, col in p.items():
-        merged = dict(a.get(j, ()))
-        for i, x in col.items():
-            merged[i] = merged.get(i, ZERO) + sign * x
-        if nz := {i: x for i, x in merged.items() if x}:
-            out[j] = nz
-        else:
-            out.pop(j, None)
-    return out
-
-
-def coboundary(rep: RepresentationData, f: Cochain, sign_convention: str = "definition") -> Cochain:
+def coboundary(rep: RepresentationData, f: Cochain) -> Cochain:
     """Coboundary of a degree >= 1 cochain over the given coefficients,
     whose algebra is the source of the arguments and whose space is the
     target, scattered from f's nonzeros with no column built."""
     ds, dt = rep.algebra.dim, rep.space_dim
     coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
-    sign = _p_sign(sign_convention, (f.degree + 1) // 2)
-    return _image(_scatter_image(rep, f.degree, coords, sign), f.degree + 2, ds, dt)
+    return _image(_scatter_image(rep, f.degree, coords), f.degree + 2, ds, dt)
 
 
-def _audit(d1: dict, a3: dict, p3: dict) -> dict[str, bool]:
-    """Does d_3 d_1 = A d_1 + s P d_1 vanish, per sign convention?  d_1
-    maps a basis of C^1, so this decides d(d(f)) = 0 on C^1; s is +1
-    under "definition" and -1 under "complex", so the two products
-    decide both conventions."""
-    images = [(_apply(a3, col), _apply(p3, col)) for col in d1.values()]
-    signs = {c: _p_sign(c, 2) for c in SIGN_CONVENTIONS}
-    return {c: all(x == {i: -s * y for i, y in py.items()} for x, py in images) for c, s in signs.items()}
+def _audit(d1: dict, d3: dict) -> bool:
+    """Does d_3 d_1 vanish?  d_1 maps a basis of C^1, so this decides
+    d(d(f)) = 0 on C^1."""
+    return not any(_apply(d3, col) for col in d1.values())
 
 
-def complex_audit(rep: RepresentationData) -> dict[str, bool]:
-    """For each sign convention, does d(d(f)) = 0 on a basis of C^1?"""
-    return _audit(_combine(*_assemble(rep, 1), 1), *_assemble(rep, 3))
-
-
-def _closing_convention(audit: dict[str, bool]) -> str:
-    """The convention whose double coboundary vanishes, the printed one first."""
-    for convention in SIGN_CONVENTIONS:
-        if audit[convention]:
-            return convention
-    raise VerificationError("no sign convention closes the cochain complex")
+def complex_audit(rep: RepresentationData) -> bool:
+    """Does d(d(f)) = 0 hold on a basis of C^1?"""
+    return _audit(_assemble(rep, 1), _assemble(rep, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +465,12 @@ def _wedge_delta(left: Matrix, right: Matrix):
 class OperatorComplex:
     """The complex of one operator: its induced representation, delta,
     d_1, d_3 and the audit, each built on first use and kept.  A command
-    builds one and pays only for what it reads.  d_3 is A when D_T = 0,
-    which is exactly when P is empty, and otherwise A + P or A - P under
-    the audited convention.  :meth:`apply` builds no column: it
-    scatters a cochain's nonzeros through the differential's terms, with
-    no audit when D_T = 0.  The assembled d_1 and d_3 are built only
-    where every column is read: by :meth:`cohomology` and the audit."""
+    builds one and pays only for what it reads.  :meth:`apply` builds no
+    column and runs no audit: it scatters a cochain's nonzeros through
+    the differential's terms.  The assembled d_1 and d_3 are built only
+    where every column is read, by :meth:`cohomology`, whose degree-3
+    answer the audit d_3 d_1 = 0 checks.  Degree 3 is entered through
+    the paper's hypothesis on the action at a nonzero weight."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
@@ -522,8 +481,15 @@ class OperatorComplex:
         return induced_rep(self.rbo)
 
     @cached_property
-    def _degree_3_blocks(self) -> tuple[dict, dict]:
-        return _assemble(self.rep, 3)
+    def _degree_3_rep(self) -> RepresentationData:
+        """The induced representation, once the hypothesis of degree 3
+        holds: at a nonzero weight the action passes verify_action.  At
+        weight 0 neither theta_T nor the descendent bracket reads the
+        bracket of L', so nothing is checked."""
+        rep = self.rep
+        if self.rbo.weight and verify_action(self.rbo.action):
+            raise VerificationError("degree 3 at a nonzero weight requires the action to pass verify_action")
+        return rep
 
     @cached_property
     def delta(self):
@@ -544,33 +510,20 @@ class OperatorComplex:
         d = self.rbo.ambient.dim
         return tuple(self.contraction({k: 1}) for k in range(d * (d - 1) // 2))
 
-    @cached_property
-    def _d3_p_sign(self) -> int:
-        """The sign of P in d_3: 0 when D_T = 0, that is when theta_T is
-        symmetric and P is empty, with no audit; otherwise that of the
-        audited convention."""
-        theta = {(a, b): entries for a, b, entries in self.rep.nonzero}
-        if all(theta.get((b, a)) == entries for (a, b), entries in theta.items()):
-            return 0
-        return _p_sign(_closing_convention(self.audit), 2)
-
     def differential(self, degree: int) -> dict:
         """delta (degree -1), d_1 or d_3 as sparse columns."""
         if degree not in self._built:
             if degree == -1:
                 self._built[-1] = {k: col for k, col in enumerate(map(self.delta, self.unit_contractions)) if col}
-            elif degree == 1:
-                self._built[1] = _combine(*_assemble(self.rep, 1), 1)
-            elif degree == 3:
-                a, p = self._degree_3_blocks
-                self._built[3] = _combine(a, p, self._d3_p_sign) if p else a
+            elif degree in (1, 3):
+                self._built[degree] = _assemble(self._degree_3_rep if degree == 3 else self.rep, degree)
             else:
                 raise StructureError(f"unsupported differential degree {degree}")
         return self._built[degree]
 
     @cached_property
-    def audit(self) -> dict[str, bool]:
-        return _audit(self.differential(1), *self._degree_3_blocks)
+    def audit(self) -> bool:
+        return _audit(self.differential(1), self.differential(3))
 
     def apply(self, f: Cochain) -> Cochain:
         """Coboundary of f in degree -1, 1 or 3, with no column built:
@@ -580,22 +533,32 @@ class OperatorComplex:
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
         if f.degree == -1:
             return _image(self.delta(self.contraction(coords)), 1, dp, d)
-        p_sign = 1 if f.degree == 1 else self._d3_p_sign
-        return _image(_scatter_image(self.rep, f.degree, coords, p_sign), f.degree + 2, dp, d)
+        rep = self._degree_3_rep if f.degree == 3 else self.rep
+        return _image(_scatter_image(rep, f.degree, coords), f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
         differential on the constrained basis, B the span of the
         incoming one's columns; both are read off the sparse echelon
-        form of :func:`triplekit.linalg.echelon`, with no dense matrix."""
+        form of :func:`triplekit.linalg.echelon`, with no dense matrix.
+        Degree 3 raises unless d_3 d_1 = 0, and names its convention:
+        "definition", audited under both names, when theta_T is
+        symmetric, so that D_T = 0 and both printed forms are this d_3,
+        and otherwise "complex"."""
         if degree not in (1, 3):
             raise StructureError(f"unsupported cohomology degree {degree}")
         d, dp = self.rbo.ambient.dim, self.rbo.source.dim
         size = dp**degree * d
-        audit = self.audit if degree == 3 else {}
-        convention = _closing_convention(audit) if audit else None
+        differential = self.differential(degree)
+        convention, names = None, ()
+        if degree == 3:
+            if not self.audit:
+                raise VerificationError("d_3 d_1 is not zero: the cochain complex does not close")
+            theta = {(a, b): entries for a, b, entries in self.rep.nonzero}
+            symmetric = all(theta.get((b, a)) == entries for (a, b), entries in theta.items())
+            convention, names = ("definition", ("complex", "definition")) if symmetric else ("complex", ("complex",))
         basis = dict(enumerate(map(dict, cochain_space_basis(degree, dp, d).rows)))
-        images = [_apply(self.differential(degree), vec).items() for vec in basis.values()]
+        images = [_apply(differential, vec).items() for vec in basis.values()]
         kernel = sparse_kernel(sparse_transpose(images), len(images))
         # the constrained basis is in reduced echelon form, so its
         # combinations along the echelon kernel basis are too
@@ -605,7 +568,7 @@ class OperatorComplex:
         coboundaries = SubspaceBasis.from_sparse(self.differential(degree - 2).values(), size)
         return CohomologyData(CohomologyResult(
             degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
-            convention, tuple(sorted(audit.items())),
+            convention, tuple((name, True) for name in names),
         ), cocycles, coboundaries)
 
 

@@ -35,6 +35,7 @@ SEEDS = {
     "serialization": 7411,
     "sparse_output": 1931,
     "scatter_apply": 3307,
+    "d5d3": 6619,
 }
 
 F = Fraction

@@ -15,12 +15,16 @@ representation as a comparison of projected brackets.  It keeps the
 semidirect bracket evaluated one triple of vectors at a time, with
 theta_T built column by column from it, and the action conditions
 checked on every dense theta matrix and column.  It keeps the
-coboundary assembled as it first was, one sign convention at a time by
-a walk over every output argument tuple, with the sign audit as the
-product of each d_3 with d_1, and the image of a cochain under a
-differential written into a dense flat vector and unflattened.  It
-keeps the nested ``coeffs`` of a cochain file built as they first were,
-one recursive call per argument prefix.  It keeps the derivation
+coboundary assembled as it first was, by a walk over every output
+argument tuple, under either of two printed D-sum signs: Yamaguti's
+(-1)^(n+i), the package's one coboundary, and the (-1)^(i+1) of
+another printed form.  The sign audit is the product of each form's
+d_3 with d_1; it shows that the second form fails d d = 0 on the
+adjoint of sl2, which is why the package has the first alone.  It
+also keeps the image of a cochain under a differential written into a
+dense flat vector and unflattened.  It keeps the nested ``coeffs`` of
+a cochain file built as they first were, one recursive call per
+argument prefix.  It keeps the derivation
 axiom (A3) of a system checked at every basis triple of each pair, and
 the theta- and D-equivariance of an operator homomorphism as two
 separate checks.
@@ -40,7 +44,6 @@ from functools import lru_cache
 from itertools import product
 
 from triplekit.cohomology import (
-    SIGN_CONVENTIONS,
     _apply,
     _without_zeros,
     cochain_space_basis,
@@ -53,6 +56,9 @@ from triplekit.linalg import Matrix, ONE, ZERO, basis_vector, exact_div, format_
 from triplekit.lts import center
 from triplekit.reporting import Violation
 from triplekit.representations import RepresentationData
+
+# the printed D-sum signs: (-1)^(i+1), and Yamaguti's (-1)^(n+i)
+SIGN_CONVENTIONS = ("definition", "complex")
 
 
 # the oracles rebuild these views once per call, often once per triple;
@@ -234,12 +240,12 @@ def d_sum_sign(convention: str, n: int, i: int) -> int:
     raise ValueError(convention)
 
 
-def assemble(rep, degree: int, convention: str = "definition") -> dict:
+def assemble(rep, degree: int, convention: str = "complex", d_sum_only: bool = False) -> dict:
     """The coboundary out of degree ``degree`` on all flat cochains, in
     one pass over the output argument tuples: each term of the formula
     reads f at one argument tuple and writes the entries of the matrix
     it applies there (theta, the two theta terms of D, or a bracket
-    coefficient)."""
+    coefficient).  ``d_sum_only`` keeps the D-sum terms alone."""
     d, m, bracket = rep.algebra.dim, rep.space_dim, bracket_tensor(rep.algebra)
     theta = [[()] * d for _ in range(d)]
     for i, j, entries in rep.nonzero:
@@ -250,14 +256,14 @@ def assemble(rep, degree: int, convention: str = "definition") -> dict:
 
     def entries():
         for pos, args in enumerate(product(range(d), repeat=degree + 2)):
-            terms = [(args[:-2], theta[args[-2]][args[-1]], 1),
-                     (args[:-3] + args[-2:-1], theta[args[-3]][args[-1]], -1)]
+            terms = [] if d_sum_only else [(args[:-2], theta[args[-2]][args[-1]], 1),
+                                           (args[:-3] + args[-2:-1], theta[args[-3]][args[-1]], -1)]
             for i, (d_sign, ins_sign) in enumerate(signs, 1):
                 a, b = args[2 * i - 2], args[2 * i - 1]
                 reduced = args[: 2 * i - 2] + args[2 * i:]
                 # D(a, b) = theta(b, a) - theta(a, b)
                 terms += [(reduced, theta[b][a], d_sign), (reduced, theta[a][b], -d_sign)]
-                for slot in range(2 * i - 2, degree):
+                for slot in range(2 * i - 2, degree) if not d_sum_only else ():
                     for lsrc, c in enumerate(bracket[a][b][reduced[slot]]):
                         if c:
                             terms.append((reduced[:slot] + (lsrc,) + reduced[slot + 1:], ident, ins_sign * c))

@@ -8,10 +8,9 @@ import pytest
 
 from triplekit.cli import main
 from triplekit.cohomology import (
-    SIGN_CONVENTIONS,
     Cochain,
     OperatorComplex,
-    _closing_convention,
+    _assemble,
     cochain_from_map,
     cochain_map_p,
     cochain_space_basis,
@@ -27,7 +26,8 @@ from triplekit.cohomology import (
     unflatten_cochain,
     zero_cochain,
 )
-from triplekit.fileio import cochain_to_json, dump_json, rbo_to_json
+from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
+from triplekit.fixtures import fixture_path
 from triplekit.linalg import (
     Matrix,
     StructureError,
@@ -39,6 +39,7 @@ from triplekit.linalg import (
 from triplekit.lts import zero_system
 from triplekit.properties import random_integer_matrix
 from triplekit.representations import (
+    ActionData,
     adjoint_representation,
     self_action,
     verify_action,
@@ -211,32 +212,32 @@ def test_coboundary_output_satisfies_constraints(lts3, sl2_lts):
     rng = random.Random(SEEDS["yamaguti"])
     for L in (lts3, sl2_lts):
         adj = adjoint_representation(L)
-        convention = _closing_convention(complex_audit(adj))
         for _ in range(5):
             f1 = random_cochain(rng, 1, L.dim, L.dim)
-            g3 = coboundary(adj, f1, convention)
+            g3 = coboundary(adj, f1)
             assert cochain_satisfies_constraints(g3)
-            g5 = coboundary(adj, g3, convention)
+            g5 = coboundary(adj, g3)
             assert cochain_satisfies_constraints(g5)
 
 
 def test_sign_audit_on_rich_system(sl2_lts):
-    # the printed D-sum sign does not square to zero on a system with
-    # nonvanishing iterated brackets; the variant used in the
-    # functoriality argument does
-    audit = complex_audit(adjoint_representation(sl2_lts))
-    assert audit == {"definition": False, "complex": True}
-    assert _closing_convention(audit) == "complex"
+    # Yamaguti's coboundary squares to zero on a system with nonvanishing
+    # iterated brackets; the other printed D-sum sign, kept by the
+    # oracle, does not
+    adj = adjoint_representation(sl2_lts)
+    assert complex_audit(adj) is True
+    assert dense_oracle.audit(adj) == {"definition": False, "complex": True}
 
 
 def test_sign_audit_on_fixture_adjoints(lts3, lts4):
     # the bundled systems are too degenerate to see the discrepancy;
-    # both conventions close the complex there
+    # both printed forms close the complex there
     for L in (lts3, lts4):
-        audit = complex_audit(adjoint_representation(L))
-        assert audit["complex"] is True
-        assert _closing_convention(audit) == "definition"
-        assert audit["definition"] is True
+        adj = adjoint_representation(L)
+        assert complex_audit(adj) is True
+        assert dense_oracle.audit(adj) == {"definition": True, "complex": True}
+        for degree in (1, 3, 5):
+            assert _assemble(adj, degree) == dense_oracle.assemble(adj, degree), degree
 
 
 def test_double_coboundary_random_cochains(sl2_lts):
@@ -244,7 +245,7 @@ def test_double_coboundary_random_cochains(sl2_lts):
     rng = random.Random(SEEDS["yamaguti"])
     for _ in range(10):
         f = random_cochain(rng, 1, 3, 3)
-        assert coboundary(adj, coboundary(adj, f, "complex"), "complex").is_zero()
+        assert coboundary(adj, coboundary(adj, f)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +262,12 @@ def test_induced_rep_is_representation_of_descendent(rbo3, rbo4):
 def test_operator_complex_closes_on_fixtures(rbo3, rbo4):
     # the double coboundary vanishes on all of C^1 for both bundled
     # operators at both probe weights; these systems are degenerate
-    # enough that even the printed sign convention closes the complex
+    # enough that the oracle's other printed form closes the complex too
     for base in (rbo3, rbo4):
         for lam in (F(0), F(1)):
-            rbo = RelativeRBO(base.action, lam, base.T)
-            audit = complex_audit(induced_rep(rbo))
-            assert audit["complex"] is True
-            assert audit["definition"] is True
+            rep = induced_rep(RelativeRBO(base.action, lam, base.T))
+            assert complex_audit(rep) is True
+            assert dense_oracle.audit(rep) == {"definition": True, "complex": True}
 
 
 def test_induced_rep_worked_value(rbo3):
@@ -361,33 +361,36 @@ def test_cohomology_containment(rbo3, rbo4):
 
 
 def test_cohomology_degree_3_reports_convention(rbo3):
+    # D_T = 0 on rbo3_P, so both printed forms are its d_3
     res = cohomology_group(rbo3, 3)
     assert res.degree == 3
-    assert res.sign_convention in ("definition", "complex")
-    assert dict(res.sign_audit)[res.sign_convention] is True
+    assert res.sign_convention == "definition"
+    assert res.sign_audit == (("complex", True), ("definition", True))
 
 
 def test_sl3_cartan_projection_needs_the_complex_convention():
     # sl3 with [x,y,z] = [[x,y],z] and T the projection onto its Cartan
-    # subalgebra at weight 0: the first operator on which the printed
-    # D-sum sign fails d(d(f)) = 0 and only "complex" closes the complex
+    # subalgebra at weight 0, outside the paper's hypotheses: the first
+    # operator on which the oracle's other printed D-sum sign fails
+    # d(d(f)) = 0, so that only "complex" is printed
     L = make_sln_lts(3)
     cartan = range(6, 8)
     T = Matrix(8, 8, tuple(tuple(int(i == j and i in cartan) for j in range(8)) for i in range(8)))
     cx = OperatorComplex(RelativeRBO(self_action(L), 0, T))
     h1 = cx.cohomology(1).result
     assert (h1.dim_cocycles, h1.dim_coboundaries, h1.dim_H) == (13, 6, 7)
-    assert cx.audit == {"complex": True, "definition": False}
+    assert cx.audit is True
+    assert dense_oracle.audit(cx.rep) == {"complex": True, "definition": False}
     h3 = cx.cohomology(3).result
     assert (h3.dim_cocycles, h3.dim_coboundaries, h3.dim_H) == (96, 51, 45)
     assert h3.sign_convention == "complex"
-    assert dict(h3.sign_audit) == {"complex": True, "definition": False}
+    assert h3.sign_audit == (("complex", True),)
 
 
 def test_in_theory_sl3_prints_the_complex_convention_in_every_command(tmp_path, capsys):
     # the adjoint of sl3 on an abelian copy of itself satisfies the
-    # paper's hypotheses, and P is not zero on it; coh group and coh
-    # coboundary both build d_3 under the convention the audit finds closing
+    # paper's hypotheses, and D_T is not zero on it; coh group prints
+    # "complex" alone, and coh coboundary applies Yamaguti's d_3
     rbo = sln_abelian_cartan_projection(3)
     assert verify_action(rbo.action) == ()
     op = tmp_path / "op.json"
@@ -395,13 +398,15 @@ def test_in_theory_sl3_prints_the_complex_convention_in_every_command(tmp_path, 
     assert main(["coh", "group", str(op), "--degree", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "degree": 3, "dim_Z": 96, "dim_B": 51, "dim_H": 45,
-        "sign_convention": "complex", "sign_audit": {"complex": True, "definition": False},
+        "sign_convention": "complex", "sign_audit": {"complex": True},
     }
     cx = OperatorComplex(rbo)
-    # the first constrained basis cochain whose image tells the two conventions apart
+    # the first constrained basis cochain whose image tells the oracle's
+    # two printed forms apart
+    forms = {c: dense_oracle.assemble(cx.rep, 3, c) for c in dense_oracle.SIGN_CONVENTIONS}
     for row in cochain_space_basis(3, 8, 8).rows:
         f = unflatten_cochain(3, 8, 8, tuple(dict(row).get(i, 0) for i in range(8**4)))
-        images = {c: coboundary(cx.rep, f, c) for c in SIGN_CONVENTIONS}
+        images = {c: dense_oracle.image(columns, f) for c, columns in forms.items()}
         if images["complex"] != images["definition"]:
             break
     path = tmp_path / "f.json"
@@ -410,20 +415,100 @@ def test_in_theory_sl3_prints_the_complex_convention_in_every_command(tmp_path, 
     assert capsys.readouterr().out == dump_json(cochain_to_json(images["complex"]))
 
 
-def test_degree_3_coboundary_exits_1_when_no_convention_closes(tmp_path, capsys):
+def test_degree_3_at_a_nonzero_weight_needs_a_verified_action(tmp_path, capsys):
     # T = id on sl2 at weight -2 passes (RB), but its self-action fails
-    # verify_action and neither convention closes; P is not zero there,
-    # so d_3 has no convention to take, while d_1 needs none
+    # verify_action, the paper's hypothesis at a nonzero weight: every
+    # degree-3 question exits 1 naming it, while degree 1 needs none
     rbo = RelativeRBO(self_action(make_sln_lts(2)), -2, Matrix.identity(3))
+    assert verify_action(rbo.action)
     op = tmp_path / "op.json"
     op.write_text(dump_json(rbo_to_json(rbo)))
+    failed = {"error": "degree 3 at a nonzero weight requires the action to pass verify_action", "kind": "verification"}
     for degree, code in ((3, 1), (1, 0)):
-        path = tmp_path / "f.json"
+        path = tmp_path / f"f{degree}.json"
         path.write_text(dump_json(cochain_to_json(elementary_cochain(degree, 3, 3, 1))))
         assert main(["coh", "coboundary", str(op), str(path)]) == code
         out = json.loads(capsys.readouterr().out)
-        if code:
-            assert out == {"error": "no sign convention closes the cochain complex", "kind": "verification"}
+        assert (out == failed) == bool(code)
+        assert main(["coh", "group", str(op), "--degree", str(degree)]) == code
+        assert (json.loads(capsys.readouterr().out) == failed) == bool(code)
+
+
+def test_degree_3_cohomology_exits_1_when_d3_d1_is_not_zero(tmp_path, capsys):
+    # zero brackets on both sides and a theta that fails (R1), with T an
+    # operator at weight 0, where the door checks nothing: d_3 d_1 is not
+    # zero, so coh group --degree 3 exits 1, while a degree-3 coboundary,
+    # which runs no audit, exits 0
+    theta = (
+        (Matrix(2, 2, ((0, 0), (0, -1))), Matrix(2, 2, ((0, 0), (0, -1)))),
+        (Matrix(2, 2, ((-1, 0), (-1, 0))), Matrix(2, 2, ((0, -1), (1, -1)))),
+    )
+    action = ActionData(dense_oracle.representation(zero_system(2), 2, theta), zero_system(2))
+    rbo = RelativeRBO(action, 0, Matrix(2, 2, ((0, 1), (0, 0))))
+    assert verify_representation(action.rep) and not verify_action(action)
+    assert dense_oracle.audit(OperatorComplex(rbo).rep)["complex"] is False
+    op, path = tmp_path / "op.json", tmp_path / "f.json"
+    op.write_text(dump_json(rbo_to_json(rbo)))
+    path.write_text(dump_json(cochain_to_json(elementary_cochain(3, 2, 2, 5))))
+    assert main(["coh", "group", str(op), "--degree", "3"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "d_3 d_1 is not zero: the cochain complex does not close", "kind": "verification",
+    }
+    assert main(["coh", "coboundary", str(op), str(path)]) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_at_weight_0_a_self_action_has_the_complex_of_its_abelian_copy(n, tmp_path, capsys):
+    # at weight 0 neither theta_T nor the descendent bracket reads the
+    # bracket of L', so the Cartan projection on the self-action, outside
+    # the paper's hypotheses, has the complex of the one on the abelian
+    # copy, inside them, and no hypothesis is checked at the door
+    abelian = sln_abelian_cartan_projection(n)
+    outside = RelativeRBO(self_action(make_sln_lts(n)), 0, abelian.T)
+    assert verify_action(outside.action) and not verify_action(abelian.action)
+    assert OperatorComplex(outside).differential(3) == OperatorComplex(abelian).differential(3)
+    printed = []
+    for rbo in (outside, abelian):
+        op = tmp_path / "op.json"
+        op.write_text(dump_json(rbo_to_json(rbo)))
+        assert main(["coh", "group", str(op), "--degree", "3"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert json.loads(printed[0])["sign_audit"] == {"complex": True}
+
+
+D5D3 = {
+    "sl2 abelian": lambda: sln_abelian_cartan_projection(2),
+    "rbo3_P": lambda: load_rbo(fixture_path("rbo3_P")),
+    "rbo4_P": lambda: load_rbo(fixture_path("rbo4_P")),
+    "sl3 abelian": lambda: sln_abelian_cartan_projection(3),
+}
+
+
+@pytest.mark.parametrize("name", D5D3)
+def test_d5_d3_vanishes_under_the_one_coboundary(name):
+    # d_5 d_3 = 0 on constrained degree-3 cochains: every row of the
+    # basis, or two seeded rows on sl3, where a degree-5 coboundary costs
+    # about a second.  The oracle's other printed form of d_3, followed
+    # by the same d_5 (both forms agree out of degree 5), fails on the
+    # systems whose D_T is not zero
+    rep = OperatorComplex(D5D3[name]()).rep
+    dp, d = rep.algebra.dim, rep.space_dim
+    rows = cochain_space_basis(3, dp, d).rows
+    if name == "sl3 abelian":
+        rows = random.Random(SEEDS["d5d3"]).sample(rows, 2)
+    definition = dense_oracle.assemble(rep, 3, "definition")
+
+    def d5_vanishes(g):
+        # by value vector: flattening d^7 * d coordinates costs more than d_5
+        return not any(map(any, coboundary(rep, g).coeffs))
+
+    failures = 0
+    for row in rows:
+        f = unflatten_cochain(3, dp, d, tuple(dict(row).get(i, 0) for i in range(dp**3 * d)))
+        assert d5_vanishes(coboundary(rep, f))
+        failures += not d5_vanishes(dense_oracle.image(definition, f))
+    assert failures == {"sl2 abelian": 2, "rbo3_P": 0, "rbo4_P": 0, "sl3 abelian": 2}[name]
 
 
 def test_cohomology_requires_operator(rbo3):

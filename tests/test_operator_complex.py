@@ -19,33 +19,32 @@ import pytest
 from triplekit import cli, cohomology, deformations, linalg, representations
 from triplekit.cli import main
 from triplekit.cohomology import (
-    SIGN_CONVENTIONS,
     Cochain,
     OperatorComplex,
-    _closing_convention,
     cochain_from_map,
     coboundary,
     complex_audit,
     induced_rep,
     zero_cochain,
 )
-from triplekit.fileio import cochain_to_json, dump_json, load_rbo
+from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
 from triplekit.representations import ActionData, adjoint_representation
 from triplekit.rota_baxter import RelativeRBO
 
-from conftest import SEEDS, ladder
+from conftest import SEEDS, elementary_cochain, ladder, sln_abelian_cartan_projection
 import dense_oracle
-from dense_oracle import d_sum_sign
+from dense_oracle import SIGN_CONVENTIONS, d_sum_sign
 from test_deformations import perturbed_adjoint_operator
 
 F = Fraction
 
 
-def evaluate(rep, f, sign_convention="definition"):
-    """The coboundary of f, evaluated argument tuple by argument tuple."""
+def evaluate(rep, f, sign_convention="complex"):
+    """The coboundary of f, evaluated argument tuple by argument tuple,
+    with Yamaguti's D-sum signs or the other printed ones."""
     d, m = rep.algebra.dim, rep.space_dim
     n = (f.degree + 1) // 2
     L = rep.algebra
@@ -151,9 +150,11 @@ def test_operator_differentials_match_evaluator(name, request):
     assert cx.apply(generic(-1, dp, d)) == evaluate_delta(rbo, generic(-1, dp, d))
     for degree in (1, 3):
         f = generic(degree, dp, d)
-        for convention in SIGN_CONVENTIONS:
-            assert coboundary(cx.rep, f, convention) == evaluate(cx.rep, f, convention), (degree, convention)
-        assert cx.apply(f) == evaluate(cx.rep, f, _closing_convention(cx.audit)), degree
+        want = evaluate(cx.rep, f)
+        assert coboundary(cx.rep, f) == want, degree
+        assert cx.apply(f) == want, degree
+        assert cx.differential(degree) == dense_oracle.assemble(cx.rep, degree), degree
+    assert cohomology._assemble(cx.rep, 5) == dense_oracle.assemble(cx.rep, 5)
 
 
 def random_matrix(rng, rows, cols, density):
@@ -192,8 +193,10 @@ def test_adjoint_differentials_match_evaluator(name, request):
     d = adj.space_dim
     for degree in (1, 3):
         f = generic(degree, d, d)
-        for convention in ("definition", "complex"):
-            assert coboundary(adj, f, convention) == evaluate(adj, f, convention), (degree, convention)
+        assert coboundary(adj, f) == evaluate(adj, f), degree
+        # each printed form of the oracle's walk against its own evaluation
+        for convention in SIGN_CONVENTIONS:
+            assert dense_oracle.image(dense_oracle.assemble(adj, degree, convention), f) == evaluate(adj, f, convention)
 
 
 def test_coboundary_matches_evaluator_on_random_cochains(rbo4, sl2_lts):
@@ -208,17 +211,19 @@ def test_coboundary_matches_evaluator_on_random_cochains(rbo4, sl2_lts):
     cases = [(induced_rep(rbo4), 1), (induced_rep(rbo4), 3), (adj, 3), (adj, 5)]
     for rep, degree in cases:
         f = random_cochain(degree, rep.algebra.dim, rep.space_dim)
-        for convention in ("definition", "complex"):
-            assert coboundary(rep, f, convention) == evaluate(rep, f, convention), (degree, convention)
+        assert coboundary(rep, f) == evaluate(rep, f), degree
 
 
 def test_audit_is_the_product_of_the_assembled_differentials(sl2_lts):
-    # d_3 d_1 on the generic degree-1 cochain: zero exactly when the
-    # convention closes the complex
+    # d_3 d_1 on the generic degree-1 cochain: zero under the one
+    # coboundary, and not under the other printed form of d_3
     adj = adjoint_representation(sl2_lts)
     f = generic(1, 3, 3)
-    closes = {c: coboundary(adj, coboundary(adj, f, c), c).is_zero() for c in ("definition", "complex")}
-    assert closes == complex_audit(adj) == {"definition": False, "complex": True}
+    assert coboundary(adj, coboundary(adj, f)).is_zero()
+    assert complex_audit(adj) is True
+    g = evaluate(adj, f)
+    closes = {c: evaluate(adj, g, c).is_zero() for c in SIGN_CONVENTIONS}
+    assert closes == dense_oracle.audit(adj) == {"definition": False, "complex": True}
 
 
 def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, capsys):
@@ -255,6 +260,7 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
         return wrapper
 
     counting(cohomology, "_assemble", lambda rep, degree: ("d", degree))
+    counting(cohomology, "_audit", lambda d1, d3: "audit")
     # one event per wedge contraction, named by its number of wedge
     # coordinates, and per left D(X) - [X,-] right set up at (T, T) for
     # delta or at the directions for (E2); the strict rows read (R2) off
@@ -277,14 +283,18 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     zero.write_text(dump_json(cochain_to_json(zero_cochain(1, 4, 4))))
     three = tmp_path / "three.json"
     three.write_text(dump_json(cochain_to_json(zero_cochain(3, 4, 4))))
+    # the in-theory sl3, on which D_T is not zero
+    sl3, sl3_three = tmp_path / "sl3.json", tmp_path / "sl3_three.json"
+    sl3.write_text(dump_json(rbo_to_json(sln_abelian_cartan_projection(3))))
+    sl3_three.write_text(dump_json(cochain_to_json(elementary_cochain(3, 8, 8, 8 * 8 + 3))))
     # the identity direction is not closed on rbo4_P
     ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
-    # d_1 and d_3 are assembled once each, d_3 as the two blocks the
-    # audit reads, and only where every column is read: Z, B and the
-    # audit.  The coboundary of one cochain, and so the cocycle check and
-    # the order-t coefficients of def check, assembles nothing.  delta is
+    # d_1 and d_3 are assembled once each, and only where every column
+    # is read: Z, B and the audit, which only coh group --degree 3 runs.
+    # The coboundary of one cochain, and so the cocycle check and the
+    # order-t coefficients of def check, assembles nothing.  delta is
     # set up once and the complex contracts each unit wedge of rbo4_P's
     # six once, for B^1 and for the equivalence system's (E1), (E2) and,
     # in strict mode, (R2) rows alike; a single wedge is contracted alone
@@ -292,13 +302,15 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     delta = ["delta"] + [("X", 1)] * 6
     search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
     commands = [
-        (("coh", "group", op, "--degree", "3"), [d1, d3], 0),
+        (("coh", "group", op, "--degree", "3"), [d1, d3, "audit"], 0),
         (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
         (("coh", "cocycle", op, s), [], 0),
         (("coh", "coboundary", op, s), [], 0),
         (("coh", "coboundary", op, str(wedge)), [("X", 6), "delta"], 0),
-        # D_T = 0 on rbo4_P, so d_3 is A alone: no audit, no d_1
+        # a degree-3 coboundary runs no audit, whether D_T is zero, as on
+        # rbo4_P, or not, as on the in-theory sl3
         (("coh", "coboundary", op, str(three)), [], 0),
+        (("coh", "coboundary", str(sl3), str(sl3_three)), [], 0),
         # the zero direction is closed, so its class reads Z^1, whose
         # elimination reads every column of d_1
         (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1], 0),

@@ -1,11 +1,11 @@
 """The coboundary scattered from the nonzeros of theta and of the
-bracket, as the two blocks A and P, against the walk over every output
-argument tuple that assembled it one sign convention at a time
-(``dense_oracle.assemble``), and the sign audit read off A d_1 and
-P d_1 against the product of each convention's d_3 with d_1.  The
-coboundary of one cochain, scattered from its nonzeros through the same
-terms with no column built, is compared with the assembled
-differential applied to it."""
+bracket against the walk over every output argument tuple that first
+assembled it (``dense_oracle.assemble``) with Yamaguti's signs, and the
+audit d_3 d_1 = 0 against the product of the oracle's d_3 with d_1.
+The oracle also keeps the other printed D-sum sign, and shows where and
+by how much the two forms differ.  The coboundary of one cochain,
+scattered from its nonzeros through the same terms with no column
+built, is compared with the assembled differential applied to it."""
 
 import random
 from fractions import Fraction
@@ -16,10 +16,8 @@ import pytest
 import dense_oracle
 from triplekit import cohomology
 from triplekit.cohomology import (
-    SIGN_CONVENTIONS,
     Cochain,
     OperatorComplex,
-    _closing_convention,
     coboundary,
     cochain_space_basis,
     complex_audit,
@@ -27,7 +25,7 @@ from triplekit.cohomology import (
 )
 from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import Matrix, StructureError, SubspaceBasis
+from triplekit.linalg import Matrix, SubspaceBasis
 from triplekit.lts import LieTripleSystem, zero_system
 from triplekit.representations import ActionData, adjoint_representation, self_action, zero_representation
 from triplekit.rota_baxter import RelativeRBO
@@ -71,26 +69,20 @@ def rep_of(name):
 
 
 @cache
-def oracle(name, degree, convention):
+def oracle(name, degree, convention="complex"):
     return dense_oracle.assemble(rep_of(name), degree, convention)
-
-
-def scattered(rep, degree, convention):
-    a, p = cohomology._assemble(rep, degree)
-    return cohomology._combine(a, p, cohomology._p_sign(convention, (degree + 1) // 2))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_scatter_matches_tuple_walk(name):
     rep = rep_of(name)
-    for degree in (1, 3):
-        for convention in SIGN_CONVENTIONS:
-            assert scattered(rep, degree, convention) == oracle(name, degree, convention), (degree, convention)
+    # the oracle walks d^7 output tuples in degree 5
+    for degree in (1, 3, 5) if rep.algebra.dim <= 4 else (1, 3):
+        assert cohomology._assemble(rep, degree) == oracle(name, degree), degree
     if name in OPERATORS:
-        # the operator complex builds its differentials under the audited convention
         cx = operator_complex(name)
         for degree in (1, 3):
-            assert cx.differential(degree) == oracle(name, degree, _closing_convention(cx.audit)), degree
+            assert cx.differential(degree) == oracle(name, degree), degree
 
 
 def two_dim_system():
@@ -105,21 +97,23 @@ def two_dim_system():
 
 @pytest.mark.parametrize("rep", [two_dim_system(), adjoint_representation(make_sln_lts(2))], ids=["dim2", "sl2"])
 def test_degree_5_coboundary_matches_tuple_walk(rep):
-    # at n = 3 the D-sum signs (-1)^(i+1) and (-1)^(n+i) agree, so both
-    # conventions are A + P there; P is not zero on these systems
-    assert cohomology._assemble(rep, 5)[1]
+    # at n = 3 the D-sum signs (-1)^(i+1) and (-1)^(n+i) agree, so the
+    # two printed forms are one d_5; its D-sum is not zero on these systems
+    assert dense_oracle.assemble(rep, 5, d_sum_only=True)
+    columns = dense_oracle.assemble(rep, 5)
+    assert dense_oracle.assemble(rep, 5, "definition") == columns
     d, m = rep.algebra.dim, rep.space_dim
     f = generic(5, d, m)
-    for convention in SIGN_CONVENTIONS:
-        coords = cohomology.cochain_coordinates(f, (5,), d, m)
-        want = cohomology._image(cohomology._apply(dense_oracle.assemble(rep, 5, convention), coords), 7, d, m)
-        assert coboundary(rep, f, convention) == want, convention
+    coords = cohomology.cochain_coordinates(f, (5,), d, m)
+    assert coboundary(rep, f) == cohomology._image(cohomology._apply(columns, coords), 7, d, m)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_conventions_differ_by_twice_the_d_sum(name):
-    _, p = cohomology._assemble(rep_of(name), 3)
-    definition, complex_ = oracle(name, 3, "definition"), oracle(name, 3, "complex")
+    # the oracle's two printed forms of d_3 differ by twice its D-sum,
+    # written with the signs (-1)^(i+1); they are one d_3 where it is empty
+    p = dense_oracle.assemble(rep_of(name), 3, "definition", d_sum_only=True)
+    definition, complex_ = oracle(name, 3, "definition"), oracle(name, 3)
     difference = {}
     for sign, columns in ((1, definition), (-1, complex_)):
         for j, col in columns.items():
@@ -135,21 +129,23 @@ def test_conventions_differ_by_twice_the_d_sum(name):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_audit_from_the_two_blocks_matches_oracle(name):
+    # the audit is the one product d_3 d_1; the oracle's holds the other
+    # printed form's too, which fails where the D-sum does not vanish
     want = dense_oracle.audit(rep_of(name))
-    assert complex_audit(rep_of(name)) == want
+    assert complex_audit(rep_of(name)) == want["complex"]
     if name in OPERATORS:
-        assert operator_complex(name).audit == want
+        assert operator_complex(name).audit == want["complex"]
     if name in ("sl3", "sl2 adjoint"):
         assert want == {"definition": False, "complex": True}
 
 
-def test_unknown_convention_is_rejected_in_every_degree(rbo4):
-    # only the bare coboundary takes a convention; the operator complex
-    # takes none and decides its own
+def test_no_coboundary_takes_a_sign_convention(rbo4):
+    # the one coboundary has Yamaguti's signs: neither the bare coboundary
+    # nor the operator complex takes a convention
     cx = OperatorComplex(rbo4)
     for degree in (1, 3):
-        with pytest.raises(StructureError, match="unknown sign convention"):
-            coboundary(cx.rep, zero_cochain(degree, 4, 4), "bogus")
+        with pytest.raises(TypeError):
+            coboundary(cx.rep, zero_cochain(degree, 4, 4), "complex")
     with pytest.raises(TypeError):
         cx.differential(3, "complex")
     with pytest.raises(TypeError):
@@ -234,19 +230,17 @@ def test_scatter_apply_matches_the_assembled_differential(name):
         dense, sparse = random_cochains(degree, dp, d, rng)
         # on sl3 in degree 3 the sparse cochain alone keeps the test short
         for f in (sparse,) if name == "sl3 abelian" and degree == 3 else (dense, sparse):
-            for convention in SIGN_CONVENTIONS:
-                want = assembled_image(scattered(rep, degree, convention), f)
-                assert coboundary(rep, f, convention) == want, (degree, convention)
-            assert cx.apply(f) == assembled_image(cx.differential(degree), f), degree
+            want = assembled_image(cx.differential(degree), f)
+            assert coboundary(rep, f) == want, degree
+            assert cx.apply(f) == want, degree
 
 
 @pytest.mark.parametrize("name", ["rbo3_P", "ladder4", "relative", "source dim 0", "ambient dim 0"])
 def test_degree_5_scatter_apply_matches_tuple_walk(name):
     rep, rng = applied_complex(name).rep, random.Random(SEEDS["scatter_apply"])
+    columns = dense_oracle.assemble(rep, 5)
     for f in random_cochains(5, rep.algebra.dim, rep.space_dim, rng):
-        for convention in SIGN_CONVENTIONS:
-            want = assembled_image(dense_oracle.assemble(rep, 5, convention), f)
-            assert coboundary(rep, f, convention) == want, convention
+        assert coboundary(rep, f) == assembled_image(columns, f)
 
 
 @pytest.mark.parametrize("name", D_SUM)
@@ -254,12 +248,17 @@ def test_d_sum_block_is_empty_exactly_when_d_t_vanishes(name):
     cx = applied_complex(name)
     rep, dp = cx.rep, cx.rbo.source.dim
     d_t = any(not rep.d_basis(a, b).is_zero() for a in range(dp) for b in range(dp))
-    assert bool(cohomology._assemble(rep, 3)[1]) == d_t
+    assert bool(dense_oracle.assemble(rep, 3, d_sum_only=True)) == d_t
     in_theory_p = ("sl3 abelian", "sl2 abelian")
     assert d_t == (name in in_theory_p or "self-action" in name)
-    # a degree-3 coboundary builds no d_3; with D_T = 0 it runs no audit
-    # either, and so builds no d_1, which only the audit reads then
+    # a degree-3 coboundary builds no differential and runs no audit,
+    # whatever D_T
     fresh = OperatorComplex(cx.rbo)
     fresh.apply(zero_cochain(3, dp, cx.rbo.ambient.dim))
-    assert ("audit" in vars(fresh)) == d_t
-    assert set(fresh._built) == ({1} if d_t else set())
+    assert "audit" not in vars(fresh) and fresh._built == {}
+    # the printed name is "definition" only where the D-sum is empty, so
+    # that both printed forms are the d_3 that was audited
+    result = fresh.cohomology(3).result
+    names = ("complex",) if d_t else ("complex", "definition")
+    assert result.sign_convention == names[-1]
+    assert result.sign_audit == tuple((c, True) for c in names)
