@@ -20,15 +20,15 @@ Kubo and Taniguchi, J. Algebra 278, 2004):
     + sum_i (-1)^{n+i} D(x_{2i-1}, x_{2i}) f(.. omit 2i-1, 2i ..)
     + sum_i sum_{j>2i} (-1)^{n+i+1} f(.. [x_{2i-1}, x_{2i}, x_j] in slot j ..)
 
-It is written once, as the list of its terms (:func:`_terms`) read off
-the nonzeros of theta (each D(a, b) as the two entries theta(b, a) -
-theta(a, b), so no D matrix is built) and of the bracket, visiting no
-empty output tuple.  Two readers scatter the terms.  :func:`_assemble`
-builds sparse columns, and runs only where every column is read: Z, B
-and the audit d_3 d_1 = 0, which checks every degree-3 cohomology.  The
-coboundary of one cochain, :meth:`OperatorComplex.apply` and
-:func:`coboundary`, scatters the cochain's nonzeros through the terms,
-builds no column and runs no audit.
+It is written once, as a push (:func:`_push`): the output coordinates
+that each input coordinate reaches through the nonzeros of theta (each
+D(a, b) as the two entries theta(b, a) - theta(a, b)) and of the
+bracket, so no empty output tuple is visited.  :func:`_assemble` files
+the push of every coordinate into sparse columns, only where every
+column is read: Z, B and the audits d_1 delta = 0 and d_3 d_1 = 0,
+which check every cohomology.  The coboundary of one cochain,
+:meth:`OperatorComplex.apply` and :func:`coboundary`, sums the push of
+its nonzeros, and builds no column and runs no audit.
 
 Another printed form puts (-1)^(i+1) on the D-sum.  It agrees with
 Yamaguti's out of degrees 1 and 5, and out of degree 3 it fails
@@ -65,6 +65,7 @@ against a dense elimination.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -139,7 +140,7 @@ class Cochain:
         return self.coeffs[flat_arg_index(args, self.source_dim)]
 
     def is_zero(self) -> bool:
-        return not any(flatten_cochain(self))
+        return not any(self.coeffs) if self.degree == -1 else not any(map(any, self.coeffs))
 
 
 def flat_arg_index(args: tuple[int, ...], d: int) -> int:
@@ -197,7 +198,9 @@ def cochain_coordinates(f: Cochain, degrees, source_dim: int, target_dim: int) -
         raise StructureError("wedge coordinates sized for a different operator")
     if f.degree > 0 and (f.source_dim, f.target_dim) != (source_dim, target_dim):
         raise StructureError(f"cochain dims {f.source_dim} -> {f.target_dim}, expected {source_dim} -> {target_dim}")
-    return {i: x for i, x in enumerate(flatten_cochain(f)) if x}
+    if f.degree == -1:
+        return {i: x for i, x in enumerate(f.coeffs) if x}
+    return {p * target_dim + l: x for p, vec in enumerate(f.coeffs) if any(vec) for l, x in enumerate(vec) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -285,110 +288,104 @@ def _image(image: dict, degree: int, ds: int, dt: int) -> Cochain:
     return Cochain(degree, ds, dt, tuple(coeffs))
 
 
-def _offsets(d: int, m: int, degree: int, slots) -> list[tuple[int, int]]:
-    """The flat (input, output) positions, times m, of every assignment
-    of the free arguments of one term: ``slots`` pairs the input slot of
-    each free argument with its output slot, the input tuple having
-    ``degree`` slots and the output tuple two more."""
-    offsets = [(0, 0)]
-    for s, t in slots:
-        wi, wo = d ** (degree - 1 - s) * m, d ** (degree + 1 - t) * m
-        offsets = [(i + x * wi, o + x * wo) for i, o in offsets for x in range(d)]
-    return offsets
+def _push(rep: RepresentationData, degree: int, coords):
+    """The coboundary out of degree k = ``degree`` pushed from the input
+    flat coordinates ``coords``: for each j of them, in turn, every
+    (j, i, x) such that j reaches output coordinate i with coefficient
+    x.  Coordinate j, argument tuple alpha and target slot l, reaches
 
+    - through each entry theta(a, b)[r][l]: (alpha, a, b) and, negated,
+      (alpha_1..alpha_{k-1}, a, alpha_k, b), at slot r;
+    - through D(x_{2i-1}, x_{2i}) = theta(x_{2i}, x_{2i-1}) -
+      theta(x_{2i-1}, x_{2i}), from the same entries: alpha with (b, a)
+      and, negated, (a, b) in slots 2i-1, 2i, at slot r, times
+      (-1)^(n+i);
+    - through each bracket [a, b, z] whose component c at alpha_t, for
+      t >= 2i - 1, is nonzero: alpha with (a, b) in slots 2i-1, 2i and z
+      in place of alpha_t, at slot l, times (-1)^(n+i+1) c.
 
-def _terms(rep: RepresentationData, degree: int):
-    """The terms of the coboundary out of degree ``degree``, as
-    (offsets, col, row, sign, entries): each entry (r, c, a) puts
-    sign * a at column col + c + i and row row + r + o for every (i, o)
-    of ``offsets``.
-
-    Each term of the formula above fixes some output arguments and
-    passes the others through, so its entries come from the nonzeros of
-    the matrix it applies, over the free arguments: theta(x_{2n},
-    x_{2n+1}) and -theta(x_{2n-1}, x_{2n+1}) from each theta entry;
-    D(x_{2i-1}, x_{2i}) = theta(x_{2i}, x_{2i-1}) - theta(x_{2i-1},
-    x_{2i}) from each theta entry twice; and each insertion of
-    [x_{2i-1}, x_{2i}, x_j] from each nonzero bracket coefficient, as an
-    identity block.  No output tuple that receives nothing is visited.
-    This is the one place the formula is written: :func:`_assemble`
-    scatters the terms into columns, :func:`_scatter_image` a cochain's
-    nonzeros through them."""
+    Every term inserts a pair below a flat weight w, so j reaches
+    j // w * w * d^2 + j % w + o for each (o, x) that the term's table,
+    built once per call, holds at one digit of j: l, alpha_t, or
+    alpha_k and l."""
     d, m, k = rep.algebra.dim, rep.space_dim, degree
     n = (k + 1) // 2
-
-    def around(s, fixed=None):
-        """Offsets for a term whose output holds a fixed pair in slots
-        s, s + 1, and whose input slot ``fixed``, if any, is fixed too."""
-        return _offsets(d, m, k, [(t, t if t < s else t + 2) for t in range(k) if t != fixed])
-
-    ends = around(k)
-    split = _offsets(d, m, k, [(t, t) for t in range(k - 1)] + [(k - 1, k)])
+    theta = {}  # l: (a, b, r, x) of each theta(a, b)[r][l] = x
     for a, b, entries in rep.nonzero:
-        yield ends, 0, (a * d + b) * m, 1, entries
-        yield split, 0, (a * d * d + b) * m, -1, entries
+        for r, l, x in entries:
+            theta.setdefault(l, []).append((a, b, r, x))
+    bracket = {}  # s: (a, b, z, c) of each [a, b, z]_s = c
+    for a, b, z, vec in rep.algebra.nonzero:
+        for s, c in enumerate(vec):
+            if c:
+                bracket.setdefault(s, []).append((a, b, z, c))
+    # (w, kw, kd, table): the table holds its entries at the digits
+    # j // kw % kd that have any
+    terms = [
+        (m, 1, m, {l: [((a * d + b) * m + r - l, x) for a, b, r, x in col] for l, col in theta.items()}),
+        (d * m, 1, d * m, {
+            y * m + l: [((a * d + y) * d * m + (b - y) * m + r - l, -x) for a, b, r, x in col]
+            for l, col in theta.items() for y in range(d)
+        }),
+    ]
     for i in range(1, n + 1):
-        s, w = 2 * i - 2, d ** (k + 2 - 2 * i) * m  # the pair's slots, its second one's weight
-        d_sign = -1 if (n + i) % 2 else 1  # (-1)^(n+i), and the insertions take its negative
-        offsets = around(s)
-        for a, b, entries in rep.nonzero:
-            if a != b:  # theta(a, b) enters D(b, a) and, negated, D(a, b)
-                yield offsets, 0, (b * d + a) * w, d_sign, entries
-                yield offsets, 0, (a * d + b) * w, -d_sign, entries
-        for slot in range(s, k):
-            wz = d ** (k - 1 - slot) * m
-            offsets = around(s, slot)
-            for a, b, z, vec in rep.algebra.nonzero:
-                for src, c in enumerate(vec):
-                    if c:
-                        ident = [(l, l, c) for l in range(m)]
-                        yield offsets, src * wz, (a * d + b) * w + z * wz, -d_sign, ident
+        w = d ** (k + 2 - 2 * i) * m  # the flat weight below the pair's slots
+        sign = -1 if (n + i) % 2 else 1
+        terms.append((w, 1, m, {
+            l: [o for a, b, r, x in col if a != b
+                for o in (((b * d + a) * w + r - l, sign * x), ((a * d + b) * w + r - l, -sign * x))]
+            for l, col in theta.items()
+        }))
+        for t in range(2 * i - 2, k):
+            wt = d ** (k - 1 - t) * m
+            terms.append((w, wt, d, {
+                y: [((a * d + b) * w + (z - y) * wt, -sign * c) for a, b, z, c in entries]
+                for y, entries in bracket.items()
+            }))
+    terms = [term for term in terms if term[3]]
+    for j in coords:
+        for w, kw, kd, table in terms:
+            if entries := table.get(j // kw % kd):
+                base = j // w * w * d * d + j % w
+                for o, x in entries:
+                    yield j, base + o, x
 
 
 def _assemble(rep: RepresentationData, degree: int) -> dict:
-    """The coboundary out of degree ``degree`` as sparse columns,
-    scattered from :func:`_terms`; for the callers that read every
-    column: Z, B and the audit."""
-    columns = {}
-    for offsets, col, row, sign, entries in _terms(rep, degree):
-        for r, c, a in entries:
-            x, j0, i0 = sign * a, col + c, row + r
-            for i, o in offsets:
-                column = columns.get(i + j0)
-                if column is None:
-                    columns[i + j0] = {o + i0: x}
-                else:
-                    column[o + i0] = column.get(o + i0, ZERO) + x
+    """The coboundary out of degree ``degree`` as sparse columns: the
+    push of every input coordinate, filed by column.  For the callers
+    that read every column: Z, B and the audits."""
+    columns = defaultdict(dict)
+    for j, i, x in _push(rep, degree, range(rep.algebra.dim**degree * rep.space_dim)):
+        column = columns[j]
+        column[i] = column.get(i, ZERO) + x
     return _without_zeros(columns)
 
 
-def _scatter_image(rep: RepresentationData, degree: int, coords: dict) -> dict:
-    """The coboundary of the cochain with the sparse flat coordinates
-    ``coords``, as sparse flat coordinates: each term of :func:`_terms`
-    reads the cochain at its input positions, and no column is built."""
-    out, get = {}, coords.get
-    for offsets, col, row, sign, entries in _terms(rep, degree):
-        for r, c, a in entries:
-            x, j0, i0 = sign * a, col + c, row + r
-            for i, o in offsets:
-                if v := get(i + j0):
-                    out[o + i0] = out.get(o + i0, ZERO) + x * v
+def _push_sum(rep: RepresentationData, degree: int, coords: dict) -> dict:
+    """The nonzero flat coordinates of the coboundary of the cochain
+    with the nonzero flat coordinates ``coords``: the push of each,
+    times its value, summed.  No column is built."""
+    out = {}
+    for j, i, x in _push(rep, degree, coords):
+        out[i] = out.get(i, ZERO) + coords[j] * x
     return {i: x for i, x in out.items() if x}
 
 
 def coboundary(rep: RepresentationData, f: Cochain) -> Cochain:
     """Coboundary of a degree >= 1 cochain over the given coefficients,
     whose algebra is the source of the arguments and whose space is the
-    target, scattered from f's nonzeros with no column built."""
+    target, pushed from f's nonzeros."""
     ds, dt = rep.algebra.dim, rep.space_dim
     coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
-    return _image(_scatter_image(rep, f.degree, coords), f.degree + 2, ds, dt)
+    return _image(_push_sum(rep, f.degree, coords), f.degree + 2, ds, dt)
 
 
-def _audit(d1: dict, d3: dict) -> bool:
-    """Does d_3 d_1 vanish?  d_1 maps a basis of C^1, so this decides
-    d(d(f)) = 0 on C^1."""
-    return not any(_apply(d3, col) for col in d1.values())
+def _audit(incoming: dict, outgoing: dict) -> bool:
+    """Does the product of two consecutive differentials vanish?  The
+    incoming one's columns are its images of a basis, so this decides
+    d(d(f)) = 0: d_3 d_1 on C^1, or d_1 delta on the wedges."""
+    return not any(_apply(outgoing, col) for col in incoming.values())
 
 
 def complex_audit(rep: RepresentationData) -> bool:
@@ -465,12 +462,12 @@ def _wedge_delta(left: Matrix, right: Matrix):
 class OperatorComplex:
     """The complex of one operator: its induced representation, delta,
     d_1, d_3 and the audit, each built on first use and kept.  A command
-    builds one and pays only for what it reads.  :meth:`apply` builds no
-    column and runs no audit: it scatters a cochain's nonzeros through
-    the differential's terms.  The assembled d_1 and d_3 are built only
-    where every column is read, by :meth:`cohomology`, whose degree-3
-    answer the audit d_3 d_1 = 0 checks.  Degree 3 is entered through
-    the paper's hypothesis on the action at a nonzero weight."""
+    builds one and pays only for what it reads.  :meth:`apply` sums the
+    push of a cochain's nonzeros, and builds no column and runs no
+    audit.  :meth:`cohomology` reads the columns the push files for
+    every coordinate, and the audit d_1 delta = 0 or d_3 d_1 = 0 checks
+    its answer.  Degree 3 is entered through the paper's hypothesis on
+    the action at a nonzero weight."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
@@ -528,32 +525,34 @@ class OperatorComplex:
     def apply(self, f: Cochain) -> Cochain:
         """Coboundary of f in degree -1, 1 or 3, with no column built:
         delta is evaluated at the wedge's own contraction, and d_1 and
-        d_3 scatter f's nonzeros through their terms."""
+        d_3 sum the push of f's nonzeros."""
         dp, d = self.rbo.source.dim, self.rbo.ambient.dim
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
         if f.degree == -1:
             return _image(self.delta(self.contraction(coords)), 1, dp, d)
         rep = self._degree_3_rep if f.degree == 3 else self.rep
-        return _image(_scatter_image(rep, f.degree, coords), f.degree + 2, dp, d)
+        return _image(_push_sum(rep, f.degree, coords), f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
         """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
         differential on the constrained basis, B the span of the
         incoming one's columns; both are read off the sparse echelon
         form of :func:`triplekit.linalg.echelon`, with no dense matrix.
-        Degree 3 raises unless d_3 d_1 = 0, and names its convention:
-        "definition", audited under both names, when theta_T is
-        symmetric, so that D_T = 0 and both printed forms are this d_3,
-        and otherwise "complex"."""
+        Each degree raises unless the product of the two, d_1 delta or
+        d_3 d_1, is zero.  Degree 3 names its convention: "definition",
+        audited under both names, when theta_T is symmetric, so that
+        D_T = 0 and both printed forms are this d_3, and otherwise
+        "complex"."""
         if degree not in (1, 3):
             raise StructureError(f"unsupported cohomology degree {degree}")
         d, dp = self.rbo.ambient.dim, self.rbo.source.dim
         size = dp**degree * d
-        differential = self.differential(degree)
+        differential, incoming = self.differential(degree), self.differential(degree - 2)
+        if not (self.audit if degree == 3 else _audit(incoming, differential)):
+            product = "d_3 d_1" if degree == 3 else "d_1 delta"
+            raise VerificationError(f"{product} is not zero: the cochain complex does not close")
         convention, names = None, ()
         if degree == 3:
-            if not self.audit:
-                raise VerificationError("d_3 d_1 is not zero: the cochain complex does not close")
             theta = {(a, b): entries for a, b, entries in self.rep.nonzero}
             symmetric = all(theta.get((b, a)) == entries for (a, b), entries in theta.items())
             convention, names = ("definition", ("complex", "definition")) if symmetric else ("complex", ("complex",))
@@ -565,7 +564,7 @@ class OperatorComplex:
         cocycles = SubspaceBasis(size, tuple(
             tuple(sorted(_apply(basis, dict(c)).items())) for c in kernel.rows
         ))
-        coboundaries = SubspaceBasis.from_sparse(self.differential(degree - 2).values(), size)
+        coboundaries = SubspaceBasis.from_sparse(incoming.values(), size)
         return CohomologyData(CohomologyResult(
             degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
             convention, tuple((name, True) for name in names),

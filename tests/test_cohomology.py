@@ -11,6 +11,8 @@ from triplekit.cohomology import (
     Cochain,
     OperatorComplex,
     _assemble,
+    _push_sum,
+    cochain_coordinates,
     cochain_from_map,
     cochain_map_p,
     cochain_space_basis,
@@ -436,9 +438,10 @@ def test_degree_3_at_a_nonzero_weight_needs_a_verified_action(tmp_path, capsys):
 
 def test_degree_3_cohomology_exits_1_when_d3_d1_is_not_zero(tmp_path, capsys):
     # zero brackets on both sides and a theta that fails (R1), with T an
-    # operator at weight 0, where the door checks nothing: d_3 d_1 is not
-    # zero, so coh group --degree 3 exits 1, while a degree-3 coboundary,
-    # which runs no audit, exits 0
+    # operator at weight 0, where the door checks nothing: d_3 d_1 and
+    # d_1 delta are not zero, so coh group exits 1 in degrees 3 and 1,
+    # naming the product that fails, while a degree-3 coboundary, which
+    # runs no audit, exits 0
     theta = (
         (Matrix(2, 2, ((0, 0), (0, -1))), Matrix(2, 2, ((0, 0), (0, -1)))),
         (Matrix(2, 2, ((-1, 0), (-1, 0))), Matrix(2, 2, ((0, -1), (1, -1)))),
@@ -450,10 +453,11 @@ def test_degree_3_cohomology_exits_1_when_d3_d1_is_not_zero(tmp_path, capsys):
     op, path = tmp_path / "op.json", tmp_path / "f.json"
     op.write_text(dump_json(rbo_to_json(rbo)))
     path.write_text(dump_json(cochain_to_json(elementary_cochain(3, 2, 2, 5))))
-    assert main(["coh", "group", str(op), "--degree", "3"]) == 1
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "d_3 d_1 is not zero: the cochain complex does not close", "kind": "verification",
-    }
+    for degree, product in ((3, "d_3 d_1"), (1, "d_1 delta")):
+        assert main(["coh", "group", str(op), "--degree", str(degree)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": f"{product} is not zero: the cochain complex does not close", "kind": "verification",
+        }
     assert main(["coh", "coboundary", str(op), str(path)]) == 0
 
 
@@ -482,32 +486,34 @@ D5D3 = {
     "rbo3_P": lambda: load_rbo(fixture_path("rbo3_P")),
     "rbo4_P": lambda: load_rbo(fixture_path("rbo4_P")),
     "sl3 abelian": lambda: sln_abelian_cartan_projection(3),
+    "sl4 abelian": lambda: sln_abelian_cartan_projection(4),
 }
 
 
 @pytest.mark.parametrize("name", D5D3)
 def test_d5_d3_vanishes_under_the_one_coboundary(name):
     # d_5 d_3 = 0 on constrained degree-3 cochains: every row of the
-    # basis, or two seeded rows on sl3, where a degree-5 coboundary costs
-    # about a second.  The oracle's other printed form of d_3, followed
-    # by the same d_5 (both forms agree out of degree 5), fails on the
-    # systems whose D_T is not zero
+    # basis, or 40 seeded rows on sl4, pushed through d_3 and d_5 on
+    # coordinate dicts, so that no dense degree-7 image is built.  The
+    # oracle's other printed form of d_3, followed by the same d_5 (both
+    # forms agree out of degree 5), fails on the systems whose D_T is not
+    # zero; its dense image is read on every row, on two seeded rows on
+    # sl3, and not on sl4
     rep = OperatorComplex(D5D3[name]()).rep
     dp, d = rep.algebra.dim, rep.space_dim
     rows = cochain_space_basis(3, dp, d).rows
+    for row in random.Random(SEEDS["d5d3"]).sample(rows, 40) if name == "sl4 abelian" else rows:
+        assert not _push_sum(rep, 5, _push_sum(rep, 3, dict(row)))
+    if name == "sl4 abelian":
+        return
     if name == "sl3 abelian":
         rows = random.Random(SEEDS["d5d3"]).sample(rows, 2)
     definition = dense_oracle.assemble(rep, 3, "definition")
-
-    def d5_vanishes(g):
-        # by value vector: flattening d^7 * d coordinates costs more than d_5
-        return not any(map(any, coboundary(rep, g).coeffs))
-
     failures = 0
     for row in rows:
         f = unflatten_cochain(3, dp, d, tuple(dict(row).get(i, 0) for i in range(dp**3 * d)))
-        assert d5_vanishes(coboundary(rep, f))
-        failures += not d5_vanishes(dense_oracle.image(definition, f))
+        g = cochain_coordinates(dense_oracle.image(definition, f), (5,), dp, d)
+        failures += bool(_push_sum(rep, 5, g))
     assert failures == {"sl2 abelian": 2, "rbo3_P": 0, "rbo4_P": 0, "sl3 abelian": 2}[name]
 
 

@@ -292,7 +292,8 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
     # d_1 and d_3 are assembled once each, and only where every column
-    # is read: Z, B and the audit, which only coh group --degree 3 runs.
+    # is read: Z, B and the audits d_1 delta and d_3 d_1, which every
+    # cohomology runs, in coh group and under def check and def class.
     # The coboundary of one cochain, and so the cocycle check and the
     # order-t coefficients of def check, assembles nothing.  delta is
     # set up once and the complex contracts each unit wedge of rbo4_P's
@@ -303,7 +304,7 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
     commands = [
         (("coh", "group", op, "--degree", "3"), [d1, d3, "audit"], 0),
-        (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
+        (("coh", "group", op, "--degree", "1"), [*delta, d1, "audit"], 0),
         (("coh", "cocycle", op, s), [], 0),
         (("coh", "coboundary", op, s), [], 0),
         (("coh", "coboundary", op, str(wedge)), [("X", 6), "delta"], 0),
@@ -313,10 +314,10 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
         (("coh", "coboundary", str(sl3), str(sl3_three)), [], 0),
         # the zero direction is closed, so its class reads Z^1, whose
         # elimination reads every column of d_1
-        (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1], 0),
+        (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1, "audit"], 0),
         (("def", "check", op, str(ident)), [], 1),
         (("def", "check", op, str(ident), "--strict"), [], 1),
-        (("def", "class", op, s), [*delta, d1], 0),
+        (("def", "class", op, s), [*delta, d1, "audit"], 0),
         (("def", "trivial", op, s), search, 0),
         (("def", "trivial", op, s, "--strict"), strict_search, 0),
         (("def", "equiv", op, s, s, "--strict"), strict_search, 0),
