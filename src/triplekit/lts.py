@@ -147,12 +147,26 @@ def center(L: LieTripleSystem) -> SubspaceBasis:
     return sparse_kernel(rows.values(), L.dim)
 
 
+def skew_first(indices):
+    """Every triple over ``indices``, the (x, y, z) with x != y first and
+    then the (x, x, z), each group in the order of ``product(indices,
+    repeat=3)``.  A system skew in its first two slots has a zero bracket
+    at every (x, x, z), so a scan that stops at its first failure reaches
+    them last; it still visits them, so a system that is not skew gets
+    every triple checked."""
+    indices = tuple(indices)
+    yield from ((x, y, z) for x, y, z in product(indices, repeat=3) if x != y)
+    yield from ((x, x, z) for x in indices for z in indices)
+
+
 def _brackets_of_basis(L: LieTripleSystem, S: SubspaceBasis):
-    """The brackets of all triples of basis vectors of S, lazily, so a
-    caller's test can stop at the first that fails it."""
+    """The brackets of all triples of basis vectors of S, lazily and in
+    :func:`skew_first` order, so a caller's test can stop at the first
+    that fails it."""
     if S.ambient_dim != L.dim:
         raise StructureError("subspace ambient dimension differs from system dimension")
-    return (L.bracket_eval(x, y, z) for x, y, z in product(S.vectors, repeat=3))
+    V = S.vectors
+    return (L.bracket_eval(V[x], V[y], V[z]) for x, y, z in skew_first(range(len(V))))
 
 
 def is_subsystem(L: LieTripleSystem, S: SubspaceBasis) -> bool:
@@ -178,10 +192,11 @@ class HomomorphismCandidate:
 
 
 def is_homomorphism(h: HomomorphismCandidate) -> bool:
-    """phi[x,y,z]_source == [phi x, phi y, phi z]_target on all basis triples."""
+    """phi[x,y,z]_source == [phi x, phi y, phi z]_target on all basis
+    triples, scanned in :func:`skew_first` order up to the first failure."""
     src, dst, phi = h.source, h.target, h.map
     E, cols = src.basis(), [phi.column(i) for i in range(src.dim)]
-    for i, j, k in product(range(src.dim), repeat=3):
+    for i, j, k in skew_first(range(src.dim)):
         lhs = phi.apply(src.bracket_eval(E[i], E[j], E[k]))
         rhs = dst.bracket_eval(cols[i], cols[j], cols[k])
         if lhs != rhs:

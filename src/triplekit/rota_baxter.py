@@ -45,7 +45,14 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .lts import HomomorphismCandidate, LieTripleSystem, derived_algebra, is_abelian_subsystem, is_homomorphism
+from .lts import (
+    HomomorphismCandidate,
+    LieTripleSystem,
+    derived_algebra,
+    is_abelian_subsystem,
+    is_homomorphism,
+    skew_first,
+)
 from .representations import ActionData, self_action, semidirect_brackets, vector_family, verify_action
 from .reporting import Report, Violation
 
@@ -226,39 +233,56 @@ def descendent_lts(rbo: RelativeRBO) -> LieTripleSystem:
     return LieTripleSystem.from_entries(rbo.source.dim, entries, rbo.source.basis_names)
 
 
-def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> Vector:
-    """LHS - RHS of the Nijenhuis identity at basis triple (x, y, z),
-    written nested as [Nx,Ny,Nz] - N(A - N(B - N[x,y,z])), where A sums
-    the three brackets with two arguments under N and B the three with
-    one; three applications of N per triple."""
-    ex, ey, ez = (basis_vector(L.dim, i) for i in (x, y, z))
-    Nx, Ny, Nz = N.column(x), N.column(y), N.column(z)
-    br = L.bracket_eval
-    two = tuple(map(sum, zip(br(Nx, Ny, ez), br(Nx, ey, Nz), br(ex, Ny, Nz))))
-    one = tuple(map(sum, zip(br(Nx, ey, ez), br(ex, Ny, ez), br(ex, ey, Nz))))
-    inner = N.apply(vec_sub(one, N.apply(br(ex, ey, ez))))
-    return vec_sub(br(Nx, Ny, Nz), N.apply(vec_sub(two, inner)))
-
-
-def _nijenhuis_violations(L: LieTripleSystem, N: Matrix, indices):
-    """Basis triples over ``indices`` where the Nijenhuis identity fails,
-    generated in the lexicographic order of ``indices``."""
+def _nijenhuis_torsion(L: LieTripleSystem, N: Matrix):
+    """The Nijenhuis torsion of N as a function of a basis triple
+    (x, y, z): LHS - RHS of the Nijenhuis identity, written nested as
+    [Nx,Ny,Nz] - N(A - N(B - N[x,y,z])), where A sums the three brackets
+    with two arguments under N and B the three with one; three
+    applications of N per triple.  N's columns and the basis vectors are
+    built once here, not once per triple."""
     if N.rows != L.dim or N.cols != L.dim:
         raise StructureError("Nijenhuis candidate must be square on the system")
-    for x, y, z in product(indices, repeat=3):
-        if not vec_is_zero(nijenhuis_defect(L, N, x, y, z)):
+    E, cols, br = L.basis(), [N.column(i) for i in range(L.dim)], L.bracket_eval
+
+    def defect(x: int, y: int, z: int) -> Vector:
+        ex, ey, ez = E[x], E[y], E[z]
+        Nx, Ny, Nz = cols[x], cols[y], cols[z]
+        two = tuple(map(sum, zip(br(Nx, Ny, ez), br(Nx, ey, Nz), br(ex, Ny, Nz))))
+        one = tuple(map(sum, zip(br(Nx, ey, ez), br(ex, Ny, ez), br(ex, ey, Nz))))
+        inner = N.apply(vec_sub(one, N.apply(br(ex, ey, ez))))
+        return vec_sub(br(Nx, Ny, Nz), N.apply(vec_sub(two, inner)))
+
+    return defect
+
+
+def nijenhuis_defect(L: LieTripleSystem, N: Matrix, x: int, y: int, z: int) -> Vector:
+    """LHS - RHS of the Nijenhuis identity at basis triple (x, y, z), by
+    :func:`_nijenhuis_torsion`."""
+    return _nijenhuis_torsion(L, N)(x, y, z)
+
+
+def _nijenhuis_violations(L: LieTripleSystem, N: Matrix, triples):
+    """The basis triples of ``triples`` where the Nijenhuis identity
+    fails, generated in the order given."""
+    defect = _nijenhuis_torsion(L, N)
+    for x, y, z in triples:
+        if not vec_is_zero(defect(x, y, z)):
             yield Violation("nijenhuis-identity", (x + 1, y + 1, z + 1))
 
 
 def nijenhuis_check(L: LieTripleSystem, N: Matrix) -> Report:
-    """All basis triples violating the seven-term Nijenhuis identity."""
-    return tuple(_nijenhuis_violations(L, N, range(L.dim)))
+    """All basis triples violating the seven-term Nijenhuis identity, in
+    lexicographic order."""
+    return tuple(_nijenhuis_violations(L, N, product(range(L.dim), repeat=3)))
 
 
 def is_nijenhuis(L: LieTripleSystem, N: Matrix) -> bool:
-    """Early-exit variant of :func:`nijenhuis_check`, scanning the triples
-    most likely to fail first (highest indices) for speed on sweeps."""
-    return next(_nijenhuis_violations(L, N, range(L.dim - 1, -1, -1)), None) is None
+    """Early-exit variant of :func:`nijenhuis_check`.  It scans in
+    :func:`triplekit.lts.skew_first` order over the indices from the
+    highest down: the (x, y, z) with x != y first, where the torsion of
+    a system skew in its first two slots can be nonzero, and the
+    (x, x, z), where it is zero, last."""
+    return next(_nijenhuis_violations(L, N, skew_first(range(L.dim - 1, -1, -1))), None) is None
 
 
 def nijenhuis_lift(action: ActionData, T: LinearMap) -> Matrix:

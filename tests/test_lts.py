@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from triplekit.linalg import Matrix, SubspaceBasis, basis_vector
+from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
 from triplekit.lts import (
     HomomorphismCandidate,
     LieTripleSystem,
@@ -13,10 +13,12 @@ from triplekit.lts import (
     is_abelian_subsystem,
     is_homomorphism,
     is_subsystem,
+    skew_first,
     verify_lts,
     zero_system,
 )
 from triplekit.representations import semidirect_product
+from triplekit.rota_baxter import is_nijenhuis
 
 import dense_oracle
 from conftest import SEEDS, make_sln_lts
@@ -267,3 +269,49 @@ def test_is_homomorphism(lts3, rbo3):
         lts3, lts3, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     )
     assert not is_homomorphism(bad)
+
+
+def test_skew_first_moves_the_alternating_triples_last():
+    for indices in (range(3), range(3, -1, -1), range(1), range(0)):
+        lex = list(product(indices, repeat=3))
+        assert list(skew_first(indices)) == [t for t in lex if t[0] != t[1]] + [t for t in lex if t[0] == t[1]]
+
+
+def test_early_exit_scans_skip_no_triple():
+    # [e1, e1, e2] = e3 is not skew, so each negative case below fails
+    # only at triples (x, x, z): a scan that skipped x = y would accept
+    # it.  Each scan must decide what the lexicographic all(...) over
+    # every triple decides.
+    L = LieTripleSystem.from_entries(3, {(0, 0, 1): (0, 0, 1)})
+    E, Z = L.basis(), zero_system(3)
+
+    def lex_failures(holds, n):
+        return [t for t in product(range(n), repeat=3) if not holds(*t)]
+
+    cases = []
+    for S in (span(3, 0, 1), span(3, 1, 2), span(3, 0, 1, 2)):
+        V = S.vectors
+
+        def bracket(x, y, z):
+            return L.bracket_eval(V[x], V[y], V[z])
+
+        cases.append((is_abelian_subsystem(L, S), lex_failures(lambda *t: vec_is_zero(bracket(*t)), len(V))))
+        cases.append((is_subsystem(L, S), lex_failures(lambda *t: S.contains(bracket(*t)), len(V))))
+    for target, phi in ((Z, Matrix.identity(3)), (L, Matrix.identity(3)), (Z, Matrix.zeros(3, 3))):
+        cols = [phi.column(i) for i in range(3)]
+
+        def respects(i, j, k):
+            return phi.apply(L.bracket_eval(E[i], E[j], E[k])) == target.bracket_eval(cols[i], cols[j], cols[k])
+
+        cases.append((is_homomorphism(HomomorphismCandidate(L, target, phi)), lex_failures(respects, 3)))
+    for N in (Matrix(3, 3, ((0, 0, 0), (0, 0, 0), (0, 0, 1))), Matrix.identity(3)):
+
+        def torsion_vanishes(x, y, z):
+            return vec_is_zero(dense_oracle.nijenhuis_defect(L, N, x, y, z))
+
+        cases.append((is_nijenhuis(L, N), lex_failures(torsion_vanishes, 3)))
+    for decided, failures in cases:
+        assert decided == (not failures)
+    negative = [failures for _decided, failures in cases if failures]
+    assert len(negative) == 5
+    assert all(x == y for failures in negative for x, y, _z in failures)

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from triplekit.cli import main
+from triplekit.fileio import dump_json, rbo_to_json
 from triplekit.linalg import Matrix, SubspaceBasis, VerificationError, basis_vector
 from triplekit.lts import (
     HomomorphismCandidate,
@@ -30,7 +33,8 @@ from triplekit.rota_baxter import (
 )
 
 import dense_oracle
-from conftest import SEEDS, known_operator_pool
+from conftest import SEEDS, known_operator_pool, ladder, relative_rbo
+from test_scatter_assembly import ambient_dim_0, source_dim_0
 
 F = Fraction
 
@@ -173,8 +177,9 @@ def test_nijenhuis_lift_shape_and_idempotence(rbo3, rbo4):
 
 
 def test_nijenhuis_early_exit_agrees_with_report(lts3, rbo4):
-    # is_nijenhuis scans from the highest indices and stops at the first
-    # failure; it must decide exactly what the full report decides
+    # is_nijenhuis scans the triples with x != y first and the (x, x, z)
+    # last, each group from the highest indices down, and stops at the
+    # first failure; the report is lexicographic.  Both must decide alike
     rng = random.Random(SEEDS["nijenhuis"])
     sd = semidirect_product(rbo4.action, rbo4.weight)
     seen = set()
@@ -199,6 +204,33 @@ def test_three_way_equivalence_seeded(rbo3, rbo4):
             )
             assert out["counterexamples"] == 0
             assert out["operators_found"] >= len(extras)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ladder(5), relative_rbo, source_dim_0, ambient_dim_0],
+    ids=["ladder5", "relative", "source dim 0", "ambient dim 0"],
+)
+def test_three_way_equivalence_on_the_swept_shapes(make):
+    # ladder5 is swept by the benchmark, the relative operator has
+    # dim L' != dim L, and every map into or out of a zero space is an operator
+    rbo = make()
+    out = equivalence_sweep(rbo.action, rbo.weight, trials=20, seed=SEEDS["equivalence"], extra_maps=(rbo.T,))
+    assert out["counterexamples"] == 0
+    assert out["operators_found"] >= 1
+    if 0 in (rbo.ambient.dim, rbo.source.dim):
+        assert out["operators_found"] == out["trials"]
+
+
+def test_equivalence_command_on_an_empty_ambient(tmp_path, capsys):
+    # every 0 x dim L' map is an operator; the random maps keep their
+    # columns, where a matrix built from its (no) rows had shape 0 x 0
+    assert random_integer_matrix(random.Random(0), 0, 3).cols == 3
+    path = tmp_path / "rbo.json"
+    path.write_text(dump_json(rbo_to_json(ambient_dim_0())))
+    assert main(["rbo", "equivalence", str(path), "--trials", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["operators_found"] == out["trials"] == 4
 
 
 def test_homomorphism_identity_pair(rbo3):

@@ -8,6 +8,7 @@ They read only the dense table of the theta(e_i, e_j), built by
 ``dense_oracle.theta_tensor``.
 """
 
+import json
 import random
 import sys
 from collections import Counter
@@ -249,3 +250,32 @@ def test_equivalence_sweep_is_one_product_and_one_pass_per_trial(monkeypatch, ca
     argv = ("rbo", "equivalence", str(fixture_path("rbo4_P")), "--trials", str(trials))
     want = {"semidirect_product": 1, "_rb_defects": trials} if trials else {"semidirect_product": 1}
     assert bracket_passes(monkeypatch, capsys, *argv) == want
+
+
+def test_equivalence_sweep_rejects_each_candidate_at_its_first_failing_triple(monkeypatch, capsys):
+    # rbo4_P's five seeded candidates all fail (RB), and each fails the
+    # Nijenhuis check at the first triple it visits, one with x != y:
+    # five torsion evaluations and 45 brackets.  Scanning from
+    # (n-1, n-1, n-1) with the (x, x, z) triples among the first took 45
+    # evaluations and 385 brackets.
+    counts = Counter()
+    torsion, bracket = rota_baxter._nijenhuis_torsion, LieTripleSystem.bracket_eval
+
+    def counting_torsion(L, N):
+        defect = torsion(L, N)
+
+        def counted(*triple):
+            counts["torsion"] += 1
+            return defect(*triple)
+
+        return counted
+
+    def counting_bracket(self, *args):
+        counts["bracket_eval"] += 1
+        return bracket(self, *args)
+
+    monkeypatch.setattr(rota_baxter, "_nijenhuis_torsion", counting_torsion)
+    monkeypatch.setattr(LieTripleSystem, "bracket_eval", counting_bracket)
+    assert main(["rbo", "equivalence", str(fixture_path("rbo4_P")), "--trials", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["operators_found"] == 0
+    assert counts == {"torsion": 5, "bracket_eval": 45}
