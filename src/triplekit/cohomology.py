@@ -20,15 +20,16 @@ Kubo and Taniguchi, J. Algebra 278, 2004):
     + sum_i (-1)^{n+i} D(x_{2i-1}, x_{2i}) f(.. omit 2i-1, 2i ..)
     + sum_i sum_{j>2i} (-1)^{n+i+1} f(.. [x_{2i-1}, x_{2i}, x_j] in slot j ..)
 
-It is written once, as a push (:func:`_push`): the output coordinates
-that each input coordinate reaches through the nonzeros of theta (each
-D(a, b) as the two entries theta(b, a) - theta(a, b)) and of the
-bracket, so no empty output tuple is visited.  :func:`_assemble` files
-the push of every coordinate into sparse columns, only where every
-column is read: Z, B and the audits d_1 delta = 0 and d_3 d_1 = 0,
-which check every cohomology.  The coboundary of one cochain,
-:meth:`OperatorComplex.apply` and :func:`coboundary`, sums the push of
-its nonzeros, and builds no column and runs no audit.
+It is written once, as one function of a sparse vector
+(:func:`_differential`): each input coordinate is pushed to the output
+coordinates it reaches through the nonzeros of theta (each D(a, b) as
+the two entries theta(b, a) - theta(a, b)) and of the bracket, so no
+empty output tuple is visited, and the image is summed in place.  The
+coboundary of one cochain, :meth:`OperatorComplex.apply` and
+:func:`coboundary`, is that function at its nonzeros; Z, B and the
+audits d_1 delta = 0 and d_3 d_1 = 0, which check every cohomology,
+are the same function at unit vectors and at the constrained basis
+rows, and no differential is held as columns.
 
 Another printed form puts (-1)^(i+1) on the D-sum.  It agrees with
 Yamaguti's out of degrees 1 and 5, and out of degree 3 it fails
@@ -52,20 +53,19 @@ delta X = T D(X) - [X,-] T is the evaluation at (T, T) of
 left D(X) - [X,-] right, read off the one contraction
 :func:`triplekit.representations._wedge_maps` of a wedge.
 :class:`OperatorComplex` alone turns wedge coordinates into that
-contraction and keeps delta and the unit-wedge contractions: the
-assembled delta, whose columns B^1 needs, is delta at each unit wedge,
-the coboundary of one wedge is delta at its own contraction, and the
-equivalence of deformations reads (E1) off the same delta at the same
-contractions.  Cocycles, coboundaries and their quotient come from the
-sparse elimination of :func:`triplekit.linalg.echelon` on the images of
-the constrained basis and on the incoming columns, checked in the tests
-against a dense elimination.
+contraction and keeps delta and the unit-wedge contractions: B^1 is
+spanned by delta at each unit wedge, the coboundary of one wedge is
+delta at its own contraction, and the equivalence of deformations reads
+(E1) off the same delta at the same contractions.  Cocycles,
+coboundaries and their quotient come from the sparse elimination of
+:func:`triplekit.linalg.echelon` on the images of the constrained basis
+and of the unit vectors, checked in the tests against a dense
+elimination.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -255,10 +255,6 @@ def cochain_space_basis(
 # the coboundary operator
 
 
-def _without_zeros(columns: dict) -> dict:
-    return {j: nz for j, col in columns.items() if (nz := {i: x for i, x in col.items() if x})}
-
-
 def _apply(columns, vec: dict) -> dict:
     """The matrix with these columns times a sparse vector."""
     out = {}
@@ -288,11 +284,12 @@ def _image(image: dict, degree: int, ds: int, dt: int) -> Cochain:
     return Cochain(degree, ds, dt, tuple(coeffs))
 
 
-def _push(rep: RepresentationData, degree: int, coords):
-    """The coboundary out of degree k = ``degree`` pushed from the input
-    flat coordinates ``coords``: for each j of them, in turn, every
-    (j, i, x) such that j reaches output coordinate i with coefficient
-    x.  Coordinate j, argument tuple alpha and target slot l, reaches
+def _differential(rep: RepresentationData, degree: int):
+    """The coboundary out of degree k = ``degree`` as the function from
+    the nonzero flat coordinates {j: value} of a cochain to those of its
+    image, each output coordinate i summed in place from every j that
+    reaches it.  Coordinate j, argument tuple alpha and target slot l,
+    reaches
 
     - through each entry theta(a, b)[r][l]: (alpha, a, b) and, negated,
       (alpha_1..alpha_{k-1}, a, alpha_k, b), at slot r;
@@ -305,9 +302,9 @@ def _push(rep: RepresentationData, degree: int, coords):
       in place of alpha_t, at slot l, times (-1)^(n+i+1) c.
 
     Every term inserts a pair below a flat weight w, so j reaches
-    j // w * w * d^2 + j % w + o for each (o, x) that the term's table,
-    built once per call, holds at one digit of j: l, alpha_t, or
-    alpha_k and l."""
+    j // w * w * d^2 + j % w + o for each (o, x) that the term's table
+    holds at one digit of j: l, alpha_t, or alpha_k and l.  The tables
+    are built once, here, for every cochain the function is given."""
     d, m, k = rep.algebra.dim, rep.space_dim, degree
     n = (k + 1) // 2
     theta = {}  # l: (a, b, r, x) of each theta(a, b)[r][l] = x
@@ -343,33 +340,19 @@ def _push(rep: RepresentationData, degree: int, coords):
                 for y, entries in bracket.items()
             }))
     terms = [term for term in terms if term[3]]
-    for j in coords:
-        for w, kw, kd, table in terms:
-            if entries := table.get(j // kw % kd):
-                base = j // w * w * d * d + j % w
-                for o, x in entries:
-                    yield j, base + o, x
+    dd = d * d
 
+    def push(coords: dict) -> dict:
+        out = {}
+        for j, c in coords.items():
+            for w, kw, kd, table in terms:
+                if entries := table.get(j // kw % kd):
+                    base = j // w * w * dd + j % w
+                    for o, x in entries:
+                        out[base + o] = out.get(base + o, ZERO) + c * x
+        return {i: x for i, x in out.items() if x}
 
-def _assemble(rep: RepresentationData, degree: int) -> dict:
-    """The coboundary out of degree ``degree`` as sparse columns: the
-    push of every input coordinate, filed by column.  For the callers
-    that read every column: Z, B and the audits."""
-    columns = defaultdict(dict)
-    for j, i, x in _push(rep, degree, range(rep.algebra.dim**degree * rep.space_dim)):
-        column = columns[j]
-        column[i] = column.get(i, ZERO) + x
-    return _without_zeros(columns)
-
-
-def _push_sum(rep: RepresentationData, degree: int, coords: dict) -> dict:
-    """The nonzero flat coordinates of the coboundary of the cochain
-    with the nonzero flat coordinates ``coords``: the push of each,
-    times its value, summed.  No column is built."""
-    out = {}
-    for j, i, x in _push(rep, degree, coords):
-        out[i] = out.get(i, ZERO) + coords[j] * x
-    return {i: x for i, x in out.items() if x}
+    return push
 
 
 def coboundary(rep: RepresentationData, f: Cochain) -> Cochain:
@@ -378,19 +361,13 @@ def coboundary(rep: RepresentationData, f: Cochain) -> Cochain:
     target, pushed from f's nonzeros."""
     ds, dt = rep.algebra.dim, rep.space_dim
     coords = cochain_coordinates(f, POSITIVE_DEGREES, ds, dt)
-    return _image(_push_sum(rep, f.degree, coords), f.degree + 2, ds, dt)
-
-
-def _audit(incoming: dict, outgoing: dict) -> bool:
-    """Does the product of two consecutive differentials vanish?  The
-    incoming one's columns are its images of a basis, so this decides
-    d(d(f)) = 0: d_3 d_1 on C^1, or d_1 delta on the wedges."""
-    return not any(_apply(outgoing, col) for col in incoming.values())
+    return _image(_differential(rep, f.degree)(coords), f.degree + 2, ds, dt)
 
 
 def complex_audit(rep: RepresentationData) -> bool:
     """Does d(d(f)) = 0 hold on a basis of C^1?"""
-    return _audit(_assemble(rep, 1), _assemble(rep, 3))
+    d1, d3 = _differential(rep, 1), _differential(rep, 3)
+    return not any(d3(d1({j: ONE})) for j in range(rep.algebra.dim * rep.space_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +437,20 @@ def _wedge_delta(left: Matrix, right: Matrix):
 
 
 class OperatorComplex:
-    """The complex of one operator: its induced representation, delta,
-    d_1, d_3 and the audit, each built on first use and kept.  A command
-    builds one and pays only for what it reads.  :meth:`apply` sums the
-    push of a cochain's nonzeros, and builds no column and runs no
-    audit.  :meth:`cohomology` reads the columns the push files for
-    every coordinate, and the audit d_1 delta = 0 or d_3 d_1 = 0 checks
-    its answer.  Degree 3 is entered through the paper's hypothesis on
-    the action at a nonzero weight."""
+    """The complex of one operator: its induced representation and its
+    differentials delta, d_1 and d_3, each the function from a sparse
+    vector's flat coordinates to its image's, built on first use and
+    kept.  A command builds one and pays only for what it reads.
+    :meth:`apply` is the differential at a cochain's nonzeros, and
+    :meth:`cohomology` reads the incoming one at the unit vectors and
+    the outgoing one at those images (the audit d_1 delta = 0 or
+    d_3 d_1 = 0) and at the constrained basis rows; no differential is
+    held as columns.  Degree 3 is entered through the paper's hypothesis
+    on the action at a nonzero weight."""
 
     def __init__(self, rbo: RelativeRBO):
         self.rbo = rbo
-        self._built = {}
+        self._differentials = {}
 
     @cached_property
     def rep(self) -> RepresentationData:
@@ -507,48 +486,49 @@ class OperatorComplex:
         d = self.rbo.ambient.dim
         return tuple(self.contraction({k: 1}) for k in range(d * (d - 1) // 2))
 
-    def differential(self, degree: int) -> dict:
-        """delta (degree -1), d_1 or d_3 as sparse columns."""
-        if degree not in self._built:
-            if degree == -1:
-                self._built[-1] = {k: col for k, col in enumerate(map(self.delta, self.unit_contractions)) if col}
-            elif degree in (1, 3):
-                self._built[degree] = _assemble(self._degree_3_rep if degree == 3 else self.rep, degree)
-            else:
-                raise StructureError(f"unsupported differential degree {degree}")
-        return self._built[degree]
-
-    @cached_property
-    def audit(self) -> bool:
-        return _audit(self.differential(1), self.differential(3))
+    def differential(self, degree: int):
+        """delta (degree -1), d_1 or d_3 as the function from the nonzero
+        flat coordinates of a cochain to those of its image: delta at the
+        wedge's contraction, d_1 and d_3 pushed from the nonzeros."""
+        if degree not in (-1, 1, 3):
+            raise StructureError(f"unsupported differential degree {degree}")
+        if degree not in self._differentials:
+            self._differentials[degree] = (
+                (lambda coords: self.delta(self.contraction(coords))) if degree == -1
+                else _differential(self._degree_3_rep if degree == 3 else self.rep, degree)
+            )
+        return self._differentials[degree]
 
     def apply(self, f: Cochain) -> Cochain:
-        """Coboundary of f in degree -1, 1 or 3, with no column built:
-        delta is evaluated at the wedge's own contraction, and d_1 and
-        d_3 sum the push of f's nonzeros."""
+        """Coboundary of f in degree -1, 1 or 3: the differential at f's
+        nonzeros."""
         dp, d = self.rbo.source.dim, self.rbo.ambient.dim
         coords = cochain_coordinates(f, (-1, 1, 3), dp, d)
-        if f.degree == -1:
-            return _image(self.delta(self.contraction(coords)), 1, dp, d)
-        rep = self._degree_3_rep if f.degree == 3 else self.rep
-        return _image(_push_sum(rep, f.degree, coords), f.degree + 2, dp, d)
+        return _image(self.differential(f.degree)(coords), f.degree + 2, dp, d)
 
     def cohomology(self, degree: int) -> CohomologyData:
-        """Z, B and H in degree 1 or 3: Z is the kernel of the outgoing
-        differential on the constrained basis, B the span of the
-        incoming one's columns; both are read off the sparse echelon
-        form of :func:`triplekit.linalg.echelon`, with no dense matrix.
-        Each degree raises unless the product of the two, d_1 delta or
-        d_3 d_1, is zero.  Degree 3 names its convention: "definition",
-        audited under both names, when theta_T is symmetric, so that
-        D_T = 0 and both printed forms are this d_3, and otherwise
-        "complex"."""
+        """Z, B and H in degree 1 or 3.  B is the span of the incoming
+        differential's images of the unit vectors: delta at the unit
+        wedges' contractions, or d_1 at each unit of C^1.  The outgoing
+        one must vanish on each of those images, or this raises naming
+        the product, d_1 delta or d_3 d_1, that is not zero; Z is the
+        kernel of its images of the constrained basis rows.  Both are
+        read off the sparse echelon form of
+        :func:`triplekit.linalg.echelon`, with no dense matrix.  Degree 3
+        names its convention: "definition", audited under both names,
+        when theta_T is symmetric, so that D_T = 0 and both printed forms
+        are this d_3, and otherwise "complex"."""
         if degree not in (1, 3):
             raise StructureError(f"unsupported cohomology degree {degree}")
         d, dp = self.rbo.ambient.dim, self.rbo.source.dim
         size = dp**degree * d
-        differential, incoming = self.differential(degree), self.differential(degree - 2)
-        if not (self.audit if degree == 3 else _audit(incoming, differential)):
+        outgoing = self.differential(degree)
+        if degree == 1:
+            incoming = list(map(self.delta, self.unit_contractions))
+        else:
+            d1 = self.differential(1)
+            incoming = [d1({j: ONE}) for j in range(dp * d)]
+        if any(map(outgoing, incoming)):
             product = "d_3 d_1" if degree == 3 else "d_1 delta"
             raise VerificationError(f"{product} is not zero: the cochain complex does not close")
         convention, names = None, ()
@@ -557,14 +537,14 @@ class OperatorComplex:
             symmetric = all(theta.get((b, a)) == entries for (a, b), entries in theta.items())
             convention, names = ("definition", ("complex", "definition")) if symmetric else ("complex", ("complex",))
         basis = dict(enumerate(map(dict, cochain_space_basis(degree, dp, d).rows)))
-        images = [_apply(differential, vec).items() for vec in basis.values()]
+        images = [outgoing(vec).items() for vec in basis.values()]
         kernel = sparse_kernel(sparse_transpose(images), len(images))
         # the constrained basis is in reduced echelon form, so its
         # combinations along the echelon kernel basis are too
         cocycles = SubspaceBasis(size, tuple(
             tuple(sorted(_apply(basis, dict(c)).items())) for c in kernel.rows
         ))
-        coboundaries = SubspaceBasis.from_sparse(incoming.values(), size)
+        coboundaries = SubspaceBasis.from_sparse(incoming, size)
         return CohomologyData(CohomologyResult(
             degree, cocycles.dim, coboundaries.dim, quotient_dim(coboundaries, cocycles),
             convention, tuple((name, True) for name in names),
@@ -587,14 +567,15 @@ def one_cocycle_check(rbo: RelativeRBO, f: Cochain) -> Report:
     d_1 f at (u, v, w) is the t-coefficient of the Rota-Baxter defect
     of T + t f at that triple, so the witnesses are also those of the
     order-t rule of :func:`triplekit.deformations.check_deformation`,
-    read off the nonzero value vectors of d_1 f as
-    :meth:`OperatorComplex.apply` gives it.
+    read off the value-vector indices i // dim L of the nonzero flat
+    coordinates i of d_1 f.
     """
-    dp = rbo.source.dim
-    cochain_coordinates(f, (1,), dp, rbo.ambient.dim)  # apply also takes degrees -1 and 3
+    dp, d = rbo.source.dim, rbo.ambient.dim
+    coords = cochain_coordinates(f, (1,), dp, d)
+    image = OperatorComplex(rbo).differential(1)(coords)
     return tuple(
         Violation("one-cocycle", (p // dp**2 + 1, p // dp % dp + 1, p % dp + 1))
-        for p, vec in enumerate(OperatorComplex(rbo).apply(f).coeffs) if any(vec)
+        for p in sorted({i // d for i in image})
     )
 
 

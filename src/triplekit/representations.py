@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, Scalar, StructureError, Vector, ZERO, vec_is_zero
+from .linalg import Matrix, Scalar, StructureError, Vector, VerificationError, ZERO, vec_is_zero
 from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
@@ -334,7 +334,7 @@ def semidirect_product(a: ActionData, weight: Scalar) -> LieTripleSystem:
     axioms.
     """
     if verify_action(a):
-        raise StructureError("semidirect product requires a verified action")
+        raise VerificationError("semidirect product requires a verified action")
     d, n = a.algebra.dim, a.algebra.dim + a.target.dim
     unit = Matrix.identity(n).entries
     basis = vector_family(Matrix(d, n, unit[:d]), Matrix(n - d, n, unit[d:]))

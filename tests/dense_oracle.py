@@ -22,7 +22,9 @@ another printed form.  The sign audit is the product of each form's
 d_3 with d_1; it shows that the second form fails d d = 0 on the
 adjoint of sl2, which is why the package has the first alone.  It
 also keeps the image of a cochain under a differential written into a
-dense flat vector and unflattened.  It keeps the nested ``coeffs`` of
+dense flat vector and unflattened, and reads the package's
+differentials, which are functions of a sparse vector, as columns: their
+images of the unit vectors.  It keeps the nested ``coeffs`` of
 a cochain file built as they first were, one recursive call per
 argument prefix.  It keeps the derivation
 axiom (A3) of a system checked at every basis triple of each pair, and
@@ -45,7 +47,6 @@ from itertools import product
 
 from triplekit.cohomology import (
     _apply,
-    _without_zeros,
     cochain_space_basis,
     flat_arg_index,
     flatten_cochain,
@@ -179,15 +180,27 @@ def quotient_dim(sub, total, n: int):
     return len(total) - len(sub)
 
 
+def _without_zeros(columns: dict) -> dict:
+    return {j: nz for j, col in columns.items() if (nz := {i: x for i, x in col.items() if x})}
+
+
+def columns(differential, size: int) -> dict:
+    """The sparse columns of a differential given as a function of a
+    sparse vector's flat coordinates: its images of the ``size`` unit
+    vectors, the empty ones left out, in the form of :func:`assemble`."""
+    return _without_zeros({j: differential({j: ONE}) for j in range(size)})
+
+
 def cohomology(cx, degree: int):
     """(Z, B) of an operator complex as dense reduced echelon bases: Z
     from the kernel of the dense matrix of the images of the constrained
     basis, on their nonzero rows; B from the dense span of the incoming
-    differential's columns."""
+    differential's columns.  Both differentials are read as columns, at
+    every unit vector."""
     d, dp = cx.rbo.ambient.dim, cx.rbo.source.dim
     size = dp**degree * d
     basis = cochain_space_basis(degree, dp, d).vectors
-    differential = cx.differential(degree)
+    differential = columns(cx.differential(degree), size)
     images = []
     for vec in basis:
         out = {}
@@ -205,7 +218,7 @@ def cohomology(cx, degree: int):
                 if x:
                     acc[t] += c * x
         combinations.append(acc)
-    incoming = cx.differential(degree - 2).values()
+    incoming = columns(cx.differential(degree - 2), d * (d - 1) // 2 if degree == 1 else dp * d).values()
     coboundaries = span([[col.get(i, ZERO) for i in range(size)] for col in incoming], size)
     return span(combinations, size), coboundaries
 

@@ -12,7 +12,10 @@ from triplekit.fileio import action_to_json, cochain_to_json, dump_json, load_rb
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix
 from triplekit.lts import LieTripleSystem
+from triplekit.representations import self_action, verify_action
 from triplekit.rota_baxter import RelativeRBO
+
+from conftest import make_sln_lts
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -405,3 +408,30 @@ def test_equiv_witness_sized_for_another_operator_exits_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {
             "error": "wedge coordinates sized for a different operator", "kind": "input",
         }
+
+
+def test_an_action_that_fails_verify_action_exits_1_on_every_command(tmp_path, capsys):
+    # the sl2 self-action fails verify_action; T = 0 at weight 1 passes
+    # (RB), so rbo check exits 0, and every command that needs the
+    # action verified exits 1 as a verification, as coh group does in
+    # degree 3, and not 2 as malformed input
+    action = self_action(make_sln_lts(2))
+    assert len(verify_action(action)) == 60
+    rbo = RelativeRBO(action, 1, Matrix.zeros(3, 3))
+    op, act = tmp_path / "op.json", tmp_path / "action.json"
+    op.write_text(dump_json(rbo_to_json(rbo)))
+    act.write_text(dump_json(action_to_json(action)))
+    assert main(["rbo", "check", str(op)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    failed = {"error": "semidirect product requires a verified action", "kind": "verification"}
+    commands = (
+        ("rbo", "graph", str(op)),
+        ("rbo", "nijenhuis", str(op)),
+        ("rbo", "equivalence", str(op), "--trials", "3"),
+        ("sd", "build", str(act), "--weight", "1"),
+    )
+    for argv in commands:
+        assert main(list(argv)) == 1, argv
+        assert json.loads(capsys.readouterr().out) == failed, argv
+    assert main(["coh", "group", str(op), "--degree", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "verification"

@@ -198,8 +198,8 @@ def test_assembly_never_builds_a_d_matrix(monkeypatch, rbo4, sl2_lts):
 
     monkeypatch.setattr(RepresentationData, "d_basis", counting)
     cx = OperatorComplex(rbo4)
-    for degree in (-1, 1, 3):
-        cx.differential(degree)
+    for degree, size in ((-1, 6), (1, 16), (3, 256)):
+        dense_oracle.columns(cx.differential(degree), size)
     complex_audit(adjoint_representation(sl2_lts))
     verify_representation(cx.rep)
     assert calls == []

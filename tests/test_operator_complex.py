@@ -1,5 +1,5 @@
-"""The assembled differentials against the per-cochain evaluator they
-replaced.
+"""The operator complex's differentials against the per-cochain
+evaluator they replaced.
 
 ``evaluate`` and ``evaluate_delta`` are the coboundary and the wedge
 coboundary as they were written before the complex was assembled, kept
@@ -153,8 +153,8 @@ def test_operator_differentials_match_evaluator(name, request):
         want = evaluate(cx.rep, f)
         assert coboundary(cx.rep, f) == want, degree
         assert cx.apply(f) == want, degree
-        assert cx.differential(degree) == dense_oracle.assemble(cx.rep, degree), degree
-    assert cohomology._assemble(cx.rep, 5) == dense_oracle.assemble(cx.rep, 5)
+        assert dense_oracle.columns(cx.differential(degree), dp**degree * d) == dense_oracle.assemble(cx.rep, degree), degree
+    assert dense_oracle.columns(cohomology._differential(cx.rep, 5), dp**5 * d) == dense_oracle.assemble(cx.rep, 5)
 
 
 def random_matrix(rng, rows, cols, density):
@@ -259,8 +259,7 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
 
         return wrapper
 
-    counting(cohomology, "_assemble", lambda rep, degree: ("d", degree))
-    counting(cohomology, "_audit", lambda d1, d3: "audit")
+    counting(cohomology, "_differential", lambda rep, degree: ("d", degree))
     # one event per wedge contraction, named by its number of wedge
     # coordinates, and per left D(X) - [X,-] right set up at (T, T) for
     # delta or at the directions for (E2); the strict rows read (R2) off
@@ -291,33 +290,34 @@ def test_each_differential_is_assembled_once_per_command(monkeypatch, tmp_path, 
     ident.write_text(dump_json(cochain_to_json(cochain_from_map(Matrix.identity(4)))))
     wedge.write_text(dump_json(cochain_to_json(Cochain(-1, 4, 4, (1,) * 6))))
     s = str(zero)
-    # d_1 and d_3 are assembled once each, and only where every column
-    # is read: Z, B and the audits d_1 delta and d_3 d_1, which every
-    # cohomology runs, in coh group and under def check and def class.
-    # The coboundary of one cochain, and so the cocycle check and the
-    # order-t coefficients of def check, assembles nothing.  delta is
-    # set up once and the complex contracts each unit wedge of rbo4_P's
-    # six once, for B^1 and for the equivalence system's (E1), (E2) and,
-    # in strict mode, (R2) rows alike; a single wedge is contracted alone
+    # d_1 and d_3 are built once each per command, and only where they
+    # are read: the coboundary of one cochain builds its own degree's,
+    # and the cohomology reads the incoming one at the unit vectors and
+    # the outgoing one at those images (the audits d_1 delta and
+    # d_3 d_1) and at the constrained basis; def check builds d_1 once
+    # for its order-t coefficients and its class.  delta is set up once
+    # and the complex contracts each unit wedge of rbo4_P's six once,
+    # for B^1 and for the equivalence system's (E1), (E2) and, in strict
+    # mode, (R2) rows alike; a single wedge is contracted alone
     d1, d3 = ("d", 1), ("d", 3)
     delta = ["delta"] + [("X", 1)] * 6
     search, strict_search = ["delta", "E2"] + [("X", 1)] * 6, ["delta", "E2"] + [("X", 1), "R2"] * 6
     commands = [
-        (("coh", "group", op, "--degree", "3"), [d1, d3, "audit"], 0),
-        (("coh", "group", op, "--degree", "1"), [*delta, d1, "audit"], 0),
-        (("coh", "cocycle", op, s), [], 0),
-        (("coh", "coboundary", op, s), [], 0),
+        (("coh", "group", op, "--degree", "3"), [d1, d3], 0),
+        (("coh", "group", op, "--degree", "1"), [*delta, d1], 0),
+        (("coh", "cocycle", op, s), [d1], 0),
+        (("coh", "coboundary", op, s), [d1], 0),
         (("coh", "coboundary", op, str(wedge)), [("X", 6), "delta"], 0),
-        # a degree-3 coboundary runs no audit, whether D_T is zero, as on
-        # rbo4_P, or not, as on the in-theory sl3
-        (("coh", "coboundary", op, str(three)), [], 0),
-        (("coh", "coboundary", str(sl3), str(sl3_three)), [], 0),
-        # the zero direction is closed, so its class reads Z^1, whose
-        # elimination reads every column of d_1
-        (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1, "audit"], 0),
-        (("def", "check", op, str(ident)), [], 1),
-        (("def", "check", op, str(ident), "--strict"), [], 1),
-        (("def", "class", op, s), [*delta, d1, "audit"], 0),
+        # a degree-3 coboundary builds d_3 alone and runs no audit,
+        # whether D_T is zero, as on rbo4_P, or not, as on the in-theory sl3
+        (("coh", "coboundary", op, str(three)), [d3], 0),
+        (("coh", "coboundary", str(sl3), str(sl3_three)), [d3], 0),
+        # the zero direction is closed, so its class reads Z^1 off the
+        # d_1 that its order-t coefficients read
+        (("def", "check", op, s, "--strict"), [*delta, "E2", *["R2"] * 6, d1], 0),
+        (("def", "check", op, str(ident)), [d1], 1),
+        (("def", "check", op, str(ident), "--strict"), [d1], 1),
+        (("def", "class", op, s), [*delta, d1], 0),
         (("def", "trivial", op, s), search, 0),
         (("def", "trivial", op, s, "--strict"), strict_search, 0),
         (("def", "equiv", op, s, s, "--strict"), strict_search, 0),

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from triplekit.cohomology import induced_rep
-from triplekit.linalg import Matrix, StructureError, basis_vector
+from triplekit.linalg import Matrix, StructureError, VerificationError, basis_vector
 from triplekit.lts import verify_lts, zero_system
 from triplekit.representations import (
     ActionData,
@@ -165,7 +165,7 @@ def test_semidirect_pure_first_factor(lts3):
 
 
 def test_semidirect_requires_verified_action(sl2_lts):
-    with pytest.raises(StructureError):
+    with pytest.raises(VerificationError):
         semidirect_product(self_action(sl2_lts), F(1))
 
 

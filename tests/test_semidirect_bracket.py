@@ -22,7 +22,7 @@ from triplekit.cli import main
 from triplekit.cohomology import zero_cochain
 from triplekit.fileio import cochain_to_json, dump_json, matrix_to_json, rbo_to_json
 from triplekit.fixtures import fixture_path
-from triplekit.linalg import Matrix, StructureError, basis_vector
+from triplekit.linalg import Matrix, VerificationError, basis_vector
 from triplekit.lts import LieTripleSystem
 from triplekit.representations import (
     RepresentationData,
@@ -135,7 +135,7 @@ def test_theta_vec_matches_dense_oracle(name, request):
 def test_semidirect_product_matches_oracle(name, request):
     a = action(name, request)
     if verify_action(a):
-        with pytest.raises(StructureError):
+        with pytest.raises(VerificationError):
             semidirect_product(a, F(1))
         return
     for weight in WEIGHTS:

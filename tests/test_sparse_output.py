@@ -25,6 +25,7 @@ from triplekit.cohomology import (
     OperatorComplex,
     coboundary,
     cochain_space_basis,
+    flatten_cochain,
     unflatten_cochain,
     zero_cochain,
 )
@@ -83,9 +84,10 @@ def test_apply_matches_dense_image(name):
         walked = dense_oracle.assemble(cx.rep, degree) if degree > 0 else None
         cochains = [zero_cochain(degree, dp, d)]
         cochains += [random_cochain(rng, degree, dp, d, fractions) for fractions in (False, True)]
+        columns = dense_oracle.columns(cx.differential(degree), len(flatten_cochain(cochains[0])))
         for f in cochains:
             got = cx.apply(f)
-            assert got == dense_oracle.image(cx.differential(degree), f), degree
+            assert got == dense_oracle.image(columns, f), degree
             # the zero value vectors are one shared tuple
             assert len({id(v) for v in got.coeffs if not any(v)}) <= 1
             if walked is not None:
@@ -128,7 +130,8 @@ def test_coboundary_stdout_is_the_dense_document(name, tmp_path, capsys):
             path = tmp_path / "cochain.json"
             path.write_text(dump_json(cochain_to_json(f)), encoding="utf-8")
             assert main(["coh", "coboundary", str(op), str(path)]) == 0
-            df = dense_oracle.image(cx.differential(degree), f)
+            columns = dense_oracle.columns(cx.differential(degree), len(flatten_cochain(f)))
+            df = dense_oracle.image(columns, f)
             want = {"degree": df.degree, "source_dim": df.source_dim, "target_dim": df.target_dim,
                     "coeffs": dense_oracle.cochain_coeffs(df)}
             assert capsys.readouterr().out == stdlib(want)
