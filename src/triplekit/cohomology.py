@@ -312,10 +312,9 @@ def _differential(rep: RepresentationData, degree: int):
         for r, l, x in entries:
             theta.setdefault(l, []).append((a, b, r, x))
     bracket = {}  # s: (a, b, z, c) of each [a, b, z]_s = c
-    for a, b, z, vec in rep.algebra.nonzero:
-        for s, c in enumerate(vec):
-            if c:
-                bracket.setdefault(s, []).append((a, b, z, c))
+    for a, b, z, terms in rep.algebra.nonzero:
+        for s, c in terms:
+            bracket.setdefault(s, []).append((a, b, z, c))
     # (w, kw, kd, table): the table holds its entries at the digits
     # j // kw % kd that have any
     terms = [
@@ -457,17 +456,6 @@ class OperatorComplex:
         return induced_rep(self.rbo)
 
     @cached_property
-    def _degree_3_rep(self) -> RepresentationData:
-        """The induced representation, once the hypothesis of degree 3
-        holds: at a nonzero weight the action passes verify_action.  At
-        weight 0 neither theta_T nor the descendent bracket reads the
-        bracket of L', so nothing is checked."""
-        rep = self.rep
-        if self.rbo.weight and verify_action(self.rbo.action):
-            raise VerificationError("degree 3 at a nonzero weight requires the action to pass verify_action")
-        return rep
-
-    @cached_property
     def delta(self):
         """delta X = T D(X) - [X,-] T as the function of X's contraction
         that gives its flat degree-1 coordinates."""
@@ -489,14 +477,20 @@ class OperatorComplex:
     def differential(self, degree: int):
         """delta (degree -1), d_1 or d_3 as the function from the nonzero
         flat coordinates of a cochain to those of its image: delta at the
-        wedge's contraction, d_1 and d_3 pushed from the nonzeros."""
+        wedge's contraction, d_1 and d_3 pushed from the nonzeros.  d_3
+        is built once the induced representation is and the hypothesis
+        of degree 3 holds: at a nonzero weight the action passes
+        verify_action.  At weight 0 neither theta_T nor the descendent
+        bracket reads the bracket of L', so nothing is checked."""
         if degree not in (-1, 1, 3):
             raise StructureError(f"unsupported differential degree {degree}")
-        if degree not in self._differentials:
-            self._differentials[degree] = (
-                (lambda coords: self.delta(self.contraction(coords))) if degree == -1
-                else _differential(self._degree_3_rep if degree == 3 else self.rep, degree)
-            )
+        if degree == -1:
+            self._differentials.setdefault(-1, lambda coords: self.delta(self.contraction(coords)))
+        elif degree not in self._differentials:
+            rep = self.rep
+            if degree == 3 and self.rbo.weight and verify_action(self.rbo.action):
+                raise VerificationError("degree 3 at a nonzero weight requires the action to pass verify_action")
+            self._differentials[degree] = _differential(rep, degree)
         return self._differentials[degree]
 
     def apply(self, f: Cochain) -> Cochain:

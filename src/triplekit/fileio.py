@@ -117,14 +117,16 @@ def _write_json(node, newline: str, out: list[str], seen: dict) -> None:
         out.append(json.dumps(node))
 
 
-def _resolve(node, base_dir: Path | None, loader):
-    """A node may be an inline object or a path string relative to the file."""
+def _resolve(node, base_dir: Path | None) -> tuple:
+    """(document, base of its nested paths) of a node that is an inline
+    document, whose base is the file's, or a path string relative to
+    the file, whose base is the named file's own directory."""
     if isinstance(node, str):
         path = Path(node)
         if base_dir is not None and not path.is_absolute():
             path = base_dir.joinpath(path)
-        return loader(path)
-    return node
+        return _read_json(path), path.parent
+    return node, base_dir
 
 
 def _require(mapping, key, context):
@@ -205,10 +207,10 @@ def algebra_from_json(data: dict) -> LieTripleSystem:
 
 def algebra_to_json(L: LieTripleSystem) -> dict:
     brackets = []
-    for i, j, k, vec in L.nonzero:
+    for i, j, k, terms in L.nonzero:
         if i > j:
             continue  # skew partner is implied
-        value = {str(l + 1): format_scalar(x) for l, x in enumerate(vec) if x}
+        value = {str(l + 1): format_scalar(x) for l, x in terms}
         brackets.append({"args": [i + 1, j + 1, k + 1], "value": value})
     return {"dim": L.dim, "basis": list(L.basis_names), "brackets": brackets}
 
@@ -222,7 +224,7 @@ def load_algebra(path) -> LieTripleSystem:
 
 
 def representation_from_json(data: dict, base_dir: Path | None = None) -> RepresentationData:
-    algebra = algebra_from_json(_resolve(_require(data, "algebra", "representation"), base_dir, _read_json))
+    algebra = algebra_from_json(_resolve(_require(data, "algebra", "representation"), base_dir)[0])
     space_dim = _dim(_require(data, "space_dim", "representation"), "representation: space_dim")
     given, entries = {}, {}
     for item in _require_list(data.get("theta", []), "representation theta"):
@@ -256,10 +258,8 @@ def load_representation(path) -> RepresentationData:
 
 
 def action_from_json(data: dict, base_dir: Path | None = None) -> ActionData:
-    rep = representation_from_json(
-        _resolve(_require(data, "representation", "action"), base_dir, _read_json), base_dir
-    )
-    target = algebra_from_json(_resolve(_require(data, "target", "action"), base_dir, _read_json))
+    rep = representation_from_json(*_resolve(_require(data, "representation", "action"), base_dir))
+    target = algebra_from_json(_resolve(_require(data, "target", "action"), base_dir)[0])
     return ActionData(rep, target)
 
 
@@ -321,8 +321,8 @@ def load_rbo(path) -> RelativeRBO:
 
 
 def homomorphism_from_json(data: dict, base_dir: Path | None = None) -> RBOHomomorphism:
-    source = rbo_from_json(_resolve(_require(data, "source", "homomorphism"), base_dir, _read_json), base_dir)
-    target = rbo_from_json(_resolve(_require(data, "target", "homomorphism"), base_dir, _read_json), base_dir)
+    source = rbo_from_json(*_resolve(_require(data, "source", "homomorphism"), base_dir))
+    target = rbo_from_json(*_resolve(_require(data, "target", "homomorphism"), base_dir))
     d, dp = source.ambient.dim, source.source.dim
     psi_l = matrix_from_json(_require(data, "psi_L", "homomorphism"), d, d, "psi_L")
     psi_lp = matrix_from_json(_require(data, "psi_Lprime", "homomorphism"), dp, dp, "psi_Lprime")

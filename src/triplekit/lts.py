@@ -1,9 +1,11 @@
 """Finite-dimensional Lie triple systems given by structure constants.
 
 A system of dimension d is stored as its nonzero brackets of basis
-vectors, ``(i, j, k, c)`` with ``[e_i, e_j, e_k] = sum_l c[l] e_l``, in
-lexicographic (i, j, k) order; every unlisted bracket is zero, and no
-dense table is kept beside the list.  The defining axioms:
+vectors, ``(i, j, k, ((l, c), ...))`` with ``[e_i, e_j, e_k] = sum c
+e_l`` over the bracket's nonzero components, in increasing l, and the
+brackets in lexicographic (i, j, k) order; every unlisted bracket and
+component is zero, and no dense table or value vector is kept beside
+the list.  The defining axioms:
 
   (A1)  [a,a,b] = 0
   (A2)  [a,b,c] + [b,c,a] + [c,a,b] = 0
@@ -21,6 +23,7 @@ from itertools import product
 
 from .linalg import (
     Matrix,
+    Scalar,
     StructureError,
     SubspaceBasis,
     Vector,
@@ -28,7 +31,6 @@ from .linalg import (
     basis_vector,
     sparse_kernel,
     vec_is_zero,
-    zero_vector,
 )
 from .reporting import Report, Violation
 
@@ -37,17 +39,19 @@ from .reporting import Report, Violation
 class LieTripleSystem:
     dim: int
     basis_names: tuple[str, ...]
-    # (i, j, k, value-vector) for every nonzero [e_i, e_j, e_k], in
-    # lexicographic (i, j, k) order; build through from_entries.
-    nonzero: tuple[tuple[int, int, int, Vector], ...]
+    # (i, j, k, ((l, c), ...)) for every nonzero [e_i, e_j, e_k], its
+    # nonzero components c at l in increasing l, in lexicographic
+    # (i, j, k) order; build through from_entries.
+    nonzero: tuple[tuple[int, int, int, tuple[tuple[int, Scalar], ...]], ...]
 
     @classmethod
     def from_entries(cls, dim, entries, basis_names=None) -> "LieTripleSystem":
         """Build from a {(i, j, k): vector} dict of 0-based brackets.
 
-        Unlisted triples are zero, and so are listed all-zero vectors,
-        which are not stored.  Skew pairs are NOT completed here; use
-        :func:`triplekit.fileio.load_algebra` for sparse input files.
+        Unlisted triples are zero, and so are listed all-zero vectors;
+        only each bracket's nonzero components are stored.  Skew pairs
+        are NOT completed here; use :func:`triplekit.fileio.load_algebra`
+        for sparse input files.
         """
         names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
         if len(names) != dim:
@@ -57,7 +61,9 @@ class LieTripleSystem:
                 raise StructureError(f"bracket index out of range: {(i, j, k)}")
             if len(vec) != dim:
                 raise StructureError(f"bracket value at {(i, j, k)} has wrong length")
-        nonzero = sorted((*key, tuple(vec)) for key, vec in entries.items() if not vec_is_zero(vec))
+        nonzero = sorted(
+            (*key, terms) for key, vec in entries.items() if (terms := tuple((l, c) for l, c in enumerate(vec) if c))
+        )
         return cls(dim, names, tuple(nonzero))
 
     def bracket_eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -66,13 +72,12 @@ class LieTripleSystem:
             if len(v) != self.dim:
                 raise StructureError("bracket argument length differs from dimension")
         out = [ZERO] * self.dim
-        for i, j, k, vec in self.nonzero:
+        for i, j, k, terms in self.nonzero:
             # most argument coordinates are zero on basis-vector arguments
             if x[i] and y[j] and z[k]:
                 coef = x[i] * y[j] * z[k]
-                for l, val in enumerate(vec):
-                    if val:
-                        out[l] += coef * val
+                for l, val in terms:
+                    out[l] += coef * val
         return tuple(out)
 
     def basis(self) -> tuple[Vector, ...]:
@@ -97,27 +102,31 @@ def verify_lts(L: LieTripleSystem) -> Report:
     with k in that slot.  Only the triples that receive a term are
     checked, in lexicographic order.
     """
-    d, br, zero = L.dim, {(i, j, k): vec for i, j, k, vec in L.nonzero}, zero_vector(L.dim)
+    d, br = L.dim, {(i, j, k): terms for i, j, k, terms in L.nonzero}
 
-    def at(i, j, k):
-        return br.get((i, j, k), zero)
+    def vanishes(*triples):
+        """Do the brackets at these basis triples sum to zero?"""
+        acc = {}
+        for key in triples:
+            for l, v in br.get(key, ()):
+                acc[l] = acc.get(l, ZERO) + v
+        return not any(acc.values())
 
-    out = [Violation("alternating", (i + 1, i + 1, k + 1), "[a,a,b] != 0") for i, j, k, _v in L.nonzero if i == j]
+    out = [Violation("alternating", (i + 1, i + 1, k + 1), "[a,a,b] != 0") for i, j, k, _t in L.nonzero if i == j]
     for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in br if i != j}):
-        if not vec_is_zero(tuple(a + b for a, b in zip(at(i, j, k), at(j, i, k)))):
+        if not vanishes((i, j, k), (j, i, k)):
             out.append(Violation("skew-symmetry", (i + 1, j + 1, k + 1), "[a,b,c] != -[b,a,c]"))
     for i, j, k in sorted({t for i, j, k in br for t in ((i, j, k), (j, k, i), (k, i, j))}):
-        if not vec_is_zero(tuple(map(sum, zip(at(i, j, k), at(j, k, i), at(k, i, j))))):
+        if not vanishes((i, j, k), (j, k, i), (k, i, j)):
             out.append(Violation("cyclic-sum", (i + 1, j + 1, k + 1)))
-    terms = {key: [(l, v) for l, v in enumerate(vec) if v] for key, vec in br.items()}
     by_slot, left = ({}, {}, {}), {}
-    for key, kv in terms.items():
+    for key, kv in br.items():
         for s in range(3):
             by_slot[s].setdefault(key[s], []).append((key, kv))
         left.setdefault(key[:2], {})[key[2]] = kv
     for (a, b), K in sorted(left.items()):
         # [a, b, [c, d, e]], then less [[a, b, c], d, e] + [c, [a, b, d], e] + [c, d, [a, b, e]]
-        parts = [(key, c, K[m]) for key, kv in terms.items() for m, c in kv if m in K]
+        parts = [(key, c, K[m]) for key, kv in br.items() for m, c in kv if m in K]
         parts += [
             (key[:s] + (k,) + key[s + 1:], -c, mv)
             for k, kv in K.items() for m, c in kv for s in range(3) for key, mv in by_slot[s].get(m, ())
@@ -133,17 +142,16 @@ def verify_lts(L: LieTripleSystem) -> Report:
 
 def derived_algebra(L: LieTripleSystem) -> SubspaceBasis:
     """Span of all basis brackets, i.e. [L, L, L]."""
-    return SubspaceBasis.from_spanning([vec for _i, _j, _k, vec in L.nonzero], L.dim)
+    return SubspaceBasis.from_sparse([terms for _i, _j, _k, terms in L.nonzero], L.dim)
 
 
 def center(L: LieTripleSystem) -> SubspaceBasis:
     """{x : [x, y, z] = 0 for all y, z}: the kernel of the rows, one per
     (j, k, l), whose entry i is coordinate l of [e_i, e_j, e_k]."""
     rows = {}
-    for i, j, k, vec in L.nonzero:
-        for l, c in enumerate(vec):
-            if c:
-                rows.setdefault((j, k, l), {})[i] = c
+    for i, j, k, terms in L.nonzero:
+        for l, c in terms:
+            rows.setdefault((j, k, l), {})[i] = c
     return sparse_kernel(rows.values(), L.dim)
 
 

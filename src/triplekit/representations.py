@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, Scalar, StructureError, Vector, VerificationError, ZERO, vec_is_zero
+from .linalg import Matrix, Scalar, StructureError, Vector, VerificationError, ZERO
 from .lts import LieTripleSystem, center
 from .reporting import Report, Violation
 
@@ -91,7 +91,7 @@ def zero_representation(L: LieTripleSystem, space_dim: int) -> RepresentationDat
 
 def adjoint_representation(L: LieTripleSystem) -> RepresentationData:
     """theta(a,b)c = [c,a,b]; the induced D(a,b) is c -> [a,b,c]."""
-    entries = {(a, b, l, c): v for c, a, b, vec in L.nonzero for l, v in enumerate(vec) if v}
+    entries = {(a, b, l, c): v for c, a, b, terms in L.nonzero for l, v in terms}
     return RepresentationData.from_entries(L, L.dim, entries)
 
 
@@ -137,9 +137,9 @@ def _module_identity_rows(rep: RepresentationData) -> dict:
             if prod := [(r * dp + c, a * b) for r, m, a in first for c, b in by_row.get((s, t, m), ())]:
                 for key, sign in (((s, t, p, q), 1), ((s, p, t, q), -1), ((s, q, p, t), 1), ((s, p, q, t), -1)):
                     add(key, sign, prod)
-    for b, c, dd, vec in rep.algebra.nonzero:
-        for l, v in enumerate(vec):
-            for a, entries in by_second[l] if v else ():
+    for b, c, dd, terms in rep.algebra.nonzero:
+        for l, v in terms:
+            for a, entries in by_second[l]:
                 add((a, b, c, dd), -v, entries)
     return acc
 
@@ -159,10 +159,9 @@ def _wedge_maps(rep: RepresentationData, wedge: dict) -> tuple[dict, dict]:
                 dx[r, c] = dx.get((r, c), ZERO) + sign * v
         at = bisect_left(brackets, (a, b))
         while at < len(brackets) and brackets[at][:2] == (a, b):
-            _, _, k, vec = brackets[at]
-            for l, v in enumerate(vec):
-                if v:
-                    kx[l, k] = kx.get((l, k), ZERO) + co * v
+            _, _, k, terms = brackets[at]
+            for l, v in terms:
+                kx[l, k] = kx.get((l, k), ZERO) + co * v
             at += 1
     return {key: v for key, v in dx.items() if v}, {key: v for key, v in kx.items() if v}
 
@@ -228,20 +227,20 @@ def verify_action(a: ActionData) -> Report:
     ``rep.nonzero``: center membership is tested for the nonzero
     columns alone, and each bracket's image is summed from the entries.
     """
-    out = []
+    out, n = [], a.target.dim
     ctr = center(a.target)
     for i, j, entries in a.rep.nonzero:
-        columns = {}
+        columns = {}  # c: {r: theta(e_i, e_j)[r][c]}
         for r, c, x in entries:
-            columns.setdefault(c, [ZERO] * a.target.dim)[r] = x
+            columns.setdefault(c, {})[r] = x
         for u in sorted(columns):
-            if not ctr.contains(tuple(columns[u])):
+            if not ctr.contains(tuple(columns[u].get(r, ZERO) for r in range(n))):
                 out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))
-        for u, v, w, vec in a.target.nonzero:
+        for u, v, w, terms in a.target.nonzero:
             image = {}
-            for r, c, x in entries:
-                if vec[c]:
-                    image[r] = image.get(r, ZERO) + x * vec[c]
+            for l, y in terms:
+                for r, x in columns.get(l, {}).items():
+                    image[r] = image.get(r, ZERO) + x * y
             if any(image.values()):
                 out.append(
                     Violation("kills-brackets", (i + 1, j + 1, u + 1, v + 1, w + 1))
@@ -304,13 +303,13 @@ def semidirect_brackets(a: ActionData, weight: Scalar, first, second, third) -> 
             raise StructureError("family rows differ from the action's dimensions")
     (x1, u1), (x2, u2), (x3, u3) = first, second, third
     size, acc = d + dp, {}
-    for i, j, k, vec in L.nonzero:
+    for i, j, k, terms in L.nonzero:
         if x1[i] and x2[j] and x3[k]:
-            _scatter3(acc, size, x1[i], x2[j], x3[k], [(l, v) for l, v in enumerate(vec) if v])
+            _scatter3(acc, size, x1[i], x2[j], x3[k], terms)
     if weight:
-        for i, j, k, vec in Lp.nonzero:
+        for i, j, k, terms in Lp.nonzero:
             if u1[i] and u2[j] and u3[k]:
-                _scatter3(acc, size, u1[i], u2[j], u3[k], [(d + l, weight * v) for l, v in enumerate(vec) if v])
+                _scatter3(acc, size, u1[i], u2[j], u3[k], [(d + l, weight * v) for l, v in terms])
     for i, j, entries in rep.nonzero:
         by_col = {}
         for row, col, value in entries:
@@ -338,10 +337,6 @@ def semidirect_product(a: ActionData, weight: Scalar) -> LieTripleSystem:
     d, n = a.algebra.dim, a.algebra.dim + a.target.dim
     unit = Matrix.identity(n).entries
     basis = vector_family(Matrix(d, n, unit[:d]), Matrix(n - d, n, unit[d:]))
-    entries = {
-        key: x + p
-        for key, (x, p) in semidirect_brackets(a, weight, basis, basis, basis).items()
-        if not vec_is_zero(x + p)
-    }
+    entries = {key: x + p for key, (x, p) in semidirect_brackets(a, weight, basis, basis, basis).items()}
     names = tuple(a.algebra.basis_names) + tuple(f"{nm}'" for nm in a.target.basis_names)
     return LieTripleSystem.from_entries(n, entries, names)

@@ -145,12 +145,12 @@ def check_rbo_all_weights(action: ActionData, T: LinearMap) -> Report:
     lambda = 0 and the lambda-coefficient is T applied to the source
     bracket, so both parts are checked independently.
     """
-    out, br = [], {(u, v, w): vec for u, v, w, vec in action.target.nonzero}
+    out, br = [], {(u, v, w): terms for u, v, w, terms in action.target.nonzero}
     defects = {triple: defect for triple, defect, _ in _rb_defects(action, ZERO, T)}
     for u, v, w in sorted(defects.keys() | br.keys()):
         if not vec_is_zero(defects.get((u, v, w), ())):
             out.append(Violation("rota-baxter-constant-part", (u + 1, v + 1, w + 1)))
-        if (u, v, w) in br and not vec_is_zero(T.apply(br[u, v, w])):
+        if (u, v, w) in br and any(sum(row[l] * c for l, c in br[u, v, w]) for row in T.entries):
             out.append(Violation("rota-baxter-weight-part", (u + 1, v + 1, w + 1)))
     return tuple(out)
 

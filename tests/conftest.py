@@ -71,6 +71,19 @@ def ladder(n):
     return RelativeRBO(self_action(L), F(1), projection_rbo(L, target, complement))
 
 
+def sheared(L: LieTripleSystem) -> LieTripleSystem:
+    """L in the basis e_1, ..., e_(d-1), e_d + e_1: the same system, in
+    which a bracket with a component at e_d has one at e_1 too, so many
+    value vectors have two nonzero components and some zero ones."""
+    d = L.dim
+    new = [basis_vector(d, i) for i in range(d - 1)] + [tuple(int(l in (0, d - 1)) for l in range(d))]
+    entries = {}
+    for i, j, k in product(range(d), repeat=3):
+        c = L.bracket_eval(new[i], new[j], new[k])
+        entries[i, j, k] = (c[0] - c[-1],) + c[1:]  # sum c_l e_l in the new basis
+    return LieTripleSystem.from_entries(d, entries, L.basis_names)
+
+
 def make_sln_lts(n: int) -> LieTripleSystem:
     """sl_n with [x,y,z] = [[x,y],z].  Basis: E_ij (i != j) in
     lexicographic order, then H_i = E_ii - E_(i+1)(i+1); the H_i

@@ -35,9 +35,11 @@ deformation directions evaluated at one wedge at a time, through the
 dense operators [X,-] and D(X) and dense theta and D matrices.
 
 The package stores a system and a representation only as their nonzero
-entries; :func:`bracket_tensor` and :func:`theta_tensor` build the dense
-views the oracles and the tests index, and :func:`representation`
-builds a representation from such a dense table.
+entries; :func:`brackets` expands each stored bracket to its dense value
+vector, and is the one read of a stored bracket's value in the tests.
+:func:`bracket_tensor` and :func:`theta_tensor` build the dense views
+the oracles and the tests index, and :func:`representation` builds a
+representation from such a dense table.
 """
 
 from __future__ import annotations
@@ -65,9 +67,22 @@ SIGN_CONVENTIONS = ("definition", "complex")
 # the oracles rebuild these views once per call, often once per triple;
 # the views are tuples, so a cached one cannot be changed by a caller
 @lru_cache(maxsize=32)
+def brackets(L):
+    """(i, j, k, value vector) of each stored bracket of L, in stored
+    order: its nonzero components (l, c) written into a dense vector."""
+    out = []
+    for i, j, k, terms in L.nonzero:
+        vec = [ZERO] * L.dim
+        for l, c in terms:
+            vec[l] = c
+        out.append((i, j, k, tuple(vec)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
 def bracket_tensor(L):
     """The dense table c[i][j][k] = [e_i, e_j, e_k] of the system."""
-    given = {(i, j, k): vec for i, j, k, vec in L.nonzero}
+    given = {(i, j, k): vec for i, j, k, vec in brackets(L)}
     zero, d = zero_vector(L.dim), L.dim
     return tuple(
         tuple(tuple(given.get((i, j, k), zero) for k in range(d)) for j in range(d))
@@ -392,7 +407,7 @@ def nijenhuis_defect(L, N, x, y, z):
         t = N.apply(N.apply(term))
         for l in range(L.dim):
             acc[l] -= t[l]
-    given = {(i, j, k): vec for i, j, k, vec in L.nonzero}
+    given = {(i, j, k): vec for i, j, k, vec in brackets(L)}
     t = N.apply(N.apply(N.apply(given.get((x, y, z), zero_vector(L.dim)))))
     for l in range(L.dim):
         acc[l] += t[l]
@@ -460,7 +475,7 @@ def verify_action(a):
         for u in range(dp):
             if not ctr.contains(mat.column(u)):
                 out.append(Violation("image-in-center", (i + 1, j + 1, u + 1)))
-        for u, v, w, vec in a.target.nonzero:
+        for u, v, w, vec in brackets(a.target):
             if any(mat.apply(vec)):
                 out.append(Violation("kills-brackets", (i + 1, j + 1, u + 1, v + 1, w + 1)))
     return tuple(out)
@@ -522,7 +537,7 @@ def cochain_coeffs(f):
 def bracket_operator(L, coeffs):
     """x -> sum c_ij [e_i, e_j, x] as a matrix, for {(i, j): c_ij}."""
     acc = [[ZERO] * L.dim for _ in range(L.dim)]
-    for i, j, k, vec in L.nonzero:
+    for i, j, k, vec in brackets(L):
         if co := coeffs.get((i, j)):
             for l, v in enumerate(vec):
                 if v:

@@ -390,7 +390,7 @@ def test_coefficient_rules_match_sympy_expansion(rbo3, rbo4):
 
     def br(system, x, y, z):
         out = sympy.zeros(system.dim, 1)
-        for i, j, k, vec in system.nonzero:
+        for i, j, k, vec in dense_oracle.brackets(system):
             out += x[i] * y[j] * z[k] * sympy.Matrix([rat(a) for a in vec])
         return out
 

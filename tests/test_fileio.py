@@ -6,6 +6,7 @@ import pytest
 from triplekit.cli import main
 from triplekit.cohomology import Cochain, zero_cochain
 from triplekit.fileio import (
+    action_to_json,
     algebra_from_json,
     algebra_to_json,
     cochain_from_json,
@@ -14,6 +15,7 @@ from triplekit.fileio import (
     load_algebra,
     load_rbo,
     load_representation,
+    matrix_to_json,
     rbo_to_json,
     representation_from_json,
     representation_to_json,
@@ -141,6 +143,37 @@ def test_representation_path_reference(tmp_path, lts3):
     assert rep.algebra == lts3
     th = dense_oracle.theta_tensor(rep)
     assert all(th[i][j].is_zero() for i in range(3) for j in range(3))
+
+
+def test_nested_paths_are_relative_to_the_file_that_names_them(tmp_path, capsys):
+    # a path-named document reads its own nested paths against its own
+    # directory, not against the directory of the file that named it:
+    # action.json -> sub/rep.json -> alg.json in sub/, and hom.json ->
+    # sub/op.json, whose action names rep.json and target.json in sub/
+    rbo = load_rbo(fixture_path("rbo4_P"))
+    action, op, sub = action_to_json(rbo.action), rbo_to_json(rbo), tmp_path / "sub"
+    identity = {"psi_L": matrix_to_json(Matrix.identity(rbo.ambient.dim)),
+                "psi_Lprime": matrix_to_json(Matrix.identity(rbo.source.dim))}
+    sub.mkdir()
+    documents = {
+        sub / "alg.json": action["representation"]["algebra"],
+        sub / "rep.json": {**action["representation"], "algebra": "alg.json"},
+        sub / "target.json": action["target"],
+        sub / "op.json": {**op, "action": {"representation": "rep.json", "target": "target.json"}},
+        tmp_path / "action.json": {"representation": "sub/rep.json", "target": action["target"]},
+        tmp_path / "hom.json": {"source": "sub/op.json", "target": "sub/op.json", **identity},
+        tmp_path / "inline_action.json": action,
+        tmp_path / "inline_hom.json": {"source": op, "target": op, **identity},
+    }
+    for path, data in documents.items():
+        path.write_text(dump_json(data), encoding="utf-8")
+    for command, name in (("rep", "action"), ("rbo", "hom")):
+        kind = "action" if name == "action" else "hom"
+        printed = []
+        for file in (f"{kind}.json", f"inline_{kind}.json"):
+            code = main([command, name, str(tmp_path / file)])
+            printed.append((code, capsys.readouterr().out))
+        assert printed[0] == printed[1] and printed[0][0] == 0, printed
 
 
 def test_cochain_json_round_trip():

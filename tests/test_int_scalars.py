@@ -40,6 +40,7 @@ from triplekit.lts import LieTripleSystem
 from triplekit.representations import ActionData, RepresentationData
 from triplekit.rota_baxter import RelativeRBO, check_rbo
 
+import dense_oracle
 from conftest import SEEDS, ladder
 
 F = Fraction
@@ -50,7 +51,7 @@ def fraction_matrix(m: Matrix) -> Matrix:
 
 
 def fraction_system(L: LieTripleSystem) -> LieTripleSystem:
-    entries = {(i, j, k): tuple(F(x) for x in vec) for i, j, k, vec in L.nonzero}
+    entries = {(i, j, k): tuple(F(x) for x in vec) for i, j, k, vec in dense_oracle.brackets(L)}
     return LieTripleSystem.from_entries(L.dim, entries, L.basis_names)
 
 

@@ -21,7 +21,7 @@ from triplekit.representations import semidirect_product
 from triplekit.rota_baxter import is_nijenhuis
 
 import dense_oracle
-from conftest import SEEDS, make_sln_lts
+from conftest import SEEDS, make_sln_lts, sheared
 
 F = Fraction
 
@@ -74,7 +74,7 @@ def test_verify_reports_all_violations_of_single_flip(lts3):
         l = rng.randrange(3)
         delta = F(rng.choice([1, -1, 2]))
         entries = {}
-        for a, b, c, vec in lts3.nonzero:
+        for a, b, c, vec in dense_oracle.brackets(lts3):
             entries[(a, b, c)] = vec
         base = entries.get((i, j, k), (F(0),) * 3)
         new = list(base)
@@ -119,7 +119,7 @@ def perturbed_sl2():
     cyclic, but (A3) fails."""
     L = make_sln_lts(2)
     entries = {(i, j, k): tuple(2 * x for x in vec) if (i, j, k) in ((0, 1, 0), (1, 0, 0)) else vec
-               for i, j, k, vec in L.nonzero}
+               for i, j, k, vec in dense_oracle.brackets(L)}
     return LieTripleSystem.from_entries(L.dim, entries)
 
 
@@ -135,7 +135,7 @@ def test_derivation_witnesses_match_dense_oracle(name, request):
         rng, lts4 = random.Random(SEEDS["fuzz"]), request.getfixturevalue("lts4")
         systems = []
         for _ in range(10):
-            entries = {(i, j, k): vec for i, j, k, vec in lts4.nonzero}
+            entries = {(i, j, k): vec for i, j, k, vec in dense_oracle.brackets(lts4)}
             key = tuple(rng.randrange(4) for _ in range(3))
             vec = list(entries.get(key, (0,) * 4))
             vec[rng.randrange(4)] += rng.choice((1, -1, 2))
@@ -149,6 +149,68 @@ def test_derivation_witnesses_match_dense_oracle(name, request):
         assert got == dense_oracle.derivation_violations(L)
         found += got
     assert bool(found) == (name in ("perturbed", "flips"))
+
+
+def flipped(L, rng, flips):
+    """L with ``flips`` random bracket components changed and every other
+    component kept, so most value vectors stay partly zero and most
+    flips break skew-symmetry or the cyclic sum."""
+    entries = {(i, j, k): list(vec) for i, j, k, vec in dense_oracle.brackets(L)}
+    for _ in range(flips):
+        vec = entries.setdefault(tuple(rng.randrange(L.dim) for _ in range(3)), [0] * L.dim)
+        vec[rng.randrange(L.dim)] += rng.choice((1, -1, 2))
+    return LieTripleSystem.from_entries(L.dim, {key: tuple(vec) for key, vec in entries.items()})
+
+
+def random_brackets(rng, d):
+    """Brackets at (i, 0, 1) for i = 0 and about half of the other i,
+    each value vector with two or three nonzero components and a zero
+    one: no system, but its center, the kernel of the stacked vectors,
+    reads every component."""
+    entries = {}
+    for i in range(d):
+        if i == 0 or rng.random() < 0.5:
+            vec = [0] * d
+            for l in rng.sample(range(d), rng.choice((2, 3))):
+                vec[l] = rng.choice((1, -1, 2))
+            entries[i, 0, 1] = tuple(vec)
+    return LieTripleSystem.from_entries(d, entries)
+
+
+@pytest.mark.parametrize("name", ["lts4", "sl2_lts", "sl3", "sheared", "flips", "random"])
+def test_stored_components_read_as_the_dense_table(name, request):
+    # the skew and cyclic rows of verify_lts, center and derived_algebra
+    # read each bracket's stored nonzero components; the oracle reads
+    # the dense table at every basis triple, on systems whose value
+    # vectors are partly zero
+    if name == "sl3":
+        systems = [make_sln_lts(3)]
+    elif name == "sheared":
+        systems = [sheared(request.getfixturevalue(base)) for base in ("lts3", "lts4", "sl2_lts")]
+        assert all(verify_lts(L) == () for L in systems)
+    elif name == "flips":
+        rng = random.Random(SEEDS["fuzz"])
+        systems = [flipped(request.getfixturevalue(base), rng, 3) for base in ("lts4", "sl2_lts") for _ in range(6)]
+    elif name == "random":
+        rng = random.Random(SEEDS["fuzz"])
+        systems = [random_brackets(rng, 4) for _ in range(12)]
+    else:
+        systems = [request.getfixturevalue(name)]
+    failures = 0
+    for L in systems:
+        d, c = L.dim, dense_oracle.bracket_tensor(L)
+        assert any(0 < sum(map(bool, vec)) < d for *_key, vec in dense_oracle.brackets(L))
+        triples = list(product(range(d), repeat=3))
+        skew = [(i + 1, j + 1, k + 1) for i, j, k in triples if i < j and any(map(sum, zip(c[i][j][k], c[j][i][k])))]
+        cyclic = [(i + 1, j + 1, k + 1) for i, j, k in triples if any(map(sum, zip(c[i][j][k], c[j][k][i], c[k][i][j])))]
+        report = verify_lts(L)
+        assert [v.witness for v in report if v.rule == "skew-symmetry"] == skew
+        assert [v.witness for v in report if v.rule == "cyclic-sum"] == cyclic
+        failures += bool(skew) + bool(cyclic)
+        rows = [[c[i][j][k][l] for i in range(d)] for j, k, l in triples]
+        assert center(L).vectors == dense_oracle.kernel(rows, d)
+        assert derived_algebra(L).vectors == dense_oracle.span([c[i][j][k] for i, j, k in triples], d)
+    assert bool(failures) == (name in ("flips", "random"))
 
 
 def test_bracket_eval_examples(lts3):
@@ -169,11 +231,13 @@ def dense_bracket_eval(L, x, y, z):
     return tuple(out)
 
 
-@pytest.mark.parametrize("name", ["lts3", "lts4", "sl2_lts", "rbo4_semidirect"])
+@pytest.mark.parametrize("name", ["lts3", "lts4", "sl2_lts", "rbo4_semidirect", "sheared_sl2"])
 def test_bracket_eval_matches_dense_oracle(name, request):
     if name == "rbo4_semidirect":
         rbo4 = request.getfixturevalue("rbo4")
         L = semidirect_product(rbo4.action, rbo4.weight)
+    elif name == "sheared_sl2":
+        L = sheared(request.getfixturevalue("sl2_lts"))
     else:
         L = request.getfixturevalue(name)
     rng = random.Random(SEEDS["bracket"])
@@ -226,7 +290,7 @@ def test_center_and_derived_invariant_under_basis_permutation(lts3):
     # permute basis (e1,e2,e3) -> (e3,e1,e2) consistently
     perm = [2, 0, 1]  # new index of old basis vector
     entries = {}
-    for i, j, k, vec in lts3.nonzero:
+    for i, j, k, vec in dense_oracle.brackets(lts3):
         moved = [F(0)] * 3
         for l, x in enumerate(vec):
             moved[perm[l]] = x

@@ -19,7 +19,7 @@ from triplekit.representations import (
 )
 
 import dense_oracle
-from conftest import SEEDS, ladder, make_sln_lts
+from conftest import SEEDS, ladder, make_sln_lts, sheared
 
 F = Fraction
 
@@ -46,7 +46,7 @@ def test_adjoint_read_off(lts3):
 
 
 def test_adjoint_d_matches_left_bracket(lts3, lts4, sl2_lts):
-    for L in (lts3, lts4, sl2_lts):
+    for L in (lts3, lts4, sl2_lts, sheared(sl2_lts)):
         adj = adjoint_representation(L)
         E = L.basis()
         for i, j in product(range(L.dim), repeat=2):
@@ -206,6 +206,9 @@ def test_verify_action_matches_dense_oracle(lts3, lts4, rbo3, rbo4, sl2_lts):
     actions += [perturbed(a, 0, 0, 0, 0) for a in actions] + [perturbed(actions[1], 1, 0, 3, 2)]
     actions += [self_action(sl2_lts), ActionData(zero_representation(lts3, 2), zero_system(2))]
     actions += [random_theta_action(rng, L, target) for L in (lts3, sl2_lts) for target in (lts3, lts4, zero_system(2))]
+    # targets whose brackets have two nonzero components and a zero one
+    actions += [self_action(sheared(lts4)), self_action(sheared(sl2_lts))]
+    actions += [random_theta_action(rng, L, sheared(target)) for L in (lts3, sl2_lts) for target in (lts3, lts4)]
     reports = []
     for a in actions:
         reports.append(verify_action(a))

@@ -33,7 +33,7 @@ from triplekit.rota_baxter import (
 )
 
 import dense_oracle
-from conftest import SEEDS, known_operator_pool, ladder, relative_rbo
+from conftest import SEEDS, known_operator_pool, ladder, relative_rbo, sheared
 from test_scatter_assembly import ambient_dim_0, source_dim_0
 
 F = Fraction
@@ -67,6 +67,47 @@ def test_maps_into_abelian_target_killing_derived_are_operators(rbo3):
     # derived algebra and is killed as well
     shift = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # e1 -> e2
     assert check_rbo_all_weights(rbo3.action, shift) == ()
+
+
+def all_weights_oracle(action, T):
+    """check_rbo_all_weights from the dense tables: the constant part is
+    the (RB) defect x - Tp of the weight-0 semidirect bracket of graph
+    vectors, one triple at a time, and the weight part is T applied to
+    the dense bracket [u,v,w]' of L'."""
+    dp, c = action.target.dim, dense_oracle.bracket_tensor(action.target)
+    graph = [(T.column(u), basis_vector(dp, u)) for u in range(dp)]
+    out = []
+    for u, v, w in product(range(dp), repeat=3):
+        x, p = dense_oracle.semidirect_bracket(action, 0, *graph[u], *graph[v], *graph[w])
+        if any(a - b for a, b in zip(x, T.apply(p))):
+            out.append(Violation("rota-baxter-constant-part", (u + 1, v + 1, w + 1)))
+        if any(T.apply(c[u][v][w])):
+            out.append(Violation("rota-baxter-weight-part", (u + 1, v + 1, w + 1)))
+    return tuple(out)
+
+
+def test_all_weights_parts_match_dense_oracle(lts3, lts4, sl2_lts, rbo3, rbo4):
+    # the weight part reads the stored components of each bracket of L';
+    # on these self-actions they are partly zero, and the maps below
+    # send some brackets to zero and others not
+    rng = random.Random(SEEDS["identities"])
+    cases = [(rbo3.action, rbo3.T), (rbo4.action, rbo4.T), (ladder(5).action, ladder(5).T)]
+    for L in (lts3, lts4, sl2_lts, sheared(lts3), sheared(lts4), sheared(sl2_lts)):
+        d = L.dim
+        cases += [(self_action(L), Matrix(d, d, tuple(tuple(int(r == c == l) for c in range(d)) for r in range(d))))
+                  for l in range(d)]
+        cases += [(self_action(L), Matrix.from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(d)]))
+                  for _ in range(4)]
+    kept = killed = 0
+    for action, T in cases:
+        report = check_rbo_all_weights(action, T)
+        assert report == all_weights_oracle(action, T)
+        weight_part = {v.witness for v in report if v.rule == "rota-baxter-weight-part"}
+        for i, j, k, vec in dense_oracle.brackets(action.target):
+            assert 0 < sum(map(bool, vec)) < len(vec)
+            kept += (i + 1, j + 1, k + 1) in weight_part
+            killed += (i + 1, j + 1, k + 1) not in weight_part
+    assert kept and killed, (kept, killed)
 
 
 def test_check_rbo_reports_first_witness_in_lex_order(rbo3):

@@ -37,6 +37,7 @@ from conftest import (
     ladder,
     make_sln_lts,
     relative_rbo,
+    sheared,
     sl3_cartan_projection,
     sln_abelian_cartan_projection,
 )
@@ -56,6 +57,8 @@ BARE = {
     "lts3 adjoint": lambda: adjoint_representation(load_algebra(fixture_path("lts3"))),
     "lts4 adjoint": lambda: adjoint_representation(load_algebra(fixture_path("lts4"))),
     "zero": lambda: zero_representation(load_algebra(fixture_path("lts3")), 2),
+    # brackets with two nonzero components and a zero one
+    "sheared sl2 adjoint": lambda: adjoint_representation(sheared(make_sln_lts(2))),
 }
 SYSTEMS = [*OPERATORS, *BARE]
 

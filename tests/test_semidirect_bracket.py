@@ -35,7 +35,7 @@ from triplekit.representations import (
 from triplekit.rota_baxter import RelativeRBO
 
 import dense_oracle
-from conftest import SEEDS, ladder
+from conftest import SEEDS, ladder, sheared
 
 F = Fraction
 WEIGHTS = (F(0), F(1), F(-2), F(1, 2))
@@ -80,12 +80,15 @@ def oracle_product(a, weight):
     return LieTripleSystem.from_entries(n, entries, names)
 
 
-ACTIONS = ["rbo3", "rbo4", "ladder4", "sl2_lts", "lts3", "lts4"]
+ACTIONS = ["rbo3", "rbo4", "ladder4", "sl2_lts", "lts3", "lts4", "sheared_lts4"]
 
 
 def action(name, request):
     if name == "ladder4":
         return ladder(4).action
+    if name == "sheared_lts4":
+        # brackets of L and L' with two nonzero components and a zero one
+        return self_action(sheared(request.getfixturevalue("lts4")))
     if name in ("rbo3", "rbo4"):
         return request.getfixturevalue(name).action
     return self_action(request.getfixturevalue(name))

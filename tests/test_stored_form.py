@@ -12,6 +12,7 @@ from triplekit.linalg import basis_vector
 from triplekit.lts import LieTripleSystem
 from triplekit.representations import RepresentationData, adjoint_representation
 
+import dense_oracle
 from conftest import make_sln_lts
 
 F = Fraction
@@ -23,7 +24,7 @@ def reversed_dict(entries):
 
 def test_insertion_order_does_not_matter():
     L = make_sln_lts(3)
-    entries = {(i, j, k): vec for i, j, k, vec in L.nonzero}
+    entries = {(i, j, k): vec for i, j, k, vec in dense_oracle.brackets(L)}
     again = LieTripleSystem.from_entries(L.dim, reversed_dict(entries), L.basis_names)
     assert again == L
     assert again.nonzero == L.nonzero
@@ -36,6 +37,10 @@ def test_zero_values_are_not_stored():
     top = (F(0), F(0), F(1))
     L = LieTripleSystem.from_entries(3, {(0, 1, 0): top, (1, 0, 0): (0, 0, -1), (2, 2, 2): (0, 0, 0)})
     assert [(i, j, k) for i, j, k, _ in L.nonzero] == [(0, 1, 0), (1, 0, 0)]
+    # a bracket keeps only its nonzero components, in increasing index
+    assert L.nonzero == ((0, 1, 0, ((2, 1),)), (1, 0, 0, ((2, -1),)))
+    mixed = LieTripleSystem.from_entries(3, {(0, 1, 2): (F(3), F(0), -1), (1, 0, 2): (-3, 0, F(1))})
+    assert mixed.nonzero == ((0, 1, 2, ((0, 3), (2, -1))), (1, 0, 2, ((0, -3), (2, 1))))
     assert L == LieTripleSystem.from_entries(3, {(1, 0, 0): (0, 0, -1), (0, 1, 0): top})
     rep = RepresentationData.from_entries(L, 2, {(0, 1, 0, 1): F(2), (0, 1, 1, 0): 0, (2, 2, 0, 0): F(0)})
     assert rep.nonzero == ((0, 1, ((0, 1, 2),)),)
