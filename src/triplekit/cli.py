@@ -1,10 +1,14 @@
 """Batch command line front end.
 
-Every command loads JSON inputs, delegates to the library and prints
-one JSON document; no computation lives here.  Exit codes: 0 success,
-1 a verification ran and found violations, 2 malformed input or usage.
-Reports are printed with sorted keys and normalized scalars, so
-identical inputs give byte-identical output.
+``main`` reads every file argument, each through its reader in one
+table, and hands the loaded objects to the command's handler.  The
+handler delegates to the library and returns one JSON document and its
+exit code; ``main`` prints that document, or the error document of a
+failure.  No handler reads a file or prints, and no computation lives
+here.  Exit codes: 0 success, 1 a verification ran and found
+violations, 2 malformed input or usage.  Reports are printed with
+sorted keys and normalized scalars, so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -48,13 +52,8 @@ from .rota_baxter import (
 )
 
 
-def _emit(data) -> None:
-    sys.stdout.write(fileio.dump_json(data))
-
-
-def _report_result(report: Report, **extra) -> int:
-    _emit({"violations": [v.to_json() for v in report], **summarize(report), **extra})
-    return 1 if report else 0
+def _report(report: Report, **extra) -> tuple[dict, int]:
+    return {"violations": [v.to_json() for v in report], **summarize(report), **extra}, 1 if report else 0
 
 
 def _witness(w: EquivalenceWitness | None) -> list[str] | None:
@@ -62,94 +61,83 @@ def _witness(w: EquivalenceWitness | None) -> list[str] | None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each gets its inputs loaded and returns (document, exit code)
 
 
-def cmd_lts_verify(args) -> int:
-    return _report_result(verify_lts(fileio.load_algebra(args.algebra)))
+def cmd_lts_verify(args) -> tuple[dict, int]:
+    return _report(verify_lts(args.algebra))
 
 
-def cmd_lts_center(args) -> int:
-    _emit(fileio.subspace_to_json(center(fileio.load_algebra(args.algebra))))
-    return 0
+def cmd_lts_center(args) -> tuple[dict, int]:
+    return fileio.subspace_to_json(center(args.algebra)), 0
 
 
-def cmd_lts_derived(args) -> int:
-    _emit(fileio.subspace_to_json(derived_algebra(fileio.load_algebra(args.algebra))))
-    return 0
+def cmd_lts_derived(args) -> tuple[dict, int]:
+    return fileio.subspace_to_json(derived_algebra(args.algebra)), 0
 
 
-def cmd_lts_subsystem(args) -> int:
-    L = fileio.load_algebra(args.algebra)
-    S = fileio.load_subspace(args.span)
+def cmd_lts_subsystem(args) -> tuple[dict, int]:
+    L, S = args.algebra, args.span
     abelian = is_abelian_subsystem(L, S)
     # an abelian subsystem is a subsystem, so its brackets are read once
-    _emit({"is_subsystem": abelian or is_subsystem(L, S), "is_abelian_subsystem": abelian})
-    return 0
+    return {"is_subsystem": abelian or is_subsystem(L, S), "is_abelian_subsystem": abelian}, 0
 
 
-def cmd_rep_verify(args) -> int:
-    return _report_result(verify_representation(fileio.load_representation(args.representation)))
+def cmd_rep_verify(args) -> tuple[dict, int]:
+    return _report(verify_representation(args.representation))
 
 
-def cmd_rep_adjoint(args) -> int:
-    L = fileio.load_algebra(args.algebra)
-    _emit(fileio.representation_to_json(adjoint_representation(L)))
-    return 0
+def cmd_rep_adjoint(args) -> tuple[dict, int]:
+    return fileio.representation_to_json(adjoint_representation(args.algebra)), 0
 
 
-def cmd_rep_action(args) -> int:
-    return _report_result(verify_action(fileio.load_action(args.action)))
+def cmd_rep_action(args) -> tuple[dict, int]:
+    return _report(verify_action(args.action))
 
 
-def cmd_sd_build(args) -> int:
-    action = fileio.load_action(args.action)
-    product = semidirect_product(action, parse_scalar(args.weight))
-    _emit(fileio.algebra_to_json(product))
-    return 0
+def cmd_sd_build(args) -> tuple[dict, int]:
+    return fileio.algebra_to_json(semidirect_product(args.action, parse_scalar(args.weight))), 0
 
 
-def cmd_rbo_check(args) -> int:
-    rbo = args.rbo
+def cmd_rbo_check(args) -> tuple[dict, int]:
+    rbo = args.operator
     if args.all_weights:
-        return _report_result(check_rbo_all_weights(rbo.action, rbo.T))
-    return _report_result(check_rbo(rbo.action, rbo.weight, rbo.T))
+        return _report(check_rbo_all_weights(rbo.action, rbo.T))
+    return _report(check_rbo(rbo.action, rbo.weight, rbo.T))
 
 
-def cmd_rbo_graph(args) -> int:
-    rbo = args.rbo
+def cmd_rbo_graph(args) -> tuple[dict, int]:
+    rbo = args.operator
     graph = graph_subsystem(rbo)
-    _emit({
+    return {
         "graph": fileio.subspace_to_json(graph),
         "is_subsystem": is_subsystem(semidirect_product(rbo.action, rbo.weight), graph),
-    })
-    return 0
+    }, 0
 
 
-def cmd_rbo_descendent(args) -> int:
-    _emit(fileio.algebra_to_json(descendent_lts(args.rbo)))
-    return 0
+def cmd_rbo_descendent(args) -> tuple[dict, int]:
+    return fileio.algebra_to_json(descendent_lts(args.operator)), 0
 
 
-def cmd_rbo_nijenhuis(args) -> int:
-    rbo = args.rbo
+def cmd_rbo_nijenhuis(args) -> tuple[dict, int]:
+    rbo = args.operator
     lift = nijenhuis_lift(rbo.action, rbo.T)
     report = nijenhuis_check(semidirect_product(rbo.action, rbo.weight), lift)
-    return _report_result(report, lift=fileio.matrix_to_json(lift))
+    return _report(report, lift=fileio.matrix_to_json(lift))
 
 
-def cmd_rbo_hom(args) -> int:
-    return _report_result(check_rbo_homomorphism(fileio.load_homomorphism(args.homomorphism)))
+def cmd_rbo_hom(args) -> tuple[dict, int]:
+    return _report(check_rbo_homomorphism(args.homomorphism))
 
 
-def cmd_rbo_equivalence(args) -> int:
-    result = equivalence_sweep(args.rbo.action, args.rbo.weight, trials=args.trials, seed=args.seed)
-    _emit(result)
-    return 0 if result["counterexamples"] == 0 else 1
+def cmd_rbo_equivalence(args) -> tuple[dict, int]:
+    rbo = args.operator
+    result = equivalence_sweep(rbo.action, rbo.weight, trials=args.trials, seed=args.seed)
+    return result, 0 if result["counterexamples"] == 0 else 1
 
 
-def cmd_coh_group(args) -> int:
-    result = cohomology_group(args.rbo, args.degree)
+def cmd_coh_group(args) -> tuple[dict, int]:
+    result = cohomology_group(args.operator, args.degree)
     data = {
         "degree": result.degree,
         "dim_Z": result.dim_cocycles,
@@ -159,47 +147,36 @@ def cmd_coh_group(args) -> int:
     if result.sign_convention is not None:
         data["sign_convention"] = result.sign_convention
         data["sign_audit"] = dict(result.sign_audit)
-    _emit(data)
-    return 0
+    return data, 0
 
 
-def cmd_coh_cocycle(args) -> int:
-    return _report_result(one_cocycle_check(args.rbo, fileio.load_cochain(args.cochain)))
+def cmd_coh_cocycle(args) -> tuple[dict, int]:
+    return _report(one_cocycle_check(args.operator, args.cochain))
 
 
-def cmd_coh_coboundary(args) -> int:
-    f = fileio.load_cochain(args.cochain)
-    _emit(fileio.cochain_to_json(OperatorComplex(args.rbo).apply(f)))
-    return 0
+def cmd_coh_coboundary(args) -> tuple[dict, int]:
+    return fileio.cochain_to_json(OperatorComplex(args.operator).apply(args.cochain)), 0
 
 
-def cmd_coh_map(args) -> int:
-    h = fileio.load_homomorphism(args.homomorphism)
-    f = fileio.load_cochain(args.cochain)
-    _emit(fileio.cochain_to_json(cochain_map_p(h, f)))
-    return 0
+def cmd_coh_map(args) -> tuple[dict, int]:
+    return fileio.cochain_to_json(cochain_map_p(args.homomorphism, args.cochain)), 0
 
 
-def cmd_coh_basis(args) -> int:
+def cmd_coh_basis(args) -> tuple[dict, int]:
     basis = cochain_space_basis(
         args.degree, args.source_dim, args.target_dim,
         allow_degree_5=args.max_degree_override,
     )
-    _emit({"degree": args.degree, "dim": basis.dim})
-    return 0
+    return {"degree": args.degree, "dim": basis.dim}, 0
 
 
-def _load_deformation(args) -> InfinitesimalDeformation:
-    return InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction))
-
-
-def cmd_def_check(args) -> int:
-    d = _load_deformation(args)
+def cmd_def_check(args) -> tuple[dict, int]:
+    d = InfinitesimalDeformation(args.operator, args.direction)
     report = check_deformation(d)
     rules = {v.rule for v in report}
     # the order-t equation is the closedness identity of the direction
     cocycle = "order-t" not in rules
-    _emit({
+    return {
         "order_t": cocycle,
         "order_t2": "order-t2" not in rules,
         "order_t3": "order-t3" not in rules,
@@ -207,42 +184,34 @@ def cmd_def_check(args) -> int:
         "violations": [v.to_json() for v in report],
         "class": [format_scalar(x) for x in deformation_cocycle_class(d)] if cocycle else None,
         "trivial_witness": None if report else _witness(is_trivial_deformation(d, strict=args.strict)),
-    })
-    return 1 if report else 0
+    }, 1 if report else 0
 
 
-def cmd_def_class(args) -> int:
-    d = _load_deformation(args)
-    _emit({"class": [format_scalar(x) for x in deformation_cocycle_class(d)]})
-    return 0
+def cmd_def_class(args) -> tuple[dict, int]:
+    d = InfinitesimalDeformation(args.operator, args.direction)
+    return {"class": [format_scalar(x) for x in deformation_cocycle_class(d)]}, 0
 
 
-def cmd_def_equiv(args) -> int:
-    d1 = InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction1))
-    d2 = InfinitesimalDeformation(args.rbo, fileio.load_cochain(args.direction2))
-    if args.witness:
-        w = EquivalenceWitness(fileio.load_cochain(args.witness))
-        return _report_result(check_equivalence(d1, d2, w, strict=args.strict))
+def cmd_def_equiv(args) -> tuple[dict, int]:
+    d1 = InfinitesimalDeformation(args.operator, args.direction1)
+    d2 = InfinitesimalDeformation(args.operator, args.direction2)
+    if args.witness is not None:
+        return _report(check_equivalence(d1, d2, EquivalenceWitness(args.witness), strict=args.strict))
     w = find_equivalence_witness(d1, d2, strict=args.strict)
-    _emit({"equivalent": w is not None, "witness": _witness(w)})
-    return 0
+    return {"equivalent": w is not None, "witness": _witness(w)}, 0
 
 
-def cmd_def_trivial(args) -> int:
-    d = _load_deformation(args)
-    w = is_trivial_deformation(d, strict=args.strict)
-    _emit({"trivial": w is not None, "witness": _witness(w)})
-    return 0
+def cmd_def_trivial(args) -> tuple[dict, int]:
+    w = is_trivial_deformation(InfinitesimalDeformation(args.operator, args.direction), strict=args.strict)
+    return {"trivial": w is not None, "witness": _witness(w)}, 0
 
 
-def cmd_fixtures_list(_args) -> int:
-    _emit({"fixtures": list_fixtures()})
-    return 0
+def cmd_fixtures_list(_args) -> tuple[dict, int]:
+    return {"fixtures": list_fixtures()}, 0
 
 
-def cmd_fixtures_path(args) -> int:
-    _emit({"name": args.name, "path": str(fixture_path(args.name))})
-    return 0
+def cmd_fixtures_path(args) -> tuple[dict, int]:
+    return {"name": args.name, "path": str(fixture_path(args.name))}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +313,29 @@ def _attach_weight(argv) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_weight(sys.argv[1:] if argv is None else argv))
+    # the reader of each file argument, looked up on every run
+    readers = dict(
+        algebra=fileio.load_algebra, span=fileio.load_subspace, representation=fileio.load_representation,
+        action=fileio.load_action, operator=fileio.load_rbo, homomorphism=fileio.load_homomorphism,
+        cochain=fileio.load_cochain, direction=fileio.load_cochain, direction1=fileio.load_cochain,
+        direction2=fileio.load_cochain, witness=fileio.load_cochain,
+    )
     try:
-        # every operator command reads its operator, at --weight when
-        # given, before any other input file
-        if "operator" in vars(args):
-            rbo = fileio.load_rbo(args.operator)
-            if args.weight is not None:
-                rbo = RelativeRBO(rbo.action, parse_scalar(args.weight), rbo.T)
-            args.rbo = rbo
-        return args.handler(args)
+        # the files in the order argparse lists them; an operator takes
+        # --weight, when given, before the next file is read
+        for name, path in list(vars(args).items()):
+            if name in readers and path is not None:
+                value = readers[name](path)
+                if name == "operator" and args.weight is not None:
+                    value = RelativeRBO(value.action, parse_scalar(args.weight), value.T)
+                setattr(args, name, value)
+        document, code = args.handler(args)
     except VerificationError as exc:
-        _emit({"error": str(exc), "kind": "verification"})
-        return 1
+        document, code = {"error": str(exc), "kind": "verification"}, 1
     except (OSError, ValueError) as exc:
-        _emit({"error": str(exc), "kind": "input"})
-        return 2
+        document, code = {"error": str(exc), "kind": "input"}, 2
+    sys.stdout.write(fileio.dump_json(document))
+    return code
 
 
 if __name__ == "__main__":

@@ -279,14 +279,14 @@ def load_action(path) -> ActionData:
 # operators
 
 
-def matrix_from_json(rows, rows_expected=None, cols_expected=None, context="matrix") -> Matrix:
+def matrix_from_json(rows, rows_expected: int, cols_expected: int, context: str) -> Matrix:
     mat = Matrix.from_rows(_matrix_rows(rows, context))
     if rows_expected == 0 and mat.rows == 0:
         # a matrix with no rows is written [], which carries no width
         mat = Matrix(0, cols_expected, ())
-    if rows_expected is not None and mat.rows != rows_expected:
+    if mat.rows != rows_expected:
         raise StructureError(f"{context}: expected {rows_expected} rows, found {mat.rows}")
-    if cols_expected is not None and mat.cols != cols_expected:
+    if mat.cols != cols_expected:
         raise StructureError(f"{context}: expected {cols_expected} columns, found {mat.cols}")
     return mat
 

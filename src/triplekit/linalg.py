@@ -195,7 +195,8 @@ class Matrix:
 
 
 def _nonzero(vec) -> dict:
-    # any() first: most rows of the stacked condition systems are zero
+    """A dense vector's nonzero entries by index; ``any`` passes over an
+    all-zero vector in C."""
     return {j: x for j, x in enumerate(vec) if x} if any(vec) else {}
 
 

@@ -16,7 +16,13 @@ from triplekit.fileio import load_algebra, load_rbo
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import Matrix, SubspaceBasis, basis_vector, vec_is_zero
 from triplekit.lts import LieTripleSystem, zero_system
-from triplekit.representations import ActionData, adjoint_representation, self_action, zero_representation
+from triplekit.representations import (
+    ActionData,
+    RepresentationData,
+    adjoint_representation,
+    self_action,
+    zero_representation,
+)
 from triplekit.rota_baxter import RelativeRBO, projection_rbo
 
 SEEDS = {
@@ -150,6 +156,33 @@ def relative_rbo():
     L = load_algebra(fixture_path("lts3"))
     T = Matrix(3, 2, ((1, 0), (0, 0), (0, 0)))
     return RelativeRBO(ActionData(zero_representation(L, 2), zero_system(2)), 1, T)
+
+
+def scaled_adjoint_action(L: LieTripleSystem, c, target: LieTripleSystem) -> ActionData:
+    """theta_c = c ad of L on ``target``: the adjoint representation of
+    ``target`` scaled by c, extended by zero to the basis vectors of L
+    past dim ``target``, which must be central in L."""
+    entries = {(i, j, r, col): c * a for i, j, terms in adjoint_representation(target).nonzero for r, col, a in terms}
+    return ActionData(RepresentationData.from_entries(L, target.dim, entries), target)
+
+
+def weighted_identity(L: LieTripleSystem, c):
+    """theta_c = c ad on L' = L and T = id, at weight 1 - 3c.  On a
+    2-step nilpotent L (lts3, lts4) the action verifies for every c, and
+    the theta-terms of (RB) sum to 3c[u,v,w], so T is an operator of
+    weight 1 - 3c and of no other: the weight decides."""
+    return RelativeRBO(scaled_adjoint_action(L, c, L), 1 - 3 * F(c), Matrix.identity(L.dim))
+
+
+def weighted_inclusion(c):
+    """The member with L' != L: L = lts3 + F e4 with e4 central, acting
+    by theta_c = c ad through lts3 on L' = lts3, and T the inclusion of
+    lts3 into L, at weight 1 - 3c, again its only weight."""
+    lts3 = load_algebra(fixture_path("lts3"))
+    entries = {(i, j, k): tuple(dict(terms).get(l, 0) for l in range(4)) for i, j, k, terms in lts3.nonzero}
+    L = LieTripleSystem.from_entries(4, entries)
+    T = Matrix(4, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    return RelativeRBO(scaled_adjoint_action(L, c, lts3), 1 - 3 * F(c), T)
 
 
 @pytest.fixture(scope="session")

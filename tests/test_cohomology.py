@@ -27,7 +27,7 @@ from triplekit.cohomology import (
     unflatten_cochain,
     zero_cochain,
 )
-from triplekit.fileio import cochain_to_json, dump_json, load_rbo, rbo_to_json
+from triplekit.fileio import cochain_to_json, dump_json, load_algebra, load_rbo, rbo_to_json
 from triplekit.fixtures import fixture_path
 from triplekit.linalg import (
     Matrix,
@@ -56,6 +56,7 @@ from conftest import (
     elementary_cochain,
     make_sln_lts,
     sln_abelian_cartan_projection,
+    weighted_identity,
 )
 
 F = Fraction
@@ -489,6 +490,9 @@ D5D3 = {
     "rbo4_P": lambda: load_rbo(fixture_path("rbo4_P")),
     "sl3 abelian": lambda: sln_abelian_cartan_projection(3),
     "sl4 abelian": lambda: sln_abelian_cartan_projection(4),
+    # theta = -ad and T = id, an operator of weight 4 only
+    "lts3 -ad": lambda: weighted_identity(load_algebra(fixture_path("lts3")), -1),
+    "lts4 -ad": lambda: weighted_identity(load_algebra(fixture_path("lts4")), -1),
 }
 
 
@@ -517,7 +521,7 @@ def test_d5_d3_vanishes_under_the_one_coboundary(name):
         f = unflatten_cochain(3, dp, d, tuple(dict(row).get(i, 0) for i in range(dp**3 * d)))
         g = cochain_coordinates(dense_oracle.image(definition, f), (5,), dp, d)
         failures += bool(d5(g))
-    assert failures == {"sl2 abelian": 2, "rbo3_P": 0, "rbo4_P": 0, "sl3 abelian": 2}[name]
+    assert failures == {"sl2 abelian": 2, "rbo3_P": 0, "rbo4_P": 0, "sl3 abelian": 2, "lts3 -ad": 4, "lts4 -ad": 10}[name]
 
 
 def test_cohomology_requires_operator(rbo3):
